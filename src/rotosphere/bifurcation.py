@@ -385,7 +385,7 @@ class ContinuationProblem:
         self._transform = sht.get_transform(lmax, 2 * lmax + 9, 4 * lmax + 10)
         grid = self._transform.grid
         self._z_values = np.broadcast_to(grid.nodes[:, None], (grid.nlat, grid.nlon))
-        self._basis_grid = [self._transform.synthesis(b).values for b in self.subspace.basis]
+        self._basis_grid = np.stack([self._transform.synthesis(b).values for b in self.subspace.basis])
 
     @property
     def transform(self) -> sht.Transform:
@@ -431,12 +431,12 @@ class ContinuationProblem:
         f = self.subspace.assemble(x)
         f_values = self._transform.synthesis(f).values
         deriv = self._nonlinearity_derivative(lam, f_values)
-        n = self.subspace.dim
-        jac = np.eye(n)
-        for j in range(n):
-            forced = self._transform.analysis(deriv * self._basis_grid[j], real_valued=True)
-            forced.coeffs[0, forced.lmax] = 0.0
-            image = sht.invert_laplacian(forced)
+        # every forced response in one batched analysis, as m >= 0 half tables
+        forced = self._transform.analysis(deriv * self._basis_grid)
+        forced[:, 0, 0] = 0.0
+        jac = np.eye(self.subspace.dim)
+        for j, half in enumerate(forced):
+            image = sht.invert_laplacian(SpectralField.from_halves(half))
             jac[:, j] -= self.subspace.project(image)
         return jac
 

@@ -165,6 +165,8 @@ def _initial_field(spec: dict, lmax: int, seed: int) -> sht.SpectralField:
         field = sht.SpectralField.zeros(lmax)
         for entry in spec.get("coefficients", []):
             l, m, re, im = int(entry[0]), int(entry[1]), float(entry[2]), float(entry[3])
+            if not (0 <= l <= lmax and abs(m) <= l):
+                raise ConfigError(f"mode (l, m) = ({l}, {m}) outside the table of lmax={lmax}")
             field.set(l, m, complex(re, im))
         field.enforce_reality()
         field.coeffs[0, lmax] = 0.0
@@ -188,21 +190,27 @@ def _initial_field(spec: dict, lmax: int, seed: int) -> sht.SpectralField:
     raise ConfigError(f"unknown initial-state kind {kind!r}")
 
 
+def _optional_int(config: dict, key: str, default: int | None) -> int | None:
+    value = config.get(key, default)
+    if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+        raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def cmd_simulate(args) -> int:
     config = _load_config(args.config)
     lmax = _require(config, "lmax", int)
-    nlat = int(config.get("nlat", lmax + 1))
-    nlon = int(config.get("nlon", 2 * lmax + 2))
+    if {"nlat", "nlon"} & set(config):
+        raise ConfigError("nlat/nlon are not supported: simulate integrates on the dealiased grid")
     seed = int(config.get("seed", 0))
     try:
-        spec = sht.TruncationSpec(lmax=lmax, nlat=nlat, nlon=nlon)
         sim_config = dynamics.SimulationConfig(
             omega=_require(config, "omega", float),
             dt=_require(config, "dt", float),
             t_end=_require(config, "t_end", float),
-            truncation=spec,
-            diag_stride=int(config.get("diag_stride", 10)),
-            snapshot_stride=config.get("snapshot_stride"),
+            truncation=sht.TruncationSpec.for_lmax(lmax),
+            diag_stride=_optional_int(config, "diag_stride", 10),
+            snapshot_stride=_optional_int(config, "snapshot_stride", None),
             filter_strength=float(config.get("filter_strength", 0.0)),
         )
         initial = _initial_field(_require(config, "initial", dict), lmax, seed)

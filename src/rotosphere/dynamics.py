@@ -48,6 +48,8 @@ class SimulationConfig:
             raise ValueError("t_end must be nonnegative")
         if self.diag_stride < 1:
             raise ValueError("diag_stride must be >= 1")
+        if self.snapshot_stride is not None and self.snapshot_stride < 1:
+            raise ValueError("snapshot_stride must be >= 1")
         if self.filter_strength < 0.0:
             raise ValueError("filter_strength must be >= 0")
 
@@ -70,18 +72,19 @@ class SimulationState:
 def tendency(state: SimulationState, omega: float,
              transform: sht.Transform | None = None) -> SpectralField:
     """Vorticity tendency: minus the advection of total vorticity by the flow."""
-    psi = state.stream_function()
-    q = state.vorticity.copy()
-    q.add_to(1, 0, fields.coriolis_stream_coefficient(omega))
-    out = fields.advection(psi, q, transform)
-    out.coeffs = -out.coeffs
-    return out
+    sht.require_zero_mean(state.vorticity)
+    tr = transform if transform is not None else sht.dealiased_transform(state.vorticity.lmax)
+    return SpectralField.from_halves(_tendency_half(state.vorticity.real_half(), omega, tr))
 
 
-def _tendency_coeffs(vort_coeffs: np.ndarray, lmax: int, omega: float,
-                     transform: sht.Transform) -> np.ndarray:
-    state = SimulationState(0.0, SpectralField(lmax, vort_coeffs, real_valued=True))
-    return tendency(state, omega, transform).coeffs
+def _tendency_half(vort: np.ndarray, omega: float, transform: sht.Transform) -> np.ndarray:
+    """`tendency` on the m >= 0 half table of a zero-mean real vorticity."""
+    l = np.arange(1, vort.shape[0], dtype=float)
+    psi = np.zeros_like(vort)
+    psi[1:] = vort[1:] / (-l * (l + 1.0))[:, None]
+    q = vort.copy()
+    q[1, 0] += fields.coriolis_stream_coefficient(omega)
+    return -fields.advection(psi, q, transform)
 
 
 def _spectral_filter(lmax: int, strength: float, dt: float) -> np.ndarray | None:
@@ -93,15 +96,17 @@ def _spectral_filter(lmax: int, strength: float, dt: float) -> np.ndarray | None
 
 def step(state: SimulationState, config: SimulationConfig,
          transform: sht.Transform | None = None) -> SimulationState:
-    """One RK4 step; reality of the coefficients is restored exactly after it."""
+    """One RK4 step on the m >= 0 half table; the full table, exactly real,
+    is rebuilt once at the end."""
+    sht.require_zero_mean(state.vorticity)
     tr = transform if transform is not None else sht.dealiased_transform(state.vorticity.lmax)
     lmax = state.vorticity.lmax
     dt = config.dt
-    c0 = state.vorticity.coeffs
-    k1 = _tendency_coeffs(c0, lmax, config.omega, tr)
-    k2 = _tendency_coeffs(c0 + 0.5 * dt * k1, lmax, config.omega, tr)
-    k3 = _tendency_coeffs(c0 + 0.5 * dt * k2, lmax, config.omega, tr)
-    k4 = _tendency_coeffs(c0 + dt * k3, lmax, config.omega, tr)
+    c0 = state.vorticity.real_half()
+    k1 = _tendency_half(c0, config.omega, tr)
+    k2 = _tendency_half(c0 + 0.5 * dt * k1, config.omega, tr)
+    k3 = _tendency_half(c0 + 0.5 * dt * k2, config.omega, tr)
+    k4 = _tendency_half(c0 + dt * k3, config.omega, tr)
     new_coeffs = c0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.all(np.isfinite(new_coeffs)):
         bad = int(np.count_nonzero(~np.isfinite(new_coeffs)))
@@ -109,9 +114,7 @@ def step(state: SimulationState, config: SimulationConfig,
     filt = _spectral_filter(lmax, config.filter_strength, dt)
     if filt is not None:
         new_coeffs = new_coeffs * filt
-    vort = SpectralField(lmax, new_coeffs, real_valued=True)
-    vort.enforce_reality()
-    return SimulationState(time=state.time + dt, vorticity=vort)
+    return SimulationState(time=state.time + dt, vorticity=SpectralField.from_halves(new_coeffs))
 
 
 def cfl_advisory(state: SimulationState, config: SimulationConfig) -> dict:

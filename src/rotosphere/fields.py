@@ -43,35 +43,36 @@ def velocity_from_stream(psi: SpectralField, transform: Transform | None = None)
     if not psi.real_valued:
         raise ValueError("velocity_from_stream expects a real-valued stream function")
     tr = transform if transform is not None else sht.default_transform(psi.lmax)
-    u = tr.synthesis_dtheta(psi)
-    u.values = -u.values
-    v = tr.synthesis_dphi_over_cos(psi)
-    return VelocityField(u=u, v=v)
+    dtheta, dphi_over_cos = tr.gradient_values(psi)
+    return VelocityField(u=GridField(-dtheta, tr.grid), v=GridField(dphi_over_cos, tr.grid))
 
 
-def advection(psi: SpectralField, q: SpectralField,
-              transform: Transform | None = None) -> SpectralField:
+def advection(psi: SpectralField | np.ndarray, q: SpectralField | np.ndarray,
+              transform: Transform | None = None) -> SpectralField | np.ndarray:
     """Spectral coefficients of the advection bracket of psi acting on q.
 
     Computes (1/cos)[-psi_theta d_phi + psi_phi d_theta] q pseudospectrally
     on a grid large enough that the quadratic product is alias-free, then
     truncates back to the common degree.  The degree-0 coefficient of the
     result is set to zero exactly (the bracket integrates to zero over the
-    sphere).
+    sphere).  psi and q are real SpectralFields, or the m >= 0 half tables
+    of real fields, in which case the result is a half table too; both go
+    through one gradient pass.
     """
-    if psi.lmax != q.lmax:
-        raise sht.GridShapeError(
-            f"advection truncation mismatch: {psi.lmax} vs {q.lmax}"
-        )
-    if not (psi.real_valued and q.real_valued):
-        raise ValueError("advection expects real-valued fields")
-    tr = transform if transform is not None else sht.dealiased_transform(psi.lmax)
-    psi_theta, psi_phi_over_cos = tr.gradient_values(psi)
-    q_theta, q_phi_over_cos = tr.gradient_values(q)
-    bracket = -psi_theta * q_phi_over_cos + psi_phi_over_cos * q_theta
-    out = tr.analysis(bracket, real_valued=True)
-    out.coeffs[0, out.lmax] = 0.0
-    return out
+    spectral = isinstance(psi, SpectralField)
+    if spectral:
+        if psi.lmax != q.lmax:
+            raise sht.GridShapeError(f"advection truncation mismatch: {psi.lmax} vs {q.lmax}")
+        if not (psi.real_valued and q.real_valued):
+            raise ValueError("advection expects real-valued fields")
+        psi, q = psi.real_half(), q.real_half()
+    halves = np.stack([psi, q])
+    tr = transform if transform is not None else sht.dealiased_transform(halves.shape[1] - 1)
+    dtheta, dphi_over_cos = tr.gradient_values(halves)
+    bracket = -dtheta[0] * dphi_over_cos[1] + dphi_over_cos[0] * dtheta[1]
+    out = tr.analysis(bracket[None])[0]
+    out[0, 0] = 0.0
+    return SpectralField.from_halves(out) if spectral else out
 
 
 def energy(psi: SpectralField) -> float:
@@ -86,22 +87,28 @@ def enstrophy(psi: SpectralField) -> float:
     return float(np.sum((l * (l + 1.0)) ** 2 * psi.degree_power()))
 
 
-def casimir_moment(psi: SpectralField, k: int) -> float:
-    """Integral of (vorticity)^k over the sphere.
+def casimir_moments(psi: SpectralField,
+                    orders: tuple[int, ...] = SUPPORTED_CASIMIR_ORDERS) -> dict[int, float]:
+    """Integrals of (vorticity)^k over the sphere for each k in `orders`.
 
-    Evaluated by Gauss quadrature on a grid fine enough for the degree
-    k*lmax integrand, so the result is exact (to round-off) for bandlimited
-    stream functions.
+    One synthesis on a Gauss grid fine enough for the degree k*lmax
+    integrand of the highest order, so every moment is exact (to
+    round-off) for bandlimited stream functions.
     """
-    if k not in SUPPORTED_CASIMIR_ORDERS:
-        raise ValueError(f"casimir order k={k} unsupported; expected one of {SUPPORTED_CASIMIR_ORDERS}")
-    vort = sht.laplacian(psi)
-    L = psi.lmax
-    nlat = (k * L) // 2 + 2
-    nlon = max(k * L + 1, 2 * L + 1)
-    tr = sht.get_transform(L, nlat, nlon)
-    values = tr.synthesis(vort).values
-    return float(tr.grid.integrate(values**k).real)
+    for k in orders:
+        if k not in SUPPORTED_CASIMIR_ORDERS:
+            raise ValueError(f"casimir order k={k} unsupported; expected one of {SUPPORTED_CASIMIR_ORDERS}")
+    k, L = max(orders), psi.lmax
+    tr = sht.get_transform(L, (k * L) // 2 + 2, max(k * L + 1, 2 * L + 1))
+    powers = [tr.synthesis(sht.laplacian(psi)).values]
+    for _ in range(1, k):  # repeated products: float pow is ~40x slower
+        powers.append(powers[-1] * powers[0])
+    return {j: float(tr.grid.integrate(powers[j - 1]).real) for j in orders}
+
+
+def casimir_moment(psi: SpectralField, k: int) -> float:
+    """Integral of (vorticity)^k over the sphere, exact for bandlimited psi."""
+    return casimir_moments(psi, (k,))[k]
 
 
 def first_modes(psi: SpectralField) -> tuple[complex, complex, complex]:
@@ -229,7 +236,7 @@ def diagnostics(psi: SpectralField, time: float = 0.0) -> DiagnosticRecord:
         time=time,
         energy=energy(psi),
         enstrophy=enstrophy(psi),
-        casimirs={k: casimir_moment(psi, k) for k in SUPPORTED_CASIMIR_ORDERS},
+        casimirs=casimir_moments(psi),
         c1=first_modes(psi),
         modal_energy_by_degree=modal,
     )

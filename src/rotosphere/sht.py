@@ -9,6 +9,12 @@ associated Legendre functions are evaluated at s = sin(latitude)).
 The transform pair is exact for bandlimited fields as long as the grid
 satisfies ``nlat >= lmax + 1`` and ``nlon >= 2*lmax + 1``; quadrature in
 latitude is Gauss-Legendre, longitude uses the FFT.
+
+`Transform` works on real fields only: it contracts the orders m >= 0 of
+a half table with the Legendre table and uses rfft/irfft in longitude,
+and rebuilds the negative orders from c_l^{-m} = (-1)^m conj(c_l^m).  A
+complex field goes through as two real fields, its real and imaginary
+parts.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+import scipy.fft
 
 FOUR_PI = 4.0 * math.pi
 
@@ -205,14 +212,40 @@ class SpectralField:
         """L2(S^2) norm of the represented field (Parseval)."""
         return float(np.sqrt(np.sum(np.abs(self.coeffs) ** 2)))
 
-    @staticmethod
-    def _order_signs(lmax: int) -> np.ndarray:
-        return np.where(np.arange(1, lmax + 1) % 2 == 0, 1.0, -1.0)
+    def real_half(self) -> np.ndarray:
+        """m >= 0 half table (l, m) of the real part: (c_l^m + (-1)^m conj(c_l^{-m})) / 2."""
+        pos, mirror = self._halves()
+        return 0.5 * (pos + mirror)
+
+    def imag_half(self) -> np.ndarray:
+        """m >= 0 half table of the imaginary part: (c_l^m - (-1)^m conj(c_l^{-m})) / 2i."""
+        pos, mirror = self._halves()
+        return (pos - mirror) / 2j
+
+    def _halves(self) -> tuple[np.ndarray, np.ndarray]:
+        L = self.lmax
+        return self.coeffs[:, L:], _order_signs(L) * np.conj(self.coeffs[:, L::-1])
+
+    @classmethod
+    def from_halves(cls, re_half: np.ndarray, im_half: np.ndarray | None = None) -> "SpectralField":
+        """Full table from the half tables a (real part) and b (imaginary part, complex
+        fields only): c_l^m = a_l^m + i b_l^m, c_l^{-m} = (-1)^m (conj(a_l^m) + i conj(b_l^m))."""
+        L = re_half.shape[0] - 1
+        out = cls.zeros(L, real_valued=im_half is None)
+        if im_half is None:
+            out.coeffs[:, L:] = re_half
+            out.coeffs[:, L] = re_half[:, 0].real
+            neg = np.conj(re_half[:, 1:])
+        else:
+            out.coeffs[:, L:] = re_half + 1j * im_half
+            neg = np.conj(re_half[:, 1:]) + 1j * np.conj(im_half[:, 1:])
+        out.coeffs[:, :L] = (_order_signs(L)[1:] * neg)[:, ::-1]
+        return out
 
     def reality_defect(self) -> float:
         """Max violation of c_l^{-m} = (-1)^m conj(c_l^m)."""
         L = self.lmax
-        signs = self._order_signs(L)[None, :]
+        signs = _order_signs(L)[None, 1:]
         pos = self.coeffs[:, L + 1 :]
         neg = self.coeffs[:, L - 1 :: -1]
         defect = float(np.max(np.abs(neg - signs * np.conj(pos)), initial=0.0))
@@ -220,14 +253,7 @@ class SpectralField:
 
     def enforce_reality(self) -> "SpectralField":
         """Symmetrize the table so the represented field is exactly real."""
-        L = self.lmax
-        signs = self._order_signs(L)[None, :]
-        self.coeffs[:, L] = self.coeffs[:, L].real
-        pos = self.coeffs[:, L + 1 :]
-        neg = self.coeffs[:, L - 1 :: -1]
-        avg = 0.5 * (pos + signs * np.conj(neg))
-        self.coeffs[:, L + 1 :] = avg
-        self.coeffs[:, : L] = (signs * np.conj(avg))[:, ::-1]
+        self.coeffs[:] = SpectralField.from_halves(self.real_half()).coeffs
         self.real_valued = True
         return self
 
@@ -262,6 +288,11 @@ class SpectralField:
             : L + 1, self.lmax - L : self.lmax + L + 1
         ]
         return out
+
+
+def _order_signs(lmax: int) -> np.ndarray:
+    """(-1)^m for m = 0..lmax."""
+    return np.where(np.arange(lmax + 1) % 2 == 0, 1.0, -1.0)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -355,10 +386,33 @@ def normalized_legendre_table(lmax: int, s: np.ndarray) -> np.ndarray:
     return table
 
 
+def _order_major(x: np.ndarray) -> np.ndarray:
+    """(batch, rows, order) complex -> (order, rows, 2*batch) real: one real BLAS product per order."""
+    return np.ascontiguousarray(x.transpose(2, 1, 0), dtype=complex).view(float)
+
+
+def _batch_major(y: np.ndarray) -> np.ndarray:
+    """Inverse of `_order_major`, as a view: (order, rows, 2*batch) -> (batch, rows, order)."""
+    return y.view(complex).transpose(2, 1, 0)
+
+
+def _field_halves(field: SpectralField) -> np.ndarray:
+    """A real field as one half table; a complex field as two, A and B with f = A + iB."""
+    if field.real_valued:
+        return field.real_half()[None]
+    return np.stack([field.real_half(), field.imag_half()])
+
+
+def _join(parts: np.ndarray, real_valued: bool) -> np.ndarray:
+    return parts[0] if real_valued else parts[0] + 1j * parts[1]
+
+
 class Transform:
     """Precomputed synthesis/analysis machinery for one truncation spec.
 
-    All tables are computed once and treated as immutable; the methods are
+    Half tables (batch, l, m) of real fields are contracted with the
+    Legendre table in one matmul batched over the orders m >= 0.  All
+    tables are computed once and treated as immutable; the methods are
     pure functions of their inputs, so a Transform can be shared freely
     between threads.
     """
@@ -368,41 +422,28 @@ class Transform:
         self.lmax = spec.lmax
         self.grid = build_grid(spec)
         L = self.lmax
-        s = self.grid.nodes
-        coslat = self.grid.cos_lat
+        coslat = self.grid.cos_lat[None, :, None]
 
-        ptab_ext = normalized_legendre_table(L + 1, s)  # need degree L+1 for d/dtheta
-        self._ptab = np.ascontiguousarray(ptab_ext[:, : L + 1, : L + 1])
+        # order-major layout (m, latitude, l); degree L+1 feeds d/dtheta
+        ptab = normalized_legendre_table(L + 1, self.grid.nodes).transpose(2, 0, 1)[: L + 1]
+        self._p = np.ascontiguousarray(ptab[:, :, : L + 1])
 
-        # d/dtheta of the latitude factor: dtheta Y_l^m = D[i,l,m] e^{i m phi},
-        # from (1-s^2) d/ds Pbar_l^m = (l+1) eps_l Pbar_{l-1}^m - l eps_{l+1} Pbar_{l+1}^m.
-        eps = np.zeros((L + 2, L + 1))
-        for l in range(L + 2):
-            for m in range(0, min(l, L) + 1):
-                eps[l, m] = math.sqrt((l * l - m * m) / (4.0 * l * l - 1.0)) if l > 0 else 0.0
-        dtab = np.zeros_like(self._ptab)
-        for l in range(L + 1):
-            upper = (l + 1) * eps[l, : l + 1] * (ptab_ext[:, l - 1, : l + 1] if l >= 1 else 0.0)
-            lower = l * eps[l + 1, : l + 1] * ptab_ext[:, l + 1, : l + 1]
-            dtab[:, l, : l + 1] = (upper - lower) / coslat[:, None]
-        self._dtab = dtab
+        # d/dtheta of the latitude factor, from
+        # (1-s^2) d/ds Pbar_l^m = (l+1) eps_l^m Pbar_{l-1}^m - l eps_{l+1}^m Pbar_{l+1}^m
+        l = np.arange(L + 2)[None, :]
+        m = np.arange(L + 1)[:, None]
+        eps = np.sqrt(np.where((m <= l) & (l > 0), l * l - m * m, 0) / (4.0 * l * l - 1.0))
+        upper = np.zeros_like(self._p)
+        upper[:, :, 1:] = ((l[:, 1 : L + 1] + 1) * eps[:, 1 : L + 1])[:, None, :] * ptab[:, :, :L]
+        lower = (l[:, : L + 1] * eps[:, 1:])[:, None, :] * ptab[:, :, 1:]
+        # stacked [d/dtheta ; P / cos] rows: one product gives both gradient
+        # components, the i*m factor of d/dphi is applied after it
+        self._grad = np.concatenate([(upper - lower) / coslat, self._p / coslat], axis=1)
 
-        # 1/cos(lat) weighted latitude factor, used for d/dphi / cos(lat)
-        self._ptab_over_cos = self._ptab / coslat[:, None, None]
+        self._weights = self.grid.weights[:, None] * (2.0 * math.pi / spec.nlon)
+        self._im = 1j * np.arange(L + 1)
 
-        # batched-matmul layouts: (order, nlat, degree) for synthesis and
-        # (order, degree, nlat) for analysis; BLAS handles the contraction
-        self._synth = {
-            "p": np.ascontiguousarray(self._ptab.transpose(2, 0, 1)),
-            "d": np.ascontiguousarray(self._dtab.transpose(2, 0, 1)),
-            "pc": np.ascontiguousarray(self._ptab_over_cos.transpose(2, 0, 1)),
-        }
-        self._anal_tab = np.ascontiguousarray(self._ptab.transpose(2, 1, 0))
-
-        self._wlat = self.grid.weights
-        self._msigns = np.where(np.arange(L + 1) % 2 == 0, 1.0, -1.0)
-
-    # -- helpers ------------------------------------------------------------
+    # -- core on m >= 0 half tables ---------------------------------------------
 
     def _check_field(self, field: SpectralField) -> None:
         if field.lmax != self.lmax:
@@ -410,117 +451,80 @@ class Transform:
                 f"field lmax={field.lmax} does not match transform lmax={self.lmax}"
             )
 
-    def _split(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Columns for m >= 0 and sign-adjusted columns for m < 0."""
-        L = self.lmax
-        cpos = coeffs[:, L:]
-        # column j of cneg corresponds to order -(j+1)
-        cneg = coeffs[:, L - 1 :: -1] * self._msigns[1:][None, :]
-        return cpos, cneg
+    def _to_grid(self, table: np.ndarray, halves: np.ndarray) -> np.ndarray:
+        """(batch, l, m) half tables -> (batch, rows, m) Fourier rows."""
+        return _batch_major(np.matmul(table, _order_major(halves)))
 
-    @staticmethod
-    def _batched_apply(table: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        # real-table times complex-columns, batched over order; splitting the
-        # real and imaginary parts keeps the contraction in real BLAS
-        stacked = np.ascontiguousarray(
-            np.stack([cols.real.T, cols.imag.T], axis=-1)
-        )
-        res = np.matmul(table, stacked)
-        return (res[:, :, 0] + 1j * res[:, :, 1]).T
+    def _irfft(self, spectra: np.ndarray) -> np.ndarray:
+        return scipy.fft.irfft(spectra, n=self.spec.nlon, axis=-1, norm="forward")
 
-    def _spectrum_to_grid(self, cpos: np.ndarray, cneg: np.ndarray,
-                          table: np.ndarray) -> np.ndarray:
-        L, nlon = self.lmax, self.spec.nlon
-        spectrum = np.zeros((self.spec.nlat, nlon), dtype=complex)
-        spectrum[:, : L + 1] = self._batched_apply(table, cpos)
-        neg = self._batched_apply(table[1:], cneg)
-        spectrum[:, nlon - L :] = neg[:, ::-1]
-        return np.fft.ifft(spectrum, axis=1) * nlon
+    def _analyse(self, values: np.ndarray) -> np.ndarray:
+        """(batch, nlat, nlon) real values -> (batch, l, m) half tables."""
+        fourier = scipy.fft.rfft(values, axis=-1)[..., : self.lmax + 1] * self._weights
+        return _batch_major(np.matmul(self._p.transpose(0, 2, 1), _order_major(fourier)))
 
     # -- public operations ----------------------------------------------------
 
     def synthesis(self, field: SpectralField) -> GridField:
         """Evaluate the field on the grid."""
         self._check_field(field)
-        cpos, cneg = self._split(field.coeffs)
-        values = self._spectrum_to_grid(cpos, cneg, self._synth["p"])
-        if field.real_valued:
-            values = values.real
-        return GridField(values=values, grid=self.grid)
+        values = self._irfft(self._to_grid(self._p, _field_halves(field)))
+        return GridField(values=_join(values, field.real_valued), grid=self.grid)
 
-    def synthesis_dtheta(self, field: SpectralField) -> GridField:
-        """Evaluate the latitudinal derivative of the field on the grid."""
-        self._check_field(field)
-        cpos, cneg = self._split(field.coeffs)
-        values = self._spectrum_to_grid(cpos, cneg, self._synth["d"])
-        if field.real_valued:
-            values = values.real
-        return GridField(values=values, grid=self.grid)
+    def gradient_values(self, fields: SpectralField | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(d/dtheta, d/dphi / cos) grid values in one fused transform pass.
 
-    def synthesis_dphi_over_cos(self, field: SpectralField) -> GridField:
-        """Evaluate (d/dphi field) / cos(lat); finite at the poles for smooth fields."""
-        self._check_field(field)
-        L = self.lmax
-        im = 1j * np.arange(-L, L + 1)[None, :]
-        cpos, cneg = self._split(field.coeffs * im)
-        values = self._spectrum_to_grid(cpos, cneg, self._synth["pc"])
-        if field.real_valued:
-            values = values.real
-        return GridField(values=values, grid=self.grid)
+        `fields` is a SpectralField, or m >= 0 half tables of real fields
+        with a leading batch axis, shape (batch, lmax+1, lmax+1); both
+        outputs then carry the same batch axis.
+        """
+        if isinstance(fields, SpectralField):
+            self._check_field(fields)
+            halves = _field_halves(fields)
+        else:
+            halves = fields
+            if halves.shape[1:] != (self.lmax + 1, self.lmax + 1):
+                raise GridShapeError(
+                    f"half tables of shape {halves.shape} do not match lmax={self.lmax}"
+                )
+        spectra = self._to_grid(self._grad, halves)
+        nlat = self.spec.nlat
+        spectra[:, nlat:] *= self._im
+        values = self._irfft(spectra)
+        dtheta, dphi_over_cos = values[:, :nlat], values[:, nlat:]
+        if isinstance(fields, SpectralField):
+            return _join(dtheta, fields.real_valued), _join(dphi_over_cos, fields.real_valued)
+        return dtheta, dphi_over_cos
 
-    def gradient_values(self, field: SpectralField) -> tuple[np.ndarray, np.ndarray]:
-        """(d/dtheta, d/dphi / cos) grid values in one fused transform pass."""
-        self._check_field(field)
-        L, nlon, nlat = self.lmax, self.spec.nlon, self.spec.nlat
-        im = 1j * np.arange(-L, L + 1)[None, :]
-        cpos_t, cneg_t = self._split(field.coeffs)
-        cpos_p, cneg_p = self._split(field.coeffs * im)
-        # stack (operator, order, degree, re/im) and contract once
-        pos_cols = np.ascontiguousarray(np.stack([
-            np.stack([cpos_t.real.T, cpos_t.imag.T], axis=-1),
-            np.stack([cpos_p.real.T, cpos_p.imag.T], axis=-1),
-        ]))
-        neg_cols = np.ascontiguousarray(np.stack([
-            np.stack([cneg_t.real.T, cneg_t.imag.T], axis=-1),
-            np.stack([cneg_p.real.T, cneg_p.imag.T], axis=-1),
-        ]))
-        tables = np.stack([self._synth["d"], self._synth["pc"]])
-        pos = np.matmul(tables, pos_cols)
-        neg = np.matmul(tables[:, 1:], neg_cols)
-        spectra = np.zeros((2, nlat, nlon), dtype=complex)
-        spectra[:, :, : L + 1] = (pos[..., 0] + 1j * pos[..., 1]).transpose(0, 2, 1)
-        spectra[:, :, nlon - L :] = (neg[..., 0] + 1j * neg[..., 1]).transpose(0, 2, 1)[:, :, ::-1]
-        values = np.fft.ifft(spectra, axis=2) * nlon
-        if field.real_valued:
-            values = values.real
-        return values[0], values[1]
+    def analysis(self, values: np.ndarray | GridField,
+                 real_valued: bool | None = None) -> SpectralField | np.ndarray:
+        """Project grid values onto the harmonic basis by quadrature.
 
-    def analysis(self, values: np.ndarray | GridField, real_valued: bool | None = None) -> SpectralField:
-        """Project grid values onto the harmonic basis by quadrature."""
+        Values of shape (nlat, nlon) give a SpectralField.  Real values with
+        a leading batch axis, shape (batch, nlat, nlon), give the m >= 0 half
+        tables (batch, lmax+1, lmax+1) of the real fields.
+        """
         if isinstance(values, GridField):
             if values.grid.nlat != self.spec.nlat or values.grid.nlon != self.spec.nlon:
                 raise GridShapeError("grid field does not match transform grid")
             values = values.values
-        if values.shape != (self.spec.nlat, self.spec.nlon):
+        values = np.asarray(values)
+        if values.ndim not in (2, 3) or values.shape[-2:] != (self.spec.nlat, self.spec.nlon):
             raise GridShapeError(
                 f"values shape {values.shape} does not match grid "
                 f"({self.spec.nlat}, {self.spec.nlon})"
             )
+        if values.ndim == 3:
+            if np.iscomplexobj(values):
+                raise ValueError("batched analysis takes real values")
+            return self._analyse(values)
         if real_valued is None:
             real_valued = bool(np.isrealobj(values))
-        L, nlon = self.lmax, self.spec.nlon
-        fourier = np.fft.fft(values, axis=1) * (2.0 * math.pi / nlon)
-        weighted_pos = self._wlat[:, None] * fourier[:, : L + 1]
-        cpos = self._batched_apply(self._anal_tab, weighted_pos)
-        weighted_neg = self._wlat[:, None] * fourier[:, nlon - L :][:, ::-1]
-        cneg = self._batched_apply(self._anal_tab[1:], weighted_neg)
-        cneg *= self._msigns[1:][None, :]
-        coeffs = np.zeros((L + 1, 2 * L + 1), dtype=complex)
-        coeffs[:, L:] = cpos
-        coeffs[:, :L] = cneg[:, ::-1]
-        out = SpectralField(L, coeffs, real_valued=real_valued)
-        if real_valued:
-            out.enforce_reality()
+        if real_valued or np.isrealobj(values):
+            out = SpectralField.from_halves(self._analyse(values.real[None])[0])
+        else:
+            out = SpectralField.from_halves(*self._analyse(np.stack([values.real, values.imag])))
+        out.real_valued = real_valued
         return out
 
     def max_abs(self, field: SpectralField) -> float:
@@ -537,13 +541,11 @@ def transform_for(spec: TruncationSpec) -> Transform:
 
 
 def default_transform(lmax: int) -> Transform:
-    spec = TruncationSpec.for_lmax(lmax)
-    return get_transform(spec.lmax, spec.nlat, spec.nlon)
+    return transform_for(TruncationSpec.for_lmax(lmax))
 
 
 def dealiased_transform(lmax: int) -> Transform:
-    spec = TruncationSpec.dealiased(lmax)
-    return get_transform(spec.lmax, spec.nlat, spec.nlon)
+    return transform_for(TruncationSpec.dealiased(lmax))
 
 
 # ---------------------------------------------------------------------------
@@ -566,13 +568,11 @@ def analysis(f: GridField, lmax: int | None = None) -> SpectralField:
     """Analyze a grid field; the truncation defaults to the grid's capacity."""
     if lmax is None:
         lmax = min(f.grid.nlat - 1, (f.grid.nlon - 1) // 2)
-    tr = get_transform(lmax, f.grid.nlat, f.grid.nlon)
-    return tr.analysis(f)
+    return get_transform(lmax, f.grid.nlat, f.grid.nlon).analysis(f)
 
 
 def synthesis(c: SpectralField, grid: GaussGrid) -> GridField:
-    tr = get_transform(c.lmax, grid.nlat, grid.nlon)
-    return tr.synthesis(c)
+    return get_transform(c.lmax, grid.nlat, grid.nlon).synthesis(c)
 
 
 def laplacian(c: SpectralField) -> SpectralField:
@@ -583,12 +583,9 @@ def laplacian(c: SpectralField) -> SpectralField:
     return out
 
 
-def invert_laplacian(c: SpectralField, mean_tol: float = 1e-10) -> SpectralField:
-    """Zero-mean solution of the Poisson problem on the sphere.
-
-    Raises when the source carries a degree-0 component beyond tolerance:
-    a constant forcing has no solution on a closed surface.
-    """
+def require_zero_mean(c: SpectralField, mean_tol: float = 1e-10) -> None:
+    """Raise unless the degree-0 coefficient vanishes to `mean_tol` relative
+    to the field's norm: a constant has no Poisson solution on a closed surface."""
     mean_size = abs(c.mean_coefficient)
     scale = max(c.norm(), 1.0)
     if mean_size > mean_tol * scale:
@@ -596,6 +593,15 @@ def invert_laplacian(c: SpectralField, mean_tol: float = 1e-10) -> SpectralField
             f"cannot invert Laplacian: degree-0 coefficient {mean_size:.3e} "
             f"violates the closed-surface mean constraint"
         )
+
+
+def invert_laplacian(c: SpectralField, mean_tol: float = 1e-10) -> SpectralField:
+    """Zero-mean solution of the Poisson problem on the sphere.
+
+    Raises when the source carries a degree-0 component beyond tolerance:
+    a constant forcing has no solution on a closed surface.
+    """
+    require_zero_mean(c, mean_tol)
     out = c.copy()
     l = np.arange(1, c.lmax + 1, dtype=float)
     out.coeffs[1:, :] /= (-l * (l + 1.0))[:, None]

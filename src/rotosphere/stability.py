@@ -56,10 +56,6 @@ class ZonalProfile:
         return float(np.max(np.abs(expected - self.vort(s))) / max(1.0, np.max(np.abs(self.vort(s)))))
 
     @classmethod
-    def from_legendre_series(cls, dpsi_series: np.polynomial.Polynomial) -> "ZonalProfile":
-        raise NotImplementedError
-
-    @classmethod
     def from_zonal_coefficients(cls, coeffs: dict[int, float]) -> "ZonalProfile":
         """Profile from coefficients of the orthonormal zonal harmonics."""
         leg = np.zeros(max(coeffs) + 1)

@@ -69,22 +69,6 @@ class PlanetParameters:
         """Kelvin per nondimensional temperature unit, U'^2 / gas constant."""
         return self.horizontal_speed**2 / self.gas_constant
 
-    @property
-    def time_scale_days(self) -> float:
-        return self.radius / self.horizontal_speed / 86400.0
-
-
-def derive_nondimensional(name: str, radius: float, stratosphere_depth: float,
-                          gravity: float, rotation_rate: float,
-                          horizontal_speed: float, vertical_speed: float,
-                          gas_constant: float = 287.0) -> PlanetParameters:
-    return PlanetParameters(
-        name=name, radius=radius, stratosphere_depth=stratosphere_depth,
-        gravity=gravity, rotation_rate=rotation_rate,
-        horizontal_speed=horizontal_speed, vertical_speed=vertical_speed,
-        gas_constant=gas_constant,
-    )
-
 
 def load_planet_registry() -> dict[str, PlanetParameters]:
     """Planet scale table shipped with the package (versioned JSON)."""
@@ -239,7 +223,6 @@ def _balance_mean(base: solutions.EllipticSolution) -> float:
 class TemperatureReport:
     evaluator: Callable
     monotone_fraction: float
-    increasing_where_positive: bool
 
 
 def temperature_field(field: Field3D, n_samples: int = 24) -> TemperatureReport:
@@ -258,11 +241,7 @@ def temperature_field(field: Field3D, n_samples: int = 24) -> TemperatureReport:
     p_hat = field.tropopause_pressure(pp, tt, 0.0)
     coeff = p_hat / field.density.a - field.g / field.density.b
     frac = float(np.mean(coeff > 0.0))
-    return TemperatureReport(
-        evaluator=field.temperature,
-        monotone_fraction=frac,
-        increasing_where_positive=True,
-    )
+    return TemperatureReport(evaluator=field.temperature, monotone_fraction=frac)
 
 
 @dataclasses.dataclass

@@ -69,6 +69,16 @@ class TestSimulate:
         cfg = write_json(tmp_path / "sim.json", config)
         assert run_cli(["simulate", cfg, "--outdir", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("change", [
+        {"snapshot_stride": "2"},
+        {"initial": {"kind": "modes", "coefficients": [[3, 5, 1.0, 0.0]]}},
+        {"nlat": 12, "nlon": 24},
+    ], ids=["string-stride", "mode-outside-table", "grid-keys"])
+    def test_malformed_config_is_config_error(self, tmp_path, capsys, change):
+        cfg = write_json(tmp_path / "sim.json", dict(SIM_CONFIG, **change))
+        assert run_cli(["simulate", cfg, "--outdir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_blowup_is_numerical_failure(self, tmp_path):
         config = dict(SIM_CONFIG, dt=20.0, t_end=2000.0, lmax=10,
                       initial={"kind": "random", "decay": 0.2})

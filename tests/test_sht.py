@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rotosphere import sht
 from conftest import random_real_field
+from sht_reference import ReferenceTransform
 
 
 class TestGrid:
@@ -137,6 +139,95 @@ class TestTransforms:
         phi, s = np.meshgrid(grid.longitudes, grid.nodes)
         pointwise = sht.evaluate(f, phi, s)
         assert np.max(np.abs(pointwise - vals)) < 1e-11
+
+
+def _random_field(lmax: int, seed: int, real: bool) -> sht.SpectralField:
+    f = random_real_field(lmax, seed=seed, zero_mean=False)
+    if real:
+        return f
+    g = random_real_field(lmax, seed=seed + 1, zero_mean=False)
+    return sht.SpectralField(lmax, f.coeffs + 1j * g.coeffs, real_valued=False)
+
+
+def _rel(got, want) -> float:
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+SPECS = [pytest.param(make(lmax), id=f"{make.__name__}-{lmax}")
+         for lmax in (8, 31) for make in (sht.TruncationSpec.for_lmax, sht.TruncationSpec.dealiased)]
+
+
+class TestRealFieldCore:
+    """The m >= 0 core against the full-order reference transform."""
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_matches_reference(self, spec, real):
+        tr, ref = sht.Transform(spec), ReferenceTransform(spec)
+        f = _random_field(spec.lmax, seed=spec.nlon, real=real)
+        want = ref.synthesis(f)
+        assert _rel(tr.synthesis(f).values, want) < 1e-13
+        for got, expected in zip(tr.gradient_values(f), ref.gradient_values(f)):
+            assert _rel(got, expected) < 1e-13
+        assert _rel(tr.analysis(want).coeffs, ref.analysis(want, real).coeffs) < 1e-13
+        # arbitrary grid values, not only bandlimited ones
+        rng = np.random.default_rng(spec.lmax)
+        values = rng.normal(size=(spec.nlat, spec.nlon))
+        if not real:
+            values = values + 1j * rng.normal(size=values.shape)
+        assert _rel(tr.analysis(values).coeffs, ref.analysis(values, real).coeffs) < 1e-13
+
+    def test_batched_calls_match_single_calls(self):
+        tr = sht.dealiased_transform(12)
+        fields = [random_real_field(12, seed=s) for s in (1, 2, 3)]
+        halves = np.stack([f.real_half() for f in fields])
+        dtheta, dphi = tr.gradient_values(halves)
+        values = np.stack([tr.synthesis(f).values for f in fields])
+        batched = tr.analysis(values)
+        for i, f in enumerate(fields):
+            single_theta, single_phi = tr.gradient_values(f)
+            assert np.array_equal(dtheta[i], single_theta)
+            assert np.array_equal(dphi[i], single_phi)
+            assert np.array_equal(sht.SpectralField.from_halves(batched[i]).coeffs,
+                                  tr.analysis(values[i]).coeffs)
+
+    def test_batched_analysis_rejects_complex_values(self):
+        tr = sht.default_transform(4)
+        with pytest.raises(ValueError):
+            tr.analysis(np.zeros((2, tr.spec.nlat, tr.spec.nlon), dtype=complex))
+
+    def test_halves_rebuild_the_table(self):
+        f = _random_field(9, seed=3, real=False)
+        back = sht.SpectralField.from_halves(f.real_half(), f.imag_half())
+        assert np.max(np.abs(back.coeffs - f.coeffs)) < 1e-15
+        g = random_real_field(9, seed=4)
+        assert np.array_equal(sht.SpectralField.from_halves(g.real_half()).coeffs, g.coeffs)
+
+
+FIELD_CASES = st.tuples(st.integers(1, 24), st.integers(0, 2**32 - 1), st.booleans(),
+                        st.sampled_from([sht.TruncationSpec.for_lmax, sht.TruncationSpec.dealiased]))
+
+
+class TestTransformProperties:
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(FIELD_CASES)
+    def test_round_trip(self, case):
+        lmax, seed, real, make = case
+        tr = sht.transform_for(make(lmax))
+        f = _random_field(lmax, seed, real)
+        back = tr.analysis(tr.synthesis(f))
+        assert back.real_valued == real
+        assert np.max(np.abs(back.coeffs - f.coeffs)) < 1e-12 * np.max(np.abs(f.coeffs))
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(FIELD_CASES)
+    def test_parseval(self, case):
+        lmax, seed, real, make = case
+        tr = sht.transform_for(make(lmax))
+        f = _random_field(lmax, seed, real)
+        values = tr.synthesis(f).values
+        grid_norm2 = tr.grid.integrate(np.abs(values) ** 2)
+        assert abs(grid_norm2 - f.norm() ** 2) < 1e-12 * f.norm() ** 2
 
 
 class TestLaplacian:

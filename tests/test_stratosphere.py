@@ -41,9 +41,9 @@ class TestPlanetParameters:
             assert abs(planet.temperature_scale - printed["temperature_factor_K"]) <= 0.6
 
     def test_unit_scales_identity(self):
-        p = strat.derive_nondimensional("toy", radius=2.0, stratosphere_depth=1.0,
-                                        gravity=1.0, rotation_rate=3.0,
-                                        horizontal_speed=1.0, vertical_speed=1.0)
+        p = strat.PlanetParameters("toy", radius=2.0, stratosphere_depth=1.0,
+                                   gravity=1.0, rotation_rate=3.0, horizontal_speed=1.0,
+                                   vertical_speed=1.0, gas_constant=287.0)
         assert p.omega == 6.0
         assert p.mu == 0.5
         assert p.delta == 1.0
@@ -51,9 +51,9 @@ class TestPlanetParameters:
 
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(ValueError):
-            strat.derive_nondimensional("bad", radius=-1.0, stratosphere_depth=1.0,
-                                        gravity=1.0, rotation_rate=1.0,
-                                        horizontal_speed=1.0, vertical_speed=1.0)
+            strat.PlanetParameters("bad", radius=-1.0, stratosphere_depth=1.0,
+                                   gravity=1.0, rotation_rate=1.0, horizontal_speed=1.0,
+                                   vertical_speed=1.0, gas_constant=287.0)
 
     def test_registry_versioned(self):
         import json

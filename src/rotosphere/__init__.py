@@ -8,11 +8,9 @@ from .sht import (  # noqa: F401
     RotationSpec,
     SpectralField,
     TruncationSpec,
-    analysis,
     build_grid,
     harmonic,
     invert_laplacian,
     laplacian,
     rotate,
-    synthesis,
 )

@@ -385,7 +385,10 @@ class ContinuationProblem:
         self._transform = sht.get_transform(lmax, 2 * lmax + 9, 4 * lmax + 10)
         grid = self._transform.grid
         self._z_values = np.broadcast_to(grid.nodes[:, None], (grid.nlat, grid.nlon))
-        self._basis_grid = np.stack([self._transform.synthesis(b).values for b in self.subspace.basis])
+        self._basis_halves = np.stack([b.real_half() for b in self.subspace.basis])
+        # inner products of real fields on half tables: order 0 once, m > 0 twice
+        weighted = self._basis_halves * np.where(np.arange(lmax + 1) == 0, 1.0, 2.0)
+        self._basis_rows = weighted.view(float).reshape(self.subspace.dim, -1)
 
     @property
     def transform(self) -> sht.Transform:
@@ -430,15 +433,12 @@ class ContinuationProblem:
     def jacobian(self, lam: float, x: np.ndarray) -> np.ndarray:
         f = self.subspace.assemble(x)
         f_values = self._transform.synthesis(f).values
-        deriv = self._nonlinearity_derivative(lam, f_values)
-        # every forced response in one batched analysis, as m >= 0 half tables
-        forced = self._transform.analysis(deriv * self._basis_grid)
-        forced[:, 0, 0] = 0.0
-        jac = np.eye(self.subspace.dim)
-        for j, half in enumerate(forced):
-            image = sht.invert_laplacian(SpectralField.from_halves(half))
-            jac[:, j] -= self.subspace.project(image)
-        return jac
+        # the basis grids are synthesised per call rather than stored, which
+        # bounds the memory, and all forced responses share one analysis
+        forced = self._transform.synthesis(self._basis_halves)
+        forced *= self._nonlinearity_derivative(lam, f_values)
+        images = sht.inverse_laplacian_table(self._transform.analysis(forced))
+        return np.eye(self.subspace.dim) - self._basis_rows @ images.view(float).reshape(len(images), -1).T
 
     def dresidual_dlambda(self, lam: float, x: np.ndarray, h: float = 1e-7) -> np.ndarray:
         return (self.residual(lam + h, x) - self.residual(lam - h, x)) / (2.0 * h)

@@ -156,19 +156,24 @@ def _write_svg(path: Path, series: list[tuple[str, np.ndarray, np.ndarray]]) -> 
 # simulate
 # ---------------------------------------------------------------------------
 
+def _modes_field(entries: list, lmax: int) -> sht.SpectralField:
+    """Real field from [l, m, re, im] entries; the negative orders follow by reality."""
+    field = sht.SpectralField.zeros(lmax)
+    for entry in entries:
+        l, m, re, im = int(entry[0]), int(entry[1]), float(entry[2]), float(entry[3])
+        if not (0 <= l <= lmax and abs(m) <= l):
+            raise ConfigError(f"mode (l, m) = ({l}, {m}) outside the table of lmax={lmax}")
+        field.set(l, m, complex(re, im))
+    return field.enforce_reality()
+
+
 def _initial_field(spec: dict, lmax: int, seed: int) -> sht.SpectralField:
     kind = spec.get("kind", "modes")
     if kind == "snapshot":
         field, _ = snapshot.read_snapshot(spec["path"])
         return field.truncated(lmax)
     if kind == "modes":
-        field = sht.SpectralField.zeros(lmax)
-        for entry in spec.get("coefficients", []):
-            l, m, re, im = int(entry[0]), int(entry[1]), float(entry[2]), float(entry[3])
-            if not (0 <= l <= lmax and abs(m) <= l):
-                raise ConfigError(f"mode (l, m) = ({l}, {m}) outside the table of lmax={lmax}")
-            field.set(l, m, complex(re, im))
-        field.enforce_reality()
+        field = _modes_field(spec.get("coefficients", []), lmax)
         field.coeffs[0, lmax] = 0.0
         return field
     if kind == "rossby_haurwitz":
@@ -367,10 +372,7 @@ def cmd_stability(args) -> int:
             truncation=spec,
             diag_stride=int(config.get("diag_stride", 10)),
         )
-        perturbation = sht.SpectralField.zeros(lmax)
-        for entry in config.get("perturbation", []):
-            perturbation.set(int(entry[0]), int(entry[1]), complex(float(entry[2]), float(entry[3])))
-        perturbation.enforce_reality()
+        perturbation = _modes_field(config.get("perturbation", []), lmax)
         y_unit = {int(k): complex(v[0], v[1]) for k, v in _require(config, "y_unit", dict).items()}
         series = stability.rh2_modal_experiment(
             alpha=float(config.get("alpha", 0.0)),

@@ -79,12 +79,9 @@ def tendency(state: SimulationState, omega: float,
 
 def _tendency_half(vort: np.ndarray, omega: float, transform: sht.Transform) -> np.ndarray:
     """`tendency` on the m >= 0 half table of a zero-mean real vorticity."""
-    l = np.arange(1, vort.shape[0], dtype=float)
-    psi = np.zeros_like(vort)
-    psi[1:] = vort[1:] / (-l * (l + 1.0))[:, None]
     q = vort.copy()
     q[1, 0] += fields.coriolis_stream_coefficient(omega)
-    return -fields.advection(psi, q, transform)
+    return -fields.advection(sht.inverse_laplacian_table(vort), q, transform)
 
 
 def _spectral_filter(lmax: int, strength: float, dt: float) -> np.ndarray | None:

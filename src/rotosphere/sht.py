@@ -451,6 +451,11 @@ class Transform:
                 f"field lmax={field.lmax} does not match transform lmax={self.lmax}"
             )
 
+    def _check_halves(self, halves: np.ndarray) -> np.ndarray:
+        if halves.ndim != 3 or halves.shape[1:] != (self.lmax + 1, self.lmax + 1):
+            raise GridShapeError(f"half tables of shape {halves.shape} do not match lmax={self.lmax}")
+        return halves
+
     def _to_grid(self, table: np.ndarray, halves: np.ndarray) -> np.ndarray:
         """(batch, l, m) half tables -> (batch, rows, m) Fourier rows."""
         return _batch_major(np.matmul(table, _order_major(halves)))
@@ -460,13 +465,20 @@ class Transform:
 
     def _analyse(self, values: np.ndarray) -> np.ndarray:
         """(batch, nlat, nlon) real values -> (batch, l, m) half tables."""
-        fourier = scipy.fft.rfft(values, axis=-1)[..., : self.lmax + 1] * self._weights
+        fourier = scipy.fft.rfft(values, axis=-1)[..., : self.lmax + 1]
+        fourier *= self._weights
         return _batch_major(np.matmul(self._p.transpose(0, 2, 1), _order_major(fourier)))
 
     # -- public operations ----------------------------------------------------
 
-    def synthesis(self, field: SpectralField) -> GridField:
-        """Evaluate the field on the grid."""
+    def synthesis(self, field: SpectralField | np.ndarray) -> GridField | np.ndarray:
+        """Evaluate the field on the grid.
+
+        m >= 0 half tables of real fields with a leading batch axis, shape
+        (batch, lmax+1, lmax+1), give grid values (batch, nlat, nlon).
+        """
+        if not isinstance(field, SpectralField):
+            return self._irfft(self._to_grid(self._p, self._check_halves(field)))
         self._check_field(field)
         values = self._irfft(self._to_grid(self._p, _field_halves(field)))
         return GridField(values=_join(values, field.real_valued), grid=self.grid)
@@ -482,11 +494,7 @@ class Transform:
             self._check_field(fields)
             halves = _field_halves(fields)
         else:
-            halves = fields
-            if halves.shape[1:] != (self.lmax + 1, self.lmax + 1):
-                raise GridShapeError(
-                    f"half tables of shape {halves.shape} do not match lmax={self.lmax}"
-                )
+            halves = self._check_halves(fields)
         spectra = self._to_grid(self._grad, halves)
         nlat = self.spec.nlat
         spectra[:, nlat:] *= self._im
@@ -504,11 +512,7 @@ class Transform:
         a leading batch axis, shape (batch, nlat, nlon), give the m >= 0 half
         tables (batch, lmax+1, lmax+1) of the real fields.
         """
-        if isinstance(values, GridField):
-            if values.grid.nlat != self.spec.nlat or values.grid.nlon != self.spec.nlon:
-                raise GridShapeError("grid field does not match transform grid")
-            values = values.values
-        values = np.asarray(values)
+        values = np.asarray(values.values if isinstance(values, GridField) else values)
         if values.ndim not in (2, 3) or values.shape[-2:] != (self.spec.nlat, self.spec.nlon):
             raise GridShapeError(
                 f"values shape {values.shape} does not match grid "
@@ -564,17 +568,6 @@ def harmonic(l: int, m: int, grid: GaussGrid) -> GridField:
     return GridField(values=values, grid=grid)
 
 
-def analysis(f: GridField, lmax: int | None = None) -> SpectralField:
-    """Analyze a grid field; the truncation defaults to the grid's capacity."""
-    if lmax is None:
-        lmax = min(f.grid.nlat - 1, (f.grid.nlon - 1) // 2)
-    return get_transform(lmax, f.grid.nlat, f.grid.nlon).analysis(f)
-
-
-def synthesis(c: SpectralField, grid: GaussGrid) -> GridField:
-    return get_transform(c.lmax, grid.nlat, grid.nlon).synthesis(c)
-
-
 def laplacian(c: SpectralField) -> SpectralField:
     """Apply the Laplace-Beltrami operator: each degree scales by -l(l+1)."""
     out = c.copy()
@@ -602,10 +595,15 @@ def invert_laplacian(c: SpectralField, mean_tol: float = 1e-10) -> SpectralField
     a constant forcing has no solution on a closed surface.
     """
     require_zero_mean(c, mean_tol)
-    out = c.copy()
-    l = np.arange(1, c.lmax + 1, dtype=float)
-    out.coeffs[1:, :] /= (-l * (l + 1.0))[:, None]
-    out.coeffs[0, :] = 0.0
+    return SpectralField(c.lmax, inverse_laplacian_table(c.coeffs), c.real_valued)
+
+
+def inverse_laplacian_table(table: np.ndarray) -> np.ndarray:
+    """Degree rows l >= 1 of a coefficient table (..., l, order) divided by
+    -l(l+1), degree-0 row zeroed; full and half tables alike."""
+    l = np.arange(1, table.shape[-2], dtype=float)
+    out = np.zeros(table.shape, dtype=table.dtype)
+    out[..., 1:, :] = table[..., 1:, :] / (-l * (l + 1.0))[:, None]
     return out
 
 

@@ -131,19 +131,26 @@ class TestStabilityCommands:
         assert payload["per_wavenumber"]["1"]["unstable"] is False
         assert payload["rayleigh"]["met"] is True
 
+    RH2_CONFIG = {
+        "omega": 0.0, "alpha": 0.4, "beta0": 1.0, "lmax": 8,
+        "dt": 0.02, "t_end": 0.2, "diag_stride": 5,
+        "y_unit": {"0": [1.0, 0.0]},
+        "perturbation": [[2, 1, 0.001, 0.0], [3, 1, 0.001, 0.0]],
+    }
+
     def test_rh2_experiment(self, tmp_path):
-        cfg = write_json(tmp_path / "rh2.json", {
-            "omega": 0.0, "alpha": 0.4, "beta0": 1.0, "lmax": 8,
-            "dt": 0.02, "t_end": 0.2, "diag_stride": 5,
-            "y_unit": {"0": [1.0, 0.0]},
-            "perturbation": [[2, 1, 0.001, 0.0], [3, 1, 0.001, 0.0]],
-        })
+        cfg = write_json(tmp_path / "rh2.json", self.RH2_CONFIG)
         out = tmp_path / "r"
         assert run_cli(["stability", "rh2", "--config", cfg, "--outdir", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["max_quadratic_deviation"] < 0.05
         lines = (out / "modal_series.csv").read_text().splitlines()
         assert lines[0].startswith("time,quadratic_combination")
+
+    def test_rh2_mode_outside_table_is_config_error(self, tmp_path):
+        config = dict(self.RH2_CONFIG, perturbation=[[3, 5, 0.001, 0.0]])
+        cfg = write_json(tmp_path / "rh2.json", config)
+        assert run_cli(["stability", "rh2", "--config", cfg, "--outdir", str(tmp_path / "r")]) == 2
 
 
 class TestMakeSolution:

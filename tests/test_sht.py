@@ -183,6 +183,7 @@ class TestRealFieldCore:
         halves = np.stack([f.real_half() for f in fields])
         dtheta, dphi = tr.gradient_values(halves)
         values = np.stack([tr.synthesis(f).values for f in fields])
+        assert np.array_equal(tr.synthesis(halves), values)
         batched = tr.analysis(values)
         for i, f in enumerate(fields):
             single_theta, single_phi = tr.gradient_values(f)
@@ -191,10 +192,14 @@ class TestRealFieldCore:
             assert np.array_equal(sht.SpectralField.from_halves(batched[i]).coeffs,
                                   tr.analysis(values[i]).coeffs)
 
-    def test_batched_analysis_rejects_complex_values(self):
+    def test_batched_input_checks(self):
         tr = sht.default_transform(4)
         with pytest.raises(ValueError):
             tr.analysis(np.zeros((2, tr.spec.nlat, tr.spec.nlon), dtype=complex))
+        with pytest.raises(sht.GridShapeError):
+            tr.gradient_values(np.zeros((2, 4, 4), dtype=complex))
+        with pytest.raises(sht.GridShapeError):
+            tr.synthesis(np.zeros((5, 5), dtype=complex))
 
     def test_halves_rebuild_the_table(self):
         f = _random_field(9, seed=3, real=False)

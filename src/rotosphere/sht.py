@@ -386,13 +386,8 @@ def normalized_legendre_table(lmax: int, s: np.ndarray) -> np.ndarray:
     return table
 
 
-def _order_major(x: np.ndarray) -> np.ndarray:
-    """(batch, rows, order) complex -> (order, rows, 2*batch) real: one real BLAS product per order."""
-    return np.ascontiguousarray(x.transpose(2, 1, 0), dtype=complex).view(float)
-
-
 def _batch_major(y: np.ndarray) -> np.ndarray:
-    """Inverse of `_order_major`, as a view: (order, rows, 2*batch) -> (batch, rows, order)."""
+    """(order, rows, 2*batch) real columns [re, im] -> (batch, rows, order) complex view."""
     return y.view(complex).transpose(2, 1, 0)
 
 
@@ -457,17 +452,21 @@ class Transform:
         return halves
 
     def _to_grid(self, table: np.ndarray, halves: np.ndarray) -> np.ndarray:
-        """(batch, l, m) half tables -> (batch, rows, m) Fourier rows."""
-        return _batch_major(np.matmul(table, _order_major(halves)))
+        """(batch, l, m) half tables -> (batch, rows, m) Fourier rows, with one
+        real BLAS product per order on the columns [h_0.re, h_0.im, h_1.re, ...]."""
+        cols = np.ascontiguousarray(halves.transpose(2, 1, 0), dtype=complex).view(float)
+        return _batch_major(np.matmul(table, cols))
 
     def _irfft(self, spectra: np.ndarray) -> np.ndarray:
         return scipy.fft.irfft(spectra, n=self.spec.nlon, axis=-1, norm="forward")
 
     def _analyse(self, values: np.ndarray) -> np.ndarray:
         """(batch, nlat, nlon) real values -> (batch, l, m) half tables."""
-        fourier = scipy.fft.rfft(values, axis=-1)[..., : self.lmax + 1]
+        # along axis 0 of the (nlon, nlat, batch) view the Fourier rows come
+        # out order-major, so the product needs no layout copy
+        fourier = np.ascontiguousarray(scipy.fft.rfft(values.transpose(2, 1, 0), axis=0)[: self.lmax + 1])
         fourier *= self._weights
-        return _batch_major(np.matmul(self._p.transpose(0, 2, 1), _order_major(fourier)))
+        return _batch_major(np.matmul(self._p.transpose(0, 2, 1), fourier.view(float)))
 
     # -- public operations ----------------------------------------------------
 

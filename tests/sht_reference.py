@@ -1,11 +1,10 @@
 """Slow reference transforms over the full table of orders -L..L.
 
-This is the transform the package used before its real-field core: it
-synthesises and analyses the negative orders separately, uses complex FFTs
-and, for real results, symmetrises the table afterwards.  It shares only the
-Legendre table and the grid with `sht.Transform`, so agreement between the
-two pins the m >= 0 contraction, the rfft/irfft scaling, the i*m factor and
-the rebuilding of negative orders.
+The negative orders are synthesised and analysed separately, the longitude
+transforms are complex FFTs, and real results are symmetrised afterwards.
+It shares only the Legendre table and the grid with `sht.Transform`, so
+agreement between the two pins the m >= 0 contraction, the rfft/irfft
+scaling, the i*m factor and the rebuilding of negative orders.
 """
 
 import math

@@ -428,12 +428,15 @@ class Transform:
         l = np.arange(L + 2)[None, :]
         m = np.arange(L + 1)[:, None]
         eps = np.sqrt(np.where((m <= l) & (l > 0), l * l - m * m, 0) / (4.0 * l * l - 1.0))
-        upper = np.zeros_like(self._p)
-        upper[:, :, 1:] = ((l[:, 1 : L + 1] + 1) * eps[:, 1 : L + 1])[:, None, :] * ptab[:, :, :L]
-        lower = (l[:, : L + 1] * eps[:, 1:])[:, None, :] * ptab[:, :, 1:]
         # stacked [d/dtheta ; P / cos] rows: one product gives both gradient
-        # components, the i*m factor of d/dphi is applied after it
-        self._grad = np.concatenate([(upper - lower) / coslat, self._p / coslat], axis=1)
+        # components, the i*m factor of d/dphi is applied after it.  Built in
+        # place, so the build holds one table-sized temporary at most.
+        self._grad = np.zeros((L + 1, 2 * spec.nlat, L + 1))
+        dtheta = self._grad[:, : spec.nlat]
+        dtheta[:, :, 1:] = ((l[:, 1 : L + 1] + 1) * eps[:, 1 : L + 1])[:, None, :] * ptab[:, :, :L]
+        dtheta -= (l[:, : L + 1] * eps[:, 1:])[:, None, :] * ptab[:, :, 1:]
+        dtheta /= coslat
+        np.divide(self._p, coslat, out=self._grad[:, spec.nlat :])
 
         self._weights = self.grid.weights[:, None] * (2.0 * math.pi / spec.nlon)
         self._im = 1j * np.arange(L + 1)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy import optimize
@@ -132,13 +132,32 @@ def _real_to_complex_block(l: int) -> np.ndarray:
     return v
 
 
-def _real_rotation_block(l: int, elem: GroupElement) -> np.ndarray:
-    v = _real_to_complex_block(l)
-    d = sht.rotation_block(l, elem.rotation)
-    if elem.parity and l % 2 == 1:
-        d = -d
-    block = v.conj().T @ d @ v
-    return block.real
+def group_projectors(elements: Sequence[GroupElement],
+                     lmax: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (l, P_l) for l = 1..lmax: the group average of the degree-l
+    rotation blocks in the real basis.
+
+    Every block is diag(left) Delta diag(middle) Delta^T diag(right) (see
+    `sht.rotation_block`); a degree sums the elements' blocks, parity signs
+    included, in one pass and takes the sum to the real basis once.  The
+    middle product depends on beta alone, so elements sharing a beta share
+    it, and the rest is elementwise.
+    """
+    phases = [sht.rotation_phases(e.rotation, lmax) for e in elements]
+    for l, delta in enumerate(sht.pi2_factors(lmax)):
+        if l == 0:
+            continue
+        orders = slice(lmax - l, lmax + l + 1)
+        total = np.zeros((2 * l + 1, 2 * l + 1), dtype=complex)
+        by_beta: dict[float, np.ndarray] = {}
+        for elem, (left, middle, right) in zip(elements, phases):
+            beta = elem.rotation.beta
+            if beta not in by_beta:
+                by_beta[beta] = (delta * middle[orders]) @ delta.T
+            sign = -1.0 if elem.parity and l % 2 == 1 else 1.0
+            total += sign * left[orders, None] * by_beta[beta] * right[orders]
+        v = _real_to_complex_block(l)
+        yield l, (v.conj().T @ total @ v).real / len(elements)
 
 
 @dataclasses.dataclass
@@ -151,6 +170,13 @@ class SymmetrySubspace:
     basis: list[SpectralField]         # unit-norm real fields, one degree each
     dimension_by_degree: dict[int, int]
 
+    def __post_init__(self):
+        # m >= 0 half tables of the basis fields, stacked (dim, l, m)
+        self.halves = np.stack([b.real_half() for b in self.basis])
+        # inner products of real fields on half tables: order 0 once, m > 0 twice
+        weighted = self.halves * np.where(np.arange(self.lmax + 1) == 0, 1.0, 2.0)
+        self._rows = weighted.view(float).reshape(self.dim, -1)
+
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -159,16 +185,21 @@ class SymmetrySubspace:
         """Degrees whose invariant subspace is one-dimensional."""
         return sorted(l for l, d in self.dimension_by_degree.items() if d == 1)
 
+    def assemble_half(self, x: np.ndarray) -> np.ndarray:
+        return np.tensordot(x, self.halves, axes=1)
+
     def assemble(self, x: np.ndarray) -> SpectralField:
-        out = SpectralField.zeros(self.lmax)
-        for xi, b in zip(x, self.basis):
-            out.coeffs += xi * b.coeffs
-        return out
+        return SpectralField.from_halves(self.assemble_half(x))
+
+    def project_half(self, halves: np.ndarray) -> np.ndarray:
+        """Coordinates of real fields given as half tables (..., l, m); a
+        leading batch axis gives one row of coordinates per field."""
+        flat = np.ascontiguousarray(halves).view(float)
+        return flat.reshape(*halves.shape[:-2], -1) @ self._rows.T
 
     def project(self, field: SpectralField) -> np.ndarray:
-        return np.array(
-            [float(np.sum((np.conj(b.coeffs) * field.coeffs).real)) for b in self.basis]
-        )
+        """Coordinates of the real part of the field."""
+        return self.project_half(field.real_half())
 
     def generator_index(self, degree: int) -> int:
         idx = [i for i, d in enumerate(self.degrees) if d == degree]
@@ -197,17 +228,11 @@ def build_subspace(group: SymmetryGroup | str, lmax: int,
             group = NAMED_GROUPS[group.lower()]()
         except KeyError:
             raise KeyError(f"unknown group {group!r}; known: {sorted(NAMED_GROUPS)}")
-    elements = group.elements()
     degrees: list[int] = []
     basis: list[SpectralField] = []
     dims: dict[int, int] = {}
-    for l in range(1, lmax + 1):
-        proj = np.zeros((2 * l + 1, 2 * l + 1))
-        for elem in elements:
-            proj += _real_rotation_block(l, elem)
-        proj /= len(elements)
-        proj = 0.5 * (proj + proj.T)
-        eigvals, eigvecs = np.linalg.eigh(proj)
+    for l, proj in group_projectors(group.elements(), lmax):
+        eigvals, eigvecs = np.linalg.eigh(0.5 * (proj + proj.T))
         keep = [i for i in range(eigvals.size) if eigvals[i] > eig_threshold]
         dims[l] = len(keep)
         v = _real_to_complex_block(l)
@@ -385,10 +410,6 @@ class ContinuationProblem:
         self._transform = sht.get_transform(lmax, 2 * lmax + 9, 4 * lmax + 10)
         grid = self._transform.grid
         self._z_values = np.broadcast_to(grid.nodes[:, None], (grid.nlat, grid.nlon))
-        self._basis_halves = np.stack([b.real_half() for b in self.subspace.basis])
-        # inner products of real fields on half tables: order 0 once, m > 0 twice
-        weighted = self._basis_halves * np.where(np.arange(lmax + 1) == 0, 1.0, 2.0)
-        self._basis_rows = weighted.view(float).reshape(self.subspace.dim, -1)
 
     @property
     def transform(self) -> sht.Transform:
@@ -406,39 +427,39 @@ class ContinuationProblem:
         arg = (1.0 + lam * lam) * f_values - self.family.mu * self._z_values
         return (1.0 + lam * lam) * self.family.dp(arg)
 
-    def _fixed_point_image(self, lam: float, f_values: np.ndarray) -> SpectralField:
-        """inv_laplacian of the mean-corrected right side."""
-        rhs = self._transform.analysis(self._nonlinearity(lam, f_values), real_valued=True)
+    def _values(self, f_half: np.ndarray) -> np.ndarray:
+        return self._transform.synthesis(f_half[None])[0]
+
+    def _residual_half(self, lam: float, x: np.ndarray) -> np.ndarray:
+        """Half table of the residual f - inv_laplacian(rhs - mean)."""
+        f_half = self.subspace.assemble_half(x)
+        rhs = self._transform.analysis(self._nonlinearity(lam, self._values(f_half))[None])[0]
         if self.mode == "rotating_frame":
-            rhs.add_to(1, 0, -2.0 * self.family.nu * ZONAL_DEGREE_ONE_COEFF)
-        rhs.coeffs[0, rhs.lmax] = 0.0
-        return sht.invert_laplacian(rhs)
+            rhs[1, 0] -= 2.0 * self.family.nu * ZONAL_DEGREE_ONE_COEFF
+        rhs[0, 0] = 0.0
+        return f_half - sht.inverse_laplacian_table(rhs)
 
     def residual_field(self, lam: float, x: np.ndarray) -> SpectralField:
         """Unprojected residual f - inv_laplacian(rhs) as a spectral field."""
-        f = self.subspace.assemble(x)
-        f_values = self._transform.synthesis(f).values
-        return f - self._fixed_point_image(lam, f_values)
+        return SpectralField.from_halves(self._residual_half(lam, x))
 
     def residual(self, lam: float, x: np.ndarray) -> np.ndarray:
-        return self.subspace.project(self.residual_field(lam, x))
+        return self.subspace.project_half(self._residual_half(lam, x))
 
     def residual_norms(self, lam: float, x: np.ndarray) -> tuple[float, float]:
         """(subspace-projected norm, full-sphere norm) of the residual."""
-        field = self.residual_field(lam, x)
-        full = field.norm()
-        projected = float(np.linalg.norm(self.subspace.project(field)))
-        return projected, full
+        half = self._residual_half(lam, x)
+        projected = float(np.linalg.norm(self.subspace.project_half(half)))
+        return projected, SpectralField.from_halves(half).norm()
 
     def jacobian(self, lam: float, x: np.ndarray) -> np.ndarray:
-        f = self.subspace.assemble(x)
-        f_values = self._transform.synthesis(f).values
+        f_values = self._values(self.subspace.assemble_half(x))
         # the basis grids are synthesised per call rather than stored, which
         # bounds the memory, and all forced responses share one analysis
-        forced = self._transform.synthesis(self._basis_halves)
+        forced = self._transform.synthesis(self.subspace.halves)
         forced *= self._nonlinearity_derivative(lam, f_values)
         images = sht.inverse_laplacian_table(self._transform.analysis(forced))
-        return np.eye(self.subspace.dim) - self._basis_rows @ images.view(float).reshape(len(images), -1).T
+        return np.eye(self.subspace.dim) - self.subspace.project_half(images).T
 
     def dresidual_dlambda(self, lam: float, x: np.ndarray, h: float = 1e-7) -> np.ndarray:
         return (self.residual(lam + h, x) - self.residual(lam - h, x)) / (2.0 * h)

@@ -10,7 +10,6 @@ error, 3 numerical failure, 4 failed self-test/acceptance assertion.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import datetime
 import hashlib
 import json
@@ -114,10 +113,18 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
 
 
+def _check_int(key: str, value):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def _require(config: dict, key: str, kind=None):
     if key not in config:
         raise ConfigError(f"missing config key {key!r}")
     value = config[key]
+    if kind is int:
+        return _check_int(key, value)
     if kind is not None:
         try:
             value = kind(value)
@@ -160,7 +167,8 @@ def _modes_field(entries: list, lmax: int) -> sht.SpectralField:
     """Real field from [l, m, re, im] entries; the negative orders follow by reality."""
     field = sht.SpectralField.zeros(lmax)
     for entry in entries:
-        l, m, re, im = int(entry[0]), int(entry[1]), float(entry[2]), float(entry[3])
+        l, m = _check_int("mode degree", entry[0]), _check_int("mode order", entry[1])
+        re, im = float(entry[2]), float(entry[3])
         if not (0 <= l <= lmax and abs(m) <= l):
             raise ConfigError(f"mode (l, m) = ({l}, {m}) outside the table of lmax={lmax}")
         field.set(l, m, complex(re, im))
@@ -179,7 +187,7 @@ def _initial_field(spec: dict, lmax: int, seed: int) -> sht.SpectralField:
     if kind == "rossby_haurwitz":
         ycoeffs = {int(k): complex(v[0], v[1]) for k, v in spec["ycoeffs"].items()}
         wave = solutions.make_rossby_haurwitz(
-            int(spec["degree"]), float(spec.get("alpha", 0.0)), ycoeffs,
+            _require(spec, "degree", int), float(spec.get("alpha", 0.0)), ycoeffs,
             float(spec.get("omega", 0.0)), lmax=lmax)
         return sht.laplacian(wave.psi)
     if kind == "random":
@@ -197,9 +205,7 @@ def _initial_field(spec: dict, lmax: int, seed: int) -> sht.SpectralField:
 
 def _optional_int(config: dict, key: str, default: int | None) -> int | None:
     value = config.get(key, default)
-    if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
-        raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
-    return value
+    return value if value is None else _check_int(key, value)
 
 
 def cmd_simulate(args) -> int:
@@ -207,7 +213,7 @@ def cmd_simulate(args) -> int:
     lmax = _require(config, "lmax", int)
     if {"nlat", "nlon"} & set(config):
         raise ConfigError("nlat/nlon are not supported: simulate integrates on the dealiased grid")
-    seed = int(config.get("seed", 0))
+    seed = _optional_int(config, "seed", 0)
     try:
         sim_config = dynamics.SimulationConfig(
             omega=_require(config, "omega", float),
@@ -335,11 +341,11 @@ def cmd_stability(args) -> int:
         omega = _require(config, "omega", float)
         coeffs = {int(k): float(v) for k, v in _require(config, "zonal_coefficients", dict).items()}
         ks = config.get("wavenumbers", [1, 2])
-        n_basis = int(config.get("basis_size", 48))
+        n_basis = _optional_int(config, "basis_size", 48)
         zp = stability.ZonalProfile.from_zonal_coefficients(coeffs)
         reports = {}
         for k in ks:
-            rep = stability.zonal_operator_spectrum(zp, omega, int(k), n_basis)
+            rep = stability.zonal_operator_spectrum(zp, omega, _check_int("wavenumbers", k), n_basis)
             reports[str(k)] = {
                 "essential_interval": list(rep.essential_interval),
                 "unstable": rep.unstable,
@@ -363,14 +369,14 @@ def cmd_stability(args) -> int:
 
     if args.analysis == "rh2":
         config = _load_config(args.config)
-        lmax = int(config.get("lmax", 15))
+        lmax = _optional_int(config, "lmax", 15)
         spec = sht.TruncationSpec.for_lmax(lmax)
         sim_config = dynamics.SimulationConfig(
             omega=float(config.get("omega", 0.0)),
             dt=_require(config, "dt", float),
             t_end=_require(config, "t_end", float),
             truncation=spec,
-            diag_stride=int(config.get("diag_stride", 10)),
+            diag_stride=_optional_int(config, "diag_stride", 10),
         )
         perturbation = _modes_field(config.get("perturbation", []), lmax)
         y_unit = {int(k): complex(v[0], v[1]) for k, v in _require(config, "y_unit", dict).items()}
@@ -405,41 +411,35 @@ def cmd_stability(args) -> int:
 
 def cmd_bifurcate(args) -> int:
     config = _load_config(args.problem)
-    group = config.get("group", "tetrahedral")
-    lmax = int(config.get("lmax", 12))
+    lmax = _optional_int(config, "lmax", 12)
     fam_cfg = _require(config, "family", dict)
     kind = fam_cfg.get("kind", "cubic")
+    if kind not in ("cubic", "saturating"):
+        raise ConfigError(f"unknown family kind {kind!r}")
+    degree = _require(fam_cfg, "degree", int)
+    steps = _optional_int(config, "steps", 30 if kind == "cubic" else 20)
     try:
-        subspace = bifurcation.build_subspace(group, lmax)
+        ds, direction = float(config.get("ds", 0.05)), float(config.get("direction", 1.0))
+        subspace = bifurcation.build_subspace(config.get("group", "tetrahedral"), lmax)
         if kind == "cubic":
             family = bifurcation.CubicShiftFamily(
-                mu=float(fam_cfg["mu"]), mu1=float(fam_cfg["mu1"]),
-                degree=int(fam_cfg["degree"]))
+                mu=float(fam_cfg["mu"]), mu1=float(fam_cfg["mu1"]), degree=degree)
             problem = bifurcation.ContinuationProblem(family=family, subspace=subspace)
             lo, hi = config.get("lambda_range", [-3.0, 3.0])
             points = bifurcation.detect_bifurcation_points(problem, (float(lo), float(hi)))
             if not points:
                 raise ConfigError("no bifurcation points detected in the range")
-            which = int(config.get("branch_from", len(points) - 1))
-            branch = bifurcation.continue_branch(
-                problem, points[which],
-                steps=int(config.get("steps", 30)),
-                ds=float(config.get("ds", 0.05)),
-                direction=float(config.get("direction", 1.0)),
-            )
-        elif kind == "saturating":
-            family = bifurcation.SaturatingLinearFamily(
-                beta=float(fam_cfg["beta"]), mu=float(fam_cfg["mu"]),
-                degree=int(fam_cfg["degree"]))
-            branch = bifurcation.omega_branch(
-                family, subspace,
-                steps=int(config.get("steps", 20)),
-                ds=float(config.get("ds", 0.05)),
-                direction=float(config.get("direction", 1.0)),
-            )
-            points = [branch.origin]
+            which = _optional_int(config, "branch_from", len(points) - 1)
+            if not -len(points) <= which < len(points):
+                raise ConfigError(f"branch_from {which} outside the {len(points)} detected points")
+            branch = bifurcation.continue_branch(problem, points[which], steps=steps, ds=ds,
+                                                 direction=direction)
         else:
-            raise ConfigError(f"unknown family kind {kind!r}")
+            family = bifurcation.SaturatingLinearFamily(
+                beta=float(fam_cfg["beta"]), mu=float(fam_cfg["mu"]), degree=degree)
+            branch = bifurcation.omega_branch(family, subspace, steps=steps, ds=ds,
+                                              direction=direction)
+            points = [branch.origin]
     except (ValueError, KeyError) as exc:
         raise ConfigError(str(exc))
 
@@ -567,6 +567,12 @@ def _selftest_checks(lmax: int) -> list[tuple[str, float, float]]:
         block = sht.rotation_block(l, rot)
         udef = max(udef, float(np.max(np.abs(block @ block.conj().T - np.eye(2 * l + 1)))))
     checks.append(("rotation unitarity", udef, 1e-12))
+    # the factorised blocks against the independent Rodrigues closed form
+    cdef = 0.0
+    for l in range(1, min(5, lmax) + 1):
+        closed = sht.rotation_block(l, rot, closed_form=True)
+        cdef = max(cdef, float(np.max(np.abs(sht.rotation_block(l, rot) - closed))))
+    checks.append(("rotation closed form", cdef, 1e-12))
 
     val = fields.harmonic_product_integral([(2, 0, 3)])
     checks.append(("triple product integral",

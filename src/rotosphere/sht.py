@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 import scipy.fft
@@ -323,21 +324,33 @@ def _rot_y(angle: float) -> np.ndarray:
 
 
 def euler_from_matrix(rot: np.ndarray) -> RotationSpec:
-    """Recover z-y-z Euler angles with R = R_z(gamma) R_y(beta) R_z(alpha)."""
+    """Recover z-y-z Euler angles with R = R_z(gamma) R_y(beta) R_z(alpha).
+
+    Goes through the unit quaternion (w, x, y, z) = (cos(beta/2) cos(s),
+    sin(beta/2) sin(d), sin(beta/2) cos(d), cos(beta/2) sin(s)) with
+    s = (alpha+gamma)/2, d = (alpha-gamma)/2.  Near beta = 0 the angle d is
+    ill-conditioned but enters only with the factor sin(beta/2), near pi the
+    same holds for s and cos(beta/2), so the recovered matrix is exact to
+    rounding at every beta.
+    """
     if abs(np.linalg.det(rot) - 1.0) > 1e-10:
         raise ValueError("euler_from_matrix expects a proper rotation (det = +1)")
-    cb = min(1.0, max(-1.0, rot[2, 2]))
-    beta = math.acos(cb)
-    if abs(cb) < 1.0 - 1e-12:
-        alpha = math.atan2(rot[2, 1], -rot[2, 0])
-        gamma = math.atan2(rot[1, 2], rot[0, 2])
-    elif cb > 0.0:  # beta ~ 0: rotation about z by alpha+gamma
-        alpha = math.atan2(rot[1, 0], rot[0, 0])
-        gamma = 0.0
-    else:  # beta ~ pi
-        alpha = math.atan2(rot[0, 1], rot[1, 1])
-        gamma = 0.0
-    return RotationSpec(alpha=alpha, beta=beta, gamma=gamma)
+    r00, r11, r22 = np.diag(rot)
+    squares = 0.25 * np.array([1.0 + r00 + r11 + r22, 1.0 + r00 - r11 - r22,
+                               1.0 - r00 + r11 - r22, 1.0 - r00 - r11 + r22])
+    # 4 q_i q_j from the off-diagonal entries; divide by the largest component (Shepperd)
+    cross = {(0, 1): rot[2, 1] - rot[1, 2], (0, 2): rot[0, 2] - rot[2, 0], (0, 3): rot[1, 0] - rot[0, 1],
+             (1, 2): rot[0, 1] + rot[1, 0], (1, 3): rot[0, 2] + rot[2, 0], (2, 3): rot[1, 2] + rot[2, 1]}
+    k = int(np.argmax(squares))
+    q = np.empty(4)
+    q[k] = math.sqrt(squares[k])
+    for j in range(4):
+        if j != k:
+            q[j] = cross[min(j, k), max(j, k)] / (4.0 * q[k])
+    w, x, y, z = q
+    half_sum, half_diff = math.atan2(z, w), math.atan2(x, y)
+    beta = 2.0 * math.atan2(math.hypot(x, y), math.hypot(w, z))
+    return RotationSpec(alpha=half_sum + half_diff, beta=beta, gamma=half_sum - half_diff)
 
 
 # ---------------------------------------------------------------------------
@@ -633,102 +646,82 @@ def evaluate(field: SpectralField, phi: np.ndarray, s: np.ndarray) -> np.ndarray
 # Rotation of spectral fields
 # ---------------------------------------------------------------------------
 
-def _jacobi_values(n: np.ndarray, a: np.ndarray, b: np.ndarray, x: float) -> np.ndarray:
-    """Jacobi polynomials P_n^{(a,b)}(x), vectorized over cells, recurrence in n."""
-    nmax = int(n.max(initial=0))
-    p_prev = np.ones_like(x * np.ones(n.shape))
-    result = np.where(n == 0, p_prev, 0.0)
-    if nmax == 0:
-        return result
-    p_curr = 0.5 * (a - b) + (1.0 + 0.5 * (a + b)) * x
-    result = np.where(n == 1, p_curr, result)
-    for k in range(2, nmax + 1):
-        c1 = 2.0 * k * (k + a + b) * (2.0 * k + a + b - 2.0)
-        c2 = (2.0 * k + a + b - 1.0) * (a * a - b * b)
-        c3 = (2.0 * k + a + b - 2.0) * (2.0 * k + a + b - 1.0) * (2.0 * k + a + b)
-        c4 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + a + b)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            p_next = ((c2 + c3 * x) * p_curr - c4 * p_prev) / c1
-        result = np.where(n == k, p_next, result)
-        p_prev, p_curr = p_curr, p_next
-    return result
+# Delta^l = d^l(pi/2) by degree, kept through PI2_CACHE_LMAX (about 21 MiB
+# at 127); higher degrees are rebuilt by the recursion on each pass.
+PI2_CACHE_LMAX = 127
+_pi2_tables: dict[int, np.ndarray] = {0: np.ones((1, 1))}
+
+# i^k for k mod 4
+_I_POWERS = np.array([1.0, 1j, -1.0, -1j])
 
 
-def wigner_d_matrix(l: int, beta: float) -> np.ndarray:
-    """Reduced rotation matrix d^l[k, m] for a rotation by beta about the y-axis.
+def _risbo_half_step(d: np.ndarray) -> np.ndarray:
+    """d^{j+1/2}(pi/2) from d^j(pi/2) (Risbo 1996): couple one spin 1/2,
+    cos(pi/4) = sin(pi/4) = sqrt(1/2); d has size n = 2j + 1."""
+    n = d.shape[0]
+    down, up = np.sqrt(n - np.arange(n))[:, None], np.sqrt(np.arange(1.0, n + 1.0))[:, None]
+    by_down, by_up = d * down.T, d * up.T
+    out = np.zeros((n + 1, n + 1))
+    out[:-1, :-1] = down * by_down
+    out[1:, :-1] -= up * by_down
+    out[:-1, 1:] += down * by_up
+    out[1:, 1:] += up * by_up
+    out *= math.sqrt(0.5) / n
+    return out
 
-    Indexed d[l+k, l+m]; evaluated through the Jacobi-polynomial form with
-    log-space binomial prefactors, stable through degree a few hundred.
+
+def pi2_factors(lmax: int) -> Iterator[np.ndarray]:
+    """Yield Delta^l = d^l(pi/2), indexed [l+k, l+m], for l = 0..lmax in order.
+
+    Each degree takes two half steps of Risbo's recursion from the one
+    before, so a pass over all degrees costs O(lmax^3); degrees up to
+    PI2_CACHE_LMAX are kept for later passes.
     """
-    if l == 0:
-        return np.ones((1, 1))
-    m_row = np.arange(-l, l + 1)[:, None] * np.ones((1, 2 * l + 1), dtype=int)  # k index
-    m_col = np.arange(-l, l + 1)[None, :] * np.ones((2 * l + 1, 1), dtype=int)  # m index
-    k = m_row
-    m = m_col
-
-    cand = np.stack([l + m, l - m, l + k, l - k])
-    k0 = cand.min(axis=0)
-    which = cand.argmin(axis=0)
-    a = np.select(
-        [which == 0, which == 1, which == 2, which == 3],
-        [k - m, m - k, m - k, k - m],
-    ).astype(float)
-    lam = np.select(
-        [which == 0, which == 1, which == 2, which == 3],
-        [k - m, np.zeros_like(k), np.zeros_like(k), k - m],
-    ).astype(float)
-    b = 2.0 * l - 2.0 * k0 - a
-
-    def log_binom(nn, kk):
-        return (
-            _lgamma(nn + 1.0) - _lgamma(kk + 1.0) - _lgamma(nn - kk + 1.0)
-        )
-
-    log_pref = 0.5 * (log_binom(2.0 * l - k0, k0 + a) - log_binom(k0 + b, b))
-    sign = np.where(np.mod(lam, 2) == 0, 1.0, -1.0)
-    half = 0.5 * beta
-    sin_h, cos_h = math.sin(half), math.cos(half)
-    x = math.cos(beta)
-
-    jac = _jacobi_values(k0.astype(int), a, b, x)
-    # 0 * log(0) at the axis angles must yield 0, not NaN
-    tiny = 1e-300
-    log_sin = math.log(max(abs(sin_h), tiny))
-    log_cos = math.log(max(abs(cos_h), tiny))
-    log_trig = np.where(a > 0, a * log_sin, 0.0) + np.where(b > 0, b * log_cos, 0.0)
-    trig_sign = np.where(
-        (sin_h < 0) & (np.mod(a, 2) == 1), -1.0, 1.0
-    ) * np.where((cos_h < 0) & (np.mod(b, 2) == 1), -1.0, 1.0)
-    trig_zero = ((abs(sin_h) <= tiny) & (a > 0)) | ((abs(cos_h) <= tiny) & (b > 0))
-    magnitude = np.where(trig_zero, 0.0, np.exp(log_pref + log_trig))
-    return sign * trig_sign * magnitude * jac
+    d = _pi2_tables[0]
+    for l in range(lmax + 1):
+        if l in _pi2_tables:
+            d = _pi2_tables[l]
+        else:
+            d = _risbo_half_step(_risbo_half_step(d))
+            if l <= PI2_CACHE_LMAX:
+                d = _pi2_tables.setdefault(l, d)
+        yield d
 
 
-def _lgamma(x):
-    return np.vectorize(math.lgamma)(x) if isinstance(x, np.ndarray) else math.lgamma(x)
+def rotation_phases(rot: RotationSpec, lmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonals (left, middle, right) over orders -lmax..lmax such that the
+    degree-l block is diag(left) Delta^l diag(middle) Delta^l^T diag(right)
+    on the orders |m| <= l:
+
+        left_k = i^-k exp(-i k gamma), middle_j = exp(-i j beta), right_m = i^m exp(-i m alpha).
+    """
+    ms = np.arange(-lmax, lmax + 1)
+    left = np.conj(_I_POWERS[ms % 4]) * np.exp(-1j * ms * rot.gamma)
+    right = _I_POWERS[ms % 4] * np.exp(-1j * ms * rot.alpha)
+    return left, np.exp(-1j * ms * rot.beta), right
+
+
+def _real_matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return a @ v.real + 1j * (a @ v.imag)
 
 
 def generalized_legendre_closed_form(l: int, m: int, k: int, x: float) -> float:
     """Rodrigues-type closed form for the degree-l rotation matrix element.
 
-    Differentiates (1-x)^(l-k)(1+x)^(l+k) symbolically; practical for l <= 10
-    and used to cross-check the recurrence path.
+    Differentiates (1-x)^(l-k)(1+x)^(l+k) l-m times by the Leibniz rule, term
+    by term, so that after the (1+x)^(-(m+k)/2)(1-x)^((k-m)/2) weight every
+    power is nonnegative and x = +-1 need no limit.  Practical for l <= 10
+    and used to cross-check the factorised path.
     """
-    poly = np.polynomial.Polynomial.fromroots([1.0] * (l - k) + [-1.0] * (l + k))
-    # leading coefficient of fromroots is 1 for (x-1)^{l-k}(x+1)^{l+k}; fix sign
-    poly = poly * (-1.0) ** (l - k)
-    dpoly = poly.deriv(l - m)
-    log_fac = 0.5 * (
-        math.lgamma(l + m + 1)
-        - math.lgamma(l - k + 1)
-        - math.lgamma(l + k + 1)
-        - math.lgamma(l - m + 1)
-    )
-    pref = (-1.0) ** (l - m) / 2.0**l * math.exp(log_fac)
-    return float(
-        pref * (1.0 + x) ** (-(m + k) / 2.0) * (1.0 - x) ** ((k - m) / 2.0) * dpoly(x)
-    )
+    a_pow, b_pow, order = l - k, l + k, l - m
+    half = (k + m) / 2.0
+    total = 0.0
+    for a in range(max(0, order - b_pow), min(order, a_pow) + 1):
+        coeff = (-1) ** a * math.comb(order, a) * math.perm(a_pow, a) * math.perm(b_pow, order - a)
+        total += coeff * (1.0 - x) ** (l - a - half) * (1.0 + x) ** (a + half)
+    scale = math.factorial(l + m) / (
+        math.factorial(l - k) * math.factorial(l + k) * math.factorial(l - m))
+    return (-1.0) ** (l - m) / 2.0**l * math.sqrt(scale) * total
 
 
 def rotation_block(l: int, rot: RotationSpec, closed_form: bool = False) -> np.ndarray:
@@ -736,39 +729,38 @@ def rotation_block(l: int, rot: RotationSpec, closed_form: bool = False) -> np.n
 
     If c are the coefficients of f, the rotated field f(R^{-1} x) with
     R = R_z(gamma) R_y(beta) R_z(alpha) has coefficients U @ c with
-    U[k, m] = exp(-i k gamma) d^l[k, m](beta) exp(-i m alpha).
+    U[k, m] = exp(-i k gamma) d^l[k, m](beta) exp(-i m alpha).  The default
+    path factorises d^l(beta) = diag(i^-k) Delta diag(exp(-i j beta)) Delta^T
+    diag(i^m) through the cached Delta = d^l(pi/2); `closed_form` evaluates
+    d^l from the Rodrigues form instead, the independent check at small l.
     """
-    ms = np.arange(-l, l + 1)
     if closed_form:
-        # Rodrigues form indexed (l, m, k) equals the recurrence's d[k, m]
-        x = math.cos(rot.beta)
-        d = np.array(
-            [[generalized_legendre_closed_form(l, m, k, x) for m in ms] for k in ms]
-        )
-    else:
-        d = wigner_d_matrix(l, rot.beta)
-    phase_rows = np.exp(-1j * ms * rot.gamma)[:, None]
-    phase_cols = np.exp(-1j * ms * rot.alpha)[None, :]
-    return phase_rows * d * phase_cols
+        ms, x = np.arange(-l, l + 1), math.cos(rot.beta)
+        # Rodrigues form indexed (l, m, k) equals d[k, m]
+        d = np.array([[generalized_legendre_closed_form(l, m, k, x) for m in ms] for k in ms])
+        return np.exp(-1j * ms * rot.gamma)[:, None] * d * np.exp(-1j * ms * rot.alpha)
+    left, middle, right = rotation_phases(rot, l)
+    *_, delta = pi2_factors(l)
+    return (left[:, None] * delta * middle) @ (delta.T * right)
 
 
-def rotate(c: SpectralField, r: RotationSpec, parity: bool = False,
-           closed_form: bool = False) -> SpectralField:
+def rotate(c: SpectralField, r: RotationSpec, parity: bool = False) -> SpectralField:
     """Rotate a field: the result represents x -> f(R^{-1} x).
 
+    Each degree applies the factors of `rotation_block` as real
+    matrix-vector products, O(lmax^3) in all and without forming a block.
     Improper elements of the full orthogonal group are handled by the
     parity flag (the antipodal map multiplies degree l by (-1)^l).
     """
-    out = SpectralField.zeros(c.lmax, c.real_valued)
     L = c.lmax
-    out.coeffs[0, L] = c.coeffs[0, L]
-    for l in range(1, L + 1):
-        block = rotation_block(l, r, closed_form=closed_form)
-        vec = c.coeffs[l, L - l : L + l + 1]
-        res = block @ vec
-        if parity and l % 2 == 1:
-            res = -res
-        out.coeffs[l, L - l : L + l + 1] = res
+    out = SpectralField.zeros(L, c.real_valued)
+    left, middle, right = rotation_phases(r, L)
+    for l, delta in enumerate(pi2_factors(L)):
+        orders = slice(L - l, L + l + 1)
+        v = middle[orders] * _real_matvec(delta.T, right[orders] * c.coeffs[l, orders])
+        out.coeffs[l, orders] = left[orders] * _real_matvec(delta, v)
+    if parity:
+        out.coeffs[1::2] *= -1.0
     if c.real_valued:
         out.enforce_reality()
     return out

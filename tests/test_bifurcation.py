@@ -13,6 +13,11 @@ def tetra_subspace():
 
 
 @pytest.fixture(scope="module")
+def tetra24_subspace():
+    return bif.build_subspace("tetrahedral", 24)
+
+
+@pytest.fixture(scope="module")
 def cubic_problem(tetra_subspace):
     family = bif.CubicShiftFamily(mu=1.0, mu1=1.0, degree=3)
     return bif.ContinuationProblem(family=family, subspace=tetra_subspace)
@@ -81,14 +86,43 @@ class TestSubspaces:
         assert tetra_subspace.invariance_defect() < 1e-10
 
     def test_projector_idempotent_and_commutes_with_laplacian(self):
-        group = bif.tetrahedral_group()
-        elements = group.elements()
+        projectors = dict(bif.group_projectors(bif.tetrahedral_group().elements(), 6))
         for l in (3, 4, 6):
-            proj = sum(bif._real_rotation_block(l, e) for e in elements) / len(elements)
+            proj = projectors[l]
             assert np.max(np.abs(proj @ proj - proj)) < 1e-12
             # the projector acts within a single eigenspace, so it commutes
             # with the Laplacian trivially; check the block is orthogonal-sym
             assert np.max(np.abs(proj - proj.T)) < 1e-12
+
+    @pytest.mark.parametrize("name", ["d2d", "d4d", "tetrahedral"])
+    def test_projector_matches_closed_form_average(self, name):
+        elements = bif.NAMED_GROUPS[name]().elements()
+        for l, proj in bif.group_projectors(elements, 8):
+            v = bif._real_to_complex_block(l)
+            total = np.zeros((2 * l + 1, 2 * l + 1), dtype=complex)
+            for e in elements:
+                block = sht.rotation_block(l, e.rotation, closed_form=True)
+                total += -block if e.parity and l % 2 == 1 else block
+            expected = (v.conj().T @ total @ v).real / len(elements)
+            assert np.max(np.abs(proj - expected)) < 1e-12
+
+    def test_tetrahedral_lmax24_dimensions_and_invariance(self, tetra24_subspace):
+        expected = {l: 0 for l in range(1, 25)}
+        expected.update({3: 1, 4: 1, 12: 2, 13: 1, 14: 1, 15: 2, 16: 2, 17: 1, 24: 3})
+        expected.update({l: 1 for l in range(6, 12)})
+        expected.update({l: 2 for l in range(18, 24)})
+        assert tetra24_subspace.dimension_by_degree == expected
+        assert tetra24_subspace.dim == 32
+        assert tetra24_subspace.invariance_defect() < 1e-12
+
+    def test_project_and_assemble_match_coefficient_sums(self, tetra24_subspace):
+        sub = tetra24_subspace
+        field = random_real_field(24, seed=21)
+        loop = np.array([float(np.sum((np.conj(b.coeffs) * field.coeffs).real)) for b in sub.basis])
+        assert np.max(np.abs(sub.project(field) - loop)) < 1e-13
+        x = np.random.default_rng(22).normal(size=sub.dim)
+        summed = sum(xi * b.coeffs for xi, b in zip(x, sub.basis))
+        assert np.max(np.abs(sub.assemble(x).coeffs - summed)) < 1e-13
 
     def test_unknown_group_name(self):
         with pytest.raises(KeyError):

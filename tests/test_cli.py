@@ -73,7 +73,8 @@ class TestSimulate:
         {"snapshot_stride": "2"},
         {"initial": {"kind": "modes", "coefficients": [[3, 5, 1.0, 0.0]]}},
         {"nlat": 12, "nlon": 24},
-    ], ids=["string-stride", "mode-outside-table", "grid-keys"])
+        {"lmax": 8.7},
+    ], ids=["string-stride", "mode-outside-table", "grid-keys", "fractional-lmax"])
     def test_malformed_config_is_config_error(self, tmp_path, capsys, change):
         cfg = write_json(tmp_path / "sim.json", dict(SIM_CONFIG, **change))
         assert run_cli(["simulate", cfg, "--outdir", str(tmp_path / "o")]) == 2
@@ -192,6 +193,22 @@ class TestBifurcate:
         assert len(lines) == 10
         manifest = json.loads((out / "manifest.json").read_text())
         assert any(n.startswith("branch_point_") for n in manifest["outputs"])
+
+    @pytest.mark.parametrize("change", [
+        {"lmax": 12.5}, {"steps": "8"}, {"branch_from": True},
+        {"family": {"kind": "cubic", "mu": 1.0, "mu1": 1.0, "degree": 3.0}},
+        {"branch_from": 7},
+    ], ids=["fractional-lmax", "string-steps", "bool-branch", "float-degree", "branch-outside"])
+    def test_malformed_config_is_config_error(self, tmp_path, capsys, change):
+        cfg = write_json(tmp_path / "prob.json", {
+            "group": "tetrahedral", "lmax": 12,
+            "family": {"kind": "cubic", "mu": 1.0, "mu1": 1.0, "degree": 3},
+            "lambda_range": [0.0, 2.0], "steps": 8, "ds": 0.08, **change,
+        })
+        out = tmp_path / "b"
+        assert run_cli(["bifurcate", cfg, "--outdir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
 
     def test_rotating_family(self, tmp_path):
         cfg = write_json(tmp_path / "prob.json", {

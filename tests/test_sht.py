@@ -270,6 +270,11 @@ class TestLaplacian:
             sht.invert_laplacian(f)
 
 
+ANGLES = st.floats(-math.pi, math.pi)
+# the edge angles 0, pi/2 and pi are where the Euler decomposition degenerates
+BETAS = st.one_of(st.sampled_from([0.0, math.pi / 2, math.pi]), st.floats(0.0, math.pi))
+
+
 class TestRotation:
     def test_identity(self):
         f = random_real_field(10, seed=6)
@@ -307,12 +312,29 @@ class TestRotation:
         defect = np.max(np.abs(block @ block.conj().T - np.eye(2 * l + 1)))
         assert defect < 1e-12
 
+    def test_pi2_cache_is_bounded(self):
+        l = sht.PI2_CACHE_LMAX + 3
+        block = sht.rotation_block(l, sht.RotationSpec(0.3, 0.7, -0.2))
+        assert np.max(np.abs(block @ block.conj().T - np.eye(2 * l + 1))) < 1e-12
+        assert sorted(sht._pi2_tables) == list(range(sht.PI2_CACHE_LMAX + 1))
+
     @pytest.mark.parametrize("l", [1, 2, 5, 10])
     def test_closed_form_matches_recurrence(self, l):
-        rot = sht.RotationSpec(alpha=0.37, beta=1.11, gamma=2.2)
-        a = sht.rotation_block(l, rot, closed_form=False)
-        b = sht.rotation_block(l, rot, closed_form=True)
-        assert np.max(np.abs(a - b)) < 1e-9
+        # beta = 0, pi/2 and pi are the tetrahedral group's angles
+        for beta in (1.11, 0.0, math.pi / 2, math.pi):
+            rot = sht.RotationSpec(alpha=0.37, beta=beta, gamma=2.2)
+            a = sht.rotation_block(l, rot, closed_form=False)
+            b = sht.rotation_block(l, rot, closed_form=True)
+            assert np.max(np.abs(a - b)) < 1e-12, beta
+
+    def test_rotate_applies_rotation_block(self):
+        lmax = 12
+        f = random_real_field(lmax, seed=15)
+        rot = sht.RotationSpec(0.9, 2.3, -0.6)
+        out = sht.rotate(f, rot)
+        for l in range(lmax + 1):
+            expected = sht.rotation_block(l, rot) @ f.coeffs[l, lmax - l : lmax + l + 1]
+            assert np.max(np.abs(out.coeffs[l, lmax - l : lmax + l + 1] - expected)) < 1e-13
 
     def test_commutes_with_laplacian(self):
         f = random_real_field(20, seed=10)
@@ -336,12 +358,32 @@ class TestRotation:
         direct = sht.rotate(f, combined)
         assert np.max(np.abs(seq.coeffs - direct.coeffs)) < 1e-12
 
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(lmax=st.integers(1, 16), seed=st.integers(0, 2**16),
+           first=st.tuples(ANGLES, BETAS, ANGLES, st.booleans()),
+           second=st.tuples(ANGLES, BETAS, ANGLES, st.booleans()))
+    def test_rotation_homomorphism(self, lmax, seed, first, second):
+        """rotate(f, g2 g1) == rotate(rotate(f, g1), g2) on O(3), parity included."""
+        rot1, rot2 = sht.RotationSpec(*first[:3]), sht.RotationSpec(*second[:3])
+        combined = sht.euler_from_matrix(rot2.matrix() @ rot1.matrix())
+        parity = first[3] != second[3]
+        f = random_real_field(lmax, seed=seed)
+        seq = sht.rotate(sht.rotate(f, rot1, parity=first[3]), rot2, parity=second[3])
+        direct = sht.rotate(f, combined, parity=parity)
+        assert np.max(np.abs(seq.coeffs - direct.coeffs)) < 1e-12
+
     def test_euler_from_matrix_round_trip(self):
         rng = np.random.default_rng(14)
         for _ in range(20):
             rot = sht.RotationSpec(*rng.uniform(-math.pi, math.pi, size=3))
             rec = sht.euler_from_matrix(rot.matrix())
             assert np.max(np.abs(rec.matrix() - rot.matrix())) < 1e-12
+        # next to the degenerate ends only alpha + gamma (or alpha - gamma) is
+        # well-conditioned; the matrix must still come back to rounding
+        for beta in (0.0, 6e-8, 1e-6, math.pi - 1e-7, math.pi):
+            rot = sht.RotationSpec(0.3, beta, 1.0)
+            rec = sht.euler_from_matrix(rot.matrix())
+            assert np.max(np.abs(rec.matrix() - rot.matrix())) < 1e-12, beta
 
     def test_nonfinite_angles_rejected(self):
         with pytest.raises(ValueError):

@@ -290,10 +290,6 @@ class CubicShiftFamily:
     def linear_multiplier(self, lam: float) -> float:
         return float(self.dp(lam))
 
-    def bifurcation_lambdas(self) -> tuple[float, float]:
-        lam = math.sqrt(self.mu / (3.0 * self.mu1))
-        return (-lam, lam)
-
     def apriori_bounds(self) -> tuple[float, float, float]:
         """(a_minus, a_plus, A): window with P increasing outside and |P| <= A inside."""
         ll1 = self.degree * (self.degree + 1)
@@ -327,6 +323,8 @@ class SaturatingLinearFamily:
 
     def __post_init__(self):
         ll1 = self.degree * (self.degree + 1)
+        if self.degree < 2:
+            raise ValueError(f"degree must be >= 2, got {self.degree}")
         if self.beta <= 0:
             raise ValueError("beta must be positive")
         if self.mu <= 2.0 * self.nu / ll1:

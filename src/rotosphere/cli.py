@@ -5,16 +5,23 @@ Every command resolves its inputs to a canonical JSON config, hashes it,
 runs single-threaded and deterministically, and finishes by writing a run
 manifest listing every output file.  Exit codes: 0 success, 2 config
 error, 3 numerical failure, 4 failed self-test/acceptance assertion.
+
+Each `cmd_*` reads its config through `_get`, builds what the run needs and
+returns `(command, config, seed, work)` without writing: a ValueError or
+OSError there is a config error.  `main` then creates the output directory
+and calls `work(ctx)`, which runs the numerics and writes the outputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import hashlib
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from fractions import Fraction
@@ -39,10 +46,6 @@ class ConfigError(ValueError):
 # Run manifest
 # ---------------------------------------------------------------------------
 
-def _canonical_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 def _atomic_write(path: Path, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=".tmp_manifest")
     try:
@@ -62,23 +65,19 @@ class RunContext:
                  record_wallclock: bool):
         self.outdir = outdir
         self.command = command
-        self.config = config
         self.seed = seed
         self.record_wallclock = record_wallclock
         self.started = datetime.datetime.now(datetime.timezone.utc) if record_wallclock else None
         self.outputs: list[str] = []
         outdir.mkdir(parents=True, exist_ok=True)
-        config_text = _canonical_json(config) + "\n"
+        config_text = json.dumps(config, sort_keys=True, separators=(",", ":")) + "\n"
         self.config_hash = hashlib.sha256(config_text.encode()).hexdigest()
         self.write_text("config.json", config_text)
-
-    def path(self, name: str) -> Path:
-        return self.outdir / name
 
     def register(self, name: str) -> Path:
         if name not in self.outputs:
             self.outputs.append(name)
-        return self.path(name)
+        return self.outdir / name
 
     def write_text(self, name: str, text: str) -> Path:
         p = self.register(name)
@@ -103,34 +102,63 @@ class RunContext:
                       json.dumps(manifest, sort_keys=True, indent=1) + "\n")
 
 
-def _load_config(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+# ---------------------------------------------------------------------------
+# Config reader
+# ---------------------------------------------------------------------------
+
+_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string",
+               dict: "an object", list: "a list"}
 
 
-def _check_int(key: str, value):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
-    return value
+def _check(key: str, value, kind):
+    """`value` if it is of `kind`, else a ConfigError.
+
+    int is a JSON integer and float a finite JSON number (returned as a
+    float); neither accepts a bool.  complex is an [re, im] pair of numbers,
+    a tuple of kinds a list of that length, {int: kind} an object with
+    integer keys written as strings ({"1": ...}), and str, dict and list are
+    the JSON types themselves.
+    """
+    if kind is complex:
+        return complex(*_check(key, value, (float, float)))
+    if isinstance(kind, tuple):
+        if not (isinstance(value, list) and len(value) == len(kind)):
+            raise ConfigError(f"{key!r} must be a list of {len(kind)} entries, got {value!r}")
+        return [_check(f"{key}[{i}]", v, k) for i, (v, k) in enumerate(zip(value, kind))]
+    if isinstance(kind, dict):
+        for k in _check(key, value, dict):
+            if not re.fullmatch(r"0|-?[1-9][0-9]*", k):
+                raise ConfigError(f"{key!r} must have integer keys, got {k!r}")
+        return {int(k): _check(f"{key}[{k}]", v, kind[int]) for k, v in value.items()}
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is float and number and abs(value) <= sys.float_info.max:
+        return float(value)
+    if (kind is int and number and isinstance(value, int)
+            or kind in (str, dict, list) and isinstance(value, kind)):
+        return value
+    raise ConfigError(f"{key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
-def _require(config: dict, key: str, kind=None):
-    if key not in config:
+def _get(mapping: dict, key: str, kind, default=...):
+    """`mapping[key]` checked by `_check`; `default`, if given, when the key is absent."""
+    if key in mapping:
+        return _check(key, mapping[key], kind)
+    if default is ...:
         raise ConfigError(f"missing config key {key!r}")
-    value = config[key]
-    if kind is int:
-        return _check_int(key, value)
-    if kind is not None:
-        try:
-            value = kind(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"config key {key!r} has invalid value {config[key]!r}")
-    return value
+    return default
+
+
+def _parse_json(text: str, what: str, kind=dict):
+    """`text` parsed as JSON and checked as `kind`."""
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}")
+    return _check(what, value, kind)
+
+
+def _load_config(path: str) -> dict:
+    return _parse_json(Path(path).read_text(encoding="utf-8"), f"config file {path}")
 
 
 def _write_svg(path: Path, series: list[tuple[str, np.ndarray, np.ndarray]]) -> None:
@@ -163,138 +191,168 @@ def _write_svg(path: Path, series: list[tuple[str, np.ndarray, np.ndarray]]) -> 
 # simulate
 # ---------------------------------------------------------------------------
 
+def _simulation_config(config: dict, **kwargs) -> dynamics.SimulationConfig:
+    """`dt`, `t_end` and `diag_stride` plus `kwargs`.  The library rounds
+    `t_end` to a whole number of steps; the CLI rejects one that is not."""
+    sim = dynamics.SimulationConfig(
+        dt=_get(config, "dt", float), t_end=_get(config, "t_end", float),
+        diag_stride=_get(config, "diag_stride", int, 10), **kwargs)
+    steps = sim.t_end / sim.dt
+    if abs(math.remainder(steps, 1.0)) > 1e-9 * steps:
+        raise ConfigError(f"t_end {sim.t_end} is not a whole number of steps of dt {sim.dt}")
+    return sim
+
+
 def _modes_field(entries: list, lmax: int) -> sht.SpectralField:
     """Real field from [l, m, re, im] entries; the negative orders follow by reality."""
     field = sht.SpectralField.zeros(lmax)
     for entry in entries:
-        l, m = _check_int("mode degree", entry[0]), _check_int("mode order", entry[1])
-        re, im = float(entry[2]), float(entry[3])
-        if not (0 <= l <= lmax and abs(m) <= l):
-            raise ConfigError(f"mode (l, m) = ({l}, {m}) outside the table of lmax={lmax}")
-        field.set(l, m, complex(re, im))
+        l, m, re_part, im_part = _check("mode entry", entry, (int, int, float, float))
+        if not (1 <= l <= lmax and abs(m) <= l):
+            raise ConfigError(f"mode (l, m) = ({l}, {m}) outside degrees 1..{lmax}")
+        field.set(l, m, complex(re_part, im_part))
     return field.enforce_reality()
 
 
+def _rossby_haurwitz(spec: dict, lmax: int | None) -> solutions.RossbyHaurwitzWave:
+    return solutions.make_rossby_haurwitz(
+        _get(spec, "degree", int), _get(spec, "alpha", float, 0.0),
+        _get(spec, "ycoeffs", {int: complex}), _get(spec, "omega", float, 0.0), lmax=lmax)
+
+
 def _initial_field(spec: dict, lmax: int, seed: int) -> sht.SpectralField:
-    kind = spec.get("kind", "modes")
+    kind = _get(spec, "kind", str, "modes")
     if kind == "snapshot":
-        field, _ = snapshot.read_snapshot(spec["path"])
+        field, _ = snapshot.read_snapshot(_get(spec, "path", str))
         return field.truncated(lmax)
     if kind == "modes":
-        field = _modes_field(spec.get("coefficients", []), lmax)
-        field.coeffs[0, lmax] = 0.0
-        return field
+        return _modes_field(_get(spec, "coefficients", list, []), lmax)
     if kind == "rossby_haurwitz":
-        ycoeffs = {int(k): complex(v[0], v[1]) for k, v in spec["ycoeffs"].items()}
-        wave = solutions.make_rossby_haurwitz(
-            _require(spec, "degree", int), float(spec.get("alpha", 0.0)), ycoeffs,
-            float(spec.get("omega", 0.0)), lmax=lmax)
-        return sht.laplacian(wave.psi)
+        return sht.laplacian(_rossby_haurwitz(spec, lmax).psi)
     if kind == "random":
         rng = np.random.default_rng(seed)
         field = sht.SpectralField.zeros(lmax)
-        decay = float(spec.get("decay", 0.5))
+        decay = _get(spec, "decay", float, 0.5)
         for l in range(1, lmax + 1):
             for m in range(0, l + 1):
                 field.set(l, m, (rng.normal() + 1j * rng.normal()) * math.exp(-decay * l))
-        field.enforce_reality()
-        field.coeffs[0, lmax] = 0.0
-        return field
+        return field.enforce_reality()
     raise ConfigError(f"unknown initial-state kind {kind!r}")
 
 
-def _optional_int(config: dict, key: str, default: int | None) -> int | None:
-    value = config.get(key, default)
-    return value if value is None else _check_int(key, value)
-
-
-def cmd_simulate(args) -> int:
+def cmd_simulate(args):
     config = _load_config(args.config)
-    lmax = _require(config, "lmax", int)
     if {"nlat", "nlon"} & set(config):
         raise ConfigError("nlat/nlon are not supported: simulate integrates on the dealiased grid")
-    seed = _optional_int(config, "seed", 0)
-    try:
-        sim_config = dynamics.SimulationConfig(
-            omega=_require(config, "omega", float),
-            dt=_require(config, "dt", float),
-            t_end=_require(config, "t_end", float),
-            truncation=sht.TruncationSpec.for_lmax(lmax),
-            diag_stride=_optional_int(config, "diag_stride", 10),
-            snapshot_stride=_optional_int(config, "snapshot_stride", None),
-            filter_strength=float(config.get("filter_strength", 0.0)),
-        )
-        initial = _initial_field(_require(config, "initial", dict), lmax, seed)
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(str(exc))
+    sim_config = _simulation_config(
+        config, omega=_get(config, "omega", float), lmax=_get(config, "lmax", int),
+        snapshot_stride=_get(config, "snapshot_stride", int, None),
+        filter_strength=_get(config, "filter_strength", float, 0.0))
+    seed = _get(config, "seed", int, 0)
+    initial = _initial_field(_get(config, "initial", dict), sim_config.lmax, seed)
+    sim_config.check_initial(initial)
 
-    ctx = RunContext(Path(args.outdir), "simulate", config, seed, args.record_wallclock)
-    result = dynamics.run(initial, sim_config)
+    def work(ctx):
+        result = dynamics.run(initial, sim_config)
+        rows = [fields.DiagnosticRecord.csv_header(sim_config.lmax)]
+        rows.extend(rec.csv_row() for rec in result.diagnostics)
+        ctx.write_text("diagnostics.csv", "\n".join(rows) + "\n")
+        for idx, state in enumerate(result.states):
+            name = f"snapshot_{idx:06d}.shc"
+            snapshot.write_snapshot(ctx.register(name), state.vorticity, time=state.time)
+        ctx.write_json("report.json", {
+            "drift": result.drift_report,
+            "cfl": result.cfl,
+            "filter_strength": result.filter_strength,
+            "n_steps": sim_config.n_steps,
+        })
+        if args.svg:
+            times = np.array([d.time for d in result.diagnostics])
+            _write_svg(ctx.register("diagnostics.svg"), [
+                ("energy", times, np.array([d.energy for d in result.diagnostics])),
+                ("enstrophy", times, np.array([d.enstrophy for d in result.diagnostics])),
+            ])
 
-    rows = [fields.DiagnosticRecord.csv_header(lmax)]
-    rows.extend(rec.csv_row() for rec in result.diagnostics)
-    ctx.write_text("diagnostics.csv", "\n".join(rows) + "\n")
-    for idx, state in enumerate(result.states):
-        name = f"snapshot_{idx:06d}.shc"
-        snapshot.write_snapshot(ctx.register(name), state.vorticity, time=state.time)
-    ctx.write_json("report.json", {
-        "drift": result.drift_report,
-        "cfl": result.cfl,
-        "filter_strength": result.filter_strength,
-        "n_steps": sim_config.n_steps,
-    })
-    if args.svg:
-        times = np.array([d.time for d in result.diagnostics])
-        _write_svg(ctx.register("diagnostics.svg"), [
-            ("energy", times, np.array([d.energy for d in result.diagnostics])),
-            ("enstrophy", times, np.array([d.enstrophy for d in result.diagnostics])),
-        ])
-    ctx.finish()
-    return EXIT_OK
+    return "simulate", config, seed, work
 
 
 # ---------------------------------------------------------------------------
 # make-solution
 # ---------------------------------------------------------------------------
 
-def cmd_make_solution(args) -> int:
-    params = json.loads(args.params) if args.params else {}
+SOLUTION_KINDS = ("zonal_harmonic", "rossby_haurwitz", "travelling", "log_family",
+                  "exp_family", "rotated")
+
+
+def _solution(kind: str, p: dict):
+    """The member of family `kind` with parameters `p`: a stream function, a
+    Rossby-Haurwitz wave or an elliptic solution."""
+    if kind == "zonal_harmonic":
+        lmax = _get(p, "lmax", int, 15)
+        if lmax < 1:
+            raise ConfigError(f"lmax must be >= 1, got {lmax}")
+        psi = sht.SpectralField.zeros(lmax)
+        for entry in _get(p, "components", list):
+            entry = _check("components entry", entry, dict)
+            l = _get(entry, "l", int)
+            if not 0 <= l <= lmax:
+                raise ConfigError(f"component degree {l} outside 0..{lmax}")
+            psi.set(l, 0, _get(entry, "coefficient", float))
+        psi.enforce_reality()
+        return psi
+    if kind in ("rossby_haurwitz", "travelling"):
+        return _rossby_haurwitz(p, _get(p, "lmax", int, None))
+    if kind in ("log_family", "exp_family"):
+        make = solutions.make_log_solution if kind == "log_family" else solutions.make_exp_solution
+        return make(_get(p, "epsilon", float), _get(p, "phi0", float, 0.0),
+                    _get(p, "lmax", int, 63))
+    if kind == "rotated":
+        base = _get(p, "base", dict)
+        inner = _solution(_get(base, "kind", str), _get(base, "parameters", dict))
+        rot = sht.RotationSpec(*_get(p, "rotation", (float, float, float), [0.0, 0.0, 0.0]))
+        if isinstance(inner, solutions.EllipticSolution):
+            return solutions.rotate_solution(inner, rot)
+        if isinstance(inner, solutions.RossbyHaurwitzWave):
+            return dataclasses.replace(inner, psi=sht.rotate(inner.psi, rot))
+        return sht.rotate(inner, rot)
+    raise ConfigError(f"unknown solution kind {kind!r}; expected one of {SOLUTION_KINDS}")
+
+
+def cmd_make_solution(args):
+    kind = {"log": "log_family", "exp": "exp_family"}.get(args.family, args.family)
+    params = _parse_json(args.params, "--params") if args.params else {}
     if args.params_file:
         params.update(_load_config(args.params_file))
-    config = {"family": args.family, "parameters": params}
-    try:
-        spec = solutions.SolutionSpec(kind=args.family, parameters=params)
-        built = solutions.build_solution(spec)
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(str(exc))
+    built = _solution(kind, params)
+    omega = _get(params, "omega", float, 0.0)
 
-    ctx = RunContext(Path(args.outdir), "make-solution", config, None, args.record_wallclock)
-    report: dict = {"family": args.family}
-    if isinstance(built, solutions.EllipticSolution):
-        psi = built.psi
-        l2, linf = built.grid_residual()
-        lo, hi = solutions.arnold_range(built.vf, built)
-        verdict = stability.arnold_theorem_check((lo, hi))
-        report.update({
-            "residual_l2": l2, "residual_linf": linf,
-            "projection_tail": built.tail_norm,
-            "fprime_range": [lo, hi],
-            "stability_verdict": verdict.verdict,
-        })
-    elif isinstance(built, solutions.RossbyHaurwitzWave):
-        psi = built.psi
-        report.update({"speed": built.speed, "degree": built.degree,
-                       "stationary": built.stationary})
-    else:
-        psi = built
-    stat = solutions.verify_stationary(psi, float(params.get("omega", 0.0)))
-    report.update({"advection_l2": stat.l2, "advection_linf": stat.linf,
-                   "stationary": bool(stat.stationary)})
-    snapshot.write_snapshot(ctx.register("solution.shc"), psi)
-    snapshot.write_snapshot_json(ctx.register("solution.json"), psi)
-    ctx.write_json("residual_report.json", report)
-    ctx.finish()
-    return EXIT_OK
+    def work(ctx):
+        report: dict = {"family": kind}
+        if isinstance(built, solutions.EllipticSolution):
+            psi = built.psi
+            l2, linf = built.grid_residual()
+            lo, hi = solutions.arnold_range(built.vf, built)
+            verdict = stability.arnold_theorem_check((lo, hi))
+            report.update({
+                "residual_l2": l2, "residual_linf": linf,
+                "projection_tail": built.tail_norm,
+                "fprime_range": [lo, hi],
+                "stability_verdict": verdict.verdict,
+            })
+        elif isinstance(built, solutions.RossbyHaurwitzWave):
+            psi = built.psi
+            report.update({"speed": built.speed, "degree": built.degree,
+                           "stationary": built.stationary})
+        else:
+            psi = built
+        stat = solutions.verify_stationary(psi, omega)
+        report.update({"advection_l2": stat.l2, "advection_linf": stat.linf,
+                       "stationary": bool(stat.stationary)})
+        snapshot.write_snapshot(ctx.register("solution.shc"), psi)
+        snapshot.write_snapshot_json(ctx.register("solution.json"), psi)
+        ctx.write_json("residual_report.json", report)
+
+    return "make-solution", {"family": kind, "parameters": params}, None, work
 
 
 # ---------------------------------------------------------------------------
@@ -305,87 +363,84 @@ def _fraction_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
-def cmd_stability(args) -> int:
+def cmd_stability(args):
     if args.analysis == "planet":
         name = args.name.lower()
-        try:
-            result = stability.planet_wind_stability(name)
-        except KeyError as exc:
-            raise ConfigError(str(exc))
-        profile, verdict = result["profile"], result["verdict"]
-        payload = {
-            "planet": name,
-            "omega": _fraction_str(result["omega"]),
-            "coefficients": {
-                "alpha": _fraction_str(profile.alpha),
-                "beta": _fraction_str(profile.beta),
-                "gamma": _fraction_str(profile.gamma),
-            },
-            "denominator_quadratic": {
-                "p": _fraction_str(verdict.denominator_quadratic.p),
-                "q": _fraction_str(verdict.denominator_quadratic.q),
-                "discriminant": _fraction_str(verdict.denominator_quadratic.discriminant()),
-            },
-            "chosen_shift": _fraction_str(verdict.chosen_shift) if verdict.chosen_shift is not None else None,
-            "verdict": verdict.verdict,
-        }
-        config = {"analysis": "planet", "name": name}
-        ctx = RunContext(Path(args.outdir), "stability planet", config, None, args.record_wallclock)
-        ctx.write_json("stability_report.json", payload)
-        ctx.finish()
-        print(json.dumps(payload, sort_keys=True, indent=1))
-        return EXIT_OK
+        result = stability.planet_wind_stability(name)  # exact rational arithmetic, no numerics
 
-    if args.analysis == "zonal":
-        config = _load_config(args.config)
-        omega = _require(config, "omega", float)
-        coeffs = {int(k): float(v) for k, v in _require(config, "zonal_coefficients", dict).items()}
-        ks = config.get("wavenumbers", [1, 2])
-        n_basis = _optional_int(config, "basis_size", 48)
-        zp = stability.ZonalProfile.from_zonal_coefficients(coeffs)
-        reports = {}
-        for k in ks:
-            rep = stability.zonal_operator_spectrum(zp, omega, _check_int("wavenumbers", k), n_basis)
-            reports[str(k)] = {
-                "essential_interval": list(rep.essential_interval),
-                "unstable": rep.unstable,
-                "max_growth_rate": rep.max_growth_rate,
-                "pairing_defect": rep.pairing_defect,
-                "discrete_eigenvalues": [[z.real, z.imag] for z in rep.discrete_eigenvalues],
+        def work(ctx):
+            profile, verdict = result["profile"], result["verdict"]
+            payload = {
+                "planet": name,
+                "omega": _fraction_str(result["omega"]),
+                "coefficients": {
+                    "alpha": _fraction_str(profile.alpha),
+                    "beta": _fraction_str(profile.beta),
+                    "gamma": _fraction_str(profile.gamma),
+                },
+                "denominator_quadratic": {
+                    "p": _fraction_str(verdict.denominator_quadratic.p),
+                    "q": _fraction_str(verdict.denominator_quadratic.q),
+                    "discriminant": _fraction_str(verdict.denominator_quadratic.discriminant()),
+                },
+                "chosen_shift": (_fraction_str(verdict.chosen_shift)
+                                 if verdict.chosen_shift is not None else None),
+                "verdict": verdict.verdict,
             }
-        ray = stability.rayleigh_criterion(zp, omega)
-        fjo = stability.fjortoft_criterion(zp, omega, config.get("gamma_samples", [-1.0, 0.0, 1.0]))
-        payload = {
-            "per_wavenumber": reports,
-            "rayleigh": {"met": ray.met, "degenerate": ray.degenerate,
-                         "sign_changes": ray.sign_change_locations},
-            "fjortoft": {"met": fjo.met, "degenerate": fjo.degenerate, "detail": fjo.detail},
-        }
-        ctx = RunContext(Path(args.outdir), "stability zonal", config, None, args.record_wallclock)
-        ctx.write_json("stability_report.json", payload)
-        ctx.finish()
-        print(json.dumps(payload, sort_keys=True, indent=1))
-        return EXIT_OK
+            ctx.write_json("stability_report.json", payload)
+            print(json.dumps(payload, sort_keys=True, indent=1))
 
-    if args.analysis == "rh2":
-        config = _load_config(args.config)
-        lmax = _optional_int(config, "lmax", 15)
-        spec = sht.TruncationSpec.for_lmax(lmax)
-        sim_config = dynamics.SimulationConfig(
-            omega=float(config.get("omega", 0.0)),
-            dt=_require(config, "dt", float),
-            t_end=_require(config, "t_end", float),
-            truncation=spec,
-            diag_stride=_optional_int(config, "diag_stride", 10),
-        )
-        perturbation = _modes_field(config.get("perturbation", []), lmax)
-        y_unit = {int(k): complex(v[0], v[1]) for k, v in _require(config, "y_unit", dict).items()}
+        return "stability planet", {"analysis": "planet", "name": name}, None, work
+
+    config = _load_config(args.config)
+    if args.analysis == "zonal":
+        omega = _get(config, "omega", float)
+        zp = stability.ZonalProfile.from_zonal_coefficients(
+            _get(config, "zonal_coefficients", {int: float}))
+        ks = [_check("wavenumbers", k, int) for k in _get(config, "wavenumbers", list, [1, 2])]
+        n_basis = _get(config, "basis_size", int, 48)
+        gammas = [_check("gamma_samples", g, float)
+                  for g in _get(config, "gamma_samples", list, [-1.0, 0.0, 1.0])]
+        if 0 in ks or n_basis < 1 or not gammas:
+            raise ConfigError("need nonzero wavenumbers, basis_size >= 1 and gamma_samples")
+
+        def work(ctx):
+            reports = {}
+            for k in ks:
+                rep = stability.zonal_operator_spectrum(zp, omega, k, n_basis)
+                reports[str(k)] = {
+                    "essential_interval": list(rep.essential_interval),
+                    "unstable": rep.unstable,
+                    "max_growth_rate": rep.max_growth_rate,
+                    "pairing_defect": rep.pairing_defect,
+                    "discrete_eigenvalues": [[z.real, z.imag] for z in rep.discrete_eigenvalues],
+                }
+            ray = stability.rayleigh_criterion(zp, omega)
+            fjo = stability.fjortoft_criterion(zp, omega, gammas)
+            payload = {
+                "per_wavenumber": reports,
+                "rayleigh": {"met": ray.met, "degenerate": ray.degenerate,
+                             "sign_changes": ray.sign_change_locations},
+                "fjortoft": {"met": fjo.met, "degenerate": fjo.degenerate, "detail": fjo.detail},
+            }
+            ctx.write_json("stability_report.json", payload)
+            print(json.dumps(payload, sort_keys=True, indent=1))
+
+        return "stability zonal", config, None, work
+
+    sim_config = _simulation_config(config, omega=_get(config, "omega", float, 0.0),
+                                    lmax=_get(config, "lmax", int, 15))
+    perturbation = _modes_field(_get(config, "perturbation", list, []), sim_config.lmax)
+    alpha, beta0 = _get(config, "alpha", float, 0.0), _get(config, "beta0", float)
+    y_unit = _get(config, "y_unit", {int: complex})
+    # the experiment's base wave, built here so that its checks run before any output
+    solutions.make_rossby_haurwitz(2, alpha, {m: beta0 * c for m, c in y_unit.items()},
+                                   sim_config.omega, lmax=sim_config.lmax)
+
+    def work(ctx):
         series = stability.rh2_modal_experiment(
-            alpha=float(config.get("alpha", 0.0)),
-            beta0=_require(config, "beta0", float),
-            y_unit=y_unit, perturbation=perturbation, config=sim_config,
-        )
-        ctx = RunContext(Path(args.outdir), "stability rh2", config, None, args.record_wallclock)
+            alpha=alpha, beta0=beta0, y_unit=y_unit, perturbation=perturbation,
+            config=sim_config)
         rows = ["time,quadratic_combination,order_balance,weighted_tail,c1_abs_m,c1_abs_0,c1_abs_p"]
         for i, t in enumerate(series.times):
             rows.append(",".join(repr(float(x)) for x in (
@@ -399,123 +454,119 @@ def cmd_stability(args) -> int:
             "max_weighted_tail": float(np.max(series.weighted_tail)),
             "drift": series.drift_report,
         })
-        ctx.finish()
-        return EXIT_OK
 
-    raise ConfigError(f"unknown stability analysis {args.analysis!r}")
+    return "stability rh2", config, None, work
 
 
 # ---------------------------------------------------------------------------
 # bifurcate
 # ---------------------------------------------------------------------------
 
-def cmd_bifurcate(args) -> int:
+def cmd_bifurcate(args):
     config = _load_config(args.problem)
-    lmax = _optional_int(config, "lmax", 12)
-    fam_cfg = _require(config, "family", dict)
-    kind = fam_cfg.get("kind", "cubic")
+    lmax = _get(config, "lmax", int, 12)
+    fam_cfg = _get(config, "family", dict)
+    kind = _get(fam_cfg, "kind", str, "cubic")
     if kind not in ("cubic", "saturating"):
         raise ConfigError(f"unknown family kind {kind!r}")
-    degree = _require(fam_cfg, "degree", int)
-    steps = _optional_int(config, "steps", 30 if kind == "cubic" else 20)
-    try:
-        ds, direction = float(config.get("ds", 0.05)), float(config.get("direction", 1.0))
-        subspace = bifurcation.build_subspace(config.get("group", "tetrahedral"), lmax)
+    degree = _get(fam_cfg, "degree", int)
+    steps = _get(config, "steps", int, 30 if kind == "cubic" else 20)
+    ds, direction = _get(config, "ds", float, 0.05), _get(config, "direction", float, 1.0)
+    group = _get(config, "group", str, "tetrahedral")
+    if group.lower() not in bifurcation.NAMED_GROUPS:
+        raise ConfigError(f"unknown group {group!r}; known: {sorted(bifurcation.NAMED_GROUPS)}")
+    subspace = bifurcation.build_subspace(group, lmax)
+    if kind == "cubic":
+        family = bifurcation.CubicShiftFamily(
+            mu=_get(fam_cfg, "mu", float), mu1=_get(fam_cfg, "mu1", float), degree=degree)
+        lo, hi = _get(config, "lambda_range", (float, float), [-3.0, 3.0])
+        which = _get(config, "branch_from", int, -1)
+        problem = bifurcation.ContinuationProblem(family=family, subspace=subspace)
+        points = bifurcation.detect_bifurcation_points(problem, (lo, hi))
+        if not points:
+            raise ConfigError("no bifurcation points detected in the range")
+        if not -len(points) <= which < len(points):
+            raise ConfigError(f"branch_from {which} outside the {len(points)} detected points")
+    else:
+        family = bifurcation.SaturatingLinearFamily(
+            beta=_get(fam_cfg, "beta", float), mu=_get(fam_cfg, "mu", float), degree=degree)
+        subspace.generator_index(degree)  # the branch leaves this degree's invariant line
+
+    def work(ctx):
         if kind == "cubic":
-            family = bifurcation.CubicShiftFamily(
-                mu=float(fam_cfg["mu"]), mu1=float(fam_cfg["mu1"]), degree=degree)
-            problem = bifurcation.ContinuationProblem(family=family, subspace=subspace)
-            lo, hi = config.get("lambda_range", [-3.0, 3.0])
-            points = bifurcation.detect_bifurcation_points(problem, (float(lo), float(hi)))
-            if not points:
-                raise ConfigError("no bifurcation points detected in the range")
-            which = _optional_int(config, "branch_from", len(points) - 1)
-            if not -len(points) <= which < len(points):
-                raise ConfigError(f"branch_from {which} outside the {len(points)} detected points")
             branch = bifurcation.continue_branch(problem, points[which], steps=steps, ds=ds,
                                                  direction=direction)
+            detected = points
         else:
-            family = bifurcation.SaturatingLinearFamily(
-                beta=float(fam_cfg["beta"]), mu=float(fam_cfg["mu"]), degree=degree)
             branch = bifurcation.omega_branch(family, subspace, steps=steps, ds=ds,
                                               direction=direction)
-            points = [branch.origin]
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(str(exc))
+            detected = [branch.origin]
+        rows = ["lambda,amplitude,residual,full_residual,sup_psi,sup_vorticity,arclength,within_bounds"]
+        for p in branch.points:
+            rows.append(",".join(repr(float(x)) for x in (
+                p.lam, float(np.linalg.norm(p.x)), p.residual, p.full_residual,
+                p.sup_psi, p.sup_vorticity, p.arclength)) + f",{int(p.within_bounds)}")
+        ctx.write_text("branch.csv", "\n".join(rows) + "\n")
+        stride = max(1, len(branch.points) // 5)
+        for idx in range(0, len(branch.points), stride):
+            field = subspace.assemble(branch.points[idx].x)
+            snapshot.write_snapshot(ctx.register(f"branch_point_{idx:04d}.shc"), field,
+                                    time=branch.points[idx].arclength)
+        ctx.write_json("branch_report.json", {
+            "status": branch.status,
+            "origin_lambda": branch.origin.lam,
+            "origin_degree": branch.origin.degree,
+            "detected_points": [[p.lam, p.degree] for p in detected],
+            "n_points": len(branch.points),
+            "subspace_dimensions": {str(k): v for k, v in subspace.dimension_by_degree.items()},
+        })
+        if args.svg:
+            lam = branch.lambdas()
+            amp = np.array([np.linalg.norm(p.x) for p in branch.points])
+            _write_svg(ctx.register("branch.svg"), [("amplitude vs lambda", lam, amp)])
 
-    ctx = RunContext(Path(args.outdir), "bifurcate", config, None, args.record_wallclock)
-    rows = ["lambda,amplitude,residual,full_residual,sup_psi,sup_vorticity,arclength,within_bounds"]
-    for p in branch.points:
-        rows.append(",".join(repr(float(x)) for x in (
-            p.lam, float(np.linalg.norm(p.x)), p.residual, p.full_residual,
-            p.sup_psi, p.sup_vorticity, p.arclength)) + f",{int(p.within_bounds)}")
-    ctx.write_text("branch.csv", "\n".join(rows) + "\n")
-    stride = max(1, len(branch.points) // 5)
-    for idx in range(0, len(branch.points), stride):
-        field = subspace.assemble(branch.points[idx].x)
-        snapshot.write_snapshot(ctx.register(f"branch_point_{idx:04d}.shc"), field,
-                                time=branch.points[idx].arclength)
-    ctx.write_json("branch_report.json", {
-        "status": branch.status,
-        "origin_lambda": branch.origin.lam,
-        "origin_degree": branch.origin.degree,
-        "detected_points": [[p.lam, p.degree] for p in points],
-        "n_points": len(branch.points),
-        "subspace_dimensions": {str(k): v for k, v in subspace.dimension_by_degree.items()},
-    })
-    if args.svg:
-        lam = branch.lambdas()
-        amp = np.array([np.linalg.norm(p.x) for p in branch.points])
-        _write_svg(ctx.register("branch.svg"), [("amplitude vs lambda", lam, amp)])
-    ctx.finish()
-    return EXIT_OK
+    return "bifurcate", config, None, work
 
 
 # ---------------------------------------------------------------------------
 # lift3d
 # ---------------------------------------------------------------------------
 
-def cmd_lift3d(args) -> int:
-    config = {
-        "family": args.family, "epsilon": args.epsilon, "phi0": args.phi0,
-        "omega": args.omega, "g": args.g, "density_a": args.density_a,
-        "density_b": args.density_b, "samples": args.samples, "z_max": args.z_max,
-        "lmax": args.lmax, "seeds": args.seeds, "t_end": args.t_end, "dt": args.dt,
-    }
-    try:
-        make = {"log": solutions.make_log_solution, "exp": solutions.make_exp_solution}[args.family]
-    except KeyError:
+def cmd_lift3d(args):
+    config = {key: getattr(args, key) for key in (
+        "family", "epsilon", "phi0", "omega", "g", "density_a", "density_b", "samples",
+        "z_max", "lmax", "seeds", "t_end", "dt")}
+    for key, value in config.items():  # argparse's float() takes "nan" and "inf"
+        if isinstance(value, float):
+            _check(key, value, float)
+    if args.samples < 1:
+        raise ConfigError(f"samples must be positive, got {args.samples}")
+    seeds = [_check("seeds entry", s, (float, float, float))
+             for s in _parse_json(args.seeds, "--seeds", list)] if args.seeds else []
+    make = {"log": solutions.make_log_solution, "exp": solutions.make_exp_solution}.get(args.family)
+    if make is None:
         raise ConfigError(f"family must be 'log' or 'exp', got {args.family!r}")
-    try:
-        base = make(args.epsilon, args.phi0, lmax=args.lmax)
-        density = stratosphere.DensityProfile(a=args.density_a, b=args.density_b)
-        field = stratosphere.lift_solution(base, density, omega=args.omega, g=args.g)
-    except (ValueError, stratosphere.LiftError) as exc:
-        raise ConfigError(str(exc))
+    base = make(args.epsilon, args.phi0, lmax=args.lmax)
+    density = stratosphere.DensityProfile(a=args.density_a, b=args.density_b)
+    field = stratosphere.lift_solution(base, density, omega=args.omega, g=args.g)
+    t_end = args.t_end if args.t_end else 2.0 * math.pi / max(abs(args.omega), 1e-6)
+    dt = args.dt if args.dt else t_end / 10000
 
-    ctx = RunContext(Path(args.outdir), "lift3d", config, None, args.record_wallclock)
-    n = args.samples
-    phis = 2.0 * math.pi * np.arange(n) / n
-    thetas = np.arcsin(np.linspace(-0.98, 0.98, n))
-    zs = np.linspace(0.0, args.z_max, n)
-    rows = ["phi,theta,z,psi,u,v,p,T"]
-    pp, tt, zz = np.meshgrid(phis, thetas, zs, indexing="ij")
-    psi = field.stream(pp, tt, zz, 0.0)
-    u = field.u0(pp, tt, zz, 0.0)
-    v = field.v0(pp, tt, zz, 0.0)
-    p = field.p0(pp, tt, zz, 0.0)
-    temp = field.temperature(pp, tt, zz, 0.0)
-    flat = [x.ravel() for x in (pp, tt, zz, psi, u, v, p, temp)]
-    for vals in zip(*flat):
-        rows.append(",".join(repr(float(x)) for x in vals))
-    ctx.write_text("fields.csv", "\n".join(rows) + "\n")
-
-    seeds = json.loads(args.seeds) if args.seeds else []
-    if seeds:
-        t_end = args.t_end if args.t_end else 2.0 * math.pi / max(abs(args.omega), 1e-6)
-        dt = args.dt if args.dt else t_end / 10000
-        trajectories = stratosphere.particle_paths(
-            field, [tuple(map(float, s)) for s in seeds], t_end, dt)
+    def work(ctx):
+        n = args.samples
+        phis = 2.0 * math.pi * np.arange(n) / n
+        thetas = np.arcsin(np.linspace(-0.98, 0.98, n))
+        zs = np.linspace(0.0, args.z_max, n)
+        rows = ["phi,theta,z,psi,u,v,p,T"]
+        grid = np.meshgrid(phis, thetas, zs, indexing="ij")
+        values = [*grid] + [f(*grid, 0.0) for f in (field.stream, field.u0, field.v0, field.p0,
+                                                     field.temperature)]
+        for vals in zip(*(x.ravel() for x in values)):
+            rows.append(",".join(repr(float(x)) for x in vals))
+        ctx.write_text("fields.csv", "\n".join(rows) + "\n")
+        if not seeds:
+            return
+        trajectories = stratosphere.particle_paths(field, seeds, t_end, dt)
         for i, traj in enumerate(trajectories):
             rows = ["t,phi,theta"]
             for j in range(traj.times.size):
@@ -526,8 +577,8 @@ def cmd_lift3d(args) -> int:
             "level_drifts": [t.level_drift for t in trajectories],
             "t_end": t_end, "dt": dt,
         })
-    ctx.finish()
-    return EXIT_OK
+
+    return "lift3d", config, None, work
 
 
 # ---------------------------------------------------------------------------
@@ -552,13 +603,15 @@ def _selftest_checks(lmax: int) -> list[tuple[str, float, float]]:
     checks.append(("quadrature weight sum", abs(float(np.sum(grid.weights)) - 2.0), 1e-14))
     checks.append(("quadrature s^4 moment", abs(float(grid.weights @ grid.nodes**4) - 0.4), 1e-14))
 
+    # from the exact unit coefficient: analysis round-off is the round trip's to measure
     worst = 0.0
-    for l in (1, 2, min(5, lmax)):
+    for l in {1, min(2, lmax), min(5, lmax)}:
         for m in range(0, l + 1):
-            y = sht.harmonic(l, m, grid)
-            lap = sht.laplacian(tr.analysis(y.values, real_valued=False))
-            back = tr.synthesis(lap).values
-            worst = max(worst, float(np.max(np.abs(back + l * (l + 1) * y.values))))
+            unit = sht.SpectralField.zeros(lmax, real_valued=False)
+            unit.set(l, m, 1.0)
+            back = tr.synthesis(sht.laplacian(unit)).values
+            y = sht.harmonic(l, m, grid).values
+            worst = max(worst, float(np.max(np.abs(back + l * (l + 1) * y))))
     checks.append(("eigenrelation", worst, 1e-11))
 
     rot = sht.RotationSpec(0.31, 0.77, -0.21)
@@ -587,24 +640,26 @@ def _selftest_checks(lmax: int) -> list[tuple[str, float, float]]:
     return checks
 
 
-def cmd_selftest(args) -> int:
-    checks = _selftest_checks(args.lmax)
-    width = max(len(name) for name, _, _ in checks)
-    failed = 0
-    lines = []
-    for name, measured, tol in checks:
-        ok = measured <= tol
-        failed += 0 if ok else 1
-        status = "PASS" if ok else "FAIL"
-        lines.append(f"{name:<{width}}  {measured:.3e} <= {tol:.0e}  {status}")
-    report = "\n".join(lines)
-    print(report)
-    if args.outdir:
-        ctx = RunContext(Path(args.outdir), "sht-selftest", {"lmax": args.lmax}, None,
-                         args.record_wallclock)
-        ctx.write_text("selftest.txt", report + "\n")
-        ctx.finish()
-    return EXIT_OK if failed == 0 else EXIT_ASSERTION
+def cmd_selftest(args):
+    sht.TruncationSpec.for_lmax(args.lmax)
+
+    def work(ctx):
+        checks = _selftest_checks(args.lmax)
+        width = max(len(name) for name, _, _ in checks)
+        failed = 0
+        lines = []
+        for name, measured, tol in checks:
+            ok = measured <= tol
+            failed += 0 if ok else 1
+            status = "PASS" if ok else "FAIL"
+            lines.append(f"{name:<{width}}  {measured:.3e} <= {tol:.0e}  {status}")
+        report = "\n".join(lines)
+        print(report)
+        if ctx is not None:
+            ctx.write_text("selftest.txt", report + "\n")
+        return EXIT_OK if failed == 0 else EXIT_ASSERTION
+
+    return "sht-selftest", {"lmax": args.lmax} if args.outdir else None, None, work
 
 
 # ---------------------------------------------------------------------------
@@ -632,12 +687,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("make-solution", help="materialize an explicit solution family member")
-    p.add_argument("--family", required=True,
-                   choices=sorted(solutions.SOLUTION_KINDS) + ["log", "exp"])
+    p.add_argument("--family", required=True, choices=sorted(SOLUTION_KINDS) + ["log", "exp"])
     p.add_argument("--params", default="", help="JSON object of family parameters")
     p.add_argument("--params-file", default="", help="JSON file of family parameters")
     common(p)
-    p.set_defaults(func=_dispatch_make_solution)
+    p.set_defaults(func=cmd_make_solution)
 
     p = sub.add_parser("stability", help="stability analyses with JSON reports")
     p.add_argument("analysis", choices=["zonal", "rh2", "planet"])
@@ -676,19 +730,20 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _dispatch_make_solution(args) -> int:
-    if args.family in ("log", "exp"):
-        args.family = f"{args.family}_family"
-    return cmd_make_solution(args)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        try:
+            command, config, seed, work = args.func(args)
+        except (ValueError, OSError) as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        ctx = None if config is None else RunContext(
+            Path(args.outdir), command, config, seed, args.record_wallclock)
+        status = work(ctx)
+        if ctx is not None:
+            ctx.finish()
+        return status or EXIT_OK
     except (dynamics.SimulationBlowup, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

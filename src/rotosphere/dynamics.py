@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from . import fields, sht
-from .sht import SpectralField, TruncationSpec
+from .sht import SpectralField
 
 logger = logging.getLogger(__name__)
 
@@ -36,12 +36,14 @@ class SimulationConfig:
     omega: float
     dt: float
     t_end: float
-    truncation: TruncationSpec
+    lmax: int
     diag_stride: int = 10
     snapshot_stride: int | None = None
     filter_strength: float = 0.0
 
     def __post_init__(self):
+        if self.lmax < 1:
+            raise sht.GridShapeError(f"lmax must be >= 1, got {self.lmax}")
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.t_end < 0.0:
@@ -57,6 +59,15 @@ class SimulationConfig:
     def n_steps(self) -> int:
         return int(round(self.t_end / self.dt))
 
+    def check_initial(self, initial: SpectralField) -> None:
+        """Raise unless `initial` is a real, zero-mean vorticity of degree `lmax`."""
+        if not initial.real_valued or initial.reality_defect() > 1e-12:
+            raise ValueError("initial vorticity must be real-valued")
+        if abs(initial.mean_coefficient) > 1e-12 * max(initial.norm(), 1.0):
+            raise sht.MeanConstraintError("initial vorticity must have zero mean")
+        if initial.lmax != self.lmax:
+            raise sht.GridShapeError("initial field truncation does not match config")
+
 
 @dataclasses.dataclass
 class SimulationState:
@@ -69,19 +80,17 @@ class SimulationState:
         return sht.invert_laplacian(self.vorticity)
 
 
-def tendency(state: SimulationState, omega: float,
-             transform: sht.Transform | None = None) -> SpectralField:
+def tendency(state: SimulationState, omega: float) -> SpectralField:
     """Vorticity tendency: minus the advection of total vorticity by the flow."""
     sht.require_zero_mean(state.vorticity)
-    tr = transform if transform is not None else sht.dealiased_transform(state.vorticity.lmax)
-    return SpectralField.from_halves(_tendency_half(state.vorticity.real_half(), omega, tr))
+    return SpectralField.from_halves(_tendency_half(state.vorticity.real_half(), omega))
 
 
-def _tendency_half(vort: np.ndarray, omega: float, transform: sht.Transform) -> np.ndarray:
+def _tendency_half(vort: np.ndarray, omega: float) -> np.ndarray:
     """`tendency` on the m >= 0 half table of a zero-mean real vorticity."""
     q = vort.copy()
     q[1, 0] += fields.coriolis_stream_coefficient(omega)
-    return -fields.advection(sht.inverse_laplacian_table(vort), q, transform)
+    return -fields.advection(sht.inverse_laplacian_table(vort), q)
 
 
 def _spectral_filter(lmax: int, strength: float, dt: float) -> np.ndarray | None:
@@ -91,19 +100,17 @@ def _spectral_filter(lmax: int, strength: float, dt: float) -> np.ndarray | None
     return np.exp(-strength * dt * l**8)[:, None]
 
 
-def step(state: SimulationState, config: SimulationConfig,
-         transform: sht.Transform | None = None) -> SimulationState:
+def step(state: SimulationState, config: SimulationConfig) -> SimulationState:
     """One RK4 step on the m >= 0 half table; the full table, exactly real,
     is rebuilt once at the end."""
     sht.require_zero_mean(state.vorticity)
-    tr = transform if transform is not None else sht.dealiased_transform(state.vorticity.lmax)
     lmax = state.vorticity.lmax
     dt = config.dt
     c0 = state.vorticity.real_half()
-    k1 = _tendency_half(c0, config.omega, tr)
-    k2 = _tendency_half(c0 + 0.5 * dt * k1, config.omega, tr)
-    k3 = _tendency_half(c0 + 0.5 * dt * k2, config.omega, tr)
-    k4 = _tendency_half(c0 + dt * k3, config.omega, tr)
+    k1 = _tendency_half(c0, config.omega)
+    k2 = _tendency_half(c0 + 0.5 * dt * k1, config.omega)
+    k3 = _tendency_half(c0 + 0.5 * dt * k2, config.omega)
+    k4 = _tendency_half(c0 + dt * k3, config.omega)
     new_coeffs = c0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.all(np.isfinite(new_coeffs)):
         bad = int(np.count_nonzero(~np.isfinite(new_coeffs)))
@@ -177,14 +184,7 @@ def run(initial: SpectralField, config: SimulationConfig,
     snapshots of the state are kept at `snapshot_stride` (or just the
     endpoints when `keep_states` is false and no stride is given).
     """
-    if not initial.real_valued or initial.reality_defect() > 1e-12:
-        raise ValueError("initial vorticity must be real-valued")
-    if abs(initial.mean_coefficient) > 1e-12 * max(initial.norm(), 1.0):
-        raise sht.MeanConstraintError("initial vorticity must have zero mean")
-    if initial.lmax != config.truncation.lmax:
-        raise sht.GridShapeError("initial field truncation does not match config")
-
-    tr = sht.transform_for(TruncationSpec.dealiased(config.truncation.lmax))
+    config.check_initial(initial)
     state = SimulationState(time=0.0, vorticity=initial.copy())
     cfl = cfl_advisory(state, config)
     if not cfl["advisory_ok"]:
@@ -195,7 +195,7 @@ def run(initial: SpectralField, config: SimulationConfig,
     diags = [fields.diagnostics(state.stream_function(), 0.0)]
     n = config.n_steps
     for i in range(1, n + 1):
-        state = step(state, config, tr)
+        state = step(state, config)
         if i % config.diag_stride == 0 or i == n:
             diags.append(fields.diagnostics(state.stream_function(), state.time))
         if keep_states or (snap_stride is not None and i % snap_stride == 0) or i == n:

@@ -47,8 +47,8 @@ def velocity_from_stream(psi: SpectralField, transform: Transform | None = None)
     return VelocityField(u=GridField(-dtheta, tr.grid), v=GridField(dphi_over_cos, tr.grid))
 
 
-def advection(psi: SpectralField | np.ndarray, q: SpectralField | np.ndarray,
-              transform: Transform | None = None) -> SpectralField | np.ndarray:
+def advection(psi: SpectralField | np.ndarray,
+              q: SpectralField | np.ndarray) -> SpectralField | np.ndarray:
     """Spectral coefficients of the advection bracket of psi acting on q.
 
     Computes (1/cos)[-psi_theta d_phi + psi_phi d_theta] q pseudospectrally
@@ -67,7 +67,7 @@ def advection(psi: SpectralField | np.ndarray, q: SpectralField | np.ndarray,
             raise ValueError("advection expects real-valued fields")
         psi, q = psi.real_half(), q.real_half()
     halves = np.stack([psi, q])
-    tr = transform if transform is not None else sht.dealiased_transform(halves.shape[1] - 1)
+    tr = sht.dealiased_transform(halves.shape[1] - 1)
     dtheta, dphi_over_cos = tr.gradient_values(halves)
     bracket = -dtheta[0] * dphi_over_cos[1] + dphi_over_cos[0] * dtheta[1]
     out = tr.analysis(bracket[None])[0]

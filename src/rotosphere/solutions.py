@@ -313,7 +313,7 @@ def verify_stationary(psi: SpectralField, omega: float,
     q = sht.laplacian(psi)
     q.add_to(1, 0, fields.coriolis_stream_coefficient(omega))
     tr = sht.dealiased_transform(psi.lmax)
-    bracket = fields.advection(psi, q, tr)
+    bracket = fields.advection(psi, q)
     l2 = bracket.norm()
     linf = tr.max_abs(bracket)
     return StationarityReport(l2=l2, linf=linf, tolerance=tolerance)
@@ -358,58 +358,3 @@ def stable_epsilon_threshold(family: str, eps_lo: float = 1e-3, eps_hi: float = 
         else:
             hi = mid
     return lo
-
-
-# ---------------------------------------------------------------------------
-# CLI-facing solution specification
-# ---------------------------------------------------------------------------
-
-SOLUTION_KINDS = ("zonal_harmonic", "rossby_haurwitz", "travelling", "log_family",
-                  "exp_family", "rotated")
-
-
-@dataclasses.dataclass
-class SolutionSpec:
-    """Declarative description of a solution family member."""
-
-    kind: str
-    parameters: dict
-
-    def __post_init__(self):
-        if self.kind not in SOLUTION_KINDS:
-            raise ValueError(f"unknown solution kind {self.kind!r}; expected one of {SOLUTION_KINDS}")
-
-
-def build_solution(spec: SolutionSpec):
-    """Materialize a SolutionSpec; returns a wave or an elliptic solution."""
-    p = spec.parameters
-    if spec.kind == "zonal_harmonic":
-        lmax = int(p.get("lmax", 15))
-        psi = SpectralField.zeros(lmax)
-        for entry in p["components"]:
-            psi.set(int(entry["l"]), 0, float(entry["coefficient"]))
-        psi.enforce_reality()
-        return psi
-    if spec.kind in ("rossby_haurwitz", "travelling"):
-        ycoeffs = {int(k): complex(v[0], v[1]) for k, v in p["ycoeffs"].items()}
-        return make_rossby_haurwitz(
-            j=int(p["degree"]), alpha=float(p.get("alpha", 0.0)),
-            ycoeffs=ycoeffs, omega=float(p.get("omega", 0.0)),
-            lmax=p.get("lmax"),
-        )
-    if spec.kind == "log_family":
-        return make_log_solution(float(p["epsilon"]), float(p.get("phi0", 0.0)),
-                                 int(p.get("lmax", 63)))
-    if spec.kind == "exp_family":
-        return make_exp_solution(float(p["epsilon"]), float(p.get("phi0", 0.0)),
-                                 int(p.get("lmax", 63)))
-    if spec.kind == "rotated":
-        inner = build_solution(SolutionSpec(kind=p["base"]["kind"],
-                                            parameters=p["base"]["parameters"]))
-        rot = RotationSpec(*[float(x) for x in p.get("rotation", (0.0, 0.0, 0.0))])
-        if isinstance(inner, EllipticSolution):
-            return rotate_solution(inner, rot)
-        if isinstance(inner, RossbyHaurwitzWave):
-            return dataclasses.replace(inner, psi=sht.rotate(inner.psi, rot))
-        return sht.rotate(inner, rot)
-    raise AssertionError("unreachable")

@@ -58,6 +58,8 @@ class ZonalProfile:
     @classmethod
     def from_zonal_coefficients(cls, coeffs: dict[int, float]) -> "ZonalProfile":
         """Profile from coefficients of the orthonormal zonal harmonics."""
+        if not coeffs or min(coeffs) < 0:
+            raise ValueError(f"zonal coefficients need degrees >= 0, got {sorted(coeffs)}")
         leg = np.zeros(max(coeffs) + 1)
         vort_leg = np.zeros_like(leg)
         for l, a in coeffs.items():
@@ -465,10 +467,9 @@ WORKED_PLANET_FITS = {
 
 def planet_wind_stability(name: str) -> dict:
     """Exact fit plus stability verdict for one of the worked planetary profiles."""
-    try:
-        setup = WORKED_PLANET_FITS[name.lower()]
-    except KeyError:
-        raise KeyError(f"no worked profile for {name!r}; have {sorted(WORKED_PLANET_FITS)}")
+    if name.lower() not in WORKED_PLANET_FITS:
+        raise ValueError(f"no worked profile for {name!r}; have {sorted(WORKED_PLANET_FITS)}")
+    setup = WORKED_PLANET_FITS[name.lower()]
     profile = fit_quintic_profile(setup["cos_critical"], setup["min_value"], setup["max_value"])
     verdict = theorem42_check(profile, setup["omega"])
     return {"profile": profile, "verdict": verdict, "omega": setup["omega"]}
@@ -498,7 +499,7 @@ def rh2_modal_experiment(alpha: float, beta0: float, y_unit: dict[int, complex],
     run records the constrained modal combinations whose deviations bound
     energy transfer inside degree 2.
     """
-    lmax = config.truncation.lmax
+    lmax = config.lmax
     wave = solutions.make_rossby_haurwitz(2, alpha, {m: beta0 * c for m, c in y_unit.items()},
                                           config.omega, lmax=lmax)
     psi0 = wave.psi

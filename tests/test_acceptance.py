@@ -139,7 +139,7 @@ def test_05_travelling_wave_dynamics():
     n_periods = 10
     cfg = dynamics.SimulationConfig(
         omega=omega, dt=period / 2000, t_end=n_periods * period,
-        truncation=sht.TruncationSpec.for_lmax(lmax), diag_stride=500)
+        lmax=lmax, diag_stride=500)
     res = dynamics.run(sht.laplacian(wave.psi), cfg)
 
     final = sht.invert_laplacian(res.states[-1].vorticity)
@@ -163,7 +163,7 @@ def test_05_travelling_wave_dynamics():
     for divisions in (100, 200, 400):
         c2 = dynamics.SimulationConfig(
             omega=1.0, dt=p2 / divisions, t_end=p2,
-            truncation=sht.TruncationSpec.for_lmax(lm), diag_stride=divisions)
+            lmax=lm, diag_stride=divisions)
         r2 = dynamics.run(sht.laplacian(wave2.psi), c2)
         f2 = sht.invert_laplacian(r2.states[-1].vorticity)
         ph = np.angle(f2.get(2, 1) / wave2.psi.get(2, 1))
@@ -192,7 +192,7 @@ def test_06_degree_two_modal_mechanics():
         pert.enforce_reality()
         cfg = dynamics.SimulationConfig(
             omega=0.0, dt=0.01, t_end=4.0,
-            truncation=sht.TruncationSpec.for_lmax(lmax), diag_stride=20)
+            lmax=lmax, diag_stride=20)
         series = stability.rh2_modal_experiment(
             alpha=0.4, beta0=1.0, y_unit={0: 1.0}, perturbation=pert, config=cfg)
         quad_devs.append(float(np.max(np.abs(series.quadratic_combination - 1.0))))
@@ -218,7 +218,7 @@ def test_06_degree_two_modal_mechanics():
         t_end = 0.55 * beat
         cfg = dynamics.SimulationConfig(
             omega=omega, dt=0.05, t_end=t_end,
-            truncation=sht.TruncationSpec.for_lmax(lm), diag_stride=40)
+            lmax=lm, diag_stride=40)
         res = dynamics.run(sht.laplacian(pert_wave.psi), cfg, keep_states=True)
         bound = stability.instability_separation_bound(2, 1.0, ycoeffs, n)
         sup = 0.0

@@ -1,11 +1,15 @@
+import copy
 import hashlib
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rotosphere import cli, snapshot
+from rotosphere import cli, snapshot, solutions
 
 
 def run_cli(argv):
@@ -74,11 +78,16 @@ class TestSimulate:
         {"initial": {"kind": "modes", "coefficients": [[3, 5, 1.0, 0.0]]}},
         {"nlat": 12, "nlon": 24},
         {"lmax": 8.7},
-    ], ids=["string-stride", "mode-outside-table", "grid-keys", "fractional-lmax"])
+        {"dt": "0.05"},
+        {"initial": {"kind": "modes", "coefficients": [[2, 1]]}},
+        {"t_end": 0.2, "dt": 0.07},
+    ], ids=["string-stride", "mode-outside-table", "grid-keys", "fractional-lmax",
+            "string-dt", "short-mode-entry", "t-end-not-multiple"])
     def test_malformed_config_is_config_error(self, tmp_path, capsys, change):
         cfg = write_json(tmp_path / "sim.json", dict(SIM_CONFIG, **change))
         assert run_cli(["simulate", cfg, "--outdir", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "o").exists()
 
     def test_blowup_is_numerical_failure(self, tmp_path):
         config = dict(SIM_CONFIG, dt=20.0, t_end=2000.0, lmax=10,
@@ -153,6 +162,23 @@ class TestStabilityCommands:
         cfg = write_json(tmp_path / "rh2.json", config)
         assert run_cli(["stability", "rh2", "--config", cfg, "--outdir", str(tmp_path / "r")]) == 2
 
+    ZONAL_CONFIG = {"omega": 2.0, "zonal_coefficients": {"1": 1.0, "2": 1.0},
+                    "wavenumbers": [1], "basis_size": 24}
+
+    @pytest.mark.parametrize("analysis, change", [
+        ("zonal", {"zonal_coefficients": {"a": 1}}),
+        ("zonal", {"wavenumbers": [0]}),
+        ("rh2", {"dt": -1}),
+        ("rh2", {"t_end": 0.2, "dt": 0.07}),
+    ], ids=["non-integer-degree", "zero-wavenumber", "negative-dt", "t-end-not-multiple"])
+    def test_malformed_config_is_config_error(self, tmp_path, capsys, analysis, change):
+        base = self.ZONAL_CONFIG if analysis == "zonal" else self.RH2_CONFIG
+        cfg = write_json(tmp_path / "cfg.json", dict(base, **change))
+        out = tmp_path / "r"
+        assert run_cli(["stability", analysis, "--config", cfg, "--outdir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
 
 class TestMakeSolution:
     def test_log_family_report(self, tmp_path):
@@ -173,6 +199,54 @@ class TestMakeSolution:
         assert run_cli(["make-solution", "--family", "log",
                         "--params", '{"epsilon": 2.0}',
                         "--outdir", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("family, params", [
+        ("log", '{"epsilon": "0.2"}'),
+        ("log", '{"epsilon": 0.2, "lmax": 8.7}'),
+        ("rossby_haurwitz", '{"degree": 2, "ycoeffs": {"1": [0.3, 0.1]}, "lmax": 8.7}'),
+        ("log", '{bad'),
+        ("log", '[1,2]'),
+    ], ids=["string-epsilon", "fractional-lmax", "fractional-wave-lmax", "bad-json",
+            "non-object"])
+    def test_malformed_config_is_config_error(self, tmp_path, capsys, family, params):
+        out = tmp_path / "x"
+        assert run_cli(["make-solution", "--family", family, "--params", params,
+                        "--outdir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
+    def _report(self, tmp_path, family, params):
+        out = tmp_path / "sol"
+        assert run_cli(["make-solution", "--family", family, "--params", json.dumps(params),
+                        "--outdir", str(out)]) == 0
+        return json.loads((out / "residual_report.json").read_text())
+
+    def test_unknown_kind_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        params = {"base": {"kind": "vortex_street", "parameters": {}}}
+        assert run_cli(["make-solution", "--family", "rotated", "--params", json.dumps(params),
+                        "--outdir", str(out)]) == 2
+        assert "unknown solution kind 'vortex_street'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_build_log_family(self, tmp_path):
+        report = self._report(tmp_path, "log_family", {"epsilon": 0.2, "lmax": 15})
+        assert report["family"] == "log_family"
+        assert report["residual_linf"] < 1e-8
+        assert report["stability_verdict"] == "stable"
+
+    def test_build_rotated(self, tmp_path):
+        report = self._report(tmp_path, "rotated", {
+            "base": {"kind": "exp_family", "parameters": {"epsilon": 0.2, "lmax": 15}},
+            "rotation": [0.1, 0.5, 0.0],
+        })
+        assert report["advection_linf"] < 1e-8
+
+    def test_build_travelling(self, tmp_path):
+        report = self._report(tmp_path, "travelling", {
+            "degree": 2, "alpha": 0.5, "omega": 1.0, "ycoeffs": {"1": [0.3, 0.1]}})
+        assert report["degree"] == 2
+        assert report["speed"] == solutions.rossby_haurwitz_speed(2, 0.5, 1.0)
 
 
 class TestBifurcate:
@@ -197,8 +271,9 @@ class TestBifurcate:
     @pytest.mark.parametrize("change", [
         {"lmax": 12.5}, {"steps": "8"}, {"branch_from": True},
         {"family": {"kind": "cubic", "mu": 1.0, "mu1": 1.0, "degree": 3.0}},
-        {"branch_from": 7},
-    ], ids=["fractional-lmax", "string-steps", "bool-branch", "float-degree", "branch-outside"])
+        {"branch_from": 7}, {"ds": "0.05"},
+    ], ids=["fractional-lmax", "string-steps", "bool-branch", "float-degree", "branch-outside",
+            "string-ds"])
     def test_malformed_config_is_config_error(self, tmp_path, capsys, change):
         cfg = write_json(tmp_path / "prob.json", {
             "group": "tetrahedral", "lmax": 12,
@@ -240,17 +315,100 @@ class TestLift3d:
         assert run_cli(["lift3d", "--omega", "1", "--family", "cubic",
                         "--outdir", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("flags", [["--seeds", "[[0.5"], ["--samples", "-1"]],
+                             ids=["bad-seeds-json", "negative-samples"])
+    def test_malformed_config_is_config_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "x"
+        assert run_cli(["lift3d", "--omega", "18", "--epsilon", "0.1", "--lmax", "8", *flags,
+                        "--outdir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
 
 class TestSelftest:
     def test_passes_and_writes_report(self, tmp_path, capsys):
-        out = tmp_path / "st"
-        assert run_cli(["sht-selftest", "--lmax", "15", "--outdir", str(out)]) == 0
-        text = capsys.readouterr().out
-        assert "PASS" in text and "FAIL" not in text
-        assert (out / "selftest.txt").exists()
+        for lmax in (15, 31):
+            out = tmp_path / f"st{lmax}"
+            assert run_cli(["sht-selftest", "--lmax", str(lmax), "--outdir", str(out)]) == 0
+            text = capsys.readouterr().out
+            assert "PASS" in text and "FAIL" not in text
+            assert (out / "selftest.txt").exists()
 
     def test_failed_check_exits_with_assertion_code(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "_selftest_checks",
                             lambda lmax: [("forced failure", 1.0, 1e-12)])
         assert run_cli(["sht-selftest", "--lmax", "4"]) == 4
         assert "FAIL" in capsys.readouterr().out
+
+
+# A valid small config of each command; the fuzz test below breaks one key.
+FUZZ_BIFURCATE = {
+    "group": "tetrahedral", "lmax": 8, "steps": 4, "ds": 0.08, "lambda_range": [0.0, 2.0],
+    "family": {"kind": "cubic", "mu": 1.0, "mu1": 1.0, "degree": 3},
+}
+FUZZ_WAVE = {"degree": 2, "alpha": 0.5, "omega": 1.0, "ycoeffs": {"1": [0.3, 0.1]}}
+FUZZ_CASES = [
+    (["simulate"], dict(SIM_CONFIG, snapshot_stride=5, seed=1)),
+    (["simulate"], dict(SIM_CONFIG, initial=dict(FUZZ_WAVE, kind="rossby_haurwitz"))),
+    (["stability", "zonal"], TestStabilityCommands.ZONAL_CONFIG),
+    (["stability", "rh2"], TestStabilityCommands.RH2_CONFIG),
+    (["bifurcate"], FUZZ_BIFURCATE),
+    (["bifurcate"], dict(FUZZ_BIFURCATE, family={"kind": "saturating", "beta": 1.0, "mu": 1.0,
+                                                 "degree": 3})),
+    (["make-solution", "--family", "log"], {"epsilon": 0.3, "phi0": 0.1, "lmax": 8}),
+    (["make-solution", "--family", "travelling"], dict(FUZZ_WAVE, lmax=8)),
+    (["make-solution", "--family", "rotated"], {
+        "base": {"kind": "exp_family", "parameters": {"epsilon": 0.2, "lmax": 8}},
+        "rotation": [0.1, 0.5, 0.0]}),
+    (["make-solution", "--family", "zonal_harmonic"],
+     {"lmax": 8, "components": [{"l": 2, "coefficient": 1.0}]}),
+    (["lift3d"], {"omega": 18.0, "epsilon": 0.1, "lmax": 8, "samples": 2,
+                  "seeds": [[0.5, 0.4, 0.2]], "t-end": 0.05, "dt": 0.005}),
+]
+DELETE = object()
+FUZZ_VALUES = st.sampled_from(["x", True, {}, None, math.nan, -1, -2.5, [1.0],
+                               [1.0, 2.0, 3.0, 4.0, 5.0], DELETE])
+
+
+def _key_paths(value, prefix=()):
+    if prefix:
+        yield prefix
+    children = (value.items() if isinstance(value, dict)
+                else enumerate(value) if isinstance(value, list) else ())
+    for key, child in children:
+        yield from _key_paths(child, prefix + (key,))
+
+
+def _fuzz_argv(prefix, config, tmp):
+    if prefix[0] == "make-solution":
+        return prefix + ["--params", json.dumps(config)]
+    if prefix[0] == "lift3d":  # lift3d takes its config as flags
+        return prefix + [a for key, value in config.items() for a in (f"--{key}", json.dumps(value))]
+    path = write_json(tmp / "config.json", config)
+    return prefix + (["--config", path] if prefix[0] == "stability" else [path])
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_fuzzed_config_exits_0_2_or_3(data):
+    prefix, config = data.draw(st.sampled_from(FUZZ_CASES))
+    path = data.draw(st.sampled_from(list(_key_paths(config))))
+    value = data.draw(FUZZ_VALUES)
+    config = copy.deepcopy(config)
+    parent = config
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        argv = _fuzz_argv(prefix, config, Path(tmp)) + ["--outdir", str(out)]
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects a flag value of the wrong type
+            code = exc.code
+        assert code in (0, 2, 3), argv
+        if code == 2:
+            assert not out.exists(), argv

@@ -10,7 +10,7 @@ from conftest import random_real_field
 def _config(lmax, omega, dt, t_end, **kw):
     return dynamics.SimulationConfig(
         omega=omega, dt=dt, t_end=t_end,
-        truncation=sht.TruncationSpec.for_lmax(lmax), **kw)
+        lmax=lmax, **kw)
 
 
 class TestTendency:

@@ -45,7 +45,7 @@ class TestRossbyHaurwitz:
         wave = solutions.make_rossby_haurwitz(2, 0.3, {1: 0.4}, omega, lmax=lmax)
         cfg = dynamics.SimulationConfig(
             omega=omega, dt=0.005, t_end=0.5,
-            truncation=sht.TruncationSpec.for_lmax(lmax))
+            lmax=lmax)
         res = dynamics.run(sht.laplacian(wave.psi), cfg)
         exact = sht.laplacian(wave.at_time(0.5))
         diff = np.max(np.abs(res.states[-1].vorticity.coeffs - exact.coeffs))
@@ -221,30 +221,3 @@ class TestStabilityRange:
         sol = solutions.make_exp_solution(thr + 0.05, lmax=15)
         lo, hi = solutions.arnold_range(sol.vf, sol)
         assert not (-6.0 < lo and hi < 0.0)
-
-
-class TestSolutionSpec:
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            solutions.SolutionSpec(kind="vortex_street", parameters={})
-
-    def test_build_log_family(self):
-        spec = solutions.SolutionSpec(kind="log_family",
-                                      parameters={"epsilon": 0.2, "lmax": 15})
-        sol = solutions.build_solution(spec)
-        assert isinstance(sol, solutions.EllipticSolution)
-
-    def test_build_rotated(self):
-        spec = solutions.SolutionSpec(kind="rotated", parameters={
-            "base": {"kind": "exp_family", "parameters": {"epsilon": 0.2, "lmax": 15}},
-            "rotation": [0.1, 0.5, 0.0],
-        })
-        sol = solutions.build_solution(spec)
-        report = solutions.verify_stationary(sol.psi, 0.0)
-        assert report.linf < 1e-8
-
-    def test_build_travelling(self):
-        spec = solutions.SolutionSpec(kind="travelling", parameters={
-            "degree": 2, "alpha": 0.5, "omega": 1.0, "ycoeffs": {"1": [0.3, 0.1]}})
-        wave = solutions.build_solution(spec)
-        assert isinstance(wave, solutions.RossbyHaurwitzWave)

@@ -227,7 +227,7 @@ class TestModalExperiment:
         lmax = 10
         cfg = dynamics.SimulationConfig(
             omega=0.0, dt=0.02, t_end=0.4,
-            truncation=sht.TruncationSpec.for_lmax(lmax), diag_stride=5)
+            lmax=lmax, diag_stride=5)
         series = stability.rh2_modal_experiment(
             alpha=0.5, beta0=1.0, y_unit={0: 1.0},
             perturbation=sht.SpectralField.zeros(lmax), config=cfg)
@@ -246,7 +246,7 @@ class TestModalExperiment:
             pert.enforce_reality()
             cfg = dynamics.SimulationConfig(
                 omega=0.0, dt=0.02, t_end=2.0,
-                truncation=sht.TruncationSpec.for_lmax(lmax), diag_stride=10)
+                lmax=lmax, diag_stride=10)
             series = stability.rh2_modal_experiment(
                 alpha=0.4, beta0=1.0, y_unit={0: 1.0}, perturbation=pert, config=cfg)
             devs.append(np.max(np.abs(series.quadratic_combination - 1.0)))
@@ -286,7 +286,7 @@ class TestSeparationBound:
         beat_period = 2 * math.pi / abs(pert.speed - base.speed)
         cfg = dynamics.SimulationConfig(
             omega=omega, dt=beat_period / 4000, t_end=beat_period,
-            truncation=sht.TruncationSpec.for_lmax(lmax), diag_stride=40)
+            lmax=lmax, diag_stride=40)
         res = dynamics.run(sht.laplacian(pert.psi), cfg, keep_states=True)
         bound = stability.instability_separation_bound(2, 1.0, ycoeffs, n)
         sup = 0.0

@@ -224,10 +224,9 @@ def build_subspace(group: SymmetryGroup | str, lmax: int,
     idempotent; its unit-eigenvalue eigenvectors span the invariants.
     """
     if isinstance(group, str):
-        try:
-            group = NAMED_GROUPS[group.lower()]()
-        except KeyError:
-            raise KeyError(f"unknown group {group!r}; known: {sorted(NAMED_GROUPS)}")
+        if group.lower() not in NAMED_GROUPS:
+            raise ValueError(f"unknown group {group!r}; known: {sorted(NAMED_GROUPS)}")
+        group = NAMED_GROUPS[group.lower()]()
     degrees: list[int] = []
     basis: list[SpectralField] = []
     dims: dict[int, int] = {}

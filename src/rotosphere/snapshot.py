@@ -85,13 +85,20 @@ def read_snapshot(path: str | Path) -> tuple[SpectralField, float]:
     blob = path.read_bytes()
     if blob[:1] in (b"{", b" ") or path.suffix == ".json":
         payload = json.loads(blob.decode())
-        if payload.get("format") != MAGIC.decode():
+        if not isinstance(payload, dict) or payload.get("format") != MAGIC.decode():
             raise SnapshotFormatError(f"{path}: not a coefficient snapshot")
-        lmax = int(payload["lmax"])
-        flat = np.array([complex(re, im) for re, im in payload["coefficients"]])
+        lmax, real_valued, time = (payload.get(k) for k in ("lmax", "real_valued", "time"))
+        if not (type(lmax) is int and lmax >= 0 and type(real_valued) is bool
+                and type(time) in (int, float)):
+            raise SnapshotFormatError(
+                f"{path}: needs an integer lmax >= 0, a boolean real_valued and a number time")
+        try:
+            flat = np.array([complex(re, im) for re, im in payload.get("coefficients", [])])
+        except (TypeError, ValueError):
+            raise SnapshotFormatError(f"{path}: coefficients must be [re, im] number pairs")
         if flat.size != (lmax + 1) ** 2:
             raise SnapshotFormatError(f"{path}: coefficient count does not match lmax")
-        return _unflatten(lmax, flat, bool(payload["real_valued"])), float(payload["time"])
+        return _unflatten(lmax, flat, real_valued), float(time)
     if len(blob) < _HEADER.size:
         raise SnapshotFormatError(f"{path}: truncated header")
     magic, version, lmax, real_flag, time = _HEADER.unpack_from(blob)

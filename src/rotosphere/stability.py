@@ -489,21 +489,17 @@ class ModalSeries:
     drift_report: dict
 
 
-def rh2_modal_experiment(alpha: float, beta0: float, y_unit: dict[int, complex],
-                         perturbation: SpectralField, config: dynamics.SimulationConfig
-                         ) -> ModalSeries:
+def rh2_modal_experiment(wave: solutions.RossbyHaurwitzWave, perturbation: SpectralField,
+                         config: dynamics.SimulationConfig) -> ModalSeries:
     """Track the degree-2 modal constraints along a perturbed run.
 
-    The base state is alpha*sin(lat) + beta0*Y with Y a unit-norm degree-2
-    combination; the perturbation is added to the stream function and the
-    run records the constrained modal combinations whose deviations bound
-    energy transfer inside degree 2.
+    The base state is a degree-2 Rossby-Haurwitz wave alpha*sin(lat) + beta0*Y
+    with Y a unit-norm degree-2 combination; the perturbation is added to the
+    stream function and the run records the constrained modal combinations
+    whose deviations bound energy transfer inside degree 2.
     """
     lmax = config.lmax
-    wave = solutions.make_rossby_haurwitz(2, alpha, {m: beta0 * c for m, c in y_unit.items()},
-                                          config.omega, lmax=lmax)
-    psi0 = wave.psi
-    psi_init = psi0 + perturbation.truncated(lmax)
+    psi_init = wave.psi.truncated(lmax) + perturbation.truncated(lmax)
     result = dynamics.run(sht.laplacian(psi_init), config, keep_states=True)
 
     times, quad, balance, tail, c1_abs = [], [], [], [], []

@@ -193,8 +193,8 @@ def test_06_degree_two_modal_mechanics():
         cfg = dynamics.SimulationConfig(
             omega=0.0, dt=0.01, t_end=4.0,
             lmax=lmax, diag_stride=20)
-        series = stability.rh2_modal_experiment(
-            alpha=0.4, beta0=1.0, y_unit={0: 1.0}, perturbation=pert, config=cfg)
+        wave = solutions.make_rossby_haurwitz(2, 0.4, {0: 1.0}, 0.0, lmax=lmax)
+        series = stability.rh2_modal_experiment(wave, perturbation=pert, config=cfg)
         quad_devs.append(float(np.max(np.abs(series.quadratic_combination - 1.0))))
         tail_sizes.append(float(np.max(series.weighted_tail)))
     log_eps = np.log(eps_values)

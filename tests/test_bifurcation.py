@@ -125,7 +125,7 @@ class TestSubspaces:
         assert np.max(np.abs(sub.assemble(x).coeffs - summed)) < 1e-13
 
     def test_unknown_group_name(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError):
             bif.build_subspace("icosahedral", 6)
 
     def test_empty_subspace_rejected(self):

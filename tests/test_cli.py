@@ -81,9 +81,12 @@ class TestSimulate:
         {"dt": "0.05"},
         {"initial": {"kind": "modes", "coefficients": [[2, 1]]}},
         {"t_end": 0.2, "dt": 0.07},
+        {"initial": {"kind": "snapshot", "path": "bare.json"}},
     ], ids=["string-stride", "mode-outside-table", "grid-keys", "fractional-lmax",
-            "string-dt", "short-mode-entry", "t-end-not-multiple"])
-    def test_malformed_config_is_config_error(self, tmp_path, capsys, change):
+            "string-dt", "short-mode-entry", "t-end-not-multiple", "snapshot-without-lmax"])
+    def test_malformed_config_is_config_error(self, tmp_path, capsys, monkeypatch, change):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bare.json").write_text('{"format": "RSPHCOF1"}')
         cfg = write_json(tmp_path / "sim.json", dict(SIM_CONFIG, **change))
         assert run_cli(["simulate", cfg, "--outdir", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("config error:")
@@ -170,7 +173,9 @@ class TestStabilityCommands:
         ("zonal", {"wavenumbers": [0]}),
         ("rh2", {"dt": -1}),
         ("rh2", {"t_end": 0.2, "dt": 0.07}),
-    ], ids=["non-integer-degree", "zero-wavenumber", "negative-dt", "t-end-not-multiple"])
+        ("rh2", {"y_unit": {"3": [1.0, 0.0]}}),
+    ], ids=["non-integer-degree", "zero-wavenumber", "negative-dt", "t-end-not-multiple",
+            "order-beyond-degree"])
     def test_malformed_config_is_config_error(self, tmp_path, capsys, analysis, change):
         base = self.ZONAL_CONFIG if analysis == "zonal" else self.RH2_CONFIG
         cfg = write_json(tmp_path / "cfg.json", dict(base, **change))
@@ -271,9 +276,9 @@ class TestBifurcate:
     @pytest.mark.parametrize("change", [
         {"lmax": 12.5}, {"steps": "8"}, {"branch_from": True},
         {"family": {"kind": "cubic", "mu": 1.0, "mu1": 1.0, "degree": 3.0}},
-        {"branch_from": 7}, {"ds": "0.05"},
+        {"branch_from": 7}, {"ds": "0.05"}, {"group": "icosahedral"},
     ], ids=["fractional-lmax", "string-steps", "bool-branch", "float-degree", "branch-outside",
-            "string-ds"])
+            "string-ds", "unknown-group"])
     def test_malformed_config_is_config_error(self, tmp_path, capsys, change):
         cfg = write_json(tmp_path / "prob.json", {
             "group": "tetrahedral", "lmax": 12,

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -75,5 +76,19 @@ class TestJsonTwin:
         path = tmp_path / "bad.json"
         path.write_text('{"format": "RSPHCOF1", "version": 1, "lmax": 2,'
                         ' "real_valued": true, "time": 0.0, "coefficients": [[1.0, 0.0]]}')
+        with pytest.raises(snapshot.SnapshotFormatError):
+            snapshot.read_snapshot(path)
+
+    @pytest.mark.parametrize("change", [
+        {"lmax": None}, {"lmax": "0"}, {"lmax": -1}, {"real_valued": None}, {"time": "0"},
+        {"coefficients": [[1.0, None]]}, {"coefficients": [[1.0]]}, {"coefficients": 1.0},
+    ], ids=["no-lmax", "string-lmax", "negative-lmax", "no-real-flag", "string-time",
+            "null-part", "short-pair", "number-coefficients"])
+    def test_malformed_payload_rejected(self, tmp_path, change):
+        payload = {"format": "RSPHCOF1", "version": 1, "lmax": 0, "real_valued": True,
+                   "time": 0.0, "coefficients": [[1.0, 0.0]]}
+        payload.update(change)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({k: v for k, v in payload.items() if v is not None}))
         with pytest.raises(snapshot.SnapshotFormatError):
             snapshot.read_snapshot(path)

@@ -228,9 +228,9 @@ class TestModalExperiment:
         cfg = dynamics.SimulationConfig(
             omega=0.0, dt=0.02, t_end=0.4,
             lmax=lmax, diag_stride=5)
+        wave = solutions.make_rossby_haurwitz(2, 0.5, {0: 1.0}, 0.0, lmax=lmax)
         series = stability.rh2_modal_experiment(
-            alpha=0.5, beta0=1.0, y_unit={0: 1.0},
-            perturbation=sht.SpectralField.zeros(lmax), config=cfg)
+            wave, perturbation=sht.SpectralField.zeros(lmax), config=cfg)
         assert np.max(np.abs(series.quadratic_combination - 1.0)) < 1e-12
         assert np.max(series.weighted_tail) < 1e-24
 
@@ -247,8 +247,8 @@ class TestModalExperiment:
             cfg = dynamics.SimulationConfig(
                 omega=0.0, dt=0.02, t_end=2.0,
                 lmax=lmax, diag_stride=10)
-            series = stability.rh2_modal_experiment(
-                alpha=0.4, beta0=1.0, y_unit={0: 1.0}, perturbation=pert, config=cfg)
+            wave = solutions.make_rossby_haurwitz(2, 0.4, {0: 1.0}, 0.0, lmax=lmax)
+            series = stability.rh2_modal_experiment(wave, perturbation=pert, config=cfg)
             devs.append(np.max(np.abs(series.quadratic_combination - 1.0)))
             tails.append(np.max(series.weighted_tail))
         slope_dev = math.log(devs[0] / devs[1]) / math.log(10.0)

@@ -8,8 +8,9 @@ error, 3 numerical failure, 4 failed self-test/acceptance assertion.
 
 Each `cmd_*` reads its config through `_get`, builds what the run needs and
 returns `(command, config, seed, work)` without writing: a ValueError or
-OSError there is a config error.  `main` then creates the output directory
-and calls `work(ctx)`, which runs the numerics and writes the outputs.
+OSError there is a config error, and so is a config key that no `_get` read.
+`main` then creates the output directory and calls `work(ctx)`, which runs
+the numerics and writes the outputs.
 """
 
 from __future__ import annotations
@@ -110,6 +111,26 @@ _KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string",
                dict: "an object", list: "a list"}
 
 
+class _Object(dict):
+    """A parsed JSON object that records which of its keys `_get` has read."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read: set[str] = set()
+
+
+def _unread_keys(value, path: str = ""):
+    """Paths of the keys of parsed JSON objects in `value` that nothing read."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        where = f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}" if path else key
+        if isinstance(value, _Object) and key not in value.read:
+            yield where
+        else:
+            yield from _unread_keys(child, where)
+
+
 def _check(key: str, value, kind):
     """`value` if it is of `kind`, else a ConfigError.
 
@@ -129,6 +150,7 @@ def _check(key: str, value, kind):
         for k in _check(key, value, dict):
             if not re.fullmatch(r"0|-?[1-9][0-9]*", k):
                 raise ConfigError(f"{key!r} must have integer keys, got {k!r}")
+        value.read.update(value)
         return {int(k): _check(f"{key}[{k}]", v, kind[int]) for k, v in value.items()}
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if kind is float and number and abs(value) <= sys.float_info.max:
@@ -140,7 +162,11 @@ def _check(key: str, value, kind):
 
 
 def _get(mapping: dict, key: str, kind, default=...):
-    """`mapping[key]` checked by `_check`; `default`, if given, when the key is absent."""
+    """`mapping[key]` checked by `_check`; `default`, if given, when the key is absent.
+
+    `mapping` is a parsed JSON object; the key is recorded as read.
+    """
+    mapping.read.add(key)
     if key in mapping:
         return _check(key, mapping[key], kind)
     if default is ...:
@@ -151,7 +177,7 @@ def _get(mapping: dict, key: str, kind, default=...):
 def _parse_json(text: str, what: str, kind=dict):
     """`text` parsed as JSON and checked as `kind`."""
     try:
-        value = json.loads(text)
+        value = json.loads(text, object_hook=_Object)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} is not valid JSON: {exc}")
     return _check(what, value, kind)
@@ -197,10 +223,15 @@ def _simulation_config(config: dict, **kwargs) -> dynamics.SimulationConfig:
     sim = dynamics.SimulationConfig(
         dt=_get(config, "dt", float), t_end=_get(config, "t_end", float),
         diag_stride=_get(config, "diag_stride", int, 10), **kwargs)
-    steps = sim.t_end / sim.dt
-    if abs(math.remainder(steps, 1.0)) > 1e-9 * steps:
-        raise ConfigError(f"t_end {sim.t_end} is not a whole number of steps of dt {sim.dt}")
+    _check_whole_steps(sim.t_end, sim.dt)
     return sim
+
+
+def _check_whole_steps(t_end: float, dt: float) -> None:
+    """ConfigError unless `t_end` is a whole number of steps of `dt` (to 1e-9 relative)."""
+    steps = t_end / dt
+    if abs(math.remainder(steps, 1.0)) > 1e-9 * steps:
+        raise ConfigError(f"t_end {t_end} is not a whole number of steps of dt {dt}")
 
 
 def _modes_field(entries: list, lmax: int) -> sht.SpectralField:
@@ -320,7 +351,7 @@ def _solution(kind: str, p: dict):
 
 def cmd_make_solution(args):
     kind = {"log": "log_family", "exp": "exp_family"}.get(args.family, args.family)
-    params = _parse_json(args.params, "--params") if args.params else {}
+    params = _parse_json(args.params or "{}", "--params")
     if args.params_file:
         params.update(_load_config(args.params_file))
     built = _solution(kind, params)
@@ -536,16 +567,26 @@ def cmd_lift3d(args):
             _check(key, value, float)
     if args.samples < 1:
         raise ConfigError(f"samples must be positive, got {args.samples}")
+    if args.t_end < 0.0 or args.dt < 0.0:
+        raise ConfigError("t_end and dt must not be negative (0 selects the default)")
+    t_end = args.t_end if args.t_end else 2.0 * math.pi / max(abs(args.omega), 1e-6)
+    dt = args.dt if args.dt else t_end / 10000
+    _check_whole_steps(t_end, dt)
     seeds = [_check("seeds entry", s, (float, float, float))
              for s in _parse_json(args.seeds, "--seeds", list)] if args.seeds else []
+    # the density profile holds above the tropopause, z = 0
+    if args.z_max < 0.0:
+        raise ConfigError(f"z_max must not be negative, got {args.z_max}")
+    for _, theta, z in seeds:
+        if not (abs(theta) < math.pi / 2 and z >= 0.0):
+            raise ConfigError(f"seed latitude {theta} must lie inside (-pi/2, pi/2) "
+                              f"and seed height {z} must not be negative")
     make = {"log": solutions.make_log_solution, "exp": solutions.make_exp_solution}.get(args.family)
     if make is None:
         raise ConfigError(f"family must be 'log' or 'exp', got {args.family!r}")
     base = make(args.epsilon, args.phi0, lmax=args.lmax)
     density = stratosphere.DensityProfile(a=args.density_a, b=args.density_b)
     field = stratosphere.lift_solution(base, density, omega=args.omega, g=args.g)
-    t_end = args.t_end if args.t_end else 2.0 * math.pi / max(abs(args.omega), 1e-6)
-    dt = args.dt if args.dt else t_end / 10000
 
     def work(ctx):
         n = args.samples
@@ -556,17 +597,17 @@ def cmd_lift3d(args):
         grid = np.meshgrid(phis, thetas, zs, indexing="ij")
         values = [*grid] + [f(*grid, 0.0) for f in (field.stream, field.u0, field.v0, field.p0,
                                                      field.temperature)]
-        for vals in zip(*(x.ravel() for x in values)):
-            rows.append(",".join(repr(float(x)) for x in vals))
+        rows.extend(f"{phi!r},{theta!r},{z!r},{psi!r},{u!r},{v!r},{p!r},{T!r}"
+                    for phi, theta, z, psi, u, v, p, T in zip(*(x.ravel().tolist()
+                                                                for x in values)))
         ctx.write_text("fields.csv", "\n".join(rows) + "\n")
         if not seeds:
             return
         trajectories = stratosphere.particle_paths(field, seeds, t_end, dt)
         for i, traj in enumerate(trajectories):
             rows = ["t,phi,theta"]
-            for j in range(traj.times.size):
-                rows.append(",".join(repr(float(x)) for x in
-                                     (traj.times[j], traj.phi[j], traj.theta[j])))
+            rows.extend(f"{t!r},{phi!r},{theta!r}" for t, phi, theta in zip(
+                traj.times.tolist(), traj.phi.tolist(), traj.theta.tolist()))
             ctx.write_text(f"trajectory_{i:03d}.csv", "\n".join(rows) + "\n")
         ctx.write_json("trajectory_report.json", {
             "level_drifts": [t.level_drift for t in trajectories],
@@ -730,6 +771,9 @@ def main(argv=None) -> int:
     try:
         try:
             command, config, seed, work = args.func(args)
+            unread = list(_unread_keys(config))
+            if unread:
+                raise ConfigError(f"{command} does not read config keys {unread}")
         except (ValueError, OSError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG

@@ -133,13 +133,19 @@ def make_rossby_haurwitz(j: int, alpha: float, ycoeffs: dict[int, complex],
 
 @dataclasses.dataclass
 class EllipticSolution:
-    """A stationary solution with closed-form evaluators and a spectral projection."""
+    """A stationary solution with closed-form evaluators and a spectral projection.
+
+    `evaluate(phi, s)` gives psi at longitude phi and s = sin(latitude).
+    `gradient(phi, s, xp=np)` gives the pair (d psi/d phi, d psi/d latitude)
+    there, computed with the math namespace `xp`: `np` for arrays, `math`
+    for Python floats.  It is None where no closed form is kept (rotated
+    solutions).
+    """
 
     psi: SpectralField
     vf: VorticityFunction
-    evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]       # (phi, s) -> psi
-    d_phi: Callable[[np.ndarray, np.ndarray], np.ndarray] | None
-    d_theta: Callable[[np.ndarray, np.ndarray], np.ndarray] | None
+    evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    gradient: Callable[..., tuple] | None
     family: str
     params: dict
     tail_norm: float
@@ -183,23 +189,18 @@ def make_log_solution(epsilon: float, phi0: float = 0.0,
         raise ValueError("epsilon must lie in (0, 1)")
     eps = float(epsilon)
 
-    def u_of(phi, s):
-        return np.sqrt(1.0 - np.asarray(s) ** 2) * np.sin(np.asarray(phi) - phi0)
-
     def evaluate(phi, s):
-        u = u_of(phi, s)
-        return np.log((1.0 + eps * u) / (1.0 - eps * u))
+        eu = eps * (np.sqrt(1.0 - s * s) * np.sin(phi - phi0))
+        return np.log((1.0 + eu) / (1.0 - eu))
 
-    def dpsi_du(phi, s):
-        u = u_of(phi, s)
-        return 2.0 * eps / (1.0 - (eps * u) ** 2)
-
-    def d_phi(phi, s):
-        return dpsi_du(phi, s) * np.sqrt(1.0 - np.asarray(s) ** 2) * np.cos(np.asarray(phi) - phi0)
-
-    def d_theta(phi, s):
-        # d/dlat of u = -sin(lat)*sin(phi-phi0)
-        return dpsi_du(phi, s) * (-np.asarray(s)) * np.sin(np.asarray(phi) - phi0)
+    def gradient(phi, s, xp=np):
+        cos_lat = xp.sqrt(1.0 - s * s)
+        sin_phi = xp.sin(phi - phi0)
+        eu = eps * (cos_lat * sin_phi)
+        # eu**2 rather than eu*eu: on floats libm pow rounds it, as numpy does
+        # for scalars, so float and numpy-scalar evaluation agree bitwise
+        dpsi_du = 2.0 * eps / (1.0 - eu**2)
+        return dpsi_du * cos_lat * xp.cos(phi - phi0), dpsi_du * -s * sin_phi
 
     pref = 0.5 * (1.0 - eps * eps)
 
@@ -211,7 +212,7 @@ def make_log_solution(epsilon: float, phi0: float = 0.0,
     )
     psi, tail = _project(evaluate, lmax)
     return EllipticSolution(
-        psi=psi, vf=vf, evaluate=evaluate, d_phi=d_phi, d_theta=d_theta,
+        psi=psi, vf=vf, evaluate=evaluate, gradient=gradient,
         family="log", params={"epsilon": eps, "phi0": phi0}, tail_norm=tail,
     )
 
@@ -227,19 +228,14 @@ def make_exp_solution(epsilon: float, phi0: float = 0.0,
         raise ValueError("epsilon must be positive")
     eps = float(epsilon)
 
-    def u_of(phi, s):
-        return np.sqrt(1.0 - np.asarray(s) ** 2) * np.sin(np.asarray(phi) - phi0)
-
     def evaluate(phi, s):
-        return np.exp(eps * u_of(phi, s)) - 1.0
+        return np.exp(eps * (np.sqrt(1.0 - s * s) * np.sin(phi - phi0))) - 1.0
 
-    def d_phi(phi, s):
-        u = u_of(phi, s)
-        return eps * np.exp(eps * u) * np.sqrt(1.0 - np.asarray(s) ** 2) * np.cos(np.asarray(phi) - phi0)
-
-    def d_theta(phi, s):
-        u = u_of(phi, s)
-        return eps * np.exp(eps * u) * (-np.asarray(s)) * np.sin(np.asarray(phi) - phi0)
+    def gradient(phi, s, xp=np):
+        cos_lat = xp.sqrt(1.0 - s * s)
+        sin_phi = xp.sin(phi - phi0)
+        dpsi_du = eps * xp.exp(eps * (cos_lat * sin_phi))
+        return dpsi_du * cos_lat * xp.cos(phi - phi0), dpsi_du * -s * sin_phi
 
     def f(p):
         w = 1.0 + np.asarray(p)
@@ -260,7 +256,7 @@ def make_exp_solution(epsilon: float, phi0: float = 0.0,
                            label=f"exp-family eps={eps}")
     psi, tail = _project(evaluate, lmax)
     return EllipticSolution(
-        psi=psi, vf=vf, evaluate=evaluate, d_phi=d_phi, d_theta=d_theta,
+        psi=psi, vf=vf, evaluate=evaluate, gradient=gradient,
         family="exp", params={"epsilon": eps, "phi0": phi0}, tail_norm=tail,
     )
 
@@ -268,8 +264,8 @@ def make_exp_solution(epsilon: float, phi0: float = 0.0,
 def rotate_solution(sol: EllipticSolution, rot: RotationSpec) -> EllipticSolution:
     """Rotate a stationary solution; the balance function is unchanged.
 
-    The analytic evaluator is composed with the inverse rotation; partial
-    derivatives are dropped (use the unrotated member of the family when
+    The analytic evaluator is composed with the inverse rotation; the
+    gradient is dropped (use the unrotated member of the family when
     derivatives are required).
     """
     R = rot.matrix()
@@ -286,7 +282,7 @@ def rotate_solution(sol: EllipticSolution, rot: RotationSpec) -> EllipticSolutio
 
     psi = sht.rotate(sol.psi, rot)
     return EllipticSolution(
-        psi=psi, vf=sol.vf, evaluate=evaluate, d_phi=None, d_theta=None,
+        psi=psi, vf=sol.vf, evaluate=evaluate, gradient=None,
         family=sol.family, params={**sol.params, "rotation": (rot.alpha, rot.beta, rot.gamma)},
         tail_norm=sol.tail_norm,
     )

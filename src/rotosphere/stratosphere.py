@@ -150,21 +150,20 @@ class Field3D:
 
     def u0(self, phi, theta, z, t):
         big_phi, s = self._args(phi, theta, t)
-        return (-self.omega * np.cos(np.asarray(theta, dtype=float))
-                - self.density.inv_sqrt(z) * self.base.d_theta(big_phi, s))
+        _, dth = self.base.gradient(big_phi, s)
+        return -self.omega * np.cos(np.asarray(theta, dtype=float)) - self.density.inv_sqrt(z) * dth
 
     def v0(self, phi, theta, z, t):
         big_phi, s = self._args(phi, theta, t)
-        cos_lat = np.cos(np.asarray(theta, dtype=float))
-        return self.density.inv_sqrt(z) * self.base.d_phi(big_phi, s) / cos_lat
+        dph, _ = self.base.gradient(big_phi, s)
+        return self.density.inv_sqrt(z) * dph / np.cos(np.asarray(theta, dtype=float))
 
     def tropopause_pressure(self, phi, theta, t):
         """Dynamic pressure at z = 0 (Bernoulli form along the base solution)."""
         big_phi, s = self._args(phi, theta, t)
         cos_lat = np.cos(np.asarray(theta, dtype=float))
         psi0 = self.base.evaluate(big_phi, s)
-        dth = self.base.d_theta(big_phi, s)
-        dph = self.base.d_phi(big_phi, s)
+        dph, dth = self.base.gradient(big_phi, s)
         bern = self.base.vf.antiderivative(psi0) - 0.5 * dth**2 - 0.5 * (dph / cos_lat) ** 2
         return bern + self.pressure_offset
 
@@ -189,10 +188,9 @@ def lift_solution(base: solutions.EllipticSolution, density: DensityProfile,
     Requires the exact balance Delta(psi0) = F(psi0) with F(psi0)
     integrating to zero over the sphere: the mean-corrected variant is
     rejected (its lift needs a radial forcing perturbation that is not
-    modelled here).  Analytic partial derivatives of the base solution must
-    be available.
+    modelled here).  The base solution must provide its analytic gradient.
     """
-    if base.d_phi is None or base.d_theta is None:
+    if base.gradient is None:
         raise LiftError("base solution must provide analytic partial derivatives")
     if base.vf.antiderivative is None:
         raise LiftError("base balance function must provide an antiderivative")
@@ -258,41 +256,38 @@ def particle_paths(field: Field3D, seeds: Sequence[tuple[float, float, float]],
     """Integrate fluid trajectories of the lifted flow (fixed-step RK4).
 
     Seeds are (phi, theta, z); parcels stay at their height at leading
-    order.  Along each path the base stream value at the co-drifting
-    longitude is conserved; the maximum deviation from its initial value is
-    reported as the level drift.
+    order.  Each seed is integrated on its own in Python floats, with one
+    call of the base gradient per stage.  Along each path the base stream
+    value at the co-drifting longitude is conserved; the maximum deviation
+    from its initial value is reported as the level drift.
     """
     n_steps = int(round(t_end / dt))
+    omega = field.omega
+    gradient = field.base.gradient
+    half, sixth = 0.5 * dt, dt / 6.0
     out = []
     for phi0, theta0, z0 in seeds:
-        inv_sqrt_rho = float(field.density.inv_sqrt(z0))
+        isr = float(field.density.inv_sqrt(z0))
 
-        def rhs(t, y):
-            phi, theta = y
-            big_phi = phi + field.omega * t
-            s = math.sin(theta)
+        def rhs(t, phi, theta):
             cos_lat = math.cos(theta)
-            u = -field.omega * cos_lat - inv_sqrt_rho * float(field.base.d_theta(big_phi, s))
-            v = inv_sqrt_rho * float(field.base.d_phi(big_phi, s)) / cos_lat
-            return np.array([u / cos_lat, v])
+            dph, dth = gradient(phi + omega * t, math.sin(theta), math)
+            u = -omega * cos_lat - isr * dth
+            return u / cos_lat, isr * dph / cos_lat
 
-        y = np.array([phi0, theta0], dtype=float)
-        times = [0.0]
-        path = [y.copy()]
-        t = 0.0
+        phi, theta, t = float(phi0), float(theta0), 0.0
+        path = [(t, phi, theta)]
         for _ in range(n_steps):
-            k1 = rhs(t, y)
-            k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1)
-            k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2)
-            k4 = rhs(t + dt, y + dt * k3)
-            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            a1, b1 = rhs(t, phi, theta)
+            a2, b2 = rhs(t + half, phi + half * a1, theta + half * b1)
+            a3, b3 = rhs(t + half, phi + half * a2, theta + half * b2)
+            a4, b4 = rhs(t + dt, phi + dt * a3, theta + dt * b3)
+            phi = phi + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+            theta = theta + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
             t += dt
-            times.append(t)
-            path.append(y.copy())
-        path_arr = np.array(path)
-        big_phi = path_arr[:, 0] + field.omega * np.array(times)
-        levels = field.base.evaluate(big_phi, np.sin(path_arr[:, 1]))
+            path.append((t, phi, theta))
+        times, phis, thetas = np.array(path).T
+        levels = field.base.evaluate(phis + omega * times, np.sin(thetas))
         drift = float(np.max(np.abs(levels - levels[0])))
-        out.append(Trajectory(times=np.array(times), phi=path_arr[:, 0],
-                              theta=path_arr[:, 1], z=z0, level_drift=drift))
+        out.append(Trajectory(times=times, phi=phis, theta=thetas, z=z0, level_drift=drift))
     return out

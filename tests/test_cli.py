@@ -82,8 +82,11 @@ class TestSimulate:
         {"initial": {"kind": "modes", "coefficients": [[2, 1]]}},
         {"t_end": 0.2, "dt": 0.07},
         {"initial": {"kind": "snapshot", "path": "bare.json"}},
+        {"diag_strid": 1},
+        {"initial": {"kind": "modes", "coefficients": [], "decay": 0.5}},
     ], ids=["string-stride", "mode-outside-table", "grid-keys", "fractional-lmax",
-            "string-dt", "short-mode-entry", "t-end-not-multiple", "snapshot-without-lmax"])
+            "string-dt", "short-mode-entry", "t-end-not-multiple", "snapshot-without-lmax",
+            "misspelled-key", "key-of-another-kind"])
     def test_malformed_config_is_config_error(self, tmp_path, capsys, monkeypatch, change):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "bare.json").write_text('{"format": "RSPHCOF1"}')
@@ -174,8 +177,9 @@ class TestStabilityCommands:
         ("rh2", {"dt": -1}),
         ("rh2", {"t_end": 0.2, "dt": 0.07}),
         ("rh2", {"y_unit": {"3": [1.0, 0.0]}}),
+        ("rh2", {"snapshot_stride": 2}),
     ], ids=["non-integer-degree", "zero-wavenumber", "negative-dt", "t-end-not-multiple",
-            "order-beyond-degree"])
+            "order-beyond-degree", "key-rh2-does-not-read"])
     def test_malformed_config_is_config_error(self, tmp_path, capsys, analysis, change):
         base = self.ZONAL_CONFIG if analysis == "zonal" else self.RH2_CONFIG
         cfg = write_json(tmp_path / "cfg.json", dict(base, **change))
@@ -316,12 +320,31 @@ class TestLift3d:
         assert report["level_drifts"][0] < 1e-6
         assert (out / "trajectory_000.csv").exists()
 
+    def test_byte_identical_reruns(self, tmp_path):
+        argv = ["lift3d", "--omega", "18", "--family", "exp", "--epsilon", "0.3",
+                "--samples", "3", "--lmax", "15", "--seeds", "[[0.5, 0.4, 0.2], [2.0, -1.4, 0.9]]",
+                "--t-end", "0.05", "--dt", "0.0005"]
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert run_cli(argv + ["--outdir", str(out1)]) == 0
+        assert run_cli(argv + ["--outdir", str(out2)]) == 0
+        names = sorted(p.name for p in out1.iterdir())
+        assert "trajectory_001.csv" in names
+        assert names == sorted(p.name for p in out2.iterdir())
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
     def test_unknown_family_is_config_error(self, tmp_path):
         assert run_cli(["lift3d", "--omega", "1", "--family", "cubic",
                         "--outdir", str(tmp_path / "x")]) == 2
 
-    @pytest.mark.parametrize("flags", [["--seeds", "[[0.5"], ["--samples", "-1"]],
-                             ids=["bad-seeds-json", "negative-samples"])
+    @pytest.mark.parametrize("flags", [
+        ["--seeds", "[[0.5"], ["--samples", "-1"], ["--dt", "-0.001"], ["--t-end", "-1"],
+        ["--t-end", "1", "--dt", "0.3"], ["--seeds", "[[0.5, 2.0, 0.2]]"],
+        ["--seeds", "[[0.5, -1.5707963267948966, 0.2]]"], ["--seeds", "[[0.5, 0.4, -0.1]]"],
+        ["--z-max", "-0.5"],
+    ], ids=["bad-seeds-json", "negative-samples", "negative-dt", "negative-t-end",
+            "t-end-not-multiple", "seed-beyond-pole", "seed-at-pole", "seed-below-tropopause",
+            "negative-z-max"])
     def test_malformed_config_is_config_error(self, tmp_path, capsys, flags):
         out = tmp_path / "x"
         assert run_cli(["lift3d", "--omega", "18", "--epsilon", "0.1", "--lmax", "8", *flags,
@@ -384,6 +407,12 @@ def _key_paths(value, prefix=()):
         yield from _key_paths(child, prefix + (key,))
 
 
+def _at(config, path):
+    for key in path:
+        config = config[key]
+    return config
+
+
 def _fuzz_argv(prefix, config, tmp):
     if prefix[0] == "make-solution":
         return prefix + ["--params", json.dumps(config)]
@@ -400,9 +429,7 @@ def test_fuzzed_config_exits_0_2_or_3(data):
     path = data.draw(st.sampled_from(list(_key_paths(config))))
     value = data.draw(FUZZ_VALUES)
     config = copy.deepcopy(config)
-    parent = config
-    for key in path[:-1]:
-        parent = parent[key]
+    parent = _at(config, path[:-1])
     if value is DELETE:
         del parent[path[-1]]
     else:
@@ -417,3 +444,22 @@ def test_fuzzed_config_exits_0_2_or_3(data):
         assert code in (0, 2, 3), argv
         if code == 2:
             assert not out.exists(), argv
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_unread_config_key_exits_2(data):
+    # no config key ends in "_", so the misspelling is read by no command
+    prefix, config = data.draw(st.sampled_from([c for c in FUZZ_CASES if c[0] != ["lift3d"]]))
+    path = data.draw(st.sampled_from(
+        [()] + [p for p in _key_paths(config) if isinstance(_at(config, p), dict)]))
+    config = copy.deepcopy(config)
+    parent = _at(config, path)
+    key = data.draw(st.sampled_from(sorted(parent))) + "_"
+    parent[key] = data.draw(FUZZ_VALUES.filter(lambda v: v is not DELETE))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        argv = _fuzz_argv(prefix, config, Path(tmp)) + ["--outdir", str(out)]
+        assert cli.main(argv) == 2, argv
+        assert not out.exists(), argv
+

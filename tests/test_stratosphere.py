@@ -7,6 +7,7 @@ import pytest
 from rotosphere import solutions, stratosphere as strat
 from rotosphere import sht
 from conftest import random_real_field
+from particle_reference import reference_paths
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +92,7 @@ class TestDensityProfile:
 class TestLiftPrerequisites:
     def test_partial_derivatives_required(self):
         base = solutions.make_log_solution(0.2, lmax=31)
-        crippled = dataclasses.replace(base, d_phi=None)
+        crippled = dataclasses.replace(base, gradient=None)
         with pytest.raises(strat.LiftError):
             strat.lift_solution(crippled, strat.DensityProfile(1.0, 3.0), omega=1.0)
 
@@ -266,3 +267,55 @@ class TestParticlePaths:
         assert abs(v0 - v1) < 1e-12
         for p in paths:
             assert p.level_drift < 1e-8
+
+    @pytest.mark.parametrize("family", ["log", "exp"])
+    def test_matches_numpy_reference(self, family):
+        make = {"log": solutions.make_log_solution, "exp": solutions.make_exp_solution}[family]
+        field = strat.lift_solution(make(0.3, phi0=0.2, lmax=31),
+                                    strat.DensityProfile(a=1.0, b=3.0), omega=18.0, g=58.0)
+        seeds = [(0.5, 0.02, 0.2), (2.0, -0.01, 0.7), (4.0, 1.4, 0.0), (1.0, -1.41, 0.9)]
+        period = 2 * math.pi / field.omega
+        paths = strat.particle_paths(field, seeds, t_end=period / 2, dt=period / 2000)
+        for path, (times, phi, theta) in zip(paths, reference_paths(field, seeds, period / 2,
+                                                                    period / 2000)):
+            assert np.array_equal(path.times, times)
+            assert np.max(np.abs(path.phi - phi)) < 1e-13
+            assert np.max(np.abs(path.theta - theta)) < 1e-13
+
+
+class TestGradient:
+    @pytest.fixture(params=["log", "exp"])
+    def base(self, request):
+        make = {"log": solutions.make_log_solution, "exp": solutions.make_exp_solution}
+        return make[request.param](0.4, phi0=0.3, lmax=15)
+
+    @staticmethod
+    def points():
+        rng = np.random.default_rng(7)
+        return rng.uniform(0.0, 2 * math.pi, 500), rng.uniform(-1.45, 1.45, 500)
+
+    def test_float_path_matches_array_path(self, base):
+        phi, theta = self.points()
+        arrays = base.gradient(phi, np.sin(theta))
+        floats = [base.gradient(p, math.sin(t), math)
+                  for p, t in zip(phi.tolist(), theta.tolist())]
+        assert all(isinstance(x, float) for pair in floats for x in pair)
+        ulp = 4 * np.finfo(float).eps
+        for arr, got in zip(arrays, np.array(floats).T):
+            assert np.all(np.abs(got - arr) <= ulp * np.abs(arr))
+
+    def test_matches_central_differences(self, base):
+        phi, theta = self.points()
+        h = 1e-6
+        d_phi, d_theta = base.gradient(phi, np.sin(theta))
+        fd_phi = (base.evaluate(phi + h, np.sin(theta))
+                  - base.evaluate(phi - h, np.sin(theta))) / (2 * h)
+        fd_theta = (base.evaluate(phi, np.sin(theta + h))
+                    - base.evaluate(phi, np.sin(theta - h))) / (2 * h)
+        assert np.max(np.abs(d_phi - fd_phi)) < 1e-8
+        assert np.max(np.abs(d_theta - fd_theta)) < 1e-8
+
+    def test_rotated_solution_has_no_gradient(self):
+        base = solutions.make_log_solution(0.2, lmax=15)
+        rotated = solutions.rotate_solution(base, sht.RotationSpec(0.1, 0.5, 0.0))
+        assert rotated.gradient is None

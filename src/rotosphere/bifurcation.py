@@ -172,7 +172,7 @@ class SymmetrySubspace:
 
     def __post_init__(self):
         # m >= 0 half tables of the basis fields, stacked (dim, l, m)
-        self.halves = np.stack([b.real_half() for b in self.basis])
+        self.halves = np.concatenate([b.halves for b in self.basis])
         # inner products of real fields on half tables: order 0 once, m > 0 twice
         weighted = self.halves * np.where(np.arange(self.lmax + 1) == 0, 1.0, 2.0)
         self._rows = weighted.view(float).reshape(self.dim, -1)
@@ -189,7 +189,7 @@ class SymmetrySubspace:
         return np.tensordot(x, self.halves, axes=1)
 
     def assemble(self, x: np.ndarray) -> SpectralField:
-        return SpectralField.from_halves(self.assemble_half(x))
+        return SpectralField(self.assemble_half(x)[None])
 
     def project_half(self, halves: np.ndarray) -> np.ndarray:
         """Coordinates of real fields given as half tables (..., l, m); a
@@ -199,7 +199,7 @@ class SymmetrySubspace:
 
     def project(self, field: SpectralField) -> np.ndarray:
         """Coordinates of the real part of the field."""
-        return self.project_half(field.real_half())
+        return self.project_half(field.halves[0])
 
     def generator_index(self, degree: int) -> int:
         idx = [i for i, d in enumerate(self.degrees) if d == degree]
@@ -212,7 +212,7 @@ class SymmetrySubspace:
         for elem in self.group.elements():
             for b in self.basis:
                 rotated = sht.rotate(b, elem.rotation, parity=elem.parity)
-                worst = max(worst, float(np.max(np.abs(rotated.coeffs - b.coeffs))))
+                worst = max(worst, float(np.max(np.abs(rotated.halves - b.halves))))
         return worst
 
 
@@ -242,11 +242,11 @@ def build_subspace(group: SymmetryGroup | str, lmax: int,
             if r[pivot] < 0:
                 r = -r
             c_block = v @ r
-            f = SpectralField.zeros(lmax)
-            f.coeffs[l, lmax - l : lmax + l + 1] = c_block
-            f.enforce_reality()
+            table = np.zeros((lmax + 1, 2 * lmax + 1), dtype=complex)
+            table[l, lmax - l : lmax + l + 1] = c_block
             degrees.append(l)
-            basis.append(f)
+            # the real part: the average of the computed row and its mirror
+            basis.append(SpectralField.from_table(table, real_valued=False).enforce_reality())
     if not basis:
         raise ArithmeticError(f"group {group.name!r} has no invariant harmonics up to degree {lmax}")
     return SymmetrySubspace(group=group, lmax=lmax, degrees=degrees, basis=basis,
@@ -438,7 +438,7 @@ class ContinuationProblem:
 
     def residual_field(self, lam: float, x: np.ndarray) -> SpectralField:
         """Unprojected residual f - inv_laplacian(rhs) as a spectral field."""
-        return SpectralField.from_halves(self._residual_half(lam, x))
+        return SpectralField(self._residual_half(lam, x)[None])
 
     def residual(self, lam: float, x: np.ndarray) -> np.ndarray:
         return self.subspace.project_half(self._residual_half(lam, x))
@@ -447,7 +447,7 @@ class ContinuationProblem:
         """(subspace-projected norm, full-sphere norm) of the residual."""
         half = self._residual_half(lam, x)
         projected = float(np.linalg.norm(self.subspace.project_half(half)))
-        return projected, SpectralField.from_halves(half).norm()
+        return projected, SpectralField(half[None]).norm()
 
     def jacobian(self, lam: float, x: np.ndarray) -> np.ndarray:
         f_values = self._values(self.subspace.assemble_half(x))

@@ -223,26 +223,25 @@ def _simulation_config(config: dict, **kwargs) -> dynamics.SimulationConfig:
     sim = dynamics.SimulationConfig(
         dt=_get(config, "dt", float), t_end=_get(config, "t_end", float),
         diag_stride=_get(config, "diag_stride", int, 10), **kwargs)
-    _check_whole_steps(sim.t_end, sim.dt)
+    dynamics.whole_steps(sim.t_end, sim.dt)
     return sim
 
 
-def _check_whole_steps(t_end: float, dt: float) -> None:
-    """ConfigError unless `t_end` is a whole number of steps of `dt` (to 1e-9 relative)."""
-    steps = t_end / dt
-    if abs(math.remainder(steps, 1.0)) > 1e-9 * steps:
-        raise ConfigError(f"t_end {t_end} is not a whole number of steps of dt {dt}")
-
-
 def _modes_field(entries: list, lmax: int) -> sht.SpectralField:
-    """Real field from [l, m, re, im] entries; the negative orders follow by reality."""
+    """Real field from [l, m, re, im] entries, each setting c_l^m = re + i im;
+    c_l^{-m} follows by reality, so one entry per (l, |m|) and a real m = 0."""
     field = sht.SpectralField.zeros(lmax)
+    written = set()
     for entry in entries:
         l, m, re_part, im_part = _check("mode entry", entry, (int, int, float, float))
         if not (1 <= l <= lmax and abs(m) <= l):
             raise ConfigError(f"mode (l, m) = ({l}, {m}) outside degrees 1..{lmax}")
+        if (l, abs(m)) in written:
+            raise ConfigError(f"mode (l, m) = ({l}, {m}): order {abs(m)} or {-abs(m)} "
+                              f"of degree {l} is already set")
+        written.add((l, abs(m)))
         field.set(l, m, complex(re_part, im_part))
-    return field.enforce_reality()
+    return field
 
 
 def _rossby_haurwitz(spec: dict, lmax: int | None) -> solutions.RossbyHaurwitzWave:
@@ -262,7 +261,7 @@ def _initial_field(spec: dict, lmax: int, seed: int) -> sht.SpectralField:
         return sht.laplacian(_rossby_haurwitz(spec, lmax).psi)
     if kind == "random":
         rng = np.random.default_rng(seed)
-        field = sht.SpectralField.zeros(lmax)
+        field = sht.SpectralField.zeros(lmax, real_valued=False)
         decay = _get(spec, "decay", float, 0.5)
         for l in range(1, lmax + 1):
             for m in range(0, l + 1):
@@ -329,7 +328,6 @@ def _solution(kind: str, p: dict):
             if not 0 <= l <= lmax:
                 raise ConfigError(f"component degree {l} outside 0..{lmax}")
             psi.set(l, 0, _get(entry, "coefficient", float))
-        psi.enforce_reality()
         return psi
     if kind in ("rossby_haurwitz", "travelling"):
         return _rossby_haurwitz(p, _get(p, "lmax", int, None))
@@ -571,7 +569,7 @@ def cmd_lift3d(args):
         raise ConfigError("t_end and dt must not be negative (0 selects the default)")
     t_end = args.t_end if args.t_end else 2.0 * math.pi / max(abs(args.omega), 1e-6)
     dt = args.dt if args.dt else t_end / 10000
-    _check_whole_steps(t_end, dt)
+    dynamics.whole_steps(t_end, dt)
     seeds = [_check("seeds entry", s, (float, float, float))
              for s in _parse_json(args.seeds, "--seeds", list)] if args.seeds else []
     # the density profile holds above the tropopause, z = 0
@@ -626,14 +624,14 @@ def _selftest_checks(lmax: int) -> list[tuple[str, float, float]]:
     checks: list[tuple[str, float, float]] = []
     tr = sht.default_transform(lmax)
     rng = np.random.default_rng(2024)
-    f = sht.SpectralField.zeros(lmax)
+    f = sht.SpectralField.zeros(lmax, real_valued=False)
     for l in range(1, lmax + 1):
         for m in range(0, l + 1):
             f.set(l, m, rng.normal() + 1j * rng.normal())
     f.enforce_reality()
     g = tr.analysis(tr.synthesis(f))
-    scale = float(np.max(np.abs(f.coeffs)))
-    checks.append(("transform round trip", float(np.max(np.abs(g.coeffs - f.coeffs))) / scale, 1e-12))
+    scale = float(np.max(np.abs(f.halves)))
+    checks.append(("transform round trip", float(np.max(np.abs(g.halves - f.halves))) / scale, 1e-12))
 
     grid = tr.grid
     checks.append(("quadrature weight sum", abs(float(np.sum(grid.weights)) - 2.0), 1e-14))

@@ -31,6 +31,19 @@ class SimulationBlowup(ArithmeticError):
         self.detail = detail
 
 
+def whole_steps(t_end: float, dt: float) -> int:
+    """Number of steps of `dt` in `t_end`; ValueError unless `dt` is positive and
+    finite and `t_end` a finite whole number of steps (to 1e-9 relative) >= 0."""
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not (t_end >= 0.0 and math.isfinite(t_end)):
+        raise ValueError(f"t_end must be nonnegative and finite, got {t_end}")
+    steps = t_end / dt
+    if abs(math.remainder(steps, 1.0)) > 1e-9 * steps:
+        raise ValueError(f"t_end {t_end} is not a whole number of steps of dt {dt}")
+    return int(round(steps))
+
+
 @dataclasses.dataclass(frozen=True)
 class SimulationConfig:
     omega: float
@@ -61,7 +74,7 @@ class SimulationConfig:
 
     def check_initial(self, initial: SpectralField) -> None:
         """Raise unless `initial` is a real, zero-mean vorticity of degree `lmax`."""
-        if not initial.real_valued or initial.reality_defect() > 1e-12:
+        if not initial.real_valued:
             raise ValueError("initial vorticity must be real-valued")
         if abs(initial.mean_coefficient) > 1e-12 * max(initial.norm(), 1.0):
             raise sht.MeanConstraintError("initial vorticity must have zero mean")
@@ -83,14 +96,15 @@ class SimulationState:
 def tendency(state: SimulationState, omega: float) -> SpectralField:
     """Vorticity tendency: minus the advection of total vorticity by the flow."""
     sht.require_zero_mean(state.vorticity)
-    return SpectralField.from_halves(_tendency_half(state.vorticity.real_half(), omega))
+    return SpectralField(_tendency_half(state.vorticity.halves, omega))
 
 
 def _tendency_half(vort: np.ndarray, omega: float) -> np.ndarray:
-    """`tendency` on the m >= 0 half table of a zero-mean real vorticity."""
+    """`tendency` on the half tables (1, l, m) of a zero-mean real vorticity."""
     q = vort.copy()
-    q[1, 0] += fields.coriolis_stream_coefficient(omega)
-    return -fields.advection(sht.inverse_laplacian_table(vort), q)
+    q[0, 1, 0] += fields.coriolis_stream_coefficient(omega)
+    psi = SpectralField(sht.inverse_laplacian_table(vort))
+    return -fields.advection(psi, SpectralField(q)).halves
 
 
 def _spectral_filter(lmax: int, strength: float, dt: float) -> np.ndarray | None:
@@ -101,12 +115,11 @@ def _spectral_filter(lmax: int, strength: float, dt: float) -> np.ndarray | None
 
 
 def step(state: SimulationState, config: SimulationConfig) -> SimulationState:
-    """One RK4 step on the m >= 0 half table; the full table, exactly real,
-    is rebuilt once at the end."""
+    """One RK4 step on the half tables of the vorticity."""
     sht.require_zero_mean(state.vorticity)
     lmax = state.vorticity.lmax
     dt = config.dt
-    c0 = state.vorticity.real_half()
+    c0 = state.vorticity.halves
     k1 = _tendency_half(c0, config.omega)
     k2 = _tendency_half(c0 + 0.5 * dt * k1, config.omega)
     k3 = _tendency_half(c0 + 0.5 * dt * k2, config.omega)
@@ -118,7 +131,7 @@ def step(state: SimulationState, config: SimulationConfig) -> SimulationState:
     filt = _spectral_filter(lmax, config.filter_strength, dt)
     if filt is not None:
         new_coeffs = new_coeffs * filt
-    return SimulationState(time=state.time + dt, vorticity=SpectralField.from_halves(new_coeffs))
+    return SimulationState(time=state.time + dt, vorticity=SpectralField(new_coeffs))
 
 
 def cfl_advisory(state: SimulationState, config: SimulationConfig) -> dict:

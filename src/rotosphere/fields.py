@@ -47,32 +47,25 @@ def velocity_from_stream(psi: SpectralField, transform: Transform | None = None)
     return VelocityField(u=GridField(-dtheta, tr.grid), v=GridField(dphi_over_cos, tr.grid))
 
 
-def advection(psi: SpectralField | np.ndarray,
-              q: SpectralField | np.ndarray) -> SpectralField | np.ndarray:
+def advection(psi: SpectralField, q: SpectralField) -> SpectralField:
     """Spectral coefficients of the advection bracket of psi acting on q.
 
     Computes (1/cos)[-psi_theta d_phi + psi_phi d_theta] q pseudospectrally
     on a grid large enough that the quadratic product is alias-free, then
     truncates back to the common degree.  The degree-0 coefficient of the
     result is set to zero exactly (the bracket integrates to zero over the
-    sphere).  psi and q are real SpectralFields, or the m >= 0 half tables
-    of real fields, in which case the result is a half table too; both go
-    through one gradient pass.
+    sphere).  psi and q are real; both go through one gradient pass.
     """
-    spectral = isinstance(psi, SpectralField)
-    if spectral:
-        if psi.lmax != q.lmax:
-            raise sht.GridShapeError(f"advection truncation mismatch: {psi.lmax} vs {q.lmax}")
-        if not (psi.real_valued and q.real_valued):
-            raise ValueError("advection expects real-valued fields")
-        psi, q = psi.real_half(), q.real_half()
-    halves = np.stack([psi, q])
-    tr = sht.dealiased_transform(halves.shape[1] - 1)
-    dtheta, dphi_over_cos = tr.gradient_values(halves)
+    if psi.lmax != q.lmax:
+        raise sht.GridShapeError(f"advection truncation mismatch: {psi.lmax} vs {q.lmax}")
+    if not (psi.real_valued and q.real_valued):
+        raise ValueError("advection expects real-valued fields")
+    tr = sht.dealiased_transform(psi.lmax)
+    dtheta, dphi_over_cos = tr.gradient_values(np.concatenate([psi.halves, q.halves]))
     bracket = -dtheta[0] * dphi_over_cos[1] + dphi_over_cos[0] * dtheta[1]
-    out = tr.analysis(bracket[None])[0]
-    out[0, 0] = 0.0
-    return SpectralField.from_halves(out) if spectral else out
+    out = tr.analysis(bracket[None])
+    out[0, 0, 0] = 0.0
+    return SpectralField(out)
 
 
 def energy(psi: SpectralField) -> float:
@@ -174,7 +167,7 @@ def poincare_check(psi: SpectralField, n: int, tol: float = 1e-10) -> PoincareRe
     if not 0 <= n < psi.lmax:
         raise ValueError(f"n={n} out of range for lmax={psi.lmax}")
     proj = psi.copy()
-    proj.coeffs[: n + 1, :] = 0.0
+    proj.halves[:, : n + 1] = 0.0
     lhs = enstrophy(proj)
     rhs = (n + 1) * (n + 2) * 2.0 * energy(proj)
     return PoincareReport(lhs, rhs, lhs >= rhs - tol * max(1.0, abs(rhs)))

@@ -10,11 +10,13 @@ The transform pair is exact for bandlimited fields as long as the grid
 satisfies ``nlat >= lmax + 1`` and ``nlon >= 2*lmax + 1``; quadrature in
 latitude is Gauss-Legendre, longitude uses the FFT.
 
-`Transform` works on real fields only: it contracts the orders m >= 0 of
-a half table with the Legendre table and uses rfft/irfft in longitude,
-and rebuilds the negative orders from c_l^{-m} = (-1)^m conj(c_l^m).  A
-complex field goes through as two real fields, its real and imaginary
-parts.
+A `SpectralField` stores the m >= 0 half tables of real fields: a real
+field has one, its negative orders following from c_l^{-m} = (-1)^m
+conj(c_l^m), and a complex field two, its real and imaginary parts.
+`Transform` contracts the orders m >= 0 of half tables with the Legendre
+table and uses rfft/irfft in longitude.  The full table over the orders
+-l..l is built only where a file format or point evaluation needs it
+(`SpectralField.coeffs`, read back by `SpectralField.from_table`).
 """
 
 from __future__ import annotations
@@ -145,57 +147,123 @@ class GridField:
 class SpectralField:
     """Triangular table of harmonic coefficients c_l^m, 0 <= l <= lmax, |m| <= l.
 
-    Coefficients are stored in a dense (lmax+1, 2*lmax+1) complex array with
-    column index lmax + m.  For real-valued fields the coefficients satisfy
-    c_l^{-m} = (-1)^m conj(c_l^m).  The degree-0 coefficient is carried along
-    but is constrained to zero for vorticity fields (closed-surface mean).
+    The field is stored by m >= 0 half tables (l, m) in `halves`.  A real
+    field has one, A with c_l^m = A_l^m; its negative orders follow from
+    c_l^{-m} = (-1)^m conj(c_l^m) and its m = 0 column is real.  A complex
+    field f = A + iB has two, the half tables of the real fields A and B:
+    c_l^m = A_l^m + i B_l^m and c_l^{-m} = (-1)^m (conj(A_l^m) + i conj(B_l^m)).
+    `coeffs` is the full (lmax+1, 2*lmax+1) table with column index lmax + m,
+    for file formats and point evaluation; `from_table` reads one.  The
+    degree-0 coefficient is carried along but is constrained to zero for
+    vorticity fields (closed-surface mean).
     """
 
-    __slots__ = ("lmax", "coeffs", "real_valued")
+    __slots__ = ("halves",)
 
-    def __init__(self, lmax: int, coeffs: np.ndarray | None = None, real_valued: bool = True):
-        if lmax < 1:
-            raise ValueError("lmax must be >= 1")
-        self.lmax = lmax
-        if coeffs is None:
-            coeffs = np.zeros((lmax + 1, 2 * lmax + 1), dtype=complex)
-        else:
-            coeffs = np.asarray(coeffs, dtype=complex)
-            if coeffs.shape != (lmax + 1, 2 * lmax + 1):
-                raise ValueError(
-                    f"coefficient table shape {coeffs.shape} does not match lmax={lmax}"
-                )
-            coeffs = coeffs.copy()
-        self.coeffs = coeffs
-        self.real_valued = real_valued
+    def __init__(self, halves: np.ndarray):
+        """Wrap half tables (1 or 2, lmax+1, lmax+1), without a copy if complex."""
+        halves = np.asarray(halves, dtype=complex)
+        if not (halves.ndim == 3 and len(halves) in (1, 2) and halves.shape[1] == halves.shape[2] > 1):
+            raise ValueError(f"half tables of shape {halves.shape} are not (1 or 2, lmax+1, lmax+1)"
+                             " with lmax >= 1")
+        self.halves = halves
 
     @classmethod
     def zeros(cls, lmax: int, real_valued: bool = True) -> "SpectralField":
-        return cls(lmax, None, real_valued)
+        return cls(np.zeros((1 if real_valued else 2, lmax + 1, lmax + 1), dtype=complex))
+
+    @classmethod
+    def from_table(cls, table: np.ndarray, real_valued: bool) -> "SpectralField":
+        """Field from a full (lmax+1, 2*lmax+1) table, column index lmax + m.
+
+        A real-flagged table must satisfy c_l^{-m} = (-1)^m conj(c_l^m) and
+        have a real m = 0 column, to 1e-12; it is stored as the average
+        (c_l^m + (-1)^m conj(c_l^{-m})) / 2.
+        """
+        table = np.asarray(table, dtype=complex)
+        L = table.shape[0] - 1
+        if table.shape != (L + 1, 2 * L + 1):
+            raise ValueError(f"coefficient table of shape {table.shape} is not (lmax+1, 2*lmax+1)")
+        # half tables A and B of the real and imaginary parts
+        pos, mirror = table[:, L:], _order_signs(L) * np.conj(table[:, L::-1])
+        halves = np.stack([0.5 * (pos + mirror), (pos - mirror) / 2j])
+        if real_valued:
+            # |B| is half the mirror defect at m > 0 and |Im c_l^0| at m = 0
+            defect = float(np.max(np.abs(halves[1]) * np.where(np.arange(L + 1) == 0, 1.0, 2.0)))
+            if defect > 1e-12:
+                raise ValueError(f"real-valued table violates c_l^-m = (-1)^m conj(c_l^m) "
+                                 f"by {defect:.3e}")
+            halves = halves[:1]
+        return cls(halves)
 
     @classmethod
     def from_harmonic(cls, lmax: int, l: int, m: int, amplitude: complex = 1.0,
                       real_valued: bool = False) -> "SpectralField":
-        field = cls.zeros(lmax, real_valued=real_valued)
+        """amplitude * Y_l^m, or its real part when `real_valued`."""
+        field = cls.zeros(lmax, real_valued=False)
         field.set(l, m, amplitude)
-        if real_valued:
-            field.enforce_reality()
-        return field
+        return field.enforce_reality() if real_valued else field
+
+    @property
+    def lmax(self) -> int:
+        return self.halves.shape[1] - 1
+
+    @property
+    def real_valued(self) -> bool:
+        return len(self.halves) == 1
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """The full (lmax+1, 2*lmax+1) table, column index lmax + m (read-only)."""
+        L, a = self.lmax, self.halves[0]
+        table = np.zeros((L + 1, 2 * L + 1), dtype=complex)
+        if self.real_valued:
+            table[:, L:] = a
+            table[:, L] = a[:, 0].real
+            neg = np.conj(a[:, 1:])
+        else:
+            b = self.halves[1]
+            table[:, L:] = a + 1j * b
+            neg = np.conj(a[:, 1:]) + 1j * np.conj(b[:, 1:])
+        table[:, :L] = (_order_signs(L)[1:] * neg)[:, ::-1]
+        table.setflags(write=False)
+        return table
 
     def copy(self) -> "SpectralField":
-        return SpectralField(self.lmax, self.coeffs, self.real_valued)
+        return SpectralField(self.halves.copy())
 
     def get(self, l: int, m: int) -> complex:
+        """c_l^m, with the arithmetic of `coeffs`."""
         self._check_lm(l, m)
-        return self.coeffs[l, self.lmax + m]
+        k = abs(m)
+        sign = (-1.0) ** k
+        if self.real_valued:
+            a = complex(self.halves[0, l, k])
+            return complex(a.real) if m == 0 else a if m > 0 else sign * a.conjugate()
+        a, b = self.halves[:, l, k].tolist()
+        return a + 1j * b if m >= 0 else sign * (a.conjugate() + 1j * b.conjugate())
 
     def set(self, l: int, m: int, value: complex) -> None:
+        """Write c_l^m = value.  On a real field c_l^{-m} follows by reality,
+        and an m = 0 value must be real; on a complex field c_l^{-m} is kept."""
         self._check_lm(l, m)
-        self.coeffs[l, self.lmax + m] = value
+        k = abs(m)
+        if not self.real_valued:
+            # split the pair c_l^k, c_l^-k into A and B as `from_table` does
+            pos = value if m >= 0 else self.get(l, k)
+            neg = value if m <= 0 else self.get(l, -k)
+            mirror = (-1.0) ** k * complex(neg).conjugate()
+            self.halves[:, l, k] = 0.5 * (pos + mirror), (pos - mirror) / 2j
+        elif m == 0:
+            if complex(value).imag != 0.0:
+                raise ValueError(f"an m = 0 coefficient of a real field must be real, got {value}")
+            self.halves[0, l, 0] = complex(value).real
+        else:
+            self.halves[0, l, k] = value if m > 0 else (-1.0) ** k * np.conj(value)
 
     def add_to(self, l: int, m: int, value: complex) -> None:
-        self._check_lm(l, m)
-        self.coeffs[l, self.lmax + m] += value
+        """c_l^m += value, with the rules of `set`."""
+        self.set(l, m, self.get(l, m) + value)
 
     def _check_lm(self, l: int, m: int) -> None:
         if not (0 <= l <= self.lmax and abs(m) <= l):
@@ -203,91 +271,49 @@ class SpectralField:
 
     @property
     def mean_coefficient(self) -> complex:
-        return self.coeffs[0, self.lmax]
+        return self.get(0, 0)
 
     def degree_power(self) -> np.ndarray:
-        """sum_m |c_l^m|^2 for each degree l (index by l)."""
-        return np.sum(np.abs(self.coeffs) ** 2, axis=1)
+        """sum_m |c_l^m|^2 for each degree l (index by l): per half table,
+        |h_l^0|^2 + 2 sum_{m>0} |h_l^m|^2."""
+        weight = np.where(np.arange(self.lmax + 1) == 0, 1.0, 2.0)
+        return np.sum(np.abs(self.halves) ** 2 @ weight, axis=0)
 
     def norm(self) -> float:
         """L2(S^2) norm of the represented field (Parseval)."""
-        return float(np.sqrt(np.sum(np.abs(self.coeffs) ** 2)))
-
-    def real_half(self) -> np.ndarray:
-        """m >= 0 half table (l, m) of the real part: (c_l^m + (-1)^m conj(c_l^{-m})) / 2."""
-        pos, mirror = self._halves()
-        return 0.5 * (pos + mirror)
-
-    def imag_half(self) -> np.ndarray:
-        """m >= 0 half table of the imaginary part: (c_l^m - (-1)^m conj(c_l^{-m})) / 2i."""
-        pos, mirror = self._halves()
-        return (pos - mirror) / 2j
-
-    def _halves(self) -> tuple[np.ndarray, np.ndarray]:
-        L = self.lmax
-        return self.coeffs[:, L:], _order_signs(L) * np.conj(self.coeffs[:, L::-1])
-
-    @classmethod
-    def from_halves(cls, re_half: np.ndarray, im_half: np.ndarray | None = None) -> "SpectralField":
-        """Full table from the half tables a (real part) and b (imaginary part, complex
-        fields only): c_l^m = a_l^m + i b_l^m, c_l^{-m} = (-1)^m (conj(a_l^m) + i conj(b_l^m))."""
-        L = re_half.shape[0] - 1
-        out = cls.zeros(L, real_valued=im_half is None)
-        if im_half is None:
-            out.coeffs[:, L:] = re_half
-            out.coeffs[:, L] = re_half[:, 0].real
-            neg = np.conj(re_half[:, 1:])
-        else:
-            out.coeffs[:, L:] = re_half + 1j * im_half
-            neg = np.conj(re_half[:, 1:]) + 1j * np.conj(im_half[:, 1:])
-        out.coeffs[:, :L] = (_order_signs(L)[1:] * neg)[:, ::-1]
-        return out
-
-    def reality_defect(self) -> float:
-        """Max violation of c_l^{-m} = (-1)^m conj(c_l^m)."""
-        L = self.lmax
-        signs = _order_signs(L)[None, 1:]
-        pos = self.coeffs[:, L + 1 :]
-        neg = self.coeffs[:, L - 1 :: -1]
-        defect = float(np.max(np.abs(neg - signs * np.conj(pos)), initial=0.0))
-        return max(defect, float(np.max(np.abs(self.coeffs[:, L].imag), initial=0.0)))
+        return float(np.sqrt(np.sum(self.degree_power())))
 
     def enforce_reality(self) -> "SpectralField":
-        """Symmetrize the table so the represented field is exactly real."""
-        self.coeffs[:] = SpectralField.from_halves(self.real_half()).coeffs
-        self.real_valued = True
+        """Keep the real part of the field: drop the half table B."""
+        self.halves = self.halves[:1]
         return self
 
     def scaled(self, factor: complex) -> "SpectralField":
-        out = self.copy()
-        out.coeffs *= factor
-        if not np.isreal(factor):
-            out.real_valued = False
-        return out
+        factor = complex(factor)
+        if factor.imag == 0.0:
+            return SpectralField(self.halves * factor.real)
+        # (A + iB)(x + iy) = (Ax - By) + i(Ay + Bx), B = 0 for a real field
+        a, b = self.halves[0], (0.0 if self.real_valued else self.halves[1])
+        return SpectralField(np.stack([a * factor.real - b * factor.imag,
+                                       a * factor.imag + b * factor.real]))
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         if self.lmax != other.lmax:
             raise GridShapeError("truncation mismatch in field addition")
-        out = self.copy()
-        out.coeffs += other.coeffs
-        out.real_valued = self.real_valued and other.real_valued
-        return out
+        # a real field adds to the half table A alone
+        short, long = sorted((self.halves, other.halves), key=len)
+        out = long.copy()
+        out[: len(short)] += short
+        return SpectralField(out)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
-        if self.lmax != other.lmax:
-            raise GridShapeError("truncation mismatch in field subtraction")
-        out = self.copy()
-        out.coeffs -= other.coeffs
-        out.real_valued = self.real_valued and other.real_valued
-        return out
+        return self + other.scaled(-1.0)
 
     def truncated(self, lmax: int) -> "SpectralField":
         """Copy restricted (or zero-padded) to a new truncation degree."""
         out = SpectralField.zeros(lmax, self.real_valued)
         L = min(lmax, self.lmax)
-        out.coeffs[: L + 1, lmax - L : lmax + L + 1] = self.coeffs[
-            : L + 1, self.lmax - L : self.lmax + L + 1
-        ]
+        out.halves[:, : L + 1, : L + 1] = self.halves[:, : L + 1, : L + 1]
         return out
 
 
@@ -404,13 +430,6 @@ def _batch_major(y: np.ndarray) -> np.ndarray:
     return y.view(complex).transpose(2, 1, 0)
 
 
-def _field_halves(field: SpectralField) -> np.ndarray:
-    """A real field as one half table; a complex field as two, A and B with f = A + iB."""
-    if field.real_valued:
-        return field.real_half()[None]
-    return np.stack([field.real_half(), field.imag_half()])
-
-
 def _join(parts: np.ndarray, real_valued: bool) -> np.ndarray:
     return parts[0] if real_valued else parts[0] + 1j * parts[1]
 
@@ -456,13 +475,9 @@ class Transform:
 
     # -- core on m >= 0 half tables ---------------------------------------------
 
-    def _check_field(self, field: SpectralField) -> None:
-        if field.lmax != self.lmax:
-            raise GridShapeError(
-                f"field lmax={field.lmax} does not match transform lmax={self.lmax}"
-            )
-
-    def _check_halves(self, halves: np.ndarray) -> np.ndarray:
+    def _halves_of(self, field: SpectralField | np.ndarray) -> np.ndarray:
+        """The half tables of a field, or a batch of half tables, checked against lmax."""
+        halves = field.halves if isinstance(field, SpectralField) else field
         if halves.ndim != 3 or halves.shape[1:] != (self.lmax + 1, self.lmax + 1):
             raise GridShapeError(f"half tables of shape {halves.shape} do not match lmax={self.lmax}")
         return halves
@@ -492,10 +507,9 @@ class Transform:
         m >= 0 half tables of real fields with a leading batch axis, shape
         (batch, lmax+1, lmax+1), give grid values (batch, nlat, nlon).
         """
+        values = self._irfft(self._to_grid(self._p, self._halves_of(field)))
         if not isinstance(field, SpectralField):
-            return self._irfft(self._to_grid(self._p, self._check_halves(field)))
-        self._check_field(field)
-        values = self._irfft(self._to_grid(self._p, _field_halves(field)))
+            return values
         return GridField(values=_join(values, field.real_valued), grid=self.grid)
 
     def gradient_values(self, fields: SpectralField | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -505,12 +519,7 @@ class Transform:
         with a leading batch axis, shape (batch, lmax+1, lmax+1); both
         outputs then carry the same batch axis.
         """
-        if isinstance(fields, SpectralField):
-            self._check_field(fields)
-            halves = _field_halves(fields)
-        else:
-            halves = self._check_halves(fields)
-        spectra = self._to_grid(self._grad, halves)
+        spectra = self._to_grid(self._grad, self._halves_of(fields))
         nlat = self.spec.nlat
         spectra[:, nlat:] *= self._im
         values = self._irfft(spectra)
@@ -519,13 +528,13 @@ class Transform:
             return _join(dtheta, fields.real_valued), _join(dphi_over_cos, fields.real_valued)
         return dtheta, dphi_over_cos
 
-    def analysis(self, values: np.ndarray | GridField,
-                 real_valued: bool | None = None) -> SpectralField | np.ndarray:
+    def analysis(self, values: np.ndarray | GridField) -> SpectralField | np.ndarray:
         """Project grid values onto the harmonic basis by quadrature.
 
-        Values of shape (nlat, nlon) give a SpectralField.  Real values with
-        a leading batch axis, shape (batch, nlat, nlon), give the m >= 0 half
-        tables (batch, lmax+1, lmax+1) of the real fields.
+        Values of shape (nlat, nlon) give a SpectralField, real for real
+        values and complex for complex ones.  Real values with a leading
+        batch axis, shape (batch, nlat, nlon), give the m >= 0 half tables
+        (batch, lmax+1, lmax+1) of the real fields.
         """
         values = np.asarray(values.values if isinstance(values, GridField) else values)
         if values.ndim not in (2, 3) or values.shape[-2:] != (self.spec.nlat, self.spec.nlon):
@@ -537,14 +546,9 @@ class Transform:
             if np.iscomplexobj(values):
                 raise ValueError("batched analysis takes real values")
             return self._analyse(values)
-        if real_valued is None:
-            real_valued = bool(np.isrealobj(values))
-        if real_valued or np.isrealobj(values):
-            out = SpectralField.from_halves(self._analyse(values.real[None])[0])
-        else:
-            out = SpectralField.from_halves(*self._analyse(np.stack([values.real, values.imag])))
-        out.real_valued = real_valued
-        return out
+        if np.isrealobj(values):
+            return SpectralField(self._analyse(values[None]))
+        return SpectralField(self._analyse(np.stack([values.real, values.imag])))
 
     def max_abs(self, field: SpectralField) -> float:
         return float(np.max(np.abs(self.synthesis(field).values)))
@@ -585,10 +589,8 @@ def harmonic(l: int, m: int, grid: GaussGrid) -> GridField:
 
 def laplacian(c: SpectralField) -> SpectralField:
     """Apply the Laplace-Beltrami operator: each degree scales by -l(l+1)."""
-    out = c.copy()
     l = np.arange(c.lmax + 1, dtype=float)
-    out.coeffs *= (-l * (l + 1.0))[:, None]
-    return out
+    return SpectralField(c.halves * (-l * (l + 1.0))[:, None])
 
 
 def require_zero_mean(c: SpectralField, mean_tol: float = 1e-10) -> None:
@@ -610,7 +612,7 @@ def invert_laplacian(c: SpectralField, mean_tol: float = 1e-10) -> SpectralField
     a constant forcing has no solution on a closed surface.
     """
     require_zero_mean(c, mean_tol)
-    return SpectralField(c.lmax, inverse_laplacian_table(c.coeffs), c.real_valued)
+    return SpectralField(inverse_laplacian_table(c.halves))
 
 
 def inverse_laplacian_table(table: np.ndarray) -> np.ndarray:
@@ -628,14 +630,14 @@ def evaluate(field: SpectralField, phi: np.ndarray, s: np.ndarray) -> np.ndarray
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if phi.shape != s.shape:
         raise ValueError("phi and s must have matching shapes")
-    L = field.lmax
+    L, table = field.lmax, field.coeffs
     ptab = normalized_legendre_table(L, s.ravel())
     out = np.zeros(phi.size, dtype=complex)
-    cpos = field.coeffs[:, L:]
+    cpos = table[:, L:]
     phases = np.exp(1j * np.outer(phi.ravel(), np.arange(L + 1)))
     out += np.einsum("ilm,lm,im->i", ptab, cpos, phases)
     signs = np.where(np.arange(1, L + 1) % 2 == 0, 1.0, -1.0)
-    cneg = field.coeffs[:, L - 1 :: -1] * signs[None, :]
+    cneg = table[:, L - 1 :: -1] * signs[None, :]
     out += np.einsum("ilm,lm,im->i", ptab[:, :, 1:], cneg, np.conj(phases[:, 1:]))
     if field.real_valued:
         out = out.real
@@ -752,18 +754,18 @@ def rotate(c: SpectralField, r: RotationSpec, parity: bool = False) -> SpectralF
     Improper elements of the full orthogonal group are handled by the
     parity flag (the antipodal map multiplies degree l by (-1)^l).
     """
-    L = c.lmax
-    out = SpectralField.zeros(L, c.real_valued)
+    L, table = c.lmax, c.coeffs
+    out = np.zeros(table.shape, dtype=complex)
     left, middle, right = rotation_phases(r, L)
     for l, delta in enumerate(pi2_factors(L)):
         orders = slice(L - l, L + l + 1)
-        v = middle[orders] * _real_matvec(delta.T, right[orders] * c.coeffs[l, orders])
-        out.coeffs[l, orders] = left[orders] * _real_matvec(delta, v)
+        v = middle[orders] * _real_matvec(delta.T, right[orders] * table[l, orders])
+        out[l, orders] = left[orders] * _real_matvec(delta, v)
     if parity:
-        out.coeffs[1::2] *= -1.0
-    if c.real_valued:
-        out.enforce_reality()
-    return out
+        out[1::2] *= -1.0
+    rotated = SpectralField.from_table(out, real_valued=False)
+    # a real field keeps the real part, the average of the computed row and its mirror
+    return rotated.enforce_reality() if c.real_valued else rotated
 
 
 def rotate_field_values(field: SpectralField, rot: RotationSpec, grid: GaussGrid,

@@ -11,7 +11,8 @@ Layout of the binary format (little endian):
     degree ascending and order from -l to l within each degree.
 
 The JSON twin stores the same ordering as [re, im] pairs and is accepted
-interchangeably on read.
+interchangeably on read.  A real-flagged file must satisfy
+c_l^{-m} = (-1)^m conj(c_l^m) to 1e-12; reading rejects one that does not.
 """
 
 from __future__ import annotations
@@ -33,23 +34,23 @@ class SnapshotFormatError(ValueError):
     pass
 
 
+def _triangle(lmax: int) -> np.ndarray:
+    """Mask of the entries |m| <= l of a full table; row-major it runs by
+    degree, then by order from -l to l, the file order."""
+    return np.abs(np.arange(-lmax, lmax + 1)) <= np.arange(lmax + 1)[:, None]
+
+
 def _flatten(field: SpectralField) -> np.ndarray:
-    out = []
-    L = field.lmax
-    for l in range(L + 1):
-        row = field.coeffs[l, L - l : L + l + 1]
-        out.append(row)
-    return np.concatenate(out)
+    return field.coeffs[_triangle(field.lmax)]
 
 
-def _unflatten(lmax: int, flat: np.ndarray, real_valued: bool) -> SpectralField:
-    field = SpectralField.zeros(lmax, real_valued=real_valued)
-    pos = 0
-    for l in range(lmax + 1):
-        n = 2 * l + 1
-        field.coeffs[l, lmax - l : lmax + l + 1] = flat[pos : pos + n]
-        pos += n
-    return field
+def _unflatten(path: Path, lmax: int, flat: np.ndarray, real_valued: bool) -> SpectralField:
+    table = np.zeros((lmax + 1, 2 * lmax + 1), dtype=complex)
+    table[_triangle(lmax)] = flat
+    try:
+        return SpectralField.from_table(table, real_valued)
+    except ValueError as exc:
+        raise SnapshotFormatError(f"{path}: {exc}") from None
 
 
 def write_snapshot(path: str | Path, field: SpectralField, time: float = 0.0) -> None:
@@ -98,7 +99,7 @@ def read_snapshot(path: str | Path) -> tuple[SpectralField, float]:
             raise SnapshotFormatError(f"{path}: coefficients must be [re, im] number pairs")
         if flat.size != (lmax + 1) ** 2:
             raise SnapshotFormatError(f"{path}: coefficient count does not match lmax")
-        return _unflatten(lmax, flat, real_valued), float(time)
+        return _unflatten(path, lmax, flat, real_valued), float(time)
     if len(blob) < _HEADER.size:
         raise SnapshotFormatError(f"{path}: truncated header")
     magic, version, lmax, real_flag, time = _HEADER.unpack_from(blob)
@@ -112,4 +113,4 @@ def read_snapshot(path: str | Path) -> tuple[SpectralField, float]:
         raise SnapshotFormatError(f"{path}: expected {expected} bytes, got {len(blob)}")
     data = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
     flat = data[0::2] + 1j * data[1::2]
-    return _unflatten(lmax, flat, bool(real_flag)), float(time)
+    return _unflatten(path, lmax, flat, bool(real_flag)), float(time)

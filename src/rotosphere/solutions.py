@@ -51,11 +51,8 @@ class RossbyHaurwitzWave:
     def at_time(self, t: float) -> SpectralField:
         """Exact state at time t: the degree-j pattern shifted by speed*t."""
         out = self.psi.copy()
-        L = out.lmax
-        m = np.arange(-self.degree, self.degree + 1)
-        out.coeffs[self.degree, L - self.degree : L + self.degree + 1] *= np.exp(
-            -1j * m * self.speed * t
-        )
+        m = np.arange(self.degree + 1)
+        out.halves[:, self.degree, : self.degree + 1] *= np.exp(-1j * m * self.speed * t)
         return out
 
     @property
@@ -105,22 +102,16 @@ def make_rossby_haurwitz(j: int, alpha: float, ycoeffs: dict[int, complex],
     if lmax < j:
         raise ValueError("lmax too small for the requested degree")
 
-    full: dict[int, complex] = {}
-    for m, c in ycoeffs.items():
-        full[m] = complex(c)
-    for m, c in list(full.items()):
-        mirror = (-1) ** m * np.conj(c)
-        if -m in full:
-            if abs(full[-m] - mirror) > 1e-12 * max(1.0, abs(c)):
-                raise ValueError(f"orders {m} and {-m} violate the reality condition")
-        else:
-            full[-m] = mirror
-
     psi = SpectralField.zeros(lmax)
     psi.set(1, 0, alpha * 2.0 * math.sqrt(math.pi / 3.0))
-    for m, c in full.items():
-        psi.add_to(j, m, c)
-    psi.enforce_reality()
+    for m, c in ycoeffs.items():
+        c = complex(c)
+        if -m in ycoeffs:
+            if abs(ycoeffs[-m] - (-1) ** m * np.conj(c)) > 1e-12 * max(1.0, abs(c)):
+                raise ValueError(f"orders {m} and {-m} violate the reality condition")
+            if m < 0:  # written through its mirror -m
+                continue
+        psi.add_to(j, m, c.real if m == 0 else c)
     return RossbyHaurwitzWave(
         psi=psi, speed=rossby_haurwitz_speed(j, alpha, omega), degree=j,
         alpha=alpha, omega=omega,
@@ -168,7 +159,7 @@ def _project(evaluator, lmax: int) -> tuple[SpectralField, float]:
     phi = np.broadcast_to(grid.longitudes[None, :], (grid.nlat, grid.nlon))
     s = np.broadcast_to(grid.nodes[:, None], (grid.nlat, grid.nlon))
     values = evaluator(phi, s)
-    coeffs = tr.analysis(np.asarray(values, dtype=float), real_valued=True)
+    coeffs = tr.analysis(np.asarray(values, dtype=float))
     # tail estimate: power in the top three retained degrees
     power = coeffs.degree_power()
     tail = float(np.sqrt(np.sum(power[-3:])))

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import solutions
+from . import dynamics, solutions
 
 FOUR_PI = 4.0 * math.pi
 
@@ -259,9 +259,10 @@ def particle_paths(field: Field3D, seeds: Sequence[tuple[float, float, float]],
     order.  Each seed is integrated on its own in Python floats, with one
     call of the base gradient per stage.  Along each path the base stream
     value at the co-drifting longitude is conserved; the maximum deviation
-    from its initial value is reported as the level drift.
+    from its initial value is reported as the level drift.  `t_end` must be
+    a whole number of steps of `dt` (`dynamics.whole_steps`).
     """
-    n_steps = int(round(t_end / dt))
+    n_steps = dynamics.whole_steps(t_end, dt)
     omega = field.omega
     gradient = field.base.gradient
     half, sixth = 0.5 * dt, dt / 6.0

@@ -73,5 +73,5 @@ class ReferenceTransform:
         coeffs = np.zeros((L + 1, 2 * L + 1), dtype=complex)
         coeffs[:, L:] = cpos
         coeffs[:, :L] = cneg[:, ::-1]
-        out = sht.SpectralField(L, coeffs, real_valued=real_valued)
+        out = sht.SpectralField.from_table(coeffs, real_valued=False)
         return out.enforce_reality() if real_valued else out

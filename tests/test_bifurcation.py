@@ -46,8 +46,8 @@ class TestSubspaces:
         gen = tetra_subspace.basis[tetra_subspace.generator_index(3)]
         # the generator is the sin(2 phi)-type real harmonic of degree 3
         ref = sht.SpectralField.zeros(12)
-        ref.coeffs[3, 12 - 2] = 1j / math.sqrt(2)
-        ref.coeffs[3, 12 + 2] = -1j / math.sqrt(2)
+        ref.set(3, -2, 1j / math.sqrt(2))
+        ref.set(3, 2, -1j / math.sqrt(2))
         overlap = abs(np.sum(np.conj(ref.coeffs) * gen.coeffs))
         assert overlap > 1.0 - 1e-12
 

@@ -84,13 +84,39 @@ class TestSimulate:
         {"initial": {"kind": "snapshot", "path": "bare.json"}},
         {"diag_strid": 1},
         {"initial": {"kind": "modes", "coefficients": [], "decay": 0.5}},
+        {"initial": {"kind": "modes", "coefficients": [[1, 0, 0.5, 0.1]]}},
+        {"initial": {"kind": "modes", "coefficients": [[2, 1, 0.3, 0.1], [2, -1, -0.3, 0.1]]}},
     ], ids=["string-stride", "mode-outside-table", "grid-keys", "fractional-lmax",
             "string-dt", "short-mode-entry", "t-end-not-multiple", "snapshot-without-lmax",
-            "misspelled-key", "key-of-another-kind"])
+            "misspelled-key", "key-of-another-kind", "complex-zonal-mode", "repeated-mode"])
     def test_malformed_config_is_config_error(self, tmp_path, capsys, monkeypatch, change):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "bare.json").write_text('{"format": "RSPHCOF1"}')
         cfg = write_json(tmp_path / "sim.json", dict(SIM_CONFIG, **change))
+        assert run_cli(["simulate", cfg, "--outdir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "o").exists()
+
+    def test_modes_are_realised_as_written(self, tmp_path):
+        entries = [[2, 1, 1.0, 0.0], [3, -2, 0.0, 1.0], [1, 0, 0.5, 0.0], [3, 3, 0.25, -0.75]]
+        config = dict(SIM_CONFIG, t_end=0.0, initial={"kind": "modes", "coefficients": entries})
+        cfg = write_json(tmp_path / "sim.json", config)
+        out = tmp_path / "out"
+        assert run_cli(["simulate", cfg, "--outdir", str(out)]) == 0
+        field, _ = snapshot.read_snapshot(out / "snapshot_000000.shc")
+        for l, m, re_part, im_part in entries:
+            assert field.get(l, m) == complex(re_part, im_part)
+            assert field.get(l, -m) == (-1) ** m * complex(re_part, -im_part)
+
+    def test_snapshot_breaking_reality_is_config_error(self, tmp_path, capsys):
+        coefficients = [[0.0, 0.0]] * 9
+        coefficients[7] = coefficients[5] = [0.5, 0.25]  # c_2^1 = c_2^-1, not -conj(c_2^1)
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"format": "RSPHCOF1", "version": 1, "lmax": 2,
+                                    "real_valued": True, "time": 0.0,
+                                    "coefficients": coefficients}))
+        config = dict(SIM_CONFIG, initial={"kind": "snapshot", "path": str(path)})
+        cfg = write_json(tmp_path / "sim.json", config)
         assert run_cli(["simulate", cfg, "--outdir", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "o").exists()
@@ -178,8 +204,11 @@ class TestStabilityCommands:
         ("rh2", {"t_end": 0.2, "dt": 0.07}),
         ("rh2", {"y_unit": {"3": [1.0, 0.0]}}),
         ("rh2", {"snapshot_stride": 2}),
+        ("rh2", {"perturbation": [[2, 0, 0.001, 0.001]]}),
+        ("rh2", {"perturbation": [[3, 1, 0.001, 0.0], [3, -1, -0.001, 0.0]]}),
     ], ids=["non-integer-degree", "zero-wavenumber", "negative-dt", "t-end-not-multiple",
-            "order-beyond-degree", "key-rh2-does-not-read"])
+            "order-beyond-degree", "key-rh2-does-not-read", "complex-zonal-mode",
+            "repeated-mode"])
     def test_malformed_config_is_config_error(self, tmp_path, capsys, analysis, change):
         base = self.ZONAL_CONFIG if analysis == "zonal" else self.RH2_CONFIG
         cfg = write_json(tmp_path / "cfg.json", dict(base, **change))

@@ -32,7 +32,7 @@ class TestVelocity:
 
     def test_speed_parseval(self):
         # grid quadrature of |U|^2 equals the gradient Parseval sum
-        psi = sht.SpectralField.zeros(9)
+        psi = sht.SpectralField.zeros(9, real_valued=False)
         psi.set(1, 1, 0.7 - 0.2j)
         psi.set(2, 1, 0.1 + 0.4j)
         psi.enforce_reality()

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from rotosphere import sht
 from conftest import random_real_field
 from sht_reference import ReferenceTransform
+from spectral_reference import FullTableField, reality_defect
 
 
 class TestGrid:
@@ -98,7 +99,7 @@ class TestTransforms:
     def test_basis_round_trip(self, transform31):
         f = sht.SpectralField.from_harmonic(31, 1, 0, 1.0)
         grid_field = transform31.synthesis(f)
-        back = transform31.analysis(grid_field.values, real_valued=False)
+        back = transform31.analysis(grid_field.values)
         assert abs(back.get(1, 0) - 1.0) < 1e-13
         back.set(1, 0, 0.0)
         assert np.max(np.abs(back.coeffs)) < 1e-13
@@ -123,7 +124,7 @@ class TestTransforms:
         rng = np.random.default_rng(3)
         values = rng.normal(size=(transform31.spec.nlat, transform31.spec.nlon))
         out = transform31.analysis(values)
-        assert out.reality_defect() == 0.0
+        assert reality_defect(out.coeffs) == 0.0
 
     def test_dimension_mismatch_rejected(self, transform31):
         with pytest.raises(sht.GridShapeError):
@@ -146,7 +147,7 @@ def _random_field(lmax: int, seed: int, real: bool) -> sht.SpectralField:
     if real:
         return f
     g = random_real_field(lmax, seed=seed + 1, zero_mean=False)
-    return sht.SpectralField(lmax, f.coeffs + 1j * g.coeffs, real_valued=False)
+    return sht.SpectralField(np.concatenate([f.halves, g.halves]))
 
 
 def _rel(got, want) -> float:
@@ -180,7 +181,7 @@ class TestRealFieldCore:
     def test_batched_calls_match_single_calls(self):
         tr = sht.dealiased_transform(12)
         fields = [random_real_field(12, seed=s) for s in (1, 2, 3)]
-        halves = np.stack([f.real_half() for f in fields])
+        halves = np.concatenate([f.halves for f in fields])
         dtheta, dphi = tr.gradient_values(halves)
         values = np.stack([tr.synthesis(f).values for f in fields])
         assert np.array_equal(tr.synthesis(halves), values)
@@ -189,7 +190,7 @@ class TestRealFieldCore:
             single_theta, single_phi = tr.gradient_values(f)
             assert np.array_equal(dtheta[i], single_theta)
             assert np.array_equal(dphi[i], single_phi)
-            assert np.array_equal(sht.SpectralField.from_halves(batched[i]).coeffs,
+            assert np.array_equal(sht.SpectralField(batched[i][None]).coeffs,
                                   tr.analysis(values[i]).coeffs)
 
     def test_batched_input_checks(self):
@@ -203,10 +204,105 @@ class TestRealFieldCore:
 
     def test_halves_rebuild_the_table(self):
         f = _random_field(9, seed=3, real=False)
-        back = sht.SpectralField.from_halves(f.real_half(), f.imag_half())
+        back = sht.SpectralField.from_table(f.coeffs, real_valued=False)
         assert np.max(np.abs(back.coeffs - f.coeffs)) < 1e-15
         g = random_real_field(9, seed=4)
-        assert np.array_equal(sht.SpectralField.from_halves(g.real_half()).coeffs, g.coeffs)
+        assert np.array_equal(sht.SpectralField.from_table(g.coeffs, real_valued=True).coeffs,
+                              g.coeffs)
+
+
+def _layout_value(rng, real: bool, m: int) -> complex:
+    value = complex(rng.normal(), rng.normal())
+    return complex(value.real) if real and m == 0 else value
+
+
+def _layout_pair(rng, lmax: int, real: bool):
+    """The same random field as a SpectralField and as a full-table model."""
+    new, ref = sht.SpectralField.zeros(lmax, real), FullTableField(lmax, real)
+    for l in range(lmax + 1):
+        for m in range(0 if real else -l, l + 1):
+            value = _layout_value(rng, real, m)
+            new.set(l, m, value)
+            ref.set(l, m, value)
+    return new, ref
+
+
+def _layout_step(op: str, new, ref, rng):
+    """Apply `op` to both models; returns the two results to compare."""
+    l = int(rng.integers(0, new.lmax + 1))
+    m = int(rng.integers(-l, l + 1))
+    if op in ("get", "set", "add_to"):
+        if op == "get":
+            return new.get(l, m), ref.get(l, m)
+        value = _layout_value(rng, new.real_valued, m)
+        getattr(new, op)(l, m, value)
+        getattr(ref, op)(l, m, value)
+    elif op in ("+", "-"):
+        other_new, other_ref = _layout_pair(rng, new.lmax, bool(rng.integers(2)))
+        new, ref = (new + other_new, ref + other_ref) if op == "+" else (
+            new - other_new, ref - other_ref)
+    elif op.startswith("scaled"):
+        factor = rng.normal() if op == "scaled real" else complex(rng.normal(), rng.normal())
+        new, ref = new.scaled(factor), ref.scaled(factor)
+    elif op == "truncated":
+        lmax = int(rng.integers(1, 9))
+        new, ref = new.truncated(lmax), ref.truncated(lmax)
+    elif op == "laplacian":
+        new, ref = sht.laplacian(new), ref.laplacian()
+    elif op == "invert_laplacian":
+        new.set(0, 0, 0.0)
+        ref.set(0, 0, 0.0)
+        new, ref = sht.invert_laplacian(new), ref.invert_laplacian()
+    elif op == "enforce_reality":
+        new.enforce_reality()
+        ref.enforce_reality()
+    else:
+        return getattr(new, op)(), getattr(ref, op)()
+    return new, ref
+
+
+LAYOUT_OPS = ["get", "set", "add_to", "+", "-", "scaled real", "scaled complex", "truncated",
+              "laplacian", "invert_laplacian", "enforce_reality", "degree_power", "norm"]
+
+
+class TestHalfTableLayout:
+    """`SpectralField` on half tables against the full-table model of its arithmetic."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.integers(1, 8), st.booleans(), st.integers(0, 2**32 - 1),
+           st.lists(st.sampled_from(LAYOUT_OPS), min_size=1, max_size=12))
+    def test_matches_full_table_model(self, lmax, real, seed, ops):
+        rng = np.random.default_rng(seed)
+        new, ref = _layout_pair(rng, lmax, real)
+        # a field that has only ever been real runs through the same
+        # arithmetic in both layouts; a complex one is recombined from A + iB,
+        # which rounds once more than the full table
+        exact = real
+        scale = float(np.max(np.abs(ref.coeffs)))
+        for op in ops:
+            got, want = _layout_step(op, new, ref, rng)
+            if op in ("degree_power", "norm"):
+                # summed in another order; a complex field differs by its recombination
+                power = 2 if op == "degree_power" else 1
+                bound = (1e-15 * np.abs(want) if exact
+                         else 1e-14 * (2 * new.lmax + 1) * scale**power)
+                assert np.all(np.abs(got - want) <= bound), op
+                continue
+            if op == "get":
+                got, want = np.array(got), np.array(want)
+            else:
+                new, ref = got, want
+                got, want = new.coeffs, ref.coeffs
+                assert new.real_valued == ref.real_valued
+                exact = exact and new.real_valued
+                scale = max(scale, float(np.max(np.abs(want))))
+            if exact:
+                assert np.array_equal(got, want), op
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-14 * scale, op
+        L = new.lmax
+        table = new.coeffs
+        assert all(new.get(l, m) == table[l, L + m] for l in range(L + 1) for m in range(-l, l + 1))
 
 
 FIELD_CASES = st.tuples(st.integers(1, 24), st.integers(0, 2**32 - 1), st.booleans(),
@@ -247,7 +343,7 @@ class TestLaplacian:
         for l in (1, 2, 5, 15):
             for m in (0, 1, l):
                 y = sht.harmonic(l, m, tr.grid)
-                lap = sht.laplacian(tr.analysis(y.values, real_valued=False))
+                lap = sht.laplacian(tr.analysis(y.values))
                 back = tr.synthesis(lap).values
                 assert np.max(np.abs(back + l * (l + 1) * y.values)) < 1e-12 * l * (l + 1)
 
@@ -265,7 +361,7 @@ class TestLaplacian:
 
     def test_inversion_rejects_nonzero_mean(self):
         f = random_real_field(6, seed=4, zero_mean=False)
-        f.coeffs[0, 6] = 1.0
+        f.set(0, 0, 1.0)
         with pytest.raises(sht.MeanConstraintError):
             sht.invert_laplacian(f)
 

@@ -239,7 +239,7 @@ class TestModalExperiment:
         devs, tails = [], []
         eps_values = [1e-2, 1e-3]
         for eps in eps_values:
-            pert = sht.SpectralField.zeros(lmax)
+            pert = sht.SpectralField.zeros(lmax, real_valued=False)
             pert.set(2, 0, 0.4 * eps)
             pert.set(2, 1, 0.3 * eps)
             pert.set(3, 1, 0.5 * eps)

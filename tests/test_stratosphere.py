@@ -268,6 +268,14 @@ class TestParticlePaths:
         for p in paths:
             assert p.level_drift < 1e-8
 
+    @pytest.mark.parametrize("t_end, dt", [
+        (1.0, -0.01), (1.0, 0.0), (1.0, math.nan), (1.0, math.inf), (-1.0, 0.01), (1.0, 0.3),
+    ], ids=["negative-dt", "zero-dt", "nan-dt", "infinite-dt", "negative-t-end",
+            "t-end-not-multiple"])
+    def test_step_is_checked(self, lifted_field, t_end, dt):
+        with pytest.raises(ValueError):
+            strat.particle_paths(lifted_field, [(0.5, 0.4, 0.2)], t_end=t_end, dt=dt)
+
     @pytest.mark.parametrize("family", ["log", "exp"])
     def test_matches_numpy_reference(self, family):
         make = {"log": solutions.make_log_solution, "exp": solutions.make_exp_solution}[family]

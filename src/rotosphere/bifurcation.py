@@ -20,9 +20,6 @@ from scipy import optimize
 from . import sht
 from .sht import RotationSpec, SpectralField
 
-ZONAL_DEGREE_ONE_COEFF = 2.0 * math.sqrt(math.pi / 3.0)  # sin(lat) = this * Y_1^0
-
-
 # ---------------------------------------------------------------------------
 # Finite subgroups of O(3)
 # ---------------------------------------------------------------------------
@@ -390,7 +387,15 @@ class SaturatingLinearFamily:
 
 @dataclasses.dataclass
 class ContinuationProblem:
-    """Galerkin form of the fixed-point equation on an invariant subspace."""
+    """Galerkin form of the fixed-point equation on an invariant subspace.
+
+    Each basis field b_i has the single degree l_i and the analysis is
+    Gauss quadrature, so the coordinates of the projected residual are
+    R_i = x_i + sum_grid w b_i N(lambda, f) / (l_i (l_i + 1)) with
+    f = sum_j x_j b_j.  The Newton loop therefore runs on the grid
+    values of the basis, synthesised once: residual, Jacobian and
+    dR/dlambda are matrix-vector products and one basis-sized product.
+    """
 
     family: CubicShiftFamily | SaturatingLinearFamily
     subspace: SymmetrySubspace
@@ -406,33 +411,43 @@ class ContinuationProblem:
         lmax = self.subspace.lmax
         self._transform = sht.get_transform(lmax, 2 * lmax + 9, 4 * lmax + 10)
         grid = self._transform.grid
-        self._z_values = np.broadcast_to(grid.nodes[:, None], (grid.nlat, grid.nlon))
+        # (dim, nlat * nlon) grid values of the basis fields
+        self._basis = self._transform.synthesis(self.subspace.halves).reshape(self.subspace.dim, -1)
+        self._z = np.repeat(grid.nodes, grid.nlon)
+        self._weights = np.repeat(grid.weights * (2.0 * math.pi / grid.nlon), grid.nlon)
+        degrees = np.asarray(self.subspace.degrees, dtype=float)
+        self._ll1 = degrees * (degrees + 1.0)
 
     @property
     def transform(self) -> sht.Transform:
         return self._transform
 
+    def _saturation_argument(self, lam: float, f_values: np.ndarray) -> np.ndarray:
+        """(1 + lambda^2) f - mu z, the rotating frame's argument of P."""
+        return (1.0 + lam * lam) * f_values - self.family.mu * self._z
+
     def _nonlinearity(self, lam: float, f_values: np.ndarray) -> np.ndarray:
         if self.mode == "fixed_frame":
             return self.family.value(lam, f_values)
-        arg = (1.0 + lam * lam) * f_values - self.family.mu * self._z_values
-        return self.family.p(arg)
+        arg = self._saturation_argument(lam, f_values)
+        return self.family.p(arg) - 2.0 * self.family.nu * self._z
 
     def _nonlinearity_derivative(self, lam: float, f_values: np.ndarray) -> np.ndarray:
         if self.mode == "fixed_frame":
             return self.family.derivative(lam, f_values)
-        arg = (1.0 + lam * lam) * f_values - self.family.mu * self._z_values
-        return (1.0 + lam * lam) * self.family.dp(arg)
+        return (1.0 + lam * lam) * self.family.dp(self._saturation_argument(lam, f_values))
 
-    def _values(self, f_half: np.ndarray) -> np.ndarray:
-        return self._transform.synthesis(f_half[None])[0]
+    def values(self, x: np.ndarray) -> np.ndarray:
+        """Grid values, flattened, of the field with subspace coordinates x."""
+        return x @ self._basis
 
     def _residual_half(self, lam: float, x: np.ndarray) -> np.ndarray:
-        """Half table of the residual f - inv_laplacian(rhs - mean)."""
+        """Half table of the residual f - inv_laplacian(rhs - mean), through
+        the spherical transforms rather than the stored basis values."""
         f_half = self.subspace.assemble_half(x)
-        rhs = self._transform.analysis(self._nonlinearity(lam, self._values(f_half))[None])[0]
-        if self.mode == "rotating_frame":
-            rhs[1, 0] -= 2.0 * self.family.nu * ZONAL_DEGREE_ONE_COEFF
+        values = self._transform.synthesis(f_half[None])
+        rhs = self._transform.analysis(
+            self._nonlinearity(lam, values.reshape(-1)).reshape(values.shape))[0]
         rhs[0, 0] = 0.0
         return f_half - sht.inverse_laplacian_table(rhs)
 
@@ -440,26 +455,41 @@ class ContinuationProblem:
         """Unprojected residual f - inv_laplacian(rhs) as a spectral field."""
         return SpectralField(self._residual_half(lam, x)[None])
 
-    def residual(self, lam: float, x: np.ndarray) -> np.ndarray:
-        return self.subspace.project_half(self._residual_half(lam, x))
-
     def residual_norms(self, lam: float, x: np.ndarray) -> tuple[float, float]:
         """(subspace-projected norm, full-sphere norm) of the residual."""
         half = self._residual_half(lam, x)
         projected = float(np.linalg.norm(self.subspace.project_half(half)))
         return projected, SpectralField(half[None]).norm()
 
-    def jacobian(self, lam: float, x: np.ndarray) -> np.ndarray:
-        f_values = self._values(self.subspace.assemble_half(x))
-        # the basis grids are synthesised per call rather than stored, which
-        # bounds the memory, and all forced responses share one analysis
-        forced = self._transform.synthesis(self.subspace.halves)
-        forced *= self._nonlinearity_derivative(lam, f_values)
-        images = sht.inverse_laplacian_table(self._transform.analysis(forced))
-        return np.eye(self.subspace.dim) - self.subspace.project_half(images).T
+    def _quadrature(self, grid_values: np.ndarray) -> np.ndarray:
+        """sum_grid w b_i g / (l_i (l_i + 1)) for every basis field b_i."""
+        return (self._basis @ (self._weights * grid_values)) / self._ll1
 
-    def dresidual_dlambda(self, lam: float, x: np.ndarray, h: float = 1e-7) -> np.ndarray:
-        return (self.residual(lam + h, x) - self.residual(lam - h, x)) / (2.0 * h)
+    def residual(self, lam: float, x: np.ndarray) -> np.ndarray:
+        return x + self._quadrature(self._nonlinearity(lam, self.values(x)))
+
+    def jacobian(self, lam: float, x: np.ndarray) -> np.ndarray:
+        weighted = self._weights * self._nonlinearity_derivative(lam, self.values(x))
+        coupling = (self._basis * weighted) @ self._basis.T
+        return np.eye(self.subspace.dim) + coupling / self._ll1[:, None]
+
+    def dresidual_dlambda(self, lam: float, x: np.ndarray) -> np.ndarray:
+        f_values = self.values(x)
+        if self.mode == "fixed_frame":  # d/dlambda [P(lambda + f) - P(lambda)]
+            return self._quadrature(self.family.dp(lam + f_values) - self.family.dp(lam))
+        arg = self._saturation_argument(lam, f_values)
+        return self._quadrature(2.0 * lam * f_values * self.family.dp(arg))
+
+    def stream_values(self, lam: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Grid values of the stream function and of its vorticity; in the
+        rotating frame psi = f - mu z / (1 + lambda^2)."""
+        psi = self.values(x)
+        vorticity = self.values(-self._ll1 * x)  # each basis field has one degree
+        if self.mode == "rotating_frame":
+            shift = (-self.family.mu / (1.0 + lam * lam)) * self._z
+            psi += shift
+            vorticity -= 2.0 * shift  # z has degree 1
+        return psi, vorticity
 
     def linear_multiplier(self, lam: float) -> float:
         return self.family.linear_multiplier(lam)
@@ -598,16 +628,10 @@ def _branch_tangent(problem: ContinuationProblem, lam: float, x: np.ndarray,
 def _measure_point(problem: ContinuationProblem, lam: float, x: np.ndarray,
                    arclength: float, bounds_check, extras_fn) -> BranchPoint:
     projected, full = problem.residual_norms(lam, x)
-    psi = problem.subspace.assemble(x)
-    extras = extras_fn(lam, x, psi) if extras_fn else {}
-    if problem.mode == "rotating_frame":
-        shift = SpectralField.zeros(problem.subspace.lmax)
-        shift.set(1, 0, -problem.family.mu / (1.0 + lam * lam) * ZONAL_DEGREE_ONE_COEFF)
-        stream = psi + shift
-    else:
-        stream = psi
-    sup_psi = problem.transform.max_abs(stream)
-    sup_vort = problem.transform.max_abs(sht.laplacian(stream))
+    extras = extras_fn(lam, x) if extras_fn else {}
+    psi, vorticity = problem.stream_values(lam, x)
+    sup_psi = float(np.max(np.abs(psi)))
+    sup_vort = float(np.max(np.abs(vorticity)))
     within = bounds_check(lam, sup_psi, sup_vort) if bounds_check else True
     return BranchPoint(lam=lam, x=x.copy(), residual=projected, full_residual=full,
                        sup_psi=sup_psi, sup_vorticity=sup_vort, arclength=arclength,
@@ -691,12 +715,9 @@ def omega_branch(family: SaturatingLinearFamily, subspace: SymmetrySubspace,
     )
     target = min(points, key=lambda p: abs(p.lam - lam_star))
     sup_bound = family.sup_bound()
-    tr = problem.transform
-    z_vals = problem._z_values
 
-    def extras(lam, x, psi):
-        f_vals = tr.synthesis(psi).values
-        margin = float(np.max(np.abs((1.0 + lam * lam) * f_vals - family.mu * z_vals)))
+    def extras(lam, x):
+        margin = float(np.max(np.abs(problem._saturation_argument(lam, problem.values(x)))))
         return {
             "saturation_margin": margin,
             "linear_regime": margin <= 2.0 * family.mu,

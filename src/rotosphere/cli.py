@@ -47,6 +47,18 @@ class ConfigError(ValueError):
 # Run manifest
 # ---------------------------------------------------------------------------
 
+def _print_report(text: str) -> None:
+    """Print to stdout.  Once the reader has closed the pipe (`| head`), the
+    rest of the output is dropped and the command goes on to its own status."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # later writes, and the flush at exit, go to the null device
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+
+
 def _atomic_write(path: Path, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=".tmp_manifest")
     try:
@@ -417,7 +429,7 @@ def cmd_stability(args):
                 "verdict": verdict.verdict,
             }
             ctx.write_json("stability_report.json", payload)
-            print(json.dumps(payload, sort_keys=True, indent=1))
+            _print_report(json.dumps(payload, sort_keys=True, indent=1))
 
         return "stability planet", {"analysis": "planet", "name": name}, None, work
 
@@ -453,7 +465,7 @@ def cmd_stability(args):
                 "fjortoft": {"met": fjo.met, "degenerate": fjo.degenerate, "detail": fjo.detail},
             }
             ctx.write_json("stability_report.json", payload)
-            print(json.dumps(payload, sort_keys=True, indent=1))
+            _print_report(json.dumps(payload, sort_keys=True, indent=1))
 
         return "stability zonal", config, None, work
 
@@ -567,7 +579,9 @@ def cmd_lift3d(args):
         raise ConfigError(f"samples must be positive, got {args.samples}")
     if args.t_end < 0.0 or args.dt < 0.0:
         raise ConfigError("t_end and dt must not be negative (0 selects the default)")
-    t_end = args.t_end if args.t_end else 2.0 * math.pi / max(abs(args.omega), 1e-6)
+    if not args.t_end and args.omega == 0.0:
+        raise ConfigError("omega 0 has no rotation period to default t_end to: give --t-end")
+    t_end = args.t_end if args.t_end else 2.0 * math.pi / abs(args.omega)
     dt = args.dt if args.dt else t_end / 10000
     dynamics.whole_steps(t_end, dt)
     seeds = [_check("seeds entry", s, (float, float, float))
@@ -688,7 +702,7 @@ def cmd_selftest(args):
             status = "PASS" if ok else "FAIL"
             lines.append(f"{name:<{width}}  {measured:.3e} <= {tol:.0e}  {status}")
         report = "\n".join(lines)
-        print(report)
+        _print_report(report)
         if ctx is not None:
             ctx.write_text("selftest.txt", report + "\n")
         return EXIT_OK if failed == 0 else EXIT_ASSERTION

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rotosphere import bifurcation as bif, sht
+import continuation_reference as ref
 from conftest import random_real_field
 
 
@@ -21,6 +26,19 @@ def tetra24_subspace():
 def cubic_problem(tetra_subspace):
     family = bif.CubicShiftFamily(mu=1.0, mu1=1.0, degree=3)
     return bif.ContinuationProblem(family=family, subspace=tetra_subspace)
+
+
+@pytest.fixture(scope="module")
+def rotating_problem(tetra_subspace):
+    family = bif.SaturatingLinearFamily(beta=1.0, mu=1.0, degree=3)
+    return bif.ContinuationProblem(family=family, subspace=tetra_subspace, mode="rotating_frame")
+
+
+def _newton_point(problem, amplitude, seed):
+    """A point (lambda, x) off the trivial branch: in the rotating frame near
+    the crossing lambda = 2 with the saturating profile's cubic part active."""
+    x = amplitude * np.random.default_rng(seed).normal(size=problem.subspace.dim)
+    return (0.4, x) if problem.mode == "fixed_frame" else (2.1, x)
 
 
 class TestGroups:
@@ -158,16 +176,20 @@ class TestResidual:
         x[tetra_subspace.generator_index(3)] = 0.73
         assert np.linalg.norm(problem.residual(0.0, x)) < 1e-12
 
-    def test_jacobian_matches_finite_differences(self, cubic_problem):
-        rng = np.random.default_rng(3)
-        x = 0.1 * rng.normal(size=cubic_problem.subspace.dim)
-        jac = cubic_problem.jacobian(0.4, x)
+    def test_jacobian_matches_finite_differences(self, cubic_problem, rotating_problem):
         h = 1e-6
-        for j in range(cubic_problem.subspace.dim):
-            e = np.zeros_like(x)
-            e[j] = h
-            col = (cubic_problem.residual(0.4, x + e) - cubic_problem.residual(0.4, x - e)) / (2 * h)
-            assert np.max(np.abs(jac[:, j] - col)) < 1e-9
+        # the rotating frame's entries reach about 12, so its bound is relative
+        for problem, amplitude in ((cubic_problem, 0.1), (rotating_problem, 0.5)):
+            lam, x = _newton_point(problem, amplitude, seed=3)
+            jac = problem.jacobian(lam, x)
+            tol = 1e-9 if problem is cubic_problem else 1e-9 * np.max(np.abs(jac))
+            for j in range(problem.subspace.dim):
+                e = np.zeros_like(x)
+                e[j] = h
+                col = (problem.residual(lam, x + e) - problem.residual(lam, x - e)) / (2 * h)
+                assert np.max(np.abs(jac[:, j] - col)) < tol
+            col = (problem.residual(lam + h, x) - problem.residual(lam - h, x)) / (2 * h)
+            assert np.max(np.abs(problem.dresidual_dlambda(lam, x) - col)) < tol
 
     def test_residual_orthogonal_to_discarded_modes(self, cubic_problem):
         # equivariance: the unprojected residual stays inside the invariant part
@@ -178,6 +200,44 @@ class TestResidual:
         recon = cubic_problem.subspace.assemble(coords)
         leak = (field - recon).norm()
         assert leak < 1e-10 * max(1.0, field.norm())
+
+
+class TestGridPath:
+    """The Newton loop's quadrature on stored basis values against the
+    transform path of `continuation_reference`."""
+
+    @pytest.mark.parametrize("group,lmax", [("tetrahedral", 24), ("d4d", 12), ("trivial", 6)])
+    @pytest.mark.parametrize("mode", ["fixed_frame", "rotating_frame"])
+    def test_matches_transform_path(self, group, lmax, mode):
+        subspace = bif.build_subspace(group, lmax)
+        if mode == "fixed_frame":
+            family, amplitude = bif.CubicShiftFamily(mu=1.0, mu1=1.0, degree=3), 0.3
+        else:
+            family, amplitude = bif.SaturatingLinearFamily(beta=1.0, mu=1.0, degree=3), 0.6
+        problem = bif.ContinuationProblem(family=family, subspace=subspace, mode=mode)
+        lam, x = _newton_point(problem, amplitude, seed=5)
+        if mode == "rotating_frame":  # past the linear window of the profile
+            arg = problem._saturation_argument(lam, problem.values(x))
+            assert np.max(np.abs(arg)) > 2.0 * family.mu
+        for grid_path, transform_path in (
+                (problem.residual(lam, x), ref.residual(problem, lam, x)),
+                (problem.jacobian(lam, x), ref.jacobian(problem, lam, x))):
+            scale = np.max(np.abs(transform_path))
+            assert np.max(np.abs(grid_path - transform_path)) < 1e-13 * scale
+        # the central difference is good to about h^2 and 1e-16 / h
+        analytic, central = problem.dresidual_dlambda(lam, x), ref.dresidual_dlambda(problem, lam, x)
+        assert np.max(np.abs(analytic - central)) < 1e-7 * np.max(np.abs(central))
+
+    def test_stream_values_match_synthesis(self, rotating_problem):
+        lam, x = _newton_point(rotating_problem, 0.5, seed=6)
+        psi, vorticity = rotating_problem.stream_values(lam, x)
+        stream = rotating_problem.subspace.assemble(x)
+        stream.add_to(1, 0, -rotating_problem.family.mu / (1.0 + lam * lam)
+                      * ref.ZONAL_DEGREE_ONE_COEFF)
+        tr = rotating_problem.transform
+        for values, field in ((psi, stream), (vorticity, sht.laplacian(stream))):
+            expected = tr.synthesis(field).values.ravel()
+            assert np.max(np.abs(values - expected)) < 1e-13 * np.max(np.abs(expected))
 
 
 class TestDetection:
@@ -268,6 +328,25 @@ class TestContinuation:
             finals.append((last.lam, sub.assemble(last.x).norm()))
         assert abs(finals[0][0] - finals[1][0]) < 1e-7
         assert abs(finals[0][1] - finals[1][1]) < 1e-7
+
+
+    def test_branch_independent_of_blas_threads(self, tmp_path):
+        problem = tmp_path / "problem.json"
+        problem.write_text('{"group": "tetrahedral", "lmax": 24, "steps": 10, "ds": 0.08, '
+                           '"family": {"kind": "cubic", "mu": 1.0, "mu1": 1.0404, "degree": 3}}')
+        src = str(Path(bif.__file__).resolve().parents[1])
+        columns = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            subprocess.run([sys.executable, "-m", "rotosphere", "bifurcate", str(problem),
+                            "--outdir", str(out)], env=env, check=True)
+            rows = (out / "branch.csv").read_text().splitlines()[1:]
+            columns.append(np.array([[float(v) for v in r.split(",")[:2]] for r in rows]))
+        assert columns[0].shape == (11, 2)
+        # lambda and amplitude; the amplitude at the bifurcation point is exactly 0
+        assert np.all(np.abs(columns[0] - columns[1]) <= 1e-12 * np.abs(columns[0]))
 
 
 class TestRotatingFrameBranch:

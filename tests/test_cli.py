@@ -2,6 +2,9 @@ import copy
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -370,10 +373,10 @@ class TestLift3d:
         ["--seeds", "[[0.5"], ["--samples", "-1"], ["--dt", "-0.001"], ["--t-end", "-1"],
         ["--t-end", "1", "--dt", "0.3"], ["--seeds", "[[0.5, 2.0, 0.2]]"],
         ["--seeds", "[[0.5, -1.5707963267948966, 0.2]]"], ["--seeds", "[[0.5, 0.4, -0.1]]"],
-        ["--z-max", "-0.5"],
+        ["--z-max", "-0.5"], ["--omega", "0"],
     ], ids=["bad-seeds-json", "negative-samples", "negative-dt", "negative-t-end",
             "t-end-not-multiple", "seed-beyond-pole", "seed-at-pole", "seed-below-tropopause",
-            "negative-z-max"])
+            "negative-z-max", "zero-omega-without-t-end"])
     def test_malformed_config_is_config_error(self, tmp_path, capsys, flags):
         out = tmp_path / "x"
         assert run_cli(["lift3d", "--omega", "18", "--epsilon", "0.1", "--lmax", "8", *flags,
@@ -390,6 +393,28 @@ class TestSelftest:
             text = capsys.readouterr().out
             assert "PASS" in text and "FAIL" not in text
             assert (out / "selftest.txt").exists()
+
+    @pytest.mark.parametrize("outdir", [False, True], ids=["stdout-only", "with-outdir"])
+    def test_closed_stdout_keeps_exit_status(self, tmp_path, outdir):
+        # the reader is gone before the report is printed, as with `| head -c 5`
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        out = tmp_path / "st"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "rotosphere", "sht-selftest", "--lmax", "8",
+                 *(["--outdir", str(out)] if outdir else [])],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        if outdir:
+            assert "PASS" in (out / "selftest.txt").read_text()
+            assert "selftest.txt" in json.loads((out / "manifest.json").read_text())["outputs"]
 
     def test_failed_check_exits_with_assertion_code(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "_selftest_checks",

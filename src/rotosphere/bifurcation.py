@@ -195,7 +195,7 @@ class SymmetrySubspace:
         return flat.reshape(*halves.shape[:-2], -1) @ self._rows.T
 
     def project(self, field: SpectralField) -> np.ndarray:
-        """Coordinates of the real part of the field."""
+        """Coordinates of the field."""
         return self.project_half(field.halves[0])
 
     def generator_index(self, degree: int) -> int:
@@ -243,7 +243,7 @@ def build_subspace(group: SymmetryGroup | str, lmax: int,
             table[l, lmax - l : lmax + l + 1] = c_block
             degrees.append(l)
             # the real part: the average of the computed row and its mirror
-            basis.append(SpectralField.from_table(table, real_valued=False).enforce_reality())
+            basis.append(SpectralField(sht._mirror_average(table)))
     if not basis:
         raise ArithmeticError(f"group {group.name!r} has no invariant harmonics up to degree {lmax}")
     return SymmetrySubspace(group=group, lmax=lmax, degrees=degrees, basis=basis,

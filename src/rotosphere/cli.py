@@ -272,20 +272,24 @@ def _initial_field(spec: dict, lmax: int, seed: int) -> sht.SpectralField:
     if kind == "rossby_haurwitz":
         return sht.laplacian(_rossby_haurwitz(spec, lmax).psi)
     if kind == "random":
-        rng = np.random.default_rng(seed)
-        field = sht.SpectralField.zeros(lmax, real_valued=False)
-        decay = _get(spec, "decay", float, 0.5)
-        for l in range(1, lmax + 1):
-            for m in range(0, l + 1):
-                field.set(l, m, (rng.normal() + 1j * rng.normal()) * math.exp(-decay * l))
-        return field.enforce_reality()
+        return _random_field(lmax, np.random.default_rng(seed), _get(spec, "decay", float, 0.5))
     raise ConfigError(f"unknown initial-state kind {kind!r}")
+
+
+def _random_field(lmax: int, rng: np.random.Generator, decay: float) -> sht.SpectralField:
+    """The real part of sum z Y_l^m over 1 <= l <= lmax, 0 <= m <= l, with
+    z = (x + i y) exp(-decay l) and x, y standard normal: z/2 at m > 0 and
+    Re z at m = 0 in the half table."""
+    field = sht.SpectralField.zeros(lmax)
+    for l in range(1, lmax + 1):
+        for m in range(0, l + 1):
+            z = (rng.normal() + 1j * rng.normal()) * math.exp(-decay * l)
+            field.halves[0, l, m] = z.real if m == 0 else 0.5 * z
+    return field
 
 
 def cmd_simulate(args):
     config = _load_config(args.config)
-    if {"nlat", "nlon"} & set(config):
-        raise ConfigError("nlat/nlon are not supported: simulate integrates on the dealiased grid")
     sim_config = _simulation_config(
         config, omega=_get(config, "omega", float), lmax=_get(config, "lmax", int),
         snapshot_stride=_get(config, "snapshot_stride", int, None),
@@ -637,12 +641,7 @@ def _selftest_checks(lmax: int) -> list[tuple[str, float, float]]:
     """(name, measured, tolerance) triples; pass iff measured <= tolerance."""
     checks: list[tuple[str, float, float]] = []
     tr = sht.default_transform(lmax)
-    rng = np.random.default_rng(2024)
-    f = sht.SpectralField.zeros(lmax, real_valued=False)
-    for l in range(1, lmax + 1):
-        for m in range(0, l + 1):
-            f.set(l, m, rng.normal() + 1j * rng.normal())
-    f.enforce_reality()
+    f = _random_field(lmax, np.random.default_rng(2024), 0.0)
     g = tr.analysis(tr.synthesis(f))
     scale = float(np.max(np.abs(f.halves)))
     checks.append(("transform round trip", float(np.max(np.abs(g.halves - f.halves))) / scale, 1e-12))
@@ -655,11 +654,13 @@ def _selftest_checks(lmax: int) -> list[tuple[str, float, float]]:
     worst = 0.0
     for l in {1, min(2, lmax), min(5, lmax)}:
         for m in range(0, l + 1):
-            unit = sht.SpectralField.zeros(lmax, real_valued=False)
-            unit.set(l, m, 1.0)
-            back = tr.synthesis(sht.laplacian(unit)).values
             y = sht.harmonic(l, m, grid).values
-            worst = max(worst, float(np.max(np.abs(back + l * (l + 1) * y))))
+            # c_l^m = 1/2 and -i/2 realise Re Y_l^m and Im Y_l^m; c_l^0 = 1 realises Y_l^0
+            for value, part in ((0.5, y.real), (-0.5j, y.imag)) if m else ((1.0, y.real),):
+                unit = sht.SpectralField.zeros(lmax)
+                unit.set(l, m, value)
+                back = tr.synthesis(sht.laplacian(unit)).values
+                worst = max(worst, float(np.max(np.abs(back + l * (l + 1) * part))))
     checks.append(("eigenrelation", worst, 1e-11))
 
     rot = sht.RotationSpec(0.31, 0.77, -0.21)

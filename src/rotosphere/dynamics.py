@@ -73,9 +73,7 @@ class SimulationConfig:
         return int(round(self.t_end / self.dt))
 
     def check_initial(self, initial: SpectralField) -> None:
-        """Raise unless `initial` is a real, zero-mean vorticity of degree `lmax`."""
-        if not initial.real_valued:
-            raise ValueError("initial vorticity must be real-valued")
+        """Raise unless `initial` is a zero-mean vorticity of degree `lmax`."""
         if abs(initial.mean_coefficient) > 1e-12 * max(initial.norm(), 1.0):
             raise sht.MeanConstraintError("initial vorticity must have zero mean")
         if initial.lmax != self.lmax:

@@ -40,8 +40,6 @@ class VelocityField:
 
 def velocity_from_stream(psi: SpectralField, transform: Transform | None = None) -> VelocityField:
     """u = -d(psi)/dtheta, v = d(psi)/dphi / cos(lat), sampled on the grid."""
-    if not psi.real_valued:
-        raise ValueError("velocity_from_stream expects a real-valued stream function")
     tr = transform if transform is not None else sht.default_transform(psi.lmax)
     dtheta, dphi_over_cos = tr.gradient_values(psi)
     return VelocityField(u=GridField(-dtheta, tr.grid), v=GridField(dphi_over_cos, tr.grid))
@@ -58,8 +56,6 @@ def advection(psi: SpectralField, q: SpectralField) -> SpectralField:
     """
     if psi.lmax != q.lmax:
         raise sht.GridShapeError(f"advection truncation mismatch: {psi.lmax} vs {q.lmax}")
-    if not (psi.real_valued and q.real_valued):
-        raise ValueError("advection expects real-valued fields")
     tr = sht.dealiased_transform(psi.lmax)
     dtheta, dphi_over_cos = tr.gradient_values(np.concatenate([psi.halves, q.halves]))
     bracket = -dtheta[0] * dphi_over_cos[1] + dphi_over_cos[0] * dtheta[1]

@@ -1,22 +1,21 @@
 """Spherical-harmonic analysis/synthesis on Gauss-Legendre grids.
 
-Scalar fields on the unit sphere are represented either by values on a
-Gauss-Legendre x uniform-longitude grid or by triangular tables of complex
-coefficients in the orthonormal harmonic basis (Condon-Shortley phase,
-latitude convention: the polar angle is measured from the equator, so the
+Real scalar fields on the unit sphere are represented either by values on
+a Gauss-Legendre x uniform-longitude grid or by their coefficients in the
+orthonormal complex harmonic basis (Condon-Shortley phase, latitude
+convention: the polar angle is measured from the equator, so the
 associated Legendre functions are evaluated at s = sin(latitude)).
 
 The transform pair is exact for bandlimited fields as long as the grid
 satisfies ``nlat >= lmax + 1`` and ``nlon >= 2*lmax + 1``; quadrature in
 latitude is Gauss-Legendre, longitude uses the FFT.
 
-A `SpectralField` stores the m >= 0 half tables of real fields: a real
-field has one, its negative orders following from c_l^{-m} = (-1)^m
-conj(c_l^m), and a complex field two, its real and imaginary parts.
-`Transform` contracts the orders m >= 0 of half tables with the Legendre
-table and uses rfft/irfft in longitude.  The full table over the orders
--l..l is built only where a file format or point evaluation needs it
-(`SpectralField.coeffs`, read back by `SpectralField.from_table`).
+A `SpectralField` is real and stores the m >= 0 half table of its
+coefficients; the negative orders follow from c_l^{-m} = (-1)^m conj(c_l^m).
+`Transform` contracts half tables with the Legendre table over the orders
+m >= 0 and uses rfft/irfft in longitude.  The full table over the orders
+-l..l is built only for the file formats (`SpectralField.coeffs`, read back
+by `SpectralField.from_table`).
 """
 
 from __future__ import annotations
@@ -145,87 +144,63 @@ class GridField:
 
 
 class SpectralField:
-    """Triangular table of harmonic coefficients c_l^m, 0 <= l <= lmax, |m| <= l.
+    """Real field as its harmonic coefficients c_l^m, 0 <= l <= lmax, |m| <= l.
 
-    The field is stored by m >= 0 half tables (l, m) in `halves`.  A real
-    field has one, A with c_l^m = A_l^m; its negative orders follow from
-    c_l^{-m} = (-1)^m conj(c_l^m) and its m = 0 column is real.  A complex
-    field f = A + iB has two, the half tables of the real fields A and B:
-    c_l^m = A_l^m + i B_l^m and c_l^{-m} = (-1)^m (conj(A_l^m) + i conj(B_l^m)).
-    `coeffs` is the full (lmax+1, 2*lmax+1) table with column index lmax + m,
-    for file formats and point evaluation; `from_table` reads one.  The
-    degree-0 coefficient is carried along but is constrained to zero for
+    `halves` holds the m >= 0 half table, h[0, l, m] = c_l^m, with shape
+    (1, lmax+1, lmax+1): the batch of one that `Transform` takes.  The
+    negative orders follow from c_l^{-m} = (-1)^m conj(c_l^m), and the m = 0
+    column is real.  `coeffs` is the full (lmax+1, 2*lmax+1) table with
+    column index lmax + m, for the file formats; `from_table` reads one.
+    The degree-0 coefficient is carried along but is constrained to zero for
     vorticity fields (closed-surface mean).
     """
 
     __slots__ = ("halves",)
 
     def __init__(self, halves: np.ndarray):
-        """Wrap half tables (1 or 2, lmax+1, lmax+1), without a copy if complex."""
+        """Wrap a half table (1, lmax+1, lmax+1), without a copy if complex."""
         halves = np.asarray(halves, dtype=complex)
-        if not (halves.ndim == 3 and len(halves) in (1, 2) and halves.shape[1] == halves.shape[2] > 1):
-            raise ValueError(f"half tables of shape {halves.shape} are not (1 or 2, lmax+1, lmax+1)"
+        if not (halves.ndim == 3 and len(halves) == 1 and halves.shape[1] == halves.shape[2] > 1):
+            raise ValueError(f"half table of shape {halves.shape} is not (1, lmax+1, lmax+1)"
                              " with lmax >= 1")
         self.halves = halves
 
     @classmethod
-    def zeros(cls, lmax: int, real_valued: bool = True) -> "SpectralField":
-        return cls(np.zeros((1 if real_valued else 2, lmax + 1, lmax + 1), dtype=complex))
+    def zeros(cls, lmax: int) -> "SpectralField":
+        return cls(np.zeros((1, lmax + 1, lmax + 1), dtype=complex))
 
     @classmethod
-    def from_table(cls, table: np.ndarray, real_valued: bool) -> "SpectralField":
+    def from_table(cls, table: np.ndarray) -> "SpectralField":
         """Field from a full (lmax+1, 2*lmax+1) table, column index lmax + m.
 
-        A real-flagged table must satisfy c_l^{-m} = (-1)^m conj(c_l^m) and
-        have a real m = 0 column, to 1e-12; it is stored as the average
-        (c_l^m + (-1)^m conj(c_l^{-m})) / 2.
+        The table must satisfy c_l^{-m} = (-1)^m conj(c_l^m) and have a real
+        m = 0 column, to 1e-12; it is stored as its mirror average.
         """
         table = np.asarray(table, dtype=complex)
         L = table.shape[0] - 1
         if table.shape != (L + 1, 2 * L + 1):
             raise ValueError(f"coefficient table of shape {table.shape} is not (lmax+1, 2*lmax+1)")
-        # half tables A and B of the real and imaginary parts
-        pos, mirror = table[:, L:], _order_signs(L) * np.conj(table[:, L::-1])
-        halves = np.stack([0.5 * (pos + mirror), (pos - mirror) / 2j])
-        if real_valued:
-            # |B| is half the mirror defect at m > 0 and |Im c_l^0| at m = 0
-            defect = float(np.max(np.abs(halves[1]) * np.where(np.arange(L + 1) == 0, 1.0, 2.0)))
-            if defect > 1e-12:
-                raise ValueError(f"real-valued table violates c_l^-m = (-1)^m conj(c_l^m) "
-                                 f"by {defect:.3e}")
-            halves = halves[:1]
+        halves = _mirror_average(table)
+        # c - h is half the mirror defect at m > 0 and i Im c_l^0 at m = 0
+        weight = np.where(np.arange(L + 1) == 0, 1.0, 2.0)
+        defect = float(np.max(np.abs(table[:, L:] - halves[0]) * weight))
+        if defect > 1e-12:
+            raise ValueError(f"real-valued table violates c_l^-m = (-1)^m conj(c_l^m) "
+                             f"by {defect:.3e}")
         return cls(halves)
-
-    @classmethod
-    def from_harmonic(cls, lmax: int, l: int, m: int, amplitude: complex = 1.0,
-                      real_valued: bool = False) -> "SpectralField":
-        """amplitude * Y_l^m, or its real part when `real_valued`."""
-        field = cls.zeros(lmax, real_valued=False)
-        field.set(l, m, amplitude)
-        return field.enforce_reality() if real_valued else field
 
     @property
     def lmax(self) -> int:
         return self.halves.shape[1] - 1
 
     @property
-    def real_valued(self) -> bool:
-        return len(self.halves) == 1
-
-    @property
     def coeffs(self) -> np.ndarray:
         """The full (lmax+1, 2*lmax+1) table, column index lmax + m (read-only)."""
         L, a = self.lmax, self.halves[0]
         table = np.zeros((L + 1, 2 * L + 1), dtype=complex)
-        if self.real_valued:
-            table[:, L:] = a
-            table[:, L] = a[:, 0].real
-            neg = np.conj(a[:, 1:])
-        else:
-            b = self.halves[1]
-            table[:, L:] = a + 1j * b
-            neg = np.conj(a[:, 1:]) + 1j * np.conj(b[:, 1:])
-        table[:, :L] = (_order_signs(L)[1:] * neg)[:, ::-1]
+        table[:, L:] = a
+        table[:, L] = a[:, 0].real
+        table[:, :L] = (_order_signs(L)[1:] * np.conj(a[:, 1:]))[:, ::-1]
         table.setflags(write=False)
         return table
 
@@ -235,31 +210,19 @@ class SpectralField:
     def get(self, l: int, m: int) -> complex:
         """c_l^m, with the arithmetic of `coeffs`."""
         self._check_lm(l, m)
-        k = abs(m)
-        sign = (-1.0) ** k
-        if self.real_valued:
-            a = complex(self.halves[0, l, k])
-            return complex(a.real) if m == 0 else a if m > 0 else sign * a.conjugate()
-        a, b = self.halves[:, l, k].tolist()
-        return a + 1j * b if m >= 0 else sign * (a.conjugate() + 1j * b.conjugate())
+        a = complex(self.halves[0, l, abs(m)])
+        return complex(a.real) if m == 0 else a if m > 0 else (-1.0) ** m * a.conjugate()
 
     def set(self, l: int, m: int, value: complex) -> None:
-        """Write c_l^m = value.  On a real field c_l^{-m} follows by reality,
-        and an m = 0 value must be real; on a complex field c_l^{-m} is kept."""
+        """Write c_l^m = value; c_l^{-m} follows by reality, and an m = 0
+        value must be real."""
         self._check_lm(l, m)
-        k = abs(m)
-        if not self.real_valued:
-            # split the pair c_l^k, c_l^-k into A and B as `from_table` does
-            pos = value if m >= 0 else self.get(l, k)
-            neg = value if m <= 0 else self.get(l, -k)
-            mirror = (-1.0) ** k * complex(neg).conjugate()
-            self.halves[:, l, k] = 0.5 * (pos + mirror), (pos - mirror) / 2j
-        elif m == 0:
+        if m == 0:
             if complex(value).imag != 0.0:
                 raise ValueError(f"an m = 0 coefficient of a real field must be real, got {value}")
             self.halves[0, l, 0] = complex(value).real
         else:
-            self.halves[0, l, k] = value if m > 0 else (-1.0) ** k * np.conj(value)
+            self.halves[0, l, abs(m)] = value if m > 0 else (-1.0) ** m * np.conj(value)
 
     def add_to(self, l: int, m: int, value: complex) -> None:
         """c_l^m += value, with the rules of `set`."""
@@ -274,47 +237,44 @@ class SpectralField:
         return self.get(0, 0)
 
     def degree_power(self) -> np.ndarray:
-        """sum_m |c_l^m|^2 for each degree l (index by l): per half table,
-        |h_l^0|^2 + 2 sum_{m>0} |h_l^m|^2."""
+        """sum_m |c_l^m|^2 for each degree l (index by l): |h_l^0|^2 + 2 sum_{m>0} |h_l^m|^2."""
         weight = np.where(np.arange(self.lmax + 1) == 0, 1.0, 2.0)
-        return np.sum(np.abs(self.halves) ** 2 @ weight, axis=0)
+        return np.abs(self.halves[0]) ** 2 @ weight
 
     def norm(self) -> float:
         """L2(S^2) norm of the represented field (Parseval)."""
         return float(np.sqrt(np.sum(self.degree_power())))
 
     def enforce_reality(self) -> "SpectralField":
-        """Keep the real part of the field: drop the half table B."""
-        self.halves = self.halves[:1]
+        """The field itself: every field is real.  Kept for callers written
+        for the former complex layout (benchmarks/selftest.py)."""
         return self
 
-    def scaled(self, factor: complex) -> "SpectralField":
-        factor = complex(factor)
-        if factor.imag == 0.0:
-            return SpectralField(self.halves * factor.real)
-        # (A + iB)(x + iy) = (Ax - By) + i(Ay + Bx), B = 0 for a real field
-        a, b = self.halves[0], (0.0 if self.real_valued else self.halves[1])
-        return SpectralField(np.stack([a * factor.real - b * factor.imag,
-                                       a * factor.imag + b * factor.real]))
+    def scaled(self, factor: float) -> "SpectralField":
+        return SpectralField(self.halves * float(factor))
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         if self.lmax != other.lmax:
             raise GridShapeError("truncation mismatch in field addition")
-        # a real field adds to the half table A alone
-        short, long = sorted((self.halves, other.halves), key=len)
-        out = long.copy()
-        out[: len(short)] += short
-        return SpectralField(out)
+        return SpectralField(self.halves + other.halves)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         return self + other.scaled(-1.0)
 
     def truncated(self, lmax: int) -> "SpectralField":
         """Copy restricted (or zero-padded) to a new truncation degree."""
-        out = SpectralField.zeros(lmax, self.real_valued)
+        out = SpectralField.zeros(lmax)
         L = min(lmax, self.lmax)
         out.halves[:, : L + 1, : L + 1] = self.halves[:, : L + 1, : L + 1]
         return out
+
+
+def _mirror_average(table: np.ndarray) -> np.ndarray:
+    """Half table (1, l, m) of the real part of the field with full table
+    `table`: (c_l^m + (-1)^m conj(c_l^{-m})) / 2 for m >= 0."""
+    L = table.shape[0] - 1
+    pos, mirror = table[:, L:], _order_signs(L) * np.conj(table[:, L::-1])
+    return (0.5 * (pos + mirror))[None]
 
 
 def _order_signs(lmax: int) -> np.ndarray:
@@ -430,10 +390,6 @@ def _batch_major(y: np.ndarray) -> np.ndarray:
     return y.view(complex).transpose(2, 1, 0)
 
 
-def _join(parts: np.ndarray, real_valued: bool) -> np.ndarray:
-    return parts[0] if real_valued else parts[0] + 1j * parts[1]
-
-
 class Transform:
     """Precomputed synthesis/analysis machinery for one truncation spec.
 
@@ -504,37 +460,33 @@ class Transform:
     def synthesis(self, field: SpectralField | np.ndarray) -> GridField | np.ndarray:
         """Evaluate the field on the grid.
 
-        m >= 0 half tables of real fields with a leading batch axis, shape
+        m >= 0 half tables with a leading batch axis, shape
         (batch, lmax+1, lmax+1), give grid values (batch, nlat, nlon).
         """
         values = self._irfft(self._to_grid(self._p, self._halves_of(field)))
-        if not isinstance(field, SpectralField):
-            return values
-        return GridField(values=_join(values, field.real_valued), grid=self.grid)
+        return GridField(values[0], self.grid) if isinstance(field, SpectralField) else values
 
     def gradient_values(self, fields: SpectralField | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(d/dtheta, d/dphi / cos) grid values in one fused transform pass.
 
-        `fields` is a SpectralField, or m >= 0 half tables of real fields
-        with a leading batch axis, shape (batch, lmax+1, lmax+1); both
-        outputs then carry the same batch axis.
+        `fields` is a SpectralField, or m >= 0 half tables with a leading
+        batch axis, shape (batch, lmax+1, lmax+1); both outputs then carry
+        the same batch axis.
         """
         spectra = self._to_grid(self._grad, self._halves_of(fields))
         nlat = self.spec.nlat
         spectra[:, nlat:] *= self._im
         values = self._irfft(spectra)
-        dtheta, dphi_over_cos = values[:, :nlat], values[:, nlat:]
         if isinstance(fields, SpectralField):
-            return _join(dtheta, fields.real_valued), _join(dphi_over_cos, fields.real_valued)
-        return dtheta, dphi_over_cos
+            values = values[0]
+        return values[..., :nlat, :], values[..., nlat:, :]
 
     def analysis(self, values: np.ndarray | GridField) -> SpectralField | np.ndarray:
         """Project grid values onto the harmonic basis by quadrature.
 
-        Values of shape (nlat, nlon) give a SpectralField, real for real
-        values and complex for complex ones.  Real values with a leading
-        batch axis, shape (batch, nlat, nlon), give the m >= 0 half tables
-        (batch, lmax+1, lmax+1) of the real fields.
+        Real values of shape (nlat, nlon) give a SpectralField; with a
+        leading batch axis, shape (batch, nlat, nlon), they give the m >= 0
+        half tables (batch, lmax+1, lmax+1).  Complex values are rejected.
         """
         values = np.asarray(values.values if isinstance(values, GridField) else values)
         if values.ndim not in (2, 3) or values.shape[-2:] != (self.spec.nlat, self.spec.nlon):
@@ -542,13 +494,9 @@ class Transform:
                 f"values shape {values.shape} does not match grid "
                 f"({self.spec.nlat}, {self.spec.nlon})"
             )
-        if values.ndim == 3:
-            if np.iscomplexobj(values):
-                raise ValueError("batched analysis takes real values")
-            return self._analyse(values)
-        if np.isrealobj(values):
-            return SpectralField(self._analyse(values[None]))
-        return SpectralField(self._analyse(np.stack([values.real, values.imag])))
+        if np.iscomplexobj(values):
+            raise ValueError("analysis takes real values")
+        return self._analyse(values) if values.ndim == 3 else SpectralField(self._analyse(values[None]))
 
     def max_abs(self, field: SpectralField) -> float:
         return float(np.max(np.abs(self.synthesis(field).values)))
@@ -630,18 +578,12 @@ def evaluate(field: SpectralField, phi: np.ndarray, s: np.ndarray) -> np.ndarray
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if phi.shape != s.shape:
         raise ValueError("phi and s must have matching shapes")
-    L, table = field.lmax, field.coeffs
+    L = field.lmax
     ptab = normalized_legendre_table(L, s.ravel())
-    out = np.zeros(phi.size, dtype=complex)
-    cpos = table[:, L:]
+    # order -m adds the conjugate of order m: twice the real part for m > 0
+    weighted = field.halves[0] * np.where(np.arange(L + 1) == 0, 1.0, 2.0)
     phases = np.exp(1j * np.outer(phi.ravel(), np.arange(L + 1)))
-    out += np.einsum("ilm,lm,im->i", ptab, cpos, phases)
-    signs = np.where(np.arange(1, L + 1) % 2 == 0, 1.0, -1.0)
-    cneg = table[:, L - 1 :: -1] * signs[None, :]
-    out += np.einsum("ilm,lm,im->i", ptab[:, :, 1:], cneg, np.conj(phases[:, 1:]))
-    if field.real_valued:
-        out = out.real
-    return out.reshape(phi.shape)
+    return np.einsum("ilm,lm,im->i", ptab, weighted, phases).real.reshape(phi.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -763,9 +705,8 @@ def rotate(c: SpectralField, r: RotationSpec, parity: bool = False) -> SpectralF
         out[l, orders] = left[orders] * _real_matvec(delta, v)
     if parity:
         out[1::2] *= -1.0
-    rotated = SpectralField.from_table(out, real_valued=False)
-    # a real field keeps the real part, the average of the computed row and its mirror
-    return rotated.enforce_reality() if c.real_valued else rotated
+    # the average of the computed row and its mirror
+    return SpectralField(_mirror_average(out))
 
 
 def rotate_field_values(field: SpectralField, rot: RotationSpec, grid: GaussGrid,

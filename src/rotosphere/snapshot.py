@@ -5,14 +5,15 @@ Layout of the binary format (little endian):
     bytes  0..7   magic "RSPHCOF1"
     bytes  8..11  format version (uint32)
     bytes 12..15  truncation degree lmax (uint32)
-    byte  16      real-valued flag (uint8), 3 pad bytes
+    byte  16      real-valued flag (uint8, always 1), 3 pad bytes
     bytes 20..27  time stamp (float64)
     then (lmax+1)^2 coefficient pairs (re, im) as float64, ordered by
     degree ascending and order from -l to l within each degree.
 
 The JSON twin stores the same ordering as [re, im] pairs and is accepted
-interchangeably on read.  A real-flagged file must satisfy
-c_l^{-m} = (-1)^m conj(c_l^m) to 1e-12; reading rejects one that does not.
+interchangeably on read.  Fields are real: reading rejects a file whose
+flag is 0, and one that violates c_l^{-m} = (-1)^m conj(c_l^m) by more
+than 1e-12.
 """
 
 from __future__ import annotations
@@ -45,10 +46,12 @@ def _flatten(field: SpectralField) -> np.ndarray:
 
 
 def _unflatten(path: Path, lmax: int, flat: np.ndarray, real_valued: bool) -> SpectralField:
+    if not real_valued:
+        raise SnapshotFormatError(f"{path}: flagged complex-valued; only real fields are read")
     table = np.zeros((lmax + 1, 2 * lmax + 1), dtype=complex)
     table[_triangle(lmax)] = flat
     try:
-        return SpectralField.from_table(table, real_valued)
+        return SpectralField.from_table(table)
     except ValueError as exc:
         raise SnapshotFormatError(f"{path}: {exc}") from None
 
@@ -59,7 +62,7 @@ def write_snapshot(path: str | Path, field: SpectralField, time: float = 0.0) ->
         write_snapshot_json(path, field, time)
         return
     flat = _flatten(field)
-    header = _HEADER.pack(MAGIC, VERSION, field.lmax, int(field.real_valued), float(time))
+    header = _HEADER.pack(MAGIC, VERSION, field.lmax, 1, float(time))
     data = np.empty(2 * flat.size, dtype="<f8")
     data[0::2] = flat.real
     data[1::2] = flat.imag
@@ -74,7 +77,7 @@ def write_snapshot_json(path: str | Path, field: SpectralField, time: float = 0.
         "format": MAGIC.decode(),
         "version": VERSION,
         "lmax": field.lmax,
-        "real_valued": bool(field.real_valued),
+        "real_valued": True,
         "time": float(time),
         "coefficients": [[z.real, z.imag] for z in flat],
     }

@@ -141,12 +141,11 @@ class EllipticSolution:
     params: dict
     tail_norm: float
 
-    def grid_residual(self, lmax: int | None = None) -> tuple[float, float]:
+    def grid_residual(self) -> tuple[float, float]:
         """(L2, Linf) of Delta(psi) - F(psi) on the projection grid."""
-        field = self.psi if lmax is None else _project(self.evaluate, lmax)[0]
-        tr = sht.default_transform(field.lmax)
-        lap = tr.synthesis(sht.laplacian(field)).values
-        vals = tr.synthesis(field).values
+        tr = sht.default_transform(self.psi.lmax)
+        lap = tr.synthesis(sht.laplacian(self.psi)).values
+        vals = tr.synthesis(self.psi).values
         resid = lap - self.vf.f(vals)
         l2 = math.sqrt(abs(tr.grid.integrate(resid**2)))
         return l2, float(np.max(np.abs(resid)))
@@ -306,12 +305,10 @@ def verify_stationary(psi: SpectralField, omega: float,
     return StationarityReport(l2=l2, linf=linf, tolerance=tolerance)
 
 
-def arnold_range(vf: VorticityFunction, psi: SpectralField | EllipticSolution,
-                 lmax: int | None = None) -> tuple[float, float]:
+def arnold_range(vf: VorticityFunction, psi: SpectralField | EllipticSolution) -> tuple[float, float]:
     """Extrema of F'(psi) over the realized field values on the grid."""
     field = psi.psi if isinstance(psi, EllipticSolution) else psi
-    tr = sht.default_transform(field.lmax if lmax is None else lmax)
-    values = tr.synthesis(field if field.lmax == tr.lmax else field.truncated(tr.lmax)).values
+    values = sht.default_transform(field.lmax).synthesis(field).values
     fp = vf.fprime(values)
     return float(np.min(fp)), float(np.max(fp))
 

@@ -1,7 +1,7 @@
 """Slow reference transforms over the full table of orders -L..L.
 
 The negative orders are synthesised and analysed separately, the longitude
-transforms are complex FFTs, and real results are symmetrised afterwards.
+transforms are complex FFTs, and the real part of the result is kept.
 It shares only the Legendre table and the grid with `sht.Transform`, so
 agreement between the two pins the m >= 0 contraction, the rfft/irfft
 scaling, the i*m factor and the rebuilding of negative orders.
@@ -46,24 +46,23 @@ class ReferenceTransform:
         # table (order, rows, degree) times complex columns (degree, order)
         return np.einsum("mrl,lm->rm", table, cols)
 
-    def _to_grid(self, coeffs, table, real_valued):
+    def _to_grid(self, coeffs, table):
         L, nlon = self.lmax, self.spec.nlon
         cpos, cneg = self._split(coeffs)
         spectrum = np.zeros((self.spec.nlat, nlon), dtype=complex)
         spectrum[:, : L + 1] = self._apply(table, cpos)
         spectrum[:, nlon - L :] = self._apply(table[1:], cneg)[:, ::-1]
-        values = np.fft.ifft(spectrum, axis=1) * nlon
-        return values.real if real_valued else values
+        return (np.fft.ifft(spectrum, axis=1) * nlon).real
 
     def synthesis(self, field):
-        return self._to_grid(field.coeffs, self._p, field.real_valued)
+        return self._to_grid(field.coeffs, self._p)
 
     def gradient_values(self, field):
         m = np.arange(-self.lmax, self.lmax + 1)
-        return (self._to_grid(field.coeffs, self._d, field.real_valued),
-                self._to_grid(field.coeffs * (1j * m)[None, :], self._pc, field.real_valued))
+        return (self._to_grid(field.coeffs, self._d),
+                self._to_grid(field.coeffs * (1j * m)[None, :], self._pc))
 
-    def analysis(self, values, real_valued):
+    def analysis(self, values):
         L, nlon = self.lmax, self.spec.nlon
         fourier = np.fft.fft(values, axis=1) * (2.0 * math.pi / nlon)
         weighted = self.grid.weights[:, None] * fourier
@@ -73,5 +72,4 @@ class ReferenceTransform:
         coeffs = np.zeros((L + 1, 2 * L + 1), dtype=complex)
         coeffs[:, L:] = cpos
         coeffs[:, :L] = cneg[:, ::-1]
-        out = sht.SpectralField.from_table(coeffs, real_valued=False)
-        return out.enforce_reality() if real_valued else out
+        return sht.SpectralField.from_table(coeffs)

@@ -1,10 +1,10 @@
 """Full-table model of the `sht.SpectralField` arithmetic.
 
-The field is a dense (lmax+1, 2*lmax+1) complex table over the orders
+The real field is a dense (lmax+1, 2*lmax+1) complex table over the orders
 -l..l, column lmax + m, as `SpectralField` was stored before it kept only
-its m >= 0 half tables.  Each operation is the full-table arithmetic of that
-layout; element writes to a real field also write the mirror
-c_l^{-m} = (-1)^m conj(c_l^m), so both models realise the same field.
+its m >= 0 half table.  Each operation is the full-table arithmetic of that
+layout; element writes also write the mirror c_l^{-m} = (-1)^m conj(c_l^m),
+so both models realise the same field.
 """
 
 import numpy as np
@@ -24,9 +24,8 @@ def reality_defect(table: np.ndarray) -> float:
 
 
 class FullTableField:
-    def __init__(self, lmax: int, real_valued: bool = True, coeffs=None):
+    def __init__(self, lmax: int, coeffs=None):
         self.lmax = lmax
-        self.real_valued = real_valued
         shape = (lmax + 1, 2 * lmax + 1)
         self.coeffs = np.zeros(shape, dtype=complex) if coeffs is None else coeffs.copy()
 
@@ -35,12 +34,10 @@ class FullTableField:
 
     def _write(self, l: int, m: int, value: complex, add: bool) -> None:
         L = self.lmax
-        entries = [(m, value)]
-        if self.real_valued:
-            if m == 0 and complex(value).imag != 0.0:
-                raise ValueError("an m = 0 coefficient of a real field must be real")
-            entries = [(m, complex(value).real)] if m == 0 else entries + [
-                (-m, (-1.0) ** m * np.conj(value))]
+        if m == 0 and complex(value).imag != 0.0:
+            raise ValueError("an m = 0 coefficient of a real field must be real")
+        entries = [(m, complex(value).real)] if m == 0 else [
+            (m, value), (-m, (-1.0) ** m * np.conj(value))]
         for order, v in entries:
             if add:
                 self.coeffs[l, L + order] += v
@@ -54,19 +51,16 @@ class FullTableField:
         self._write(l, m, value, add=True)
 
     def __add__(self, other: "FullTableField") -> "FullTableField":
-        return FullTableField(self.lmax, self.real_valued and other.real_valued,
-                              self.coeffs + other.coeffs)
+        return FullTableField(self.lmax, self.coeffs + other.coeffs)
 
     def __sub__(self, other: "FullTableField") -> "FullTableField":
-        return FullTableField(self.lmax, self.real_valued and other.real_valued,
-                              self.coeffs - other.coeffs)
+        return FullTableField(self.lmax, self.coeffs - other.coeffs)
 
-    def scaled(self, factor: complex) -> "FullTableField":
-        return FullTableField(self.lmax, self.real_valued and bool(np.isreal(factor)),
-                              self.coeffs * factor)
+    def scaled(self, factor: float) -> "FullTableField":
+        return FullTableField(self.lmax, self.coeffs * factor)
 
     def truncated(self, lmax: int) -> "FullTableField":
-        out = FullTableField(lmax, self.real_valued)
+        out = FullTableField(lmax)
         L = min(lmax, self.lmax)
         out.coeffs[: L + 1, lmax - L : lmax + L + 1] = self.coeffs[
             : L + 1, self.lmax - L : self.lmax + L + 1]
@@ -74,25 +68,13 @@ class FullTableField:
 
     def laplacian(self) -> "FullTableField":
         l = np.arange(self.lmax + 1, dtype=float)
-        return FullTableField(self.lmax, self.real_valued,
-                              self.coeffs * (-l * (l + 1.0))[:, None])
+        return FullTableField(self.lmax, self.coeffs * (-l * (l + 1.0))[:, None])
 
     def invert_laplacian(self) -> "FullTableField":
         l = np.arange(1, self.lmax + 1, dtype=float)
-        out = FullTableField(self.lmax, self.real_valued)
+        out = FullTableField(self.lmax)
         out.coeffs[1:] = self.coeffs[1:] / (-l * (l + 1.0))[:, None]
         return out
-
-    def enforce_reality(self) -> "FullTableField":
-        """The real part: (c_l^m + (-1)^m conj(c_l^{-m})) / 2 and its mirror."""
-        L = self.lmax
-        signs = order_signs(L)
-        half = 0.5 * (self.coeffs[:, L:] + signs * np.conj(self.coeffs[:, L::-1]))
-        self.coeffs[:, L:] = half
-        self.coeffs[:, L] = half[:, 0].real
-        self.coeffs[:, :L] = (signs[1:] * np.conj(half[:, 1:]))[:, ::-1]
-        self.real_valued = True
-        return self
 
     def degree_power(self) -> np.ndarray:
         return np.sum(np.abs(self.coeffs) ** 2, axis=1)

@@ -424,6 +424,27 @@ class TestSelftest:
 
 
 # A valid small config of each command; the fuzz test below breaks one key.
+class TestGoldenOutputs:
+    """sha256 of written snapshots, pinned when they were first recorded."""
+
+    def test_random_initial_snapshot(self, tmp_path):
+        config = dict(SIM_CONFIG, t_end=0.0, lmax=6, seed=3, initial={"kind": "random"})
+        out = tmp_path / "out"
+        assert run_cli(["simulate", write_json(tmp_path / "sim.json", config),
+                        "--outdir", str(out)]) == 0
+        digest = hashlib.sha256((out / "snapshot_000000.shc").read_bytes()).hexdigest()
+        assert digest == "89a0baefd01fb6b1ae0b290327ca6796654a3f78b226bddae97846d4a4b8283d"
+
+    def test_rotated_solution(self, tmp_path):
+        params = {"base": {"kind": "log_family", "parameters": {"epsilon": 0.3, "lmax": 15}},
+                  "rotation": [0.3, 0.7, -0.2]}
+        out = tmp_path / "out"
+        assert run_cli(["make-solution", "--family", "rotated", "--params", json.dumps(params),
+                        "--outdir", str(out)]) == 0
+        digest = hashlib.sha256((out / "solution.shc").read_bytes()).hexdigest()
+        assert digest == "2cc52347e6c426447155a7347b1ab9d1b1c87cc227a10684d23b4d4d31f91c95"
+
+
 FUZZ_BIFURCATE = {
     "group": "tetrahedral", "lmax": 8, "steps": 4, "ds": 0.08, "lambda_range": [0.0, 2.0],
     "family": {"kind": "cubic", "mu": 1.0, "mu1": 1.0, "degree": 3},

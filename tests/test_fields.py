@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rotosphere import fields, sht, solutions
-from conftest import random_real_field
+from conftest import random_real_field, real_part
 
 SQPI = math.sqrt(math.pi)
 
@@ -32,10 +32,7 @@ class TestVelocity:
 
     def test_speed_parseval(self):
         # grid quadrature of |U|^2 equals the gradient Parseval sum
-        psi = sht.SpectralField.zeros(9, real_valued=False)
-        psi.set(1, 1, 0.7 - 0.2j)
-        psi.set(2, 1, 0.1 + 0.4j)
-        psi.enforce_reality()
+        psi = real_part(9, {(1, 1): 0.7 - 0.2j, (2, 1): 0.1 + 0.4j})
         expected = sum(
             l * (l + 1) * p for l, p in enumerate(psi.degree_power())
         )
@@ -47,9 +44,9 @@ class TestVelocity:
         assert abs(fields.grid_energy(psi) - fields.energy(psi)) < 1e-10
 
     def test_complex_stream_rejected(self):
-        psi = sht.SpectralField.zeros(4, real_valued=False)
+        # a stream function is one real half table; a second (imaginary) one is refused
         with pytest.raises(ValueError):
-            fields.velocity_from_stream(psi)
+            sht.SpectralField(np.zeros((2, 5, 5), dtype=complex))
 
 
 class TestAdvection:
@@ -105,7 +102,8 @@ class TestAdvection:
 
 class TestIntegralDiagnostics:
     def test_energy_enstrophy_of_unit_y20(self):
-        psi = sht.SpectralField.from_harmonic(8, 2, 0, 1.0, real_valued=True)
+        psi = sht.SpectralField.zeros(8)
+        psi.set(2, 0, 1.0)
         assert abs(fields.energy(psi) - 3.0) < 1e-14
         assert abs(fields.enstrophy(psi) - 36.0) < 1e-13
 
@@ -136,7 +134,6 @@ class TestIntegralDiagnostics:
         psi.set(1, 0, 0.5)
         psi.set(1, 1, 0.25 - 0.1j)
         psi.set(1, -1, -np.conj(0.25 - 0.1j))
-        psi.enforce_reality()
         cm, c0, cp = fields.first_modes(psi)
         assert abs(c0 - (-1.0)) < 1e-15
         assert abs(cp - (-0.5 + 0.2j)) < 1e-15
@@ -194,14 +191,16 @@ class TestProductIntegrals:
 class TestPoincare:
     def test_sharpness_at_lowest_remaining_degree(self):
         for n in (1, 2, 4):
-            psi = sht.SpectralField.from_harmonic(8, n + 1, 0, 1.0, real_valued=True)
+            psi = sht.SpectralField.zeros(8)
+            psi.set(n + 1, 0, 1.0)
             report = fields.poincare_check(psi, n)
             assert report.holds
             assert abs(report.lhs_enstrophy - report.rhs_scaled_energy) < 1e-10
 
     def test_strict_inequality_one_degree_up(self):
         n = 2
-        psi = sht.SpectralField.from_harmonic(8, n + 2, 0, 1.0, real_valued=True)
+        psi = sht.SpectralField.zeros(8)
+        psi.set(n + 2, 0, 1.0)
         report = fields.poincare_check(psi, n)
         # Parseval ratio (n+2)(n+3) vs (n+1)(n+2)
         assert report.holds

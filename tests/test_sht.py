@@ -97,7 +97,8 @@ class TestHarmonics:
 
 class TestTransforms:
     def test_basis_round_trip(self, transform31):
-        f = sht.SpectralField.from_harmonic(31, 1, 0, 1.0)
+        f = sht.SpectralField.zeros(31)
+        f.set(1, 0, 1.0)
         grid_field = transform31.synthesis(f)
         back = transform31.analysis(grid_field.values)
         assert abs(back.get(1, 0) - 1.0) < 1e-13
@@ -126,6 +127,16 @@ class TestTransforms:
         out = transform31.analysis(values)
         assert reality_defect(out.coeffs) == 0.0
 
+    def test_complex_values_rejected(self, transform31):
+        values = np.zeros((transform31.spec.nlat, transform31.spec.nlon), dtype=complex)
+        with pytest.raises(ValueError):
+            transform31.analysis(values)
+
+    def test_one_half_table_per_field(self):
+        for shape in [(2, 5, 5), (5, 5), (1, 5, 4), (1, 1, 1)]:
+            with pytest.raises(ValueError):
+                sht.SpectralField(np.zeros(shape))
+
     def test_dimension_mismatch_rejected(self, transform31):
         with pytest.raises(sht.GridShapeError):
             transform31.analysis(np.zeros((3, 4)))
@@ -142,14 +153,6 @@ class TestTransforms:
         assert np.max(np.abs(pointwise - vals)) < 1e-11
 
 
-def _random_field(lmax: int, seed: int, real: bool) -> sht.SpectralField:
-    f = random_real_field(lmax, seed=seed, zero_mean=False)
-    if real:
-        return f
-    g = random_real_field(lmax, seed=seed + 1, zero_mean=False)
-    return sht.SpectralField(np.concatenate([f.halves, g.halves]))
-
-
 def _rel(got, want) -> float:
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
@@ -161,22 +164,20 @@ SPECS = [pytest.param(make(lmax), id=f"{make.__name__}-{lmax}")
 class TestRealFieldCore:
     """The m >= 0 core against the full-order reference transform."""
 
-    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    @pytest.mark.parametrize("kind", ["real"])
     @pytest.mark.parametrize("spec", SPECS)
-    def test_matches_reference(self, spec, real):
+    def test_matches_reference(self, spec, kind):
         tr, ref = sht.Transform(spec), ReferenceTransform(spec)
-        f = _random_field(spec.lmax, seed=spec.nlon, real=real)
+        f = random_real_field(spec.lmax, seed=spec.nlon, zero_mean=False)
         want = ref.synthesis(f)
         assert _rel(tr.synthesis(f).values, want) < 1e-13
         for got, expected in zip(tr.gradient_values(f), ref.gradient_values(f)):
             assert _rel(got, expected) < 1e-13
-        assert _rel(tr.analysis(want).coeffs, ref.analysis(want, real).coeffs) < 1e-13
+        assert _rel(tr.analysis(want).coeffs, ref.analysis(want).coeffs) < 1e-13
         # arbitrary grid values, not only bandlimited ones
         rng = np.random.default_rng(spec.lmax)
         values = rng.normal(size=(spec.nlat, spec.nlon))
-        if not real:
-            values = values + 1j * rng.normal(size=values.shape)
-        assert _rel(tr.analysis(values).coeffs, ref.analysis(values, real).coeffs) < 1e-13
+        assert _rel(tr.analysis(values).coeffs, ref.analysis(values).coeffs) < 1e-13
 
     def test_batched_calls_match_single_calls(self):
         tr = sht.dealiased_transform(12)
@@ -203,25 +204,21 @@ class TestRealFieldCore:
             tr.synthesis(np.zeros((5, 5), dtype=complex))
 
     def test_halves_rebuild_the_table(self):
-        f = _random_field(9, seed=3, real=False)
-        back = sht.SpectralField.from_table(f.coeffs, real_valued=False)
-        assert np.max(np.abs(back.coeffs - f.coeffs)) < 1e-15
         g = random_real_field(9, seed=4)
-        assert np.array_equal(sht.SpectralField.from_table(g.coeffs, real_valued=True).coeffs,
-                              g.coeffs)
+        assert np.array_equal(sht.SpectralField.from_table(g.coeffs).coeffs, g.coeffs)
 
 
-def _layout_value(rng, real: bool, m: int) -> complex:
+def _layout_value(rng, m: int) -> complex:
     value = complex(rng.normal(), rng.normal())
-    return complex(value.real) if real and m == 0 else value
+    return complex(value.real) if m == 0 else value
 
 
-def _layout_pair(rng, lmax: int, real: bool):
+def _layout_pair(rng, lmax: int):
     """The same random field as a SpectralField and as a full-table model."""
-    new, ref = sht.SpectralField.zeros(lmax, real), FullTableField(lmax, real)
+    new, ref = sht.SpectralField.zeros(lmax), FullTableField(lmax)
     for l in range(lmax + 1):
-        for m in range(0 if real else -l, l + 1):
-            value = _layout_value(rng, real, m)
+        for m in range(0, l + 1):
+            value = _layout_value(rng, m)
             new.set(l, m, value)
             ref.set(l, m, value)
     return new, ref
@@ -234,15 +231,15 @@ def _layout_step(op: str, new, ref, rng):
     if op in ("get", "set", "add_to"):
         if op == "get":
             return new.get(l, m), ref.get(l, m)
-        value = _layout_value(rng, new.real_valued, m)
+        value = _layout_value(rng, m)
         getattr(new, op)(l, m, value)
         getattr(ref, op)(l, m, value)
     elif op in ("+", "-"):
-        other_new, other_ref = _layout_pair(rng, new.lmax, bool(rng.integers(2)))
+        other_new, other_ref = _layout_pair(rng, new.lmax)
         new, ref = (new + other_new, ref + other_ref) if op == "+" else (
             new - other_new, ref - other_ref)
-    elif op.startswith("scaled"):
-        factor = rng.normal() if op == "scaled real" else complex(rng.normal(), rng.normal())
+    elif op == "scaled":
+        factor = rng.normal()
         new, ref = new.scaled(factor), ref.scaled(factor)
     elif op == "truncated":
         lmax = int(rng.integers(1, 9))
@@ -253,59 +250,43 @@ def _layout_step(op: str, new, ref, rng):
         new.set(0, 0, 0.0)
         ref.set(0, 0, 0.0)
         new, ref = sht.invert_laplacian(new), ref.invert_laplacian()
-    elif op == "enforce_reality":
-        new.enforce_reality()
-        ref.enforce_reality()
     else:
         return getattr(new, op)(), getattr(ref, op)()
     return new, ref
 
 
-LAYOUT_OPS = ["get", "set", "add_to", "+", "-", "scaled real", "scaled complex", "truncated",
-              "laplacian", "invert_laplacian", "enforce_reality", "degree_power", "norm"]
+LAYOUT_OPS = ["get", "set", "add_to", "+", "-", "scaled", "truncated",
+              "laplacian", "invert_laplacian", "degree_power", "norm"]
 
 
 class TestHalfTableLayout:
-    """`SpectralField` on half tables against the full-table model of its arithmetic."""
+    """`SpectralField` on its half table against the full-table model of its arithmetic."""
 
     @settings(max_examples=200, deadline=None, database=None)
-    @given(st.integers(1, 8), st.booleans(), st.integers(0, 2**32 - 1),
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1),
            st.lists(st.sampled_from(LAYOUT_OPS), min_size=1, max_size=12))
-    def test_matches_full_table_model(self, lmax, real, seed, ops):
+    def test_matches_full_table_model(self, lmax, seed, ops):
         rng = np.random.default_rng(seed)
-        new, ref = _layout_pair(rng, lmax, real)
-        # a field that has only ever been real runs through the same
-        # arithmetic in both layouts; a complex one is recombined from A + iB,
-        # which rounds once more than the full table
-        exact = real
-        scale = float(np.max(np.abs(ref.coeffs)))
+        new, ref = _layout_pair(rng, lmax)
+        # both layouts run through the same arithmetic
         for op in ops:
             got, want = _layout_step(op, new, ref, rng)
             if op in ("degree_power", "norm"):
-                # summed in another order; a complex field differs by its recombination
-                power = 2 if op == "degree_power" else 1
-                bound = (1e-15 * np.abs(want) if exact
-                         else 1e-14 * (2 * new.lmax + 1) * scale**power)
-                assert np.all(np.abs(got - want) <= bound), op
+                # summed in another order
+                assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want)), op
                 continue
             if op == "get":
                 got, want = np.array(got), np.array(want)
             else:
                 new, ref = got, want
                 got, want = new.coeffs, ref.coeffs
-                assert new.real_valued == ref.real_valued
-                exact = exact and new.real_valued
-                scale = max(scale, float(np.max(np.abs(want))))
-            if exact:
-                assert np.array_equal(got, want), op
-            else:
-                assert np.max(np.abs(got - want)) <= 1e-14 * scale, op
+            assert np.array_equal(got, want), op
         L = new.lmax
         table = new.coeffs
         assert all(new.get(l, m) == table[l, L + m] for l in range(L + 1) for m in range(-l, l + 1))
 
 
-FIELD_CASES = st.tuples(st.integers(1, 24), st.integers(0, 2**32 - 1), st.booleans(),
+FIELD_CASES = st.tuples(st.integers(1, 24), st.integers(0, 2**32 - 1),
                         st.sampled_from([sht.TruncationSpec.for_lmax, sht.TruncationSpec.dealiased]))
 
 
@@ -313,27 +294,27 @@ class TestTransformProperties:
     @settings(max_examples=40, deadline=None, database=None)
     @given(FIELD_CASES)
     def test_round_trip(self, case):
-        lmax, seed, real, make = case
+        lmax, seed, make = case
         tr = sht.transform_for(make(lmax))
-        f = _random_field(lmax, seed, real)
+        f = random_real_field(lmax, seed, zero_mean=False)
         back = tr.analysis(tr.synthesis(f))
-        assert back.real_valued == real
         assert np.max(np.abs(back.coeffs - f.coeffs)) < 1e-12 * np.max(np.abs(f.coeffs))
 
     @settings(max_examples=40, deadline=None, database=None)
     @given(FIELD_CASES)
     def test_parseval(self, case):
-        lmax, seed, real, make = case
+        lmax, seed, make = case
         tr = sht.transform_for(make(lmax))
-        f = _random_field(lmax, seed, real)
+        f = random_real_field(lmax, seed, zero_mean=False)
         values = tr.synthesis(f).values
-        grid_norm2 = tr.grid.integrate(np.abs(values) ** 2)
+        grid_norm2 = tr.grid.integrate(values**2)
         assert abs(grid_norm2 - f.norm() ** 2) < 1e-12 * f.norm() ** 2
 
 
 class TestLaplacian:
     def test_eigenrelation_y21(self):
-        f = sht.SpectralField.from_harmonic(8, 2, 1, 1.0)
+        f = sht.SpectralField.zeros(8)
+        f.set(2, 1, 1.0)
         lap = sht.laplacian(f)
         assert lap.get(2, 1) == -6.0
 
@@ -342,10 +323,10 @@ class TestLaplacian:
         tr = sht.default_transform(lmax)
         for l in (1, 2, 5, 15):
             for m in (0, 1, l):
-                y = sht.harmonic(l, m, tr.grid)
-                lap = sht.laplacian(tr.analysis(y.values))
-                back = tr.synthesis(lap).values
-                assert np.max(np.abs(back + l * (l + 1) * y.values)) < 1e-12 * l * (l + 1)
+                y = sht.harmonic(l, m, tr.grid).values
+                for part in (y.real, y.imag):
+                    back = tr.synthesis(sht.laplacian(tr.analysis(part))).values
+                    assert np.max(np.abs(back + l * (l + 1) * part)) < 1e-12 * l * (l + 1)
 
     def test_sin_lat_field(self):
         # Laplacian of sin(lat) is -2 sin(lat)
@@ -378,7 +359,8 @@ class TestRotation:
         assert np.max(np.abs(out.coeffs - f.coeffs)) < 1e-14
 
     def test_rotation_of_zonal_degree_one_stays_unit_norm(self):
-        f = sht.SpectralField.from_harmonic(4, 1, 0, 1.0, real_valued=True)
+        f = sht.SpectralField.zeros(4)
+        f.set(1, 0, 1.0)
         out = sht.rotate(f, sht.RotationSpec(beta=math.pi / 2))
         power = out.degree_power()
         assert abs(power[1] - 1.0) < 1e-13
@@ -390,7 +372,7 @@ class TestRotation:
         f = random_real_field(lmax, seed=7)
         rot = sht.RotationSpec(alpha=0.45, beta=1.3, gamma=-0.8)
         spectral = sht.rotate(f, rot)
-        resampled = tr.analysis(np.real(sht.rotate_field_values(f, rot, tr.grid)))
+        resampled = tr.analysis(sht.rotate_field_values(f, rot, tr.grid))
         assert np.max(np.abs(spectral.coeffs - resampled.coeffs)) < 1e-12
 
     def test_parity_matches_oracle(self):
@@ -399,7 +381,7 @@ class TestRotation:
         f = random_real_field(lmax, seed=8)
         rot = sht.RotationSpec(alpha=0.2, beta=0.9, gamma=0.1)
         spectral = sht.rotate(f, rot, parity=True)
-        resampled = tr.analysis(np.real(sht.rotate_field_values(f, rot, tr.grid, parity=True)))
+        resampled = tr.analysis(sht.rotate_field_values(f, rot, tr.grid, parity=True))
         assert np.max(np.abs(spectral.coeffs - resampled.coeffs)) < 1e-12
 
     @pytest.mark.parametrize("l", [1, 3, 10, 32, 63])

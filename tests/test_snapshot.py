@@ -4,8 +4,8 @@ import struct
 import numpy as np
 import pytest
 
-from rotosphere import sht, snapshot
-from conftest import random_real_field
+from rotosphere import cli, sht, snapshot
+from conftest import random_real_field, real_part
 
 
 class TestBinaryFormat:
@@ -16,12 +16,10 @@ class TestBinaryFormat:
         back, t = snapshot.read_snapshot(path)
         assert t == 3.25
         assert back.lmax == 9
-        assert back.real_valued
         assert np.max(np.abs(back.coeffs - field.coeffs)) == 0.0
 
     def test_header_layout(self, tmp_path):
-        field = sht.SpectralField.zeros(1, real_valued=False)
-        field.set(1, -1, 2.0 + 3.0j)
+        field = sht.SpectralField.zeros(1)
         field.set(1, 0, 4.0)
         field.set(1, 1, 5.0 - 6.0j)
         path = tmp_path / "tiny.shc"
@@ -29,11 +27,11 @@ class TestBinaryFormat:
         blob = path.read_bytes()
         magic, version, lmax, real_flag, time = struct.unpack_from("<8sIIBxxxd", blob)
         assert magic == b"RSPHCOF1"
-        assert (version, lmax, real_flag, time) == (1, 1, 0, 1.5)
+        assert (version, lmax, real_flag, time) == (1, 1, 1, 1.5)
         # ordering: degree 0 first, then degree 1 orders -1, 0, 1
         data = np.frombuffer(blob, dtype="<f8", offset=28)
         assert list(data[:2]) == [0.0, 0.0]
-        assert list(data[2:4]) == [2.0, 3.0]
+        assert list(data[2:4]) == [-5.0, -6.0]
         assert list(data[4:6]) == [4.0, 0.0]
         assert list(data[6:8]) == [5.0, -6.0]
 
@@ -94,23 +92,9 @@ class TestJsonTwin:
 
 
 def _golden_real_field():
-    """lmax-3 real field with exact zeros, realised from values at m >= 0."""
-    field = sht.SpectralField.zeros(3, real_valued=False)
-    for (l, m), value in {(1, 0): 0.5, (2, 0): -1.25, (2, 1): 1.5 - 0.75j, (2, 2): 2j,
-                          (3, 1): -2.0, (3, 3): 0.25 + 0.5j}.items():
-        field.set(l, m, value)
-    return field.enforce_reality()
-
-
-def _golden_complex_field():
-    """lmax-2 complex field, every coefficient set at both signs of m."""
-    field = sht.SpectralField.zeros(2, real_valued=False)
-    k = 0
-    for l in range(3):
-        for m in range(-l, l + 1):
-            k += 1
-            field.set(l, m, complex(0.25 * k, -0.5 * k - 0.125))
-    return field
+    """lmax-3 real field with exact zeros, the real part of values at m >= 0."""
+    return real_part(3, {(1, 0): 0.5, (2, 0): -1.25, (2, 1): 1.5 - 0.75j, (2, 2): 2j,
+                         (3, 1): -2.0, (3, 3): 0.25 + 0.5j})
 
 
 GOLDEN_REAL_SHC = (
@@ -124,6 +108,7 @@ GOLDEN_REAL_SHC = (
     "000000000000000000000000000000000000f0bf000000000000000000000000"
     "000000000000000000000000000000000000c03f000000000000d03f"
 )
+# a complex field written by an earlier version: flag 0, every coefficient set
 GOLDEN_COMPLEX_SHC = (
     "52535048434f4631010000000200000000000000000000000000000000000000"
     "0000d03f000000000000e4bf000000000000e03f000000000000f2bf00000000"
@@ -158,8 +143,7 @@ class TestGoldenBytes:
 
     @pytest.mark.parametrize("make, time, hexdump", [
         (_golden_real_field, 1.25, GOLDEN_REAL_SHC),
-        (_golden_complex_field, 0.0, GOLDEN_COMPLEX_SHC),
-    ], ids=["real", "complex"])
+    ], ids=["real"])
     def test_binary(self, tmp_path, make, time, hexdump):
         path = tmp_path / "golden.shc"
         snapshot.write_snapshot(path, make(), time=time)
@@ -170,9 +154,34 @@ class TestGoldenBytes:
 
     @pytest.mark.parametrize("make, time, expected", [
         (_golden_real_field, 1.25, _golden_json(GOLDEN_REAL_PAIRS, 3, "true", 1.25)),
-        (_golden_complex_field, 0.0, _golden_json(GOLDEN_COMPLEX_PAIRS, 2, "false", 0.0)),
-    ], ids=["real", "complex"])
+    ], ids=["real"])
     def test_json_twin(self, tmp_path, make, time, expected):
         path = tmp_path / "golden.json"
         snapshot.write_snapshot_json(path, make(), time=time)
         assert path.read_text() == expected
+
+
+COMPLEX_FILES = [("complex.shc", bytes.fromhex(GOLDEN_COMPLEX_SHC)),
+                 ("complex.json", _golden_json(GOLDEN_COMPLEX_PAIRS, 2, "false", 0.0).encode())]
+
+
+class TestComplexFilesRejected:
+    """Files of complex fields, flagged 0, are not read."""
+
+    @pytest.mark.parametrize("name, blob", COMPLEX_FILES, ids=["binary", "json"])
+    def test_read_rejected(self, tmp_path, name, blob):
+        path = tmp_path / name
+        path.write_bytes(blob)
+        with pytest.raises(snapshot.SnapshotFormatError):
+            snapshot.read_snapshot(path)
+
+    @pytest.mark.parametrize("name, blob", COMPLEX_FILES, ids=["binary", "json"])
+    def test_simulate_initial_state_is_config_error(self, tmp_path, capsys, name, blob):
+        path = tmp_path / name
+        path.write_bytes(blob)
+        config = {"omega": 1.0, "dt": 0.05, "t_end": 0.1, "lmax": 2,
+                  "initial": {"kind": "snapshot", "path": str(path)}}
+        (tmp_path / "sim.json").write_text(json.dumps(config))
+        assert cli.main(["simulate", str(tmp_path / "sim.json"), "--outdir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "o").exists()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rotosphere import dynamics, sht, solutions, stability
+from conftest import real_part
 
 
 class TestZonalProfile:
@@ -239,11 +240,7 @@ class TestModalExperiment:
         devs, tails = [], []
         eps_values = [1e-2, 1e-3]
         for eps in eps_values:
-            pert = sht.SpectralField.zeros(lmax, real_valued=False)
-            pert.set(2, 0, 0.4 * eps)
-            pert.set(2, 1, 0.3 * eps)
-            pert.set(3, 1, 0.5 * eps)
-            pert.enforce_reality()
+            pert = real_part(lmax, {(2, 0): 0.4 * eps, (2, 1): 0.3 * eps, (3, 1): 0.5 * eps})
             cfg = dynamics.SimulationConfig(
                 omega=0.0, dt=0.02, t_end=2.0,
                 lmax=lmax, diag_stride=10)

@@ -4,10 +4,8 @@ __version__ = "0.1.0"
 
 from .sht import (  # noqa: F401
     GaussGrid,
-    GridField,
     RotationSpec,
     SpectralField,
-    TruncationSpec,
     build_grid,
     harmonic,
     invert_laplacian,

@@ -169,7 +169,7 @@ class SymmetrySubspace:
 
     def __post_init__(self):
         # m >= 0 half tables of the basis fields, stacked (dim, l, m)
-        self.halves = np.concatenate([b.halves for b in self.basis])
+        self.halves = np.stack([b.halves for b in self.basis])
         # inner products of real fields on half tables: order 0 once, m > 0 twice
         weighted = self.halves * np.where(np.arange(self.lmax + 1) == 0, 1.0, 2.0)
         self._rows = weighted.view(float).reshape(self.dim, -1)
@@ -186,7 +186,7 @@ class SymmetrySubspace:
         return np.tensordot(x, self.halves, axes=1)
 
     def assemble(self, x: np.ndarray) -> SpectralField:
-        return SpectralField(self.assemble_half(x)[None])
+        return SpectralField(self.assemble_half(x))
 
     def project_half(self, halves: np.ndarray) -> np.ndarray:
         """Coordinates of real fields given as half tables (..., l, m); a
@@ -196,7 +196,7 @@ class SymmetrySubspace:
 
     def project(self, field: SpectralField) -> np.ndarray:
         """Coordinates of the field."""
-        return self.project_half(field.halves[0])
+        return self.project_half(field.halves)
 
     def generator_index(self, degree: int) -> int:
         idx = [i for i, d in enumerate(self.degrees) if d == degree]
@@ -445,21 +445,21 @@ class ContinuationProblem:
         """Half table of the residual f - inv_laplacian(rhs - mean), through
         the spherical transforms rather than the stored basis values."""
         f_half = self.subspace.assemble_half(x)
-        values = self._transform.synthesis(f_half[None])
+        values = self._transform.synthesis(f_half)
         rhs = self._transform.analysis(
-            self._nonlinearity(lam, values.reshape(-1)).reshape(values.shape))[0]
+            self._nonlinearity(lam, values.reshape(-1)).reshape(values.shape))
         rhs[0, 0] = 0.0
         return f_half - sht.inverse_laplacian_table(rhs)
 
     def residual_field(self, lam: float, x: np.ndarray) -> SpectralField:
         """Unprojected residual f - inv_laplacian(rhs) as a spectral field."""
-        return SpectralField(self._residual_half(lam, x)[None])
+        return SpectralField(self._residual_half(lam, x))
 
     def residual_norms(self, lam: float, x: np.ndarray) -> tuple[float, float]:
         """(subspace-projected norm, full-sphere norm) of the residual."""
         half = self._residual_half(lam, x)
         projected = float(np.linalg.norm(self.subspace.project_half(half)))
-        return projected, SpectralField(half[None]).norm()
+        return projected, SpectralField(half).norm()
 
     def _quadrature(self, grid_values: np.ndarray) -> np.ndarray:
         """sum_grid w b_i g / (l_i (l_i + 1)) for every basis field b_i."""

@@ -284,7 +284,7 @@ def _random_field(lmax: int, rng: np.random.Generator, decay: float) -> sht.Spec
     for l in range(1, lmax + 1):
         for m in range(0, l + 1):
             z = (rng.normal() + 1j * rng.normal()) * math.exp(-decay * l)
-            field.halves[0, l, m] = z.real if m == 0 else 0.5 * z
+            field.halves[l, m] = z.real if m == 0 else 0.5 * z
     return field
 
 
@@ -508,6 +508,8 @@ def cmd_stability(args):
 def cmd_bifurcate(args):
     config = _load_config(args.problem)
     lmax = _get(config, "lmax", int, 12)
+    if lmax < 1:
+        raise ConfigError(f"lmax must be >= 1, got {lmax}")
     fam_cfg = _get(config, "family", dict)
     kind = _get(fam_cfg, "kind", str, "cubic")
     if kind not in ("cubic", "saturating"):
@@ -515,7 +517,12 @@ def cmd_bifurcate(args):
     degree = _get(fam_cfg, "degree", int)
     steps = _get(config, "steps", int, 30 if kind == "cubic" else 20)
     ds, direction = _get(config, "ds", float, 0.05), _get(config, "direction", float, 1.0)
-    subspace = bifurcation.build_subspace(_get(config, "group", str, "tetrahedral"), lmax)
+    if not ds > 0.0 or direction not in (1.0, -1.0):
+        raise ConfigError(f"need ds > 0 and direction 1 or -1, got ds {ds}, direction {direction}")
+    try:
+        subspace = bifurcation.build_subspace(_get(config, "group", str, "tetrahedral"), lmax)
+    except ArithmeticError as exc:  # no invariant harmonics: nothing to continue
+        raise ConfigError(str(exc)) from exc
     if kind == "cubic":
         family = bifurcation.CubicShiftFamily(
             mu=_get(fam_cfg, "mu", float), mu1=_get(fam_cfg, "mu1", float), degree=degree)
@@ -642,24 +649,28 @@ def _selftest_checks(lmax: int) -> list[tuple[str, float, float]]:
     checks: list[tuple[str, float, float]] = []
     tr = sht.default_transform(lmax)
     f = _random_field(lmax, np.random.default_rng(2024), 0.0)
-    g = tr.analysis(tr.synthesis(f))
+    g = tr.analysis(tr.synthesis(f.halves))
     scale = float(np.max(np.abs(f.halves)))
-    checks.append(("transform round trip", float(np.max(np.abs(g.halves - f.halves))) / scale, 1e-12))
+    checks.append(("transform round trip", float(np.max(np.abs(g - f.halves))) / scale, 1e-12))
 
     grid = tr.grid
     checks.append(("quadrature weight sum", abs(float(np.sum(grid.weights)) - 2.0), 1e-14))
-    checks.append(("quadrature s^4 moment", abs(float(grid.weights @ grid.nodes**4) - 0.4), 1e-14))
+    # an n-node grid integrates s^k exactly up to k = 2n - 1: the 2-node grid
+    # of lmax 1 checks s^2
+    k = min(4, 2 * grid.nlat - 2)
+    checks.append((f"quadrature s^{k} moment",
+                   abs(float(grid.weights @ grid.nodes**k) - 2.0 / (k + 1)), 1e-14))
 
     # from the exact unit coefficient: analysis round-off is the round trip's to measure
     worst = 0.0
     for l in {1, min(2, lmax), min(5, lmax)}:
         for m in range(0, l + 1):
-            y = sht.harmonic(l, m, grid).values
+            y = sht.harmonic(l, m, grid)
             # c_l^m = 1/2 and -i/2 realise Re Y_l^m and Im Y_l^m; c_l^0 = 1 realises Y_l^0
             for value, part in ((0.5, y.real), (-0.5j, y.imag)) if m else ((1.0, y.real),):
                 unit = sht.SpectralField.zeros(lmax)
                 unit.set(l, m, value)
-                back = tr.synthesis(sht.laplacian(unit)).values
+                back = tr.synthesis(sht.laplacian(unit).halves)
                 worst = max(worst, float(np.max(np.abs(back + l * (l + 1) * part))))
     checks.append(("eigenrelation", worst, 1e-11))
 
@@ -690,7 +701,7 @@ def _selftest_checks(lmax: int) -> list[tuple[str, float, float]]:
 
 
 def cmd_selftest(args):
-    sht.TruncationSpec.for_lmax(args.lmax)
+    sht.default_transform(args.lmax)  # GridShapeError below lmax 1
 
     def work(ctx):
         checks = _selftest_checks(args.lmax)

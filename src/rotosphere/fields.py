@@ -9,30 +9,26 @@ quadrature is exact for bandlimited inputs.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 
 import numpy as np
 
 from . import sht
-from .sht import GridField, SpectralField, Transform
+from .sht import SpectralField, Transform
 
 SUPPORTED_CASIMIR_ORDERS = (2, 3, 4, 5)
 
 
 @dataclasses.dataclass
 class VelocityField:
-    """Azimuthal (u) and meridional (v) velocity components on a grid."""
+    """Azimuthal (u) and meridional (v) velocity components, values on `grid`."""
 
-    u: GridField
-    v: GridField
-
-    @property
-    def grid(self) -> sht.GaussGrid:
-        return self.u.grid
+    u: np.ndarray
+    v: np.ndarray
+    grid: sht.GaussGrid
 
     def speed_squared(self) -> np.ndarray:
-        return self.u.values**2 + self.v.values**2
+        return self.u**2 + self.v**2
 
     def max_speed(self) -> float:
         return float(np.sqrt(np.max(self.speed_squared())))
@@ -41,8 +37,8 @@ class VelocityField:
 def velocity_from_stream(psi: SpectralField, transform: Transform | None = None) -> VelocityField:
     """u = -d(psi)/dtheta, v = d(psi)/dphi / cos(lat), sampled on the grid."""
     tr = transform if transform is not None else sht.default_transform(psi.lmax)
-    dtheta, dphi_over_cos = tr.gradient_values(psi)
-    return VelocityField(u=GridField(-dtheta, tr.grid), v=GridField(dphi_over_cos, tr.grid))
+    dtheta, dphi_over_cos = tr.gradient_values(psi.halves)
+    return VelocityField(u=-dtheta, v=dphi_over_cos, grid=tr.grid)
 
 
 def advection(psi: SpectralField, q: SpectralField) -> SpectralField:
@@ -57,10 +53,10 @@ def advection(psi: SpectralField, q: SpectralField) -> SpectralField:
     if psi.lmax != q.lmax:
         raise sht.GridShapeError(f"advection truncation mismatch: {psi.lmax} vs {q.lmax}")
     tr = sht.dealiased_transform(psi.lmax)
-    dtheta, dphi_over_cos = tr.gradient_values(np.concatenate([psi.halves, q.halves]))
+    dtheta, dphi_over_cos = tr.gradient_values(np.stack([psi.halves, q.halves]))
     bracket = -dtheta[0] * dphi_over_cos[1] + dphi_over_cos[0] * dtheta[1]
-    out = tr.analysis(bracket[None])
-    out[0, 0, 0] = 0.0
+    out = tr.analysis(bracket)
+    out[0, 0] = 0.0
     return SpectralField(out)
 
 
@@ -89,7 +85,7 @@ def casimir_moments(psi: SpectralField,
             raise ValueError(f"casimir order k={k} unsupported; expected one of {SUPPORTED_CASIMIR_ORDERS}")
     k, L = max(orders), psi.lmax
     tr = sht.get_transform(L, (k * L) // 2 + 2, max(k * L + 1, 2 * L + 1))
-    powers = [tr.synthesis(sht.laplacian(psi)).values]
+    powers = [tr.synthesis(sht.laplacian(psi).halves)]
     for _ in range(1, k):  # repeated products: float pow is ~40x slower
         powers.append(powers[-1] * powers[0])
     return {j: float(tr.grid.integrate(powers[j - 1]).real) for j in orders}
@@ -128,11 +124,10 @@ def harmonic_product_integral(factors: list[tuple[int, int, int]],
     def _compute(extra: int) -> complex:
         nlat = total_degree // 2 + 2 + extra
         nlon = total_degree + 1 + 2 * extra
-        spec = sht.TruncationSpec(lmax=1, nlat=max(nlat, 2), nlon=max(nlon, 3))
-        grid = sht.build_grid(spec)
+        grid = sht.build_grid(max(nlat, 2), max(nlon, 3))
         prod = np.ones((grid.nlat, grid.nlon), dtype=complex)
         for l, m, p in factors:
-            prod *= sht.harmonic(l, m, grid).values ** p
+            prod *= sht.harmonic(l, m, grid) ** p
         return grid.integrate(prod)
 
     coarse = _compute(0)
@@ -163,7 +158,7 @@ def poincare_check(psi: SpectralField, n: int, tol: float = 1e-10) -> PoincareRe
     if not 0 <= n < psi.lmax:
         raise ValueError(f"n={n} out of range for lmax={psi.lmax}")
     proj = psi.copy()
-    proj.halves[:, : n + 1] = 0.0
+    proj.halves[: n + 1] = 0.0
     lhs = enstrophy(proj)
     rhs = (n + 1) * (n + 2) * 2.0 * energy(proj)
     return PoincareReport(lhs, rhs, lhs >= rhs - tol * max(1.0, abs(rhs)))
@@ -204,17 +199,6 @@ class DiagnosticRecord:
         ]
         cells.extend(self.modal_energy_by_degree[1:])
         return ",".join(repr(float(x)) for x in cells)
-
-    def to_json(self) -> str:
-        payload = {
-            "time": self.time,
-            "energy": self.energy,
-            "enstrophy": self.enstrophy,
-            "casimirs": {str(k): v for k, v in self.casimirs.items()},
-            "c1": [[z.real, z.imag] for z in self.c1],
-            "modal_energy_by_degree": list(self.modal_energy_by_degree),
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 def diagnostics(psi: SpectralField, time: float = 0.0) -> DiagnosticRecord:

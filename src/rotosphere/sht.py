@@ -6,14 +6,17 @@ orthonormal complex harmonic basis (Condon-Shortley phase, latitude
 convention: the polar angle is measured from the equator, so the
 associated Legendre functions are evaluated at s = sin(latitude)).
 
-The transform pair is exact for bandlimited fields as long as the grid
-satisfies ``nlat >= lmax + 1`` and ``nlon >= 2*lmax + 1``; quadrature in
-latitude is Gauss-Legendre, longitude uses the FFT.
+A `Transform(lmax, nlat, nlon)` describes one grid and owns its
+`GaussGrid`; the pair is exact for bandlimited fields as long as
+``nlat >= lmax + 1`` and ``nlon >= 2*lmax + 1``.  Latitude quadrature is
+Gauss-Legendre, longitude uses rfft/irfft.  Its methods map arrays to
+arrays and keep any leading axes: m >= 0 half tables (..., lmax+1, lmax+1)
+give grid values (..., nlat, nlon), and `analysis` maps real values back.
 
 A `SpectralField` is real and stores the m >= 0 half table of its
-coefficients; the negative orders follow from c_l^{-m} = (-1)^m conj(c_l^m).
-`Transform` contracts half tables with the Legendre table over the orders
-m >= 0 and uses rfft/irfft in longitude.  The full table over the orders
+coefficients, `halves`; the negative orders follow from
+c_l^{-m} = (-1)^m conj(c_l^m).  Callers write `tr.synthesis(f.halves)` and
+`SpectralField(tr.analysis(values))`.  The full table over the orders
 -l..l is built only for the file formats (`SpectralField.coeffs`, read back
 by `SpectralField.from_table`).
 """
@@ -40,50 +43,6 @@ class MeanConstraintError(ValueError):
 
 
 @dataclasses.dataclass(frozen=True)
-class TruncationSpec:
-    """Triangular truncation degree plus the grid sizes used with it.
-
-    ``nlat >= lmax + 1`` makes Gauss quadrature exact for products of two
-    bandlimited fields in latitude; ``nlon >= 2*lmax + 1`` keeps all zonal
-    wavenumbers up to ``lmax`` alias-free.
-    """
-
-    lmax: int
-    nlat: int
-    nlon: int
-
-    def __post_init__(self):
-        if self.lmax < 1:
-            raise GridShapeError(f"lmax must be >= 1, got {self.lmax}")
-        if self.nlat < self.lmax + 1:
-            raise GridShapeError(
-                f"nlat={self.nlat} too small for lmax={self.lmax}; need nlat >= lmax+1"
-            )
-        if self.nlon < 2 * self.lmax + 1:
-            raise GridShapeError(
-                f"nlon={self.nlon} too small for lmax={self.lmax}; need nlon >= 2*lmax+1"
-            )
-
-    @classmethod
-    def for_lmax(cls, lmax: int) -> "TruncationSpec":
-        """Minimal even-longitude grid for a given truncation degree."""
-        return cls(lmax=lmax, nlat=lmax + 1, nlon=2 * lmax + 2)
-
-    @classmethod
-    def dealiased(cls, lmax: int) -> "TruncationSpec":
-        """Grid on which quadratic products of bandlimited fields are exact.
-
-        Equivalent to the classical 2/3-rule: the grid resolves 3*lmax/2
-        so that products of two degree-lmax fields project back onto the
-        retained modes without aliasing.
-        """
-        nlat = (3 * lmax) // 2 + 2
-        nlon = 3 * lmax + 2
-        nlon += nlon % 2  # even sizes keep the FFT fast
-        return cls(lmax=lmax, nlat=nlat, nlon=nlon)
-
-
-@dataclasses.dataclass(frozen=True)
 class GaussGrid:
     """Gauss-Legendre latitude nodes (stored as s = sin(latitude)) and weights."""
 
@@ -103,10 +62,6 @@ class GaussGrid:
     def cos_lat(self) -> np.ndarray:
         return np.sqrt(1.0 - self.nodes**2)
 
-    @property
-    def latitudes(self) -> np.ndarray:
-        return np.arcsin(self.nodes)
-
     def integrate(self, values: np.ndarray) -> complex | float:
         """Surface integral of grid values against the area element."""
         if values.shape != (self.nlat, self.nlon):
@@ -116,41 +71,23 @@ class GaussGrid:
         return (2.0 * math.pi / self.nlon) * np.sum(self.weights @ values)
 
 
-def build_grid(spec: TruncationSpec) -> GaussGrid:
+def build_grid(nlat: int, nlon: int) -> GaussGrid:
     """Gauss-Legendre nodes/weights in s = sin(latitude) plus uniform longitudes."""
-    nodes, weights = np.polynomial.legendre.leggauss(spec.nlat)
-    longitudes = 2.0 * math.pi * np.arange(spec.nlon) / spec.nlon
+    nodes, weights = np.polynomial.legendre.leggauss(nlat)
+    longitudes = 2.0 * math.pi * np.arange(nlon) / nlon
     for arr in (nodes, weights, longitudes):
         arr.setflags(write=False)
     return GaussGrid(nodes=nodes, weights=weights, longitudes=longitudes)
 
 
-@dataclasses.dataclass
-class GridField:
-    """Field sampled on a Gauss grid, indexed (latitude node, longitude)."""
-
-    values: np.ndarray
-    grid: GaussGrid
-
-    def __post_init__(self):
-        if self.values.shape != (self.grid.nlat, self.grid.nlon):
-            raise GridShapeError(
-                f"values shape {self.values.shape} does not match grid "
-                f"({self.grid.nlat}, {self.grid.nlon})"
-            )
-
-    def integral(self) -> complex | float:
-        return self.grid.integrate(self.values)
-
-
 class SpectralField:
     """Real field as its harmonic coefficients c_l^m, 0 <= l <= lmax, |m| <= l.
 
-    `halves` holds the m >= 0 half table, h[0, l, m] = c_l^m, with shape
-    (1, lmax+1, lmax+1): the batch of one that `Transform` takes.  The
-    negative orders follow from c_l^{-m} = (-1)^m conj(c_l^m), and the m = 0
-    column is real.  `coeffs` is the full (lmax+1, 2*lmax+1) table with
-    column index lmax + m, for the file formats; `from_table` reads one.
+    `halves` holds the m >= 0 half table, h[l, m] = c_l^m, with shape
+    (lmax+1, lmax+1), the array `Transform` takes.  The negative orders
+    follow from c_l^{-m} = (-1)^m conj(c_l^m), and the m = 0 column is real.
+    `coeffs` is the full (lmax+1, 2*lmax+1) table with column index
+    lmax + m, for the file formats; `from_table` reads one.
     The degree-0 coefficient is carried along but is constrained to zero for
     vorticity fields (closed-surface mean).
     """
@@ -158,16 +95,16 @@ class SpectralField:
     __slots__ = ("halves",)
 
     def __init__(self, halves: np.ndarray):
-        """Wrap a half table (1, lmax+1, lmax+1), without a copy if complex."""
+        """Wrap a half table (lmax+1, lmax+1), without a copy if complex."""
         halves = np.asarray(halves, dtype=complex)
-        if not (halves.ndim == 3 and len(halves) == 1 and halves.shape[1] == halves.shape[2] > 1):
-            raise ValueError(f"half table of shape {halves.shape} is not (1, lmax+1, lmax+1)"
+        if not (halves.ndim == 2 and halves.shape[0] == halves.shape[1] > 1):
+            raise ValueError(f"half table of shape {halves.shape} is not (lmax+1, lmax+1)"
                              " with lmax >= 1")
         self.halves = halves
 
     @classmethod
     def zeros(cls, lmax: int) -> "SpectralField":
-        return cls(np.zeros((1, lmax + 1, lmax + 1), dtype=complex))
+        return cls(np.zeros((lmax + 1, lmax + 1), dtype=complex))
 
     @classmethod
     def from_table(cls, table: np.ndarray) -> "SpectralField":
@@ -183,7 +120,7 @@ class SpectralField:
         halves = _mirror_average(table)
         # c - h is half the mirror defect at m > 0 and i Im c_l^0 at m = 0
         weight = np.where(np.arange(L + 1) == 0, 1.0, 2.0)
-        defect = float(np.max(np.abs(table[:, L:] - halves[0]) * weight))
+        defect = float(np.max(np.abs(table[:, L:] - halves) * weight))
         if defect > 1e-12:
             raise ValueError(f"real-valued table violates c_l^-m = (-1)^m conj(c_l^m) "
                              f"by {defect:.3e}")
@@ -191,12 +128,12 @@ class SpectralField:
 
     @property
     def lmax(self) -> int:
-        return self.halves.shape[1] - 1
+        return self.halves.shape[0] - 1
 
     @property
     def coeffs(self) -> np.ndarray:
         """The full (lmax+1, 2*lmax+1) table, column index lmax + m (read-only)."""
-        L, a = self.lmax, self.halves[0]
+        L, a = self.lmax, self.halves
         table = np.zeros((L + 1, 2 * L + 1), dtype=complex)
         table[:, L:] = a
         table[:, L] = a[:, 0].real
@@ -210,7 +147,7 @@ class SpectralField:
     def get(self, l: int, m: int) -> complex:
         """c_l^m, with the arithmetic of `coeffs`."""
         self._check_lm(l, m)
-        a = complex(self.halves[0, l, abs(m)])
+        a = complex(self.halves[l, abs(m)])
         return complex(a.real) if m == 0 else a if m > 0 else (-1.0) ** m * a.conjugate()
 
     def set(self, l: int, m: int, value: complex) -> None:
@@ -220,9 +157,9 @@ class SpectralField:
         if m == 0:
             if complex(value).imag != 0.0:
                 raise ValueError(f"an m = 0 coefficient of a real field must be real, got {value}")
-            self.halves[0, l, 0] = complex(value).real
+            self.halves[l, 0] = complex(value).real
         else:
-            self.halves[0, l, abs(m)] = value if m > 0 else (-1.0) ** m * np.conj(value)
+            self.halves[l, abs(m)] = value if m > 0 else (-1.0) ** m * np.conj(value)
 
     def add_to(self, l: int, m: int, value: complex) -> None:
         """c_l^m += value, with the rules of `set`."""
@@ -239,7 +176,7 @@ class SpectralField:
     def degree_power(self) -> np.ndarray:
         """sum_m |c_l^m|^2 for each degree l (index by l): |h_l^0|^2 + 2 sum_{m>0} |h_l^m|^2."""
         weight = np.where(np.arange(self.lmax + 1) == 0, 1.0, 2.0)
-        return np.abs(self.halves[0]) ** 2 @ weight
+        return np.abs(self.halves) ** 2 @ weight
 
     def norm(self) -> float:
         """L2(S^2) norm of the represented field (Parseval)."""
@@ -265,16 +202,16 @@ class SpectralField:
         """Copy restricted (or zero-padded) to a new truncation degree."""
         out = SpectralField.zeros(lmax)
         L = min(lmax, self.lmax)
-        out.halves[:, : L + 1, : L + 1] = self.halves[:, : L + 1, : L + 1]
+        out.halves[: L + 1, : L + 1] = self.halves[: L + 1, : L + 1]
         return out
 
 
 def _mirror_average(table: np.ndarray) -> np.ndarray:
-    """Half table (1, l, m) of the real part of the field with full table
+    """Half table (l, m) of the real part of the field with full table
     `table`: (c_l^m + (-1)^m conj(c_l^{-m})) / 2 for m >= 0."""
     L = table.shape[0] - 1
     pos, mirror = table[:, L:], _order_signs(L) * np.conj(table[:, L::-1])
-    return (0.5 * (pos + mirror))[None]
+    return 0.5 * (pos + mirror)
 
 
 def _order_signs(lmax: int) -> np.ndarray:
@@ -391,20 +328,31 @@ def _batch_major(y: np.ndarray) -> np.ndarray:
 
 
 class Transform:
-    """Precomputed synthesis/analysis machinery for one truncation spec.
+    """Synthesis and analysis on one Gauss grid: the degree `lmax` and the
+    grid sizes `nlat` x `nlon`.
 
-    Half tables (batch, l, m) of real fields are contracted with the
-    Legendre table in one matmul batched over the orders m >= 0.  All
-    tables are computed once and treated as immutable; the methods are
-    pure functions of their inputs, so a Transform can be shared freely
+    ``nlat >= lmax + 1`` makes Gauss quadrature exact for products of two
+    bandlimited fields in latitude; ``nlon >= 2*lmax + 1`` keeps all zonal
+    wavenumbers up to ``lmax`` alias-free.  Smaller sizes raise
+    GridShapeError.
+
+    The methods map arrays to arrays and keep any leading axes: m >= 0 half
+    tables (..., lmax+1, lmax+1) give grid values (..., nlat, nlon), and
+    `analysis` maps real grid values back.  All leading axes are contracted
+    in one matmul batched over the orders m >= 0.  The tables are computed
+    once and treated as immutable, so a Transform can be shared freely
     between threads.
     """
 
-    def __init__(self, spec: TruncationSpec):
-        self.spec = spec
-        self.lmax = spec.lmax
-        self.grid = build_grid(spec)
-        L = self.lmax
+    def __init__(self, lmax: int, nlat: int, nlon: int):
+        if lmax < 1:
+            raise GridShapeError(f"lmax must be >= 1, got {lmax}")
+        if nlat < lmax + 1:
+            raise GridShapeError(f"nlat={nlat} too small for lmax={lmax}; need nlat >= lmax+1")
+        if nlon < 2 * lmax + 1:
+            raise GridShapeError(f"nlon={nlon} too small for lmax={lmax}; need nlon >= 2*lmax+1")
+        self.lmax = L = lmax
+        self.grid = build_grid(nlat, nlon)
         coslat = self.grid.cos_lat[None, :, None]
 
         # order-major layout (m, latitude, l); degree L+1 feeds d/dtheta
@@ -419,24 +367,25 @@ class Transform:
         # stacked [d/dtheta ; P / cos] rows: one product gives both gradient
         # components, the i*m factor of d/dphi is applied after it.  Built in
         # place, so the build holds one table-sized temporary at most.
-        self._grad = np.zeros((L + 1, 2 * spec.nlat, L + 1))
-        dtheta = self._grad[:, : spec.nlat]
+        self._grad = np.zeros((L + 1, 2 * nlat, L + 1))
+        dtheta = self._grad[:, :nlat]
         dtheta[:, :, 1:] = ((l[:, 1 : L + 1] + 1) * eps[:, 1 : L + 1])[:, None, :] * ptab[:, :, :L]
         dtheta -= (l[:, : L + 1] * eps[:, 1:])[:, None, :] * ptab[:, :, 1:]
         dtheta /= coslat
-        np.divide(self._p, coslat, out=self._grad[:, spec.nlat :])
+        np.divide(self._p, coslat, out=self._grad[:, nlat:])
 
-        self._weights = self.grid.weights[:, None] * (2.0 * math.pi / spec.nlon)
+        self._weights = self.grid.weights[:, None] * (2.0 * math.pi / nlon)
         self._im = 1j * np.arange(L + 1)
 
-    # -- core on m >= 0 half tables ---------------------------------------------
+    # -- core on a batch of m >= 0 half tables ----------------------------------
 
-    def _halves_of(self, field: SpectralField | np.ndarray) -> np.ndarray:
-        """The half tables of a field, or a batch of half tables, checked against lmax."""
-        halves = field.halves if isinstance(field, SpectralField) else field
-        if halves.ndim != 3 or halves.shape[1:] != (self.lmax + 1, self.lmax + 1):
-            raise GridShapeError(f"half tables of shape {halves.shape} do not match lmax={self.lmax}")
-        return halves
+    @staticmethod
+    def _batch(array: np.ndarray, shape: tuple[int, int], what: str) -> np.ndarray:
+        """`array` of shape (..., *shape) with its leading axes as one batch axis."""
+        if array.ndim < 2 or array.shape[-2:] != shape:
+            raise GridShapeError(
+                f"{what} of shape {array.shape} do not match (..., {shape[0]}, {shape[1]})")
+        return array.reshape(-1, *shape)
 
     def _to_grid(self, table: np.ndarray, halves: np.ndarray) -> np.ndarray:
         """(batch, l, m) half tables -> (batch, rows, m) Fourier rows, with one
@@ -445,7 +394,7 @@ class Transform:
         return _batch_major(np.matmul(table, cols))
 
     def _irfft(self, spectra: np.ndarray) -> np.ndarray:
-        return scipy.fft.irfft(spectra, n=self.spec.nlon, axis=-1, norm="forward")
+        return scipy.fft.irfft(spectra, n=self.grid.nlon, axis=-1, norm="forward")
 
     def _analyse(self, values: np.ndarray) -> np.ndarray:
         """(batch, nlat, nlon) real values -> (batch, l, m) half tables."""
@@ -457,82 +406,72 @@ class Transform:
 
     # -- public operations ----------------------------------------------------
 
-    def synthesis(self, field: SpectralField | np.ndarray) -> GridField | np.ndarray:
-        """Evaluate the field on the grid.
+    def synthesis(self, halves: np.ndarray) -> np.ndarray:
+        """Grid values (..., nlat, nlon) of half tables (..., lmax+1, lmax+1)."""
+        halves = np.asarray(halves)
+        batch = self._batch(halves, (self.lmax + 1, self.lmax + 1), "half tables")
+        values = self._irfft(self._to_grid(self._p, batch))
+        return values.reshape(*halves.shape[:-2], *values.shape[1:])
 
-        m >= 0 half tables with a leading batch axis, shape
-        (batch, lmax+1, lmax+1), give grid values (batch, nlat, nlon).
-        """
-        values = self._irfft(self._to_grid(self._p, self._halves_of(field)))
-        return GridField(values[0], self.grid) if isinstance(field, SpectralField) else values
-
-    def gradient_values(self, fields: SpectralField | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(d/dtheta, d/dphi / cos) grid values in one fused transform pass.
-
-        `fields` is a SpectralField, or m >= 0 half tables with a leading
-        batch axis, shape (batch, lmax+1, lmax+1); both outputs then carry
-        the same batch axis.
-        """
-        spectra = self._to_grid(self._grad, self._halves_of(fields))
-        nlat = self.spec.nlat
+    def gradient_values(self, halves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(d/dtheta, d/dphi / cos) grid values (..., nlat, nlon) of half
+        tables (..., lmax+1, lmax+1), in one fused transform pass."""
+        halves = np.asarray(halves)
+        batch = self._batch(halves, (self.lmax + 1, self.lmax + 1), "half tables")
+        spectra = self._to_grid(self._grad, batch)
+        nlat = self.grid.nlat
         spectra[:, nlat:] *= self._im
         values = self._irfft(spectra)
-        if isinstance(fields, SpectralField):
-            values = values[0]
+        values = values.reshape(*halves.shape[:-2], *values.shape[1:])
         return values[..., :nlat, :], values[..., nlat:, :]
 
-    def analysis(self, values: np.ndarray | GridField) -> SpectralField | np.ndarray:
-        """Project grid values onto the harmonic basis by quadrature.
-
-        Real values of shape (nlat, nlon) give a SpectralField; with a
-        leading batch axis, shape (batch, nlat, nlon), they give the m >= 0
-        half tables (batch, lmax+1, lmax+1).  Complex values are rejected.
-        """
-        values = np.asarray(values.values if isinstance(values, GridField) else values)
-        if values.ndim not in (2, 3) or values.shape[-2:] != (self.spec.nlat, self.spec.nlon):
-            raise GridShapeError(
-                f"values shape {values.shape} does not match grid "
-                f"({self.spec.nlat}, {self.spec.nlon})"
-            )
+    def analysis(self, values: np.ndarray) -> np.ndarray:
+        """Half tables (..., lmax+1, lmax+1) of real grid values (..., nlat, nlon),
+        by quadrature.  Complex values are rejected."""
+        values = np.asarray(values)
+        batch = self._batch(values, (self.grid.nlat, self.grid.nlon), "grid values")
         if np.iscomplexobj(values):
             raise ValueError("analysis takes real values")
-        return self._analyse(values) if values.ndim == 3 else SpectralField(self._analyse(values[None]))
-
-    def max_abs(self, field: SpectralField) -> float:
-        return float(np.max(np.abs(self.synthesis(field).values)))
+        halves = self._analyse(batch)
+        return halves.reshape(*values.shape[:-2], *halves.shape[1:])
 
 
 @lru_cache(maxsize=64)
 def get_transform(lmax: int, nlat: int, nlon: int) -> Transform:
-    return Transform(TruncationSpec(lmax=lmax, nlat=nlat, nlon=nlon))
-
-
-def transform_for(spec: TruncationSpec) -> Transform:
-    return get_transform(spec.lmax, spec.nlat, spec.nlon)
+    return Transform(lmax, nlat, nlon)
 
 
 def default_transform(lmax: int) -> Transform:
-    return transform_for(TruncationSpec.for_lmax(lmax))
+    """Minimal even-longitude grid for a given truncation degree."""
+    return get_transform(lmax, lmax + 1, 2 * lmax + 2)
 
 
 def dealiased_transform(lmax: int) -> Transform:
-    return transform_for(TruncationSpec.dealiased(lmax))
+    """Grid on which quadratic products of bandlimited fields are exact.
+
+    Equivalent to the classical 2/3-rule: the grid resolves 3*lmax/2
+    so that products of two degree-lmax fields project back onto the
+    retained modes without aliasing.
+    """
+    nlat = (3 * lmax) // 2 + 2
+    nlon = 3 * lmax + 2
+    nlon += nlon % 2  # even sizes keep the FFT fast
+    return get_transform(lmax, nlat, nlon)
 
 
 # ---------------------------------------------------------------------------
 # Module-level operation wrappers
 # ---------------------------------------------------------------------------
 
-def harmonic(l: int, m: int, grid: GaussGrid) -> GridField:
-    """Sample the orthonormal complex harmonic of degree l, order m on the grid."""
+def harmonic(l: int, m: int, grid: GaussGrid) -> np.ndarray:
+    """(nlat, nlon) complex values of the orthonormal harmonic of degree l, order m on the grid."""
     if abs(m) > l:
         raise ValueError(f"|m| = {abs(m)} exceeds degree l = {l}")
     ptab = normalized_legendre_table(l, grid.nodes)
     lat_part = ptab[:, l, abs(m)]
     if m < 0:
         lat_part = lat_part * (-1.0 if m % 2 else 1.0)
-    values = lat_part[:, None] * np.exp(1j * m * grid.longitudes)[None, :]
-    return GridField(values=values, grid=grid)
+    return lat_part[:, None] * np.exp(1j * m * grid.longitudes)[None, :]
 
 
 def laplacian(c: SpectralField) -> SpectralField:
@@ -581,7 +520,7 @@ def evaluate(field: SpectralField, phi: np.ndarray, s: np.ndarray) -> np.ndarray
     L = field.lmax
     ptab = normalized_legendre_table(L, s.ravel())
     # order -m adds the conjugate of order m: twice the real part for m > 0
-    weighted = field.halves[0] * np.where(np.arange(L + 1) == 0, 1.0, 2.0)
+    weighted = field.halves * np.where(np.arange(L + 1) == 0, 1.0, 2.0)
     phases = np.exp(1j * np.outer(phi.ravel(), np.arange(L + 1)))
     return np.einsum("ilm,lm,im->i", ptab, weighted, phases).real.reshape(phi.shape)
 

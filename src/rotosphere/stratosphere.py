@@ -213,7 +213,7 @@ def _balance_mean(base: solutions.EllipticSolution) -> float:
     from . import sht
 
     tr = sht.default_transform(base.psi.lmax)
-    values = tr.synthesis(base.psi).values
+    values = tr.synthesis(base.psi.halves)
     return float(tr.grid.integrate(base.vf.f(values)).real) / FOUR_PI
 
 

@@ -9,7 +9,7 @@ def real_part(lmax: int, coefficients: dict) -> sht.SpectralField:
     table holds z/2 at m > 0 and Re z at m = 0."""
     field = sht.SpectralField.zeros(lmax)
     for (l, m), z in coefficients.items():
-        field.halves[0, l, m] = complex(z).real if m == 0 else 0.5 * z
+        field.halves[l, m] = complex(z).real if m == 0 else 0.5 * z
     return field
 
 

@@ -40,7 +40,7 @@ def _nonlinearity_derivative(problem, lam, f_values):
 def residual(problem, lam, x):
     tr, sub = problem.transform, problem.subspace
     f_half = sub.assemble_half(x)
-    rhs = tr.analysis(_nonlinearity(problem, lam, tr.synthesis(f_half[None])))[0]
+    rhs = tr.analysis(_nonlinearity(problem, lam, tr.synthesis(f_half)))
     if problem.mode == "rotating_frame":
         rhs[1, 0] -= 2.0 * problem.family.nu * ZONAL_DEGREE_ONE_COEFF
     rhs[0, 0] = 0.0
@@ -49,7 +49,7 @@ def residual(problem, lam, x):
 
 def jacobian(problem, lam, x):
     tr, sub = problem.transform, problem.subspace
-    f_values = tr.synthesis(sub.assemble_half(x)[None])[0]
+    f_values = tr.synthesis(sub.assemble_half(x))
     forced = tr.synthesis(sub.halves) * _nonlinearity_derivative(problem, lam, f_values)
     images = sht.inverse_laplacian_table(tr.analysis(forced))
     return np.eye(sub.dim) - sub.project_half(images).T

@@ -15,10 +15,9 @@ from rotosphere import sht
 
 
 class ReferenceTransform:
-    def __init__(self, spec: sht.TruncationSpec):
-        self.spec = spec
-        self.lmax = L = spec.lmax
-        self.grid = sht.build_grid(spec)
+    def __init__(self, lmax: int, nlat: int, nlon: int):
+        self.lmax = L = lmax
+        self.grid = sht.build_grid(nlat, nlon)
         coslat = self.grid.cos_lat
         ptab_ext = sht.normalized_legendre_table(L + 1, self.grid.nodes)
         ptab = ptab_ext[:, : L + 1, : L + 1]
@@ -47,9 +46,9 @@ class ReferenceTransform:
         return np.einsum("mrl,lm->rm", table, cols)
 
     def _to_grid(self, coeffs, table):
-        L, nlon = self.lmax, self.spec.nlon
+        L, nlon = self.lmax, self.grid.nlon
         cpos, cneg = self._split(coeffs)
-        spectrum = np.zeros((self.spec.nlat, nlon), dtype=complex)
+        spectrum = np.zeros((self.grid.nlat, nlon), dtype=complex)
         spectrum[:, : L + 1] = self._apply(table, cpos)
         spectrum[:, nlon - L :] = self._apply(table[1:], cneg)[:, ::-1]
         return (np.fft.ifft(spectrum, axis=1) * nlon).real
@@ -63,7 +62,7 @@ class ReferenceTransform:
                 self._to_grid(field.coeffs * (1j * m)[None, :], self._pc))
 
     def analysis(self, values):
-        L, nlon = self.lmax, self.spec.nlon
+        L, nlon = self.lmax, self.grid.nlon
         fourier = np.fft.fft(values, axis=1) * (2.0 * math.pi / nlon)
         weighted = self.grid.weights[:, None] * fourier
         ptab_t = self._p.transpose(0, 2, 1)

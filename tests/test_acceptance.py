@@ -57,9 +57,9 @@ def test_02_eigenrelation_transforms_rotation():
     for l in range(1, 32):
         tr = sht.default_transform(l)
         for m in range(0, l + 1):
-            y = sht.harmonic(l, m, tr.grid).values
+            y = sht.harmonic(l, m, tr.grid)
             # the complex harmonic goes through the transforms as its real and imaginary parts
-            back = sum(unit * tr.synthesis(sht.laplacian(tr.analysis(part))).values
+            back = sum(unit * tr.synthesis(sht.laplacian(sht.SpectralField(tr.analysis(part))).halves)
                        for unit, part in ((1.0, y.real), (1j, y.imag)))
             defect = np.max(np.abs(back + l * (l + 1) * y)) / (l * (l + 1))
             worst_eig = max(worst_eig, float(defect))
@@ -70,7 +70,7 @@ def test_02_eigenrelation_transforms_rotation():
     rng = np.random.default_rng(2)
     f = real_part(63, {(l, m): rng.normal() + 1j * rng.normal()
                        for l in range(1, 64) for m in range(0, l + 1)})
-    back = tr63.analysis(tr63.synthesis(f))
+    back = sht.SpectralField(tr63.analysis(tr63.synthesis(f.halves)))
     round_trip = np.max(np.abs(back.coeffs - f.coeffs)) / np.max(np.abs(f.coeffs))
     assert round_trip < 1e-12
 

@@ -130,6 +130,18 @@ class TestSimulate:
         cfg = write_json(tmp_path / "sim.json", config)
         assert run_cli(["simulate", cfg, "--outdir", str(tmp_path / "o")]) == 3
 
+    def test_enstrophy_growth_is_numerical_failure(self, tmp_path, capsys):
+        # 38 steps per period of this wave is past RK4's stability limit: the
+        # state stays finite, but its enstrophy grows 1371-fold by the last step
+        speed = solutions.rossby_haurwitz_speed(2, 0.3, 1.0)
+        dt = 2.0 * math.pi / abs(speed) / 38
+        config = dict(SIM_CONFIG, dt=dt, t_end=38 * dt, lmax=12, initial={
+            "kind": "rossby_haurwitz", "degree": 2, "alpha": 0.3, "omega": 1.0,
+            "ycoeffs": {"1": [0.6, 0.2]}})
+        cfg = write_json(tmp_path / "sim.json", config)
+        assert run_cli(["simulate", cfg, "--outdir", str(tmp_path / "o")]) == 3
+        assert "enstrophy grew" in capsys.readouterr().err
+
     def test_snapshot_readable(self, tmp_path):
         cfg = write_json(tmp_path / "sim.json", SIM_CONFIG)
         out = tmp_path / "out"
@@ -313,8 +325,10 @@ class TestBifurcate:
         {"lmax": 12.5}, {"steps": "8"}, {"branch_from": True},
         {"family": {"kind": "cubic", "mu": 1.0, "mu1": 1.0, "degree": 3.0}},
         {"branch_from": 7}, {"ds": "0.05"}, {"group": "icosahedral"},
+        {"ds": 0}, {"direction": 5}, {"direction": 0}, {"lmax": 0}, {"lmax": -2}, {"lmax": 2},
     ], ids=["fractional-lmax", "string-steps", "bool-branch", "float-degree", "branch-outside",
-            "string-ds", "unknown-group"])
+            "string-ds", "unknown-group", "zero-ds", "direction-5", "zero-direction",
+            "zero-lmax", "negative-lmax", "empty-subspace"])
     def test_malformed_config_is_config_error(self, tmp_path, capsys, change):
         cfg = write_json(tmp_path / "prob.json", {
             "group": "tetrahedral", "lmax": 12,
@@ -387,7 +401,7 @@ class TestLift3d:
 
 class TestSelftest:
     def test_passes_and_writes_report(self, tmp_path, capsys):
-        for lmax in (15, 31):
+        for lmax in (1, 15, 31):
             out = tmp_path / f"st{lmax}"
             assert run_cli(["sht-selftest", "--lmax", str(lmax), "--outdir", str(out)]) == 0
             text = capsys.readouterr().out
@@ -415,6 +429,12 @@ class TestSelftest:
         if outdir:
             assert "PASS" in (out / "selftest.txt").read_text()
             assert "selftest.txt" in json.loads((out / "manifest.json").read_text())["outputs"]
+
+    def test_lmax_below_one_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "st"
+        assert run_cli(["sht-selftest", "--lmax", "0", "--outdir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
 
     def test_failed_check_exits_with_assertion_code(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "_selftest_checks",

@@ -18,8 +18,8 @@ class TestVelocity:
         psi.set(1, 0, 2 * math.sqrt(math.pi / 3))
         vel = fields.velocity_from_stream(psi, tr)
         cos_lat = tr.grid.cos_lat[:, None]
-        assert np.max(np.abs(vel.u.values + cos_lat)) < 1e-13
-        assert np.max(np.abs(vel.v.values)) < 1e-14
+        assert np.max(np.abs(vel.u + cos_lat)) < 1e-13
+        assert np.max(np.abs(vel.v)) < 1e-14
 
     def test_zonal_stream_has_no_meridional_flow(self):
         lmax = 10
@@ -28,7 +28,7 @@ class TestVelocity:
         for l, a in [(1, 0.3), (2, -0.8), (5, 0.1)]:
             psi.set(l, 0, a)
         vel = fields.velocity_from_stream(psi, tr)
-        assert np.max(np.abs(vel.v.values)) < 1e-14
+        assert np.max(np.abs(vel.v)) < 1e-14
 
     def test_speed_parseval(self):
         # grid quadrature of |U|^2 equals the gradient Parseval sum
@@ -81,7 +81,7 @@ class TestAdvection:
         b = random_real_field(11, seed=9, decay=0.1)
         out = fields.advection(a, b)
         tr = sht.default_transform(11)
-        assert abs(tr.synthesis(out).integral()) < 1e-10
+        assert abs(tr.grid.integrate(tr.synthesis(out.halves))) < 1e-10
 
     def test_travelling_wave_phase_advance_rate(self):
         # bracket applied to the rigid pattern reproduces -speed * d/dphi
@@ -232,11 +232,3 @@ class TestDiagnosticsRecord:
         values = [float(x) for x in row.split(",")]
         assert values[0] == 0.25
         assert abs(values[1] - rec.energy) == 0.0
-
-    def test_json_serialization(self):
-        import json
-
-        psi = random_real_field(5, seed=18)
-        payload = json.loads(fields.diagnostics(psi).to_json())
-        assert set(payload) == {"time", "energy", "enstrophy", "casimirs", "c1",
-                                "modal_energy_by_degree"}

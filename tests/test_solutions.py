@@ -67,7 +67,7 @@ class TestLogFamily:
     def test_small_parameter_limit(self):
         sol = solutions.make_log_solution(1e-6, lmax=15)
         tr = sht.default_transform(15)
-        assert tr.max_abs(sol.psi) < 1e-5
+        assert np.max(np.abs(tr.synthesis(sol.psi.halves))) < 1e-5
         assert abs(sol.vf.fprime(0.0) + 2.0 * (1.0 - 1e-12)) < 1e-12
 
     def test_zonal_parent_satisfies_same_balance(self):
@@ -76,9 +76,9 @@ class TestLogFamily:
         sol = solutions.make_log_solution(eps, lmax=31)
         tr = sht.default_transform(31)
         s = tr.grid.nodes
-        parent = np.log((1 + eps * s) / (1 - eps * s))[:, None] * np.ones((1, tr.spec.nlon))
-        coeffs = tr.analysis(parent)
-        resid = tr.synthesis(sht.laplacian(coeffs)).values - sol.vf.f(parent)
+        parent = np.log((1 + eps * s) / (1 - eps * s))[:, None] * np.ones((1, tr.grid.nlon))
+        coeffs = sht.SpectralField(tr.analysis(parent))
+        resid = tr.synthesis(sht.laplacian(coeffs).halves) - sol.vf.f(parent)
         assert np.max(np.abs(resid)) < 1e-9
 
     def test_parameter_range_enforced(self):
@@ -160,8 +160,8 @@ class TestStationarityCheck:
         eps, lmax = 0.3, 31
         tr = sht.default_transform(lmax)
         s = tr.grid.nodes
-        parent_vals = np.log((1 + eps * s) / (1 - eps * s))[:, None] * np.ones((1, tr.spec.nlon))
-        parent = tr.analysis(parent_vals)
+        parent_vals = np.log((1 + eps * s) / (1 - eps * s))[:, None] * np.ones((1, tr.grid.nlon))
+        parent = sht.SpectralField(tr.analysis(parent_vals))
         # g^{-1} must send the axis coordinate to cos(lat) sin(phi)
         g_inv = sht._rot_z(0.0) @ np.array([[1.0, 0.0, 0.0],
                                             [0.0, 0.0, -1.0],

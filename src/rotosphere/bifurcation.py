@@ -204,14 +204,6 @@ class SymmetrySubspace:
             raise ValueError(f"degree {degree} does not carry a one-dimensional subspace")
         return idx[0]
 
-    def invariance_defect(self) -> float:
-        worst = 0.0
-        for elem in self.group.elements():
-            for b in self.basis:
-                rotated = sht.rotate(b, elem.rotation, parity=elem.parity)
-                worst = max(worst, float(np.max(np.abs(rotated.halves - b.halves))))
-        return worst
-
 
 def build_subspace(group: SymmetryGroup | str, lmax: int,
                    eig_threshold: float = 0.5) -> SymmetrySubspace:
@@ -283,8 +275,8 @@ class CubicShiftFamily:
     def derivative(self, lam: float, f: np.ndarray) -> np.ndarray:
         return self.dp(lam + f)
 
-    def linear_multiplier(self, lam: float) -> float:
-        return float(self.dp(lam))
+    def linear_multiplier(self, lam):
+        return self.dp(lam)
 
     def apriori_bounds(self) -> tuple[float, float, float]:
         """(a_minus, a_plus, A): window with P increasing outside and |P| <= A inside."""
@@ -353,7 +345,7 @@ class SaturatingLinearFamily:
         excess = np.abs(t) - 2.0 * self.mu
         return self.slope + np.where(excess > 0.0, 3.0 * self.kappa * np.maximum(excess, 0.0) ** 2, 0.0)
 
-    def linear_multiplier(self, lam: float) -> float:
+    def linear_multiplier(self, lam):
         return (1.0 + lam * lam) * self.slope
 
     def bifurcation_lambda(self) -> float:
@@ -385,6 +377,35 @@ class SaturatingLinearFamily:
 # Continuation problems
 # ---------------------------------------------------------------------------
 
+def grid_orbit_labels(group: SymmetryGroup, grid: sht.GaussGrid,
+                      fix_z: bool) -> np.ndarray:
+    """Orbit label of each grid point, flattened: the smallest flat index of
+    its images under the group elements that map the grid onto itself.
+
+    An element folds when it sends z to +/- z (to z alone if `fix_z`), which
+    maps Gauss row i to itself or to nlat - 1 - i, and longitude phi to
+    +/- phi + c with c a multiple of 2 pi / nlon.  Those elements form a
+    subgroup, so each label names one orbit; a group-invariant integrand
+    takes one value on an orbit.
+    """
+    nlat, nlon = grid.nlat, grid.nlon
+    rows, cols = np.arange(nlat)[:, None], np.arange(nlon)
+    labels = rows * nlon + cols
+    for mat in group.matrices:
+        flip = mat[2, 2]
+        off_axis = max(np.max(np.abs(mat[2, :2])), np.max(np.abs(mat[:2, 2])))
+        if off_axis > 1e-9 or (fix_z and flip < 0):
+            continue
+        plane = mat[:2, :2]  # rotation phi -> phi + c, or reflection phi -> c - phi
+        shift = math.atan2(plane[1, 0], plane[0, 0]) * nlon / (2.0 * math.pi)
+        if abs(shift - round(shift)) > 1e-9:
+            continue
+        sign = 1 if np.linalg.det(plane) > 0 else -1
+        image_rows = rows if flip > 0 else nlat - 1 - rows
+        labels = np.minimum(labels, image_rows * nlon + (sign * cols + round(shift)) % nlon)
+    return labels.ravel()
+
+
 @dataclasses.dataclass
 class ContinuationProblem:
     """Galerkin form of the fixed-point equation on an invariant subspace.
@@ -395,6 +416,12 @@ class ContinuationProblem:
     f = sum_j x_j b_j.  The Newton loop therefore runs on the grid
     values of the basis, synthesised once: residual, Jacobian and
     dR/dlambda are matrix-vector products and one basis-sized product.
+
+    The integrand is invariant under the group, so the sums run over one
+    grid point per orbit of `grid_orbit_labels` (`grid_points`, flat
+    indices), weighted by the orbit's total quadrature weight.  The
+    rotating frame's N depends on z, so it folds only by elements that
+    fix z.
     """
 
     family: CubicShiftFamily | SaturatingLinearFamily
@@ -411,10 +438,15 @@ class ContinuationProblem:
         lmax = self.subspace.lmax
         self._transform = sht.get_transform(lmax, 2 * lmax + 9, 4 * lmax + 10)
         grid = self._transform.grid
-        # (dim, nlat * nlon) grid values of the basis fields
-        self._basis = self._transform.synthesis(self.subspace.halves).reshape(self.subspace.dim, -1)
-        self._z = np.repeat(grid.nodes, grid.nlon)
-        self._weights = np.repeat(grid.weights * (2.0 * math.pi / grid.nlon), grid.nlon)
+        labels = grid_orbit_labels(self.subspace.group, grid,
+                                   fix_z=self.mode == "rotating_frame")
+        self.grid_points, orbit = np.unique(labels, return_inverse=True)
+        # (dim, orbits) grid values of the basis fields at the representatives
+        values = self._transform.synthesis(self.subspace.halves).reshape(self.subspace.dim, -1)
+        self._basis = np.take(values, self.grid_points, axis=1)  # C-contiguous, unlike [:, idx]
+        self._z = np.repeat(grid.nodes, grid.nlon)[self.grid_points]
+        weights = np.repeat(grid.weights * (2.0 * math.pi / grid.nlon), grid.nlon)
+        self._weights = np.bincount(orbit, weights)
         degrees = np.asarray(self.subspace.degrees, dtype=float)
         self._ll1 = degrees * (degrees + 1.0)
 
@@ -422,15 +454,18 @@ class ContinuationProblem:
     def transform(self) -> sht.Transform:
         return self._transform
 
-    def _saturation_argument(self, lam: float, f_values: np.ndarray) -> np.ndarray:
-        """(1 + lambda^2) f - mu z, the rotating frame's argument of P."""
-        return (1.0 + lam * lam) * f_values - self.family.mu * self._z
+    def _saturation_argument(self, lam: float, f_values: np.ndarray,
+                             z: np.ndarray | None = None) -> np.ndarray:
+        """(1 + lambda^2) f - mu z, the rotating frame's argument of P; z is
+        that of the orbit representatives unless given."""
+        return (1.0 + lam * lam) * f_values - self.family.mu * (self._z if z is None else z)
 
-    def _nonlinearity(self, lam: float, f_values: np.ndarray) -> np.ndarray:
+    def _nonlinearity(self, lam: float, f_values: np.ndarray,
+                      z: np.ndarray | None = None) -> np.ndarray:
         if self.mode == "fixed_frame":
             return self.family.value(lam, f_values)
-        arg = self._saturation_argument(lam, f_values)
-        return self.family.p(arg) - 2.0 * self.family.nu * self._z
+        z = self._z if z is None else z
+        return self.family.p(self._saturation_argument(lam, f_values, z)) - 2.0 * self.family.nu * z
 
     def _nonlinearity_derivative(self, lam: float, f_values: np.ndarray) -> np.ndarray:
         if self.mode == "fixed_frame":
@@ -438,22 +473,19 @@ class ContinuationProblem:
         return (1.0 + lam * lam) * self.family.dp(self._saturation_argument(lam, f_values))
 
     def values(self, x: np.ndarray) -> np.ndarray:
-        """Grid values, flattened, of the field with subspace coordinates x."""
+        """Values of the field with subspace coordinates x at the orbit
+        representatives `grid_points`."""
         return x @ self._basis
 
     def _residual_half(self, lam: float, x: np.ndarray) -> np.ndarray:
         """Half table of the residual f - inv_laplacian(rhs - mean), through
-        the spherical transforms rather than the stored basis values."""
+        the spherical transforms on the whole grid rather than the stored
+        basis values."""
         f_half = self.subspace.assemble_half(x)
-        values = self._transform.synthesis(f_half)
-        rhs = self._transform.analysis(
-            self._nonlinearity(lam, values.reshape(-1)).reshape(values.shape))
+        rhs = self._transform.analysis(self._nonlinearity(
+            lam, self._transform.synthesis(f_half), self._transform.grid.nodes[:, None]))
         rhs[0, 0] = 0.0
         return f_half - sht.inverse_laplacian_table(rhs)
-
-    def residual_field(self, lam: float, x: np.ndarray) -> SpectralField:
-        """Unprojected residual f - inv_laplacian(rhs) as a spectral field."""
-        return SpectralField(self._residual_half(lam, x))
 
     def residual_norms(self, lam: float, x: np.ndarray) -> tuple[float, float]:
         """(subspace-projected norm, full-sphere norm) of the residual."""
@@ -481,8 +513,8 @@ class ContinuationProblem:
         return self._quadrature(2.0 * lam * f_values * self.family.dp(arg))
 
     def stream_values(self, lam: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Grid values of the stream function and of its vorticity; in the
-        rotating frame psi = f - mu z / (1 + lambda^2)."""
+        """Values of the stream function and of its vorticity at the orbit
+        representatives; in the rotating frame psi = f - mu z / (1 + lambda^2)."""
         psi = self.values(x)
         vorticity = self.values(-self._ll1 * x)  # each basis field has one degree
         if self.mode == "rotating_frame":
@@ -491,7 +523,8 @@ class ContinuationProblem:
             vorticity -= 2.0 * shift  # z has degree 1
         return psi, vorticity
 
-    def linear_multiplier(self, lam: float) -> float:
+    def linear_multiplier(self, lam):
+        """The family's multiplier at a float or elementwise on an array."""
         return self.family.linear_multiplier(lam)
 
 
@@ -529,10 +562,11 @@ def detect_bifurcation_points(problem: ContinuationProblem,
     for ell in degrees:
         target = ell * (ell + 1)
 
-        def crossing(lam: float) -> float:
+        def crossing(lam):
             return problem.linear_multiplier(lam) + target
 
-        vals = np.array([crossing(l) for l in lam_grid])
+        # a constant multiplier comes back as a scalar
+        vals = np.broadcast_to(crossing(lam_grid), lam_grid.shape)
         if np.max(np.abs(vals)) < 1e-12:
             raise ArithmeticError(
                 f"degree {ell}: multiplier identically equals -l(l+1) on the range; "

@@ -91,20 +91,9 @@ def casimir_moments(psi: SpectralField,
     return {j: float(tr.grid.integrate(powers[j - 1]).real) for j in orders}
 
 
-def casimir_moment(psi: SpectralField, k: int) -> float:
-    """Integral of (vorticity)^k over the sphere, exact for bandlimited psi."""
-    return casimir_moments(psi, (k,))[k]
-
-
 def first_modes(psi: SpectralField) -> tuple[complex, complex, complex]:
     """Degree-1 coefficients (orders -1, 0, 1) of the vorticity."""
     return (-2.0 * psi.get(1, -1), -2.0 * psi.get(1, 0), -2.0 * psi.get(1, 1))
-
-
-def grid_energy(psi: SpectralField, transform: Transform | None = None) -> float:
-    """Kinetic energy by direct quadrature of |U|^2 on the grid (oracle path)."""
-    vel = velocity_from_stream(psi, transform)
-    return float(0.5 * vel.grid.integrate(vel.speed_squared()).real)
 
 
 def harmonic_product_integral(factors: list[tuple[int, int, int]],

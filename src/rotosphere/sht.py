@@ -647,20 +647,3 @@ def rotate(c: SpectralField, r: RotationSpec, parity: bool = False) -> SpectralF
     # the average of the computed row and its mirror
     return SpectralField(_mirror_average(out))
 
-
-def rotate_field_values(field: SpectralField, rot: RotationSpec, grid: GaussGrid,
-                        parity: bool = False) -> np.ndarray:
-    """Oracle for `rotate`: sample f(R^{-1} x) on the grid by point evaluation."""
-    R = rot.matrix()
-    if parity:
-        R = -R
-    s_grid = np.broadcast_to(grid.nodes[:, None], (grid.nlat, grid.nlon))
-    phi_grid = np.broadcast_to(grid.longitudes[None, :], (grid.nlat, grid.nlon))
-    cos_lat = np.sqrt(1.0 - s_grid**2)
-    xyz = np.stack(
-        [cos_lat * np.cos(phi_grid), cos_lat * np.sin(phi_grid), s_grid], axis=-1
-    )
-    rotated = xyz @ R  # row-vector convention: equals R^{-1} applied to each point
-    s_new = np.clip(rotated[..., 2], -1.0, 1.0)
-    phi_new = np.arctan2(rotated[..., 1], rotated[..., 0])
-    return evaluate(field, phi_new.ravel(), s_new.ravel()).reshape(phi_new.shape)

@@ -7,6 +7,10 @@ nonlinearity with `sht.Transform`, inverts the Laplacian on the half tables
 and projects, and dR/dlambda is a central difference.  Only the subspace,
 the family and the grid are shared, so agreement pins the quadrature
 identity, the 1 / (l (l + 1)) factors and the rotating-frame forcing.
+
+`residual_field` is the unprojected residual on the problem's own transform
+path, and `invariance_defect` rotates every basis field by every group
+element.
 """
 
 import math
@@ -57,3 +61,18 @@ def jacobian(problem, lam, x):
 
 def dresidual_dlambda(problem, lam, x, h=1e-7):
     return (residual(problem, lam + h, x) - residual(problem, lam - h, x)) / (2.0 * h)
+
+
+def residual_field(problem, lam, x):
+    """Unprojected residual f - inv_laplacian(rhs) as a spectral field."""
+    return sht.SpectralField(problem._residual_half(lam, x))
+
+
+def invariance_defect(subspace):
+    """Largest coefficient change of a basis field under a group element."""
+    worst = 0.0
+    for elem in subspace.group.elements():
+        for b in subspace.basis:
+            rotated = sht.rotate(b, elem.rotation, parity=elem.parity)
+            worst = max(worst, float(np.max(np.abs(rotated.halves - b.halves))))
+    return worst

@@ -5,6 +5,9 @@ transforms are complex FFTs, and the real part of the result is kept.
 It shares only the Legendre table and the grid with `sht.Transform`, so
 agreement between the two pins the m >= 0 contraction, the rfft/irfft
 scaling, the i*m factor and the rebuilding of negative orders.
+
+`rotate_field_values` is the grid oracle for `sht.rotate`: it samples the
+rotated field by point evaluation at the rotated grid points.
 """
 
 import math
@@ -72,3 +75,20 @@ class ReferenceTransform:
         coeffs[:, L:] = cpos
         coeffs[:, :L] = cneg[:, ::-1]
         return sht.SpectralField.from_table(coeffs)
+
+
+def rotate_field_values(field, rot, grid, parity=False):
+    """Sample f(R^{-1} x) on the grid by point evaluation."""
+    R = rot.matrix()
+    if parity:
+        R = -R
+    s_grid = np.broadcast_to(grid.nodes[:, None], (grid.nlat, grid.nlon))
+    phi_grid = np.broadcast_to(grid.longitudes[None, :], (grid.nlat, grid.nlon))
+    cos_lat = np.sqrt(1.0 - s_grid**2)
+    xyz = np.stack(
+        [cos_lat * np.cos(phi_grid), cos_lat * np.sin(phi_grid), s_grid], axis=-1
+    )
+    rotated = xyz @ R  # row-vector convention: equals R^{-1} applied to each point
+    s_new = np.clip(rotated[..., 2], -1.0, 1.0)
+    phi_new = np.arctan2(rotated[..., 1], rotated[..., 0])
+    return sht.evaluate(field, phi_new.ravel(), s_new.ravel()).reshape(phi_new.shape)

@@ -34,6 +34,17 @@ def rotating_problem(tetra_subspace):
     return bif.ContinuationProblem(family=family, subspace=tetra_subspace, mode="rotating_frame")
 
 
+def _problem(group, lmax, mode):
+    """A cubic fixed-frame or saturating rotating-frame problem and the
+    amplitude of its test point."""
+    subspace = bif.build_subspace(group, lmax)
+    if mode == "fixed_frame":
+        family, amplitude = bif.CubicShiftFamily(mu=1.0, mu1=1.0, degree=3), 0.3
+    else:
+        family, amplitude = bif.SaturatingLinearFamily(beta=1.0, mu=1.0, degree=3), 0.6
+    return bif.ContinuationProblem(family=family, subspace=subspace, mode=mode), amplitude
+
+
 def _newton_point(problem, amplitude, seed):
     """A point (lambda, x) off the trivial branch: in the rotating frame near
     the crossing lambda = 2 with the saturating profile's cubic part active."""
@@ -101,7 +112,7 @@ class TestSubspaces:
         assert np.max(np.abs(gram - np.eye(tetra_subspace.dim))) < 1e-12
 
     def test_basis_invariant_under_all_elements(self, tetra_subspace):
-        assert tetra_subspace.invariance_defect() < 1e-10
+        assert ref.invariance_defect(tetra_subspace) < 1e-10
 
     def test_projector_idempotent_and_commutes_with_laplacian(self):
         projectors = dict(bif.group_projectors(bif.tetrahedral_group().elements(), 6))
@@ -131,7 +142,7 @@ class TestSubspaces:
         expected.update({l: 2 for l in range(18, 24)})
         assert tetra24_subspace.dimension_by_degree == expected
         assert tetra24_subspace.dim == 32
-        assert tetra24_subspace.invariance_defect() < 1e-12
+        assert ref.invariance_defect(tetra24_subspace) < 1e-12
 
     def test_project_and_assemble_match_coefficient_sums(self, tetra24_subspace):
         sub = tetra24_subspace
@@ -195,7 +206,7 @@ class TestResidual:
         # equivariance: the unprojected residual stays inside the invariant part
         rng = np.random.default_rng(4)
         x = 0.2 * rng.normal(size=cubic_problem.subspace.dim)
-        field = cubic_problem.residual_field(0.5, x)
+        field = ref.residual_field(cubic_problem, 0.5, x)
         coords = cubic_problem.subspace.project(field)
         recon = cubic_problem.subspace.assemble(coords)
         leak = (field - recon).norm()
@@ -209,16 +220,11 @@ class TestGridPath:
     @pytest.mark.parametrize("group,lmax", [("tetrahedral", 24), ("d4d", 12), ("trivial", 6)])
     @pytest.mark.parametrize("mode", ["fixed_frame", "rotating_frame"])
     def test_matches_transform_path(self, group, lmax, mode):
-        subspace = bif.build_subspace(group, lmax)
-        if mode == "fixed_frame":
-            family, amplitude = bif.CubicShiftFamily(mu=1.0, mu1=1.0, degree=3), 0.3
-        else:
-            family, amplitude = bif.SaturatingLinearFamily(beta=1.0, mu=1.0, degree=3), 0.6
-        problem = bif.ContinuationProblem(family=family, subspace=subspace, mode=mode)
+        problem, amplitude = _problem(group, lmax, mode)
         lam, x = _newton_point(problem, amplitude, seed=5)
         if mode == "rotating_frame":  # past the linear window of the profile
             arg = problem._saturation_argument(lam, problem.values(x))
-            assert np.max(np.abs(arg)) > 2.0 * family.mu
+            assert np.max(np.abs(arg)) > 2.0 * problem.family.mu
         for grid_path, transform_path in (
                 (problem.residual(lam, x), ref.residual(problem, lam, x)),
                 (problem.jacobian(lam, x), ref.jacobian(problem, lam, x))):
@@ -234,10 +240,33 @@ class TestGridPath:
         stream = rotating_problem.subspace.assemble(x)
         stream.add_to(1, 0, -rotating_problem.family.mu / (1.0 + lam * lam)
                       * ref.ZONAL_DEGREE_ONE_COEFF)
-        tr = rotating_problem.transform
+        tr, points = rotating_problem.transform, rotating_problem.grid_points
         for values, field in ((psi, stream), (vorticity, sht.laplacian(stream))):
-            expected = tr.synthesis(field.halves).ravel()
+            expected = tr.synthesis(field.halves).ravel()[points]
             assert np.max(np.abs(values - expected)) < 1e-13 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("group,lmax", [("tetrahedral", 24), ("d4d", 12), ("d2d", 12),
+                                            ("trivial", 6)])
+    @pytest.mark.parametrize("mode", ["fixed_frame", "rotating_frame"])
+    def test_basis_constant_on_orbits(self, group, lmax, mode):
+        problem, _ = _problem(group, lmax, mode)
+        sub, tr = problem.subspace, problem.transform
+        labels = bif.grid_orbit_labels(sub.group, tr.grid, fix_z=mode == "rotating_frame")
+        assert np.array_equal(problem.grid_points, np.unique(labels))
+        values = tr.synthesis(sub.halves).reshape(sub.dim, -1)
+        defect = np.max(np.abs(values - values[:, labels]), axis=1)
+        assert np.all(defect <= 1e-13 * np.max(np.abs(values), axis=1))
+        if mode == "rotating_frame":  # z varies on the sphere, so no orbit leaves its row
+            assert np.array_equal(labels // tr.grid.nlon, np.arange(labels.size) // tr.grid.nlon)
+        assert abs(np.sum(problem._weights) - 4.0 * math.pi) < 1e-13
+
+    def test_folded_point_counts(self):
+        counts = {mode: _problem("tetrahedral", 24, mode)[0].grid_points.size
+                  for mode in ("fixed_frame", "rotating_frame")}
+        assert counts == {"fixed_frame": 1511, "rotating_frame": 3021}  # of 57 x 106 = 6042
+        problem, _ = _problem("trivial", 6, "fixed_frame")
+        grid = problem.transform.grid
+        assert np.array_equal(problem.grid_points, np.arange(grid.nlat * grid.nlon))
 
 
 class TestDetection:
@@ -256,6 +285,13 @@ class TestDetection:
                 family=bif.CubicShiftFamily(mu=1.0, mu1=1.0, degree=3), subspace=sub)
             points = bif.detect_bifurcation_points(problem, (0.0, 2.0), degrees=[3])
             assert abs(points[0].lam - 1.0 / math.sqrt(3.0)) < 1e-12
+
+    def test_multiplier_scan_matches_scalar_calls(self, cubic_problem, rotating_problem):
+        # the scan evaluates the multiplier on the whole grid in one call
+        lam_grid = np.linspace(-2.0, 2.0, 400)
+        for problem in (cubic_problem, rotating_problem):
+            loop = [problem.linear_multiplier(float(lam)) for lam in lam_grid]
+            assert np.array_equal(problem.linear_multiplier(lam_grid), loop)
 
     def test_degenerate_linear_multiplier_reported(self, tetra_subspace):
         class DegenerateFamily:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from rotosphere import sht
 from conftest import random_real_field
-from sht_reference import ReferenceTransform
+from sht_reference import ReferenceTransform, rotate_field_values
 from spectral_reference import FullTableField, reality_defect
 
 
@@ -393,7 +393,7 @@ class TestRotation:
         f = random_real_field(lmax, seed=7)
         rot = sht.RotationSpec(alpha=0.45, beta=1.3, gamma=-0.8)
         spectral = sht.rotate(f, rot)
-        resampled = sht.SpectralField(tr.analysis(sht.rotate_field_values(f, rot, tr.grid)))
+        resampled = sht.SpectralField(tr.analysis(rotate_field_values(f, rot, tr.grid)))
         assert np.max(np.abs(spectral.coeffs - resampled.coeffs)) < 1e-12
 
     def test_parity_matches_oracle(self):
@@ -403,7 +403,7 @@ class TestRotation:
         rot = sht.RotationSpec(alpha=0.2, beta=0.9, gamma=0.1)
         spectral = sht.rotate(f, rot, parity=True)
         resampled = sht.SpectralField(
-            tr.analysis(sht.rotate_field_values(f, rot, tr.grid, parity=True)))
+            tr.analysis(rotate_field_values(f, rot, tr.grid, parity=True)))
         assert np.max(np.abs(spectral.coeffs - resampled.coeffs)) < 1e-12
 
     @pytest.mark.parametrize("l", [1, 3, 10, 32, 63])

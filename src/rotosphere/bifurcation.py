@@ -15,7 +15,6 @@ import math
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from . import sht
 from .sht import RotationSpec, SpectralField
@@ -280,6 +279,8 @@ class CubicShiftFamily:
 
     def apriori_bounds(self) -> tuple[float, float, float]:
         """(a_minus, a_plus, A): window with P increasing outside and |P| <= A inside."""
+        from scipy import optimize
+
         ll1 = self.degree * (self.degree + 1)
         turn = math.sqrt((self.mu + ll1) / (3.0 * self.mu1))
         depth = abs(self.p(turn))
@@ -357,6 +358,8 @@ class SaturatingLinearFamily:
 
     def sup_bound(self) -> float:
         """mu + b, with b chosen so P(b) dominates |P| on the non-monotone window."""
+        from scipy import optimize
+
         zero_hi = 2.0 * self.mu + (2.0 * self.nu / (self.mu * self.kappa)) ** (1.0 / 3.0) * (
             (3.0 * self.mu) ** (1.0 / 3.0)
         )
@@ -552,6 +555,8 @@ def detect_bifurcation_points(problem: ContinuationProblem,
     of the multiplier at the crossing; non-transversal roots are excluded
     and degenerate (identically zero) scans are reported as errors.
     """
+    from scipy import optimize
+
     lo, hi = lambda_range
     if not lo < hi:
         raise ValueError("empty lambda range")

@@ -9,9 +9,10 @@ associated Legendre functions are evaluated at s = sin(latitude)).
 A `Transform(lmax, nlat, nlon)` describes one grid and owns its
 `GaussGrid`; the pair is exact for bandlimited fields as long as
 ``nlat >= lmax + 1`` and ``nlon >= 2*lmax + 1``.  Latitude quadrature is
-Gauss-Legendre, longitude uses rfft/irfft.  Its methods map arrays to
-arrays and keep any leading axes: m >= 0 half tables (..., lmax+1, lmax+1)
-give grid values (..., nlat, nlon), and `analysis` maps real values back.
+Gauss-Legendre, longitude uses numpy's real FFT (`numpy.fft.rfft` and
+`irfft`).  Its methods map arrays to arrays and keep any leading axes:
+m >= 0 half tables (..., lmax+1, lmax+1) give grid values (..., nlat, nlon),
+and `analysis` maps real values back.
 
 A `SpectralField` is real and stores the m >= 0 half table of its
 coefficients, `halves`; the negative orders follow from
@@ -29,7 +30,6 @@ from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
-import scipy.fft
 
 FOUR_PI = 4.0 * math.pi
 
@@ -340,8 +340,9 @@ class Transform:
     tables (..., lmax+1, lmax+1) give grid values (..., nlat, nlon), and
     `analysis` maps real grid values back.  All leading axes are contracted
     in one matmul batched over the orders m >= 0.  The tables are computed
-    once and treated as immutable, so a Transform can be shared freely
-    between threads.
+    once and treated as immutable; the gradient table is built on the first
+    `gradient_values` call, and threads racing there build identical tables,
+    so a Transform can be shared freely between threads.
     """
 
     def __init__(self, lmax: int, nlat: int, nlon: int):
@@ -353,29 +354,36 @@ class Transform:
             raise GridShapeError(f"nlon={nlon} too small for lmax={lmax}; need nlon >= 2*lmax+1")
         self.lmax = L = lmax
         self.grid = build_grid(nlat, nlon)
-        coslat = self.grid.cos_lat[None, :, None]
 
         # order-major layout (m, latitude, l); degree L+1 feeds d/dtheta
         ptab = normalized_legendre_table(L + 1, self.grid.nodes).transpose(2, 0, 1)[: L + 1]
         self._p = np.ascontiguousarray(ptab[:, :, : L + 1])
+        self._p_next = np.ascontiguousarray(ptab[:, :, L + 1])
+        self._grad = None
 
+        self._weights = self.grid.weights[:, None] * (2.0 * math.pi / nlon)
+        self._im = 1j * np.arange(L + 1)
+
+    def _gradient_table(self) -> np.ndarray:
+        """Stacked [d/dtheta ; P / cos] rows (m, 2*nlat, l): one product gives
+        both gradient components, the i*m factor of d/dphi is applied after it.
+        Built in place, so the build holds one table-sized temporary at most."""
+        L, nlat = self.lmax, self.grid.nlat
+        coslat = self.grid.cos_lat[None, :, None]
         # d/dtheta of the latitude factor, from
         # (1-s^2) d/ds Pbar_l^m = (l+1) eps_l^m Pbar_{l-1}^m - l eps_{l+1}^m Pbar_{l+1}^m
         l = np.arange(L + 2)[None, :]
         m = np.arange(L + 1)[:, None]
         eps = np.sqrt(np.where((m <= l) & (l > 0), l * l - m * m, 0) / (4.0 * l * l - 1.0))
-        # stacked [d/dtheta ; P / cos] rows: one product gives both gradient
-        # components, the i*m factor of d/dphi is applied after it.  Built in
-        # place, so the build holds one table-sized temporary at most.
-        self._grad = np.zeros((L + 1, 2 * nlat, L + 1))
-        dtheta = self._grad[:, :nlat]
-        dtheta[:, :, 1:] = ((l[:, 1 : L + 1] + 1) * eps[:, 1 : L + 1])[:, None, :] * ptab[:, :, :L]
-        dtheta -= (l[:, : L + 1] * eps[:, 1:])[:, None, :] * ptab[:, :, 1:]
+        grad = np.zeros((L + 1, 2 * nlat, L + 1))
+        dtheta = grad[:, :nlat]
+        dtheta[:, :, 1:] = ((l[:, 1 : L + 1] + 1) * eps[:, 1 : L + 1])[:, None, :] * self._p[:, :, :L]
+        lower = l[:, : L + 1] * eps[:, 1:]
+        dtheta[:, :, :L] -= lower[:, None, :L] * self._p[:, :, 1:]
+        dtheta[:, :, L] -= lower[:, L:] * self._p_next
         dtheta /= coslat
-        np.divide(self._p, coslat, out=self._grad[:, nlat:])
-
-        self._weights = self.grid.weights[:, None] * (2.0 * math.pi / nlon)
-        self._im = 1j * np.arange(L + 1)
+        np.divide(self._p, coslat, out=grad[:, nlat:])
+        return grad
 
     # -- core on a batch of m >= 0 half tables ----------------------------------
 
@@ -394,13 +402,19 @@ class Transform:
         return _batch_major(np.matmul(table, cols))
 
     def _irfft(self, spectra: np.ndarray) -> np.ndarray:
-        return scipy.fft.irfft(spectra, n=self.grid.nlon, axis=-1, norm="forward")
+        """(batch, rows, m) Fourier rows -> (batch, rows, nlon) real values.
+        The rows are first copied into one contiguous buffer zero-padded to
+        nlon//2 + 1 orders: numpy's irfft runs fastest on that layout."""
+        nlon = self.grid.nlon
+        padded = np.zeros((*spectra.shape[:-1], nlon // 2 + 1), dtype=complex)
+        padded[..., : self.lmax + 1] = spectra
+        return np.fft.irfft(padded, n=nlon, axis=-1, norm="forward")
 
     def _analyse(self, values: np.ndarray) -> np.ndarray:
         """(batch, nlat, nlon) real values -> (batch, l, m) half tables."""
         # along axis 0 of the (nlon, nlat, batch) view the Fourier rows come
         # out order-major, so the product needs no layout copy
-        fourier = np.ascontiguousarray(scipy.fft.rfft(values.transpose(2, 1, 0), axis=0)[: self.lmax + 1])
+        fourier = np.ascontiguousarray(np.fft.rfft(values.transpose(2, 1, 0), axis=0)[: self.lmax + 1])
         fourier *= self._weights
         return _batch_major(np.matmul(self._p.transpose(0, 2, 1), fourier.view(float)))
 
@@ -418,6 +432,8 @@ class Transform:
         tables (..., lmax+1, lmax+1), in one fused transform pass."""
         halves = np.asarray(halves)
         batch = self._batch(halves, (self.lmax + 1, self.lmax + 1), "half tables")
+        if self._grad is None:
+            self._grad = self._gradient_table()
         spectra = self._to_grid(self._grad, batch)
         nlat = self.grid.nlat
         spectra[:, nlat:] *= self._im
@@ -509,20 +525,6 @@ def inverse_laplacian_table(table: np.ndarray) -> np.ndarray:
     out = np.zeros(table.shape, dtype=table.dtype)
     out[..., 1:, :] = table[..., 1:, :] / (-l * (l + 1.0))[:, None]
     return out
-
-
-def evaluate(field: SpectralField, phi: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Pointwise evaluation of a spectral field at arbitrary (phi, s) locations."""
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    if phi.shape != s.shape:
-        raise ValueError("phi and s must have matching shapes")
-    L = field.lmax
-    ptab = normalized_legendre_table(L, s.ravel())
-    # order -m adds the conjugate of order m: twice the real part for m > 0
-    weighted = field.halves * np.where(np.arange(L + 1) == 0, 1.0, 2.0)
-    phases = np.exp(1j * np.outer(phi.ravel(), np.arange(L + 1)))
-    return np.einsum("ilm,lm,im->i", ptab, weighted, phases).real.reshape(phi.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from . import dynamics, fields, sht, solutions
 from .sht import SpectralField
@@ -184,6 +183,9 @@ def rayleigh_criterion(zp: ZonalProfile, omega: float, n_samples: int = 2001) ->
             last_sign, last_s = 0, si
             continue
         if last_sign != 0 and vi != last_sign:
+            # scipy loads only when a sign change needs refining
+            from scipy import optimize
+
             roots.append(float(optimize.brentq(lambda x: float(grad(x)), last_s, si)))
         last_sign, last_s = vi, si
     # deduplicate near-identical locations from exact-zero samples

@@ -6,13 +6,20 @@ It shares only the Legendre table and the grid with `sht.Transform`, so
 agreement between the two pins the m >= 0 contraction, the rfft/irfft
 scaling, the i*m factor and the rebuilding of negative orders.
 
-`rotate_field_values` is the grid oracle for `sht.rotate`: it samples the
-rotated field by point evaluation at the rotated grid points.
+`ScipyFFTTransform` is `sht.Transform` as it was on scipy.fft, with its
+gradient table built eagerly from the degree lmax+1 Legendre table: the
+bit-for-bit reference for the numpy.fft longitude transforms and the lazily
+built gradient table.
+
+`evaluate` sums a field's harmonics at arbitrary points, and
+`rotate_field_values`, the grid oracle for `sht.rotate`, samples the rotated
+field with it at the rotated grid points.
 """
 
 import math
 
 import numpy as np
+import scipy.fft
 
 from rotosphere import sht
 
@@ -91,4 +98,43 @@ def rotate_field_values(field, rot, grid, parity=False):
     rotated = xyz @ R  # row-vector convention: equals R^{-1} applied to each point
     s_new = np.clip(rotated[..., 2], -1.0, 1.0)
     phi_new = np.arctan2(rotated[..., 1], rotated[..., 0])
-    return sht.evaluate(field, phi_new.ravel(), s_new.ravel()).reshape(phi_new.shape)
+    return evaluate(field, phi_new.ravel(), s_new.ravel()).reshape(phi_new.shape)
+
+
+class ScipyFFTTransform(sht.Transform):
+    def __init__(self, lmax, nlat, nlon):
+        super().__init__(lmax, nlat, nlon)
+        L = lmax
+        coslat = self.grid.cos_lat[None, :, None]
+        ptab = sht.normalized_legendre_table(L + 1, self.grid.nodes).transpose(2, 0, 1)[: L + 1]
+        l = np.arange(L + 2)[None, :]
+        m = np.arange(L + 1)[:, None]
+        eps = np.sqrt(np.where((m <= l) & (l > 0), l * l - m * m, 0) / (4.0 * l * l - 1.0))
+        self._grad = np.zeros((L + 1, 2 * nlat, L + 1))
+        dtheta = self._grad[:, :nlat]
+        dtheta[:, :, 1:] = ((l[:, 1 : L + 1] + 1) * eps[:, 1 : L + 1])[:, None, :] * ptab[:, :, :L]
+        dtheta -= (l[:, : L + 1] * eps[:, 1:])[:, None, :] * ptab[:, :, 1:]
+        dtheta /= coslat
+        np.divide(self._p, coslat, out=self._grad[:, nlat:])
+
+    def _irfft(self, spectra):
+        return scipy.fft.irfft(spectra, n=self.grid.nlon, axis=-1, norm="forward")
+
+    def _analyse(self, values):
+        fourier = np.ascontiguousarray(scipy.fft.rfft(values.transpose(2, 1, 0), axis=0)[: self.lmax + 1])
+        fourier *= self._weights
+        return sht._batch_major(np.matmul(self._p.transpose(0, 2, 1), fourier.view(float)))
+
+
+def evaluate(field, phi, s):
+    """Pointwise evaluation of a spectral field at arbitrary (phi, s) locations."""
+    phi = np.atleast_1d(np.asarray(phi, dtype=float))
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    if phi.shape != s.shape:
+        raise ValueError("phi and s must have matching shapes")
+    L = field.lmax
+    ptab = sht.normalized_legendre_table(L, s.ravel())
+    # order -m adds the conjugate of order m: twice the real part for m > 0
+    weighted = field.halves * np.where(np.arange(L + 1) == 0, 1.0, 2.0)
+    phases = np.exp(1j * np.outer(phi.ravel(), np.arange(L + 1)))
+    return np.einsum("ilm,lm,im->i", ptab, weighted, phases).real.reshape(phi.shape)

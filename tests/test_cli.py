@@ -399,6 +399,37 @@ class TestLift3d:
         assert not out.exists()
 
 
+class TestImportPath:
+    def test_commands_load_no_scipy(self, tmp_path):
+        # scipy serves only the root finding of bifurcate and of the Rayleigh criterion
+        argvs = [
+            ["simulate", write_json(tmp_path / "sim.json", SIM_CONFIG), "--outdir", str(tmp_path / "s")],
+            ["make-solution", "--family", "log", "--params", '{"epsilon": 0.3, "lmax": 8}',
+             "--outdir", str(tmp_path / "m")],
+            ["lift3d", "--omega", "18", "--family", "exp", "--epsilon", "0.3", "--samples", "3",
+             "--lmax", "15", "--seeds", "[[0.5, 0.4, 0.2]]", "--t-end", "0.01", "--dt", "0.001",
+             "--outdir", str(tmp_path / "l")],
+            ["sht-selftest", "--lmax", "8", "--outdir", str(tmp_path / "t")],
+            # a monotone total vorticity gradient: no sign change to refine
+            ["stability", "zonal", "--outdir", str(tmp_path / "z"), "--config",
+             write_json(tmp_path / "zonal.json", {"omega": 18.0, "wavenumbers": [1], "basis_size": 8,
+                                                  "zonal_coefficients": {"1": 1.0, "2": 1.0}})],
+        ]
+        script = ("import json, sys\n"
+                  "from rotosphere import cli\n"
+                  "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+                  "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+                  "print(json.dumps([codes, loaded]))\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert codes == [0] * len(argvs), proc.stderr
+        assert loaded == []
+
+
 class TestSelftest:
     def test_passes_and_writes_report(self, tmp_path, capsys):
         for lmax in (1, 15, 31):

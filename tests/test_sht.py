@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from rotosphere import sht
 from conftest import random_real_field
-from sht_reference import ReferenceTransform, rotate_field_values
+from sht_reference import ReferenceTransform, ScipyFFTTransform, evaluate, rotate_field_values
 from spectral_reference import FullTableField, reality_defect
 
 
@@ -151,7 +151,7 @@ class TestTransforms:
         vals = transform31.synthesis(f.halves)
         grid = transform31.grid
         phi, s = np.meshgrid(grid.longitudes, grid.nodes)
-        pointwise = sht.evaluate(f, phi, s)
+        pointwise = evaluate(f, phi, s)
         assert np.max(np.abs(pointwise - vals)) < 1e-11
 
 
@@ -227,6 +227,48 @@ class TestRealFieldCore:
     def test_halves_rebuild_the_table(self):
         g = random_real_field(9, seed=4)
         assert np.array_equal(sht.SpectralField.from_table(g.coeffs).coeffs, g.coeffs)
+
+
+def _grid_sizes(rule: str, lmax: int) -> tuple[int, int]:
+    """(nlat, nlon) of each grid rule the package builds; the Casimir k = 5 grid
+    (fields.casimir_moments, odd nlon at even lmax) and the continuation grid
+    (bifurcation.ContinuationProblem) are written out as those modules size them."""
+    if rule == "casimir5":
+        return (5 * lmax) // 2 + 2, max(5 * lmax + 1, 2 * lmax + 1)
+    if rule == "continuation":
+        return 2 * lmax + 9, 4 * lmax + 10
+    grid = GRID_RULES[rule](lmax).grid
+    return grid.nlat, grid.nlon
+
+
+class TestLongitudeFFT:
+    """numpy.fft and the lazily built gradient table against the former
+    scipy.fft path with its eager table, bit for bit."""
+
+    @pytest.mark.parametrize("batch", [(), (2,)], ids=["single", "batch2"])
+    @pytest.mark.parametrize("lmax", [1, 2, 12, 24, 31, 63])
+    @pytest.mark.parametrize("rule", ["for_lmax", "dealiased", "casimir5", "continuation"])
+    def test_bit_identical_to_scipy_fft(self, rule, lmax, batch):
+        nlat, nlon = _grid_sizes(rule, lmax)
+        tr, ref = sht.Transform(lmax, nlat, nlon), ScipyFFTTransform(lmax, nlat, nlon)
+        pair = np.stack([random_real_field(lmax, seed=nlon + i, zero_mean=False).halves
+                         for i in range(2)])
+        halves = pair if batch else pair[0]
+        assert np.array_equal(tr.synthesis(halves), ref.synthesis(halves))
+        for got, want in zip(tr.gradient_values(halves), ref.gradient_values(halves)):
+            assert np.array_equal(got, want)
+        values = np.random.default_rng(nlat).normal(size=(*batch, nlat, nlon))
+        assert np.array_equal(tr.analysis(values), ref.analysis(values))
+
+    def test_gradient_table_built_on_first_use(self):
+        tr = sht.Transform(12, 13, 26)
+        f = random_real_field(12, seed=3)
+        tr.analysis(tr.synthesis(f.halves))
+        assert tr._grad is None
+        got = tr.gradient_values(f.halves)
+        assert tr._grad is not None
+        want = ScipyFFTTransform(12, 13, 26).gradient_values(f.halves)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def _layout_value(rng, m: int) -> complex:

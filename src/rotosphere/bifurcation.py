@@ -679,8 +679,7 @@ def _measure_point(problem: ContinuationProblem, lam: float, x: np.ndarray,
 
 def continue_branch(problem: ContinuationProblem, point: BifurcationPoint,
                     steps: int, ds: float = 0.05, direction: float = 1.0,
-                    newton_tol: float = 1e-10, extras_fn=None,
-                    stop_on_bound_violation: bool = True) -> ContinuationBranch:
+                    newton_tol: float = 1e-10, extras_fn=None) -> ContinuationBranch:
     """Follow the nontrivial branch rooted at a detected bifurcation point.
 
     The first tangent is the invariant generator of the critical degree;
@@ -726,7 +725,7 @@ def continue_branch(problem: ContinuationProblem, point: BifurcationPoint,
         arclength += step_size
         bp = _measure_point(problem, lam_new, x_new, arclength, bounds_check, extras_fn)
         branch.points.append(bp)
-        if stop_on_bound_violation and not bp.within_bounds:
+        if not bp.within_bounds:
             branch.status = "bound_violation"
             break
         if np.linalg.norm(x_new) < 1e-8 and abs(lam_new - point.lam) > 10 * step_size:
@@ -764,4 +763,4 @@ def omega_branch(family: SaturatingLinearFamily, subspace: SymmetrySubspace,
         }
 
     return continue_branch(problem, target, steps=steps, ds=ds, direction=direction,
-                           extras_fn=extras, stop_on_bound_violation=False)
+                           extras_fn=extras)

@@ -292,25 +292,34 @@ def cmd_simulate(args):
     config = _load_config(args.config)
     sim_config = _simulation_config(
         config, omega=_get(config, "omega", float), lmax=_get(config, "lmax", int),
-        snapshot_stride=_get(config, "snapshot_stride", int, None),
         filter_strength=_get(config, "filter_strength", float, 0.0))
+    n = sim_config.n_steps
+    # without a stride, the initial and the final state only
+    stride = _get(config, "snapshot_stride", int, max(n, 1))
+    if stride < 1:
+        raise ConfigError(f"snapshot_stride must be >= 1, got {stride}")
     seed = _get(config, "seed", int, 0)
     initial = _initial_field(_get(config, "initial", dict), sim_config.lmax, seed)
     sim_config.check_initial(initial)
 
     def work(ctx):
-        result = dynamics.run(initial, sim_config)
+        ctx.register("diagnostics.csv")  # listed before the snapshots in the manifest
+
+        def write_snapshot(i, state):
+            # snapshot k holds step k * stride, and the last one step n
+            if i % stride == 0 or i == n:
+                name = f"snapshot_{math.ceil(i / stride):06d}.shc"
+                snapshot.write_snapshot(ctx.register(name), state.vorticity, time=state.time)
+
+        result = dynamics.run(initial, sim_config, on_step=write_snapshot)
         rows = [fields.DiagnosticRecord.csv_header(sim_config.lmax)]
         rows.extend(rec.csv_row() for rec in result.diagnostics)
         ctx.write_text("diagnostics.csv", "\n".join(rows) + "\n")
-        for idx, state in enumerate(result.states):
-            name = f"snapshot_{idx:06d}.shc"
-            snapshot.write_snapshot(ctx.register(name), state.vorticity, time=state.time)
         ctx.write_json("report.json", {
             "drift": result.drift_report,
             "cfl": result.cfl,
-            "filter_strength": result.filter_strength,
-            "n_steps": sim_config.n_steps,
+            "filter_strength": sim_config.filter_strength,
+            "n_steps": n,
         })
         if args.svg:
             times = np.array([d.time for d in result.diagnostics])

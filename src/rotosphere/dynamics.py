@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -61,7 +62,6 @@ class SimulationConfig:
     t_end: float
     lmax: int
     diag_stride: int = 10
-    snapshot_stride: int | None = None
     filter_strength: float = 0.0
 
     def __post_init__(self):
@@ -73,8 +73,6 @@ class SimulationConfig:
             raise ValueError("t_end must be nonnegative")
         if self.diag_stride < 1:
             raise ValueError("diag_stride must be >= 1")
-        if self.snapshot_stride is not None and self.snapshot_stride < 1:
-            raise ValueError("snapshot_stride must be >= 1")
         if self.filter_strength < 0.0:
             raise ValueError("filter_strength must be >= 0")
 
@@ -153,11 +151,10 @@ def cfl_advisory(state: SimulationState, config: SimulationConfig) -> dict:
 
 @dataclasses.dataclass
 class RunResult:
-    states: list[SimulationState]
+    final: SimulationState
     diagnostics: list[fields.DiagnosticRecord]
     drift_report: dict
     cfl: dict
-    filter_strength: float
 
 
 def _drift_report(diags: list[fields.DiagnosticRecord], omega: float) -> dict:
@@ -197,15 +194,14 @@ def _drift_report(diags: list[fields.DiagnosticRecord], omega: float) -> dict:
 
 
 def run(initial: SpectralField, config: SimulationConfig,
-        keep_states: bool = False) -> RunResult:
+        on_step: Callable[[int, SimulationState], None] | None = None) -> RunResult:
     """Advance the vorticity field to t_end, collecting diagnostics.
 
     `initial` is the vorticity (zero-mean, real).  Diagnostic records are
-    computed from the derived stream function every `diag_stride` steps;
-    snapshots of the state are kept at `snapshot_stride` (or just the
-    endpoints when `keep_states` is false and no stride is given).  A record
-    whose enstrophy exceeds ENSTROPHY_GROWTH_LIMIT times the initial one
-    raises SimulationBlowup.
+    computed from the derived stream function every `diag_stride` steps; one
+    whose enstrophy exceeds ENSTROPHY_GROWTH_LIMIT times the initial record
+    raises SimulationBlowup.  `on_step(i, state)` sees the initial state
+    (i = 0) and each checked step i = 1..n; the run keeps only the last.
     """
     config.check_initial(initial)
     state = SimulationState(time=0.0, vorticity=initial.copy())
@@ -213,8 +209,8 @@ def run(initial: SpectralField, config: SimulationConfig,
     if not cfl["advisory_ok"]:
         logger.warning("CFL advisory exceeded: dt*max|U|*lmax = %.3g", cfl["cfl_number"])
 
-    snap_stride = config.snapshot_stride
-    states: list[SimulationState] = [SimulationState(0.0, initial.copy())]
+    if on_step is not None:
+        on_step(0, state)
     diags = [fields.diagnostics(state.stream_function(), 0.0)]
     n = config.n_steps
     for i in range(1, n + 1):
@@ -224,12 +220,6 @@ def run(initial: SpectralField, config: SimulationConfig,
             first, last = diags[0].enstrophy, diags[-1].enstrophy
             if last > ENSTROPHY_GROWTH_LIMIT * first:
                 raise SimulationBlowup(state.time, f"enstrophy grew from {first:.6g} to {last:.6g}")
-        if keep_states or (snap_stride is not None and i % snap_stride == 0) or i == n:
-            states.append(SimulationState(state.time, state.vorticity.copy()))
-    return RunResult(
-        states=states,
-        diagnostics=diags,
-        drift_report=_drift_report(diags, config.omega),
-        cfl=cfl,
-        filter_strength=config.filter_strength,
-    )
+        if on_step is not None:
+            on_step(i, state)
+    return RunResult(state, diags, _drift_report(diags, config.omega), cfl)

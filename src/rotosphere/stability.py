@@ -502,11 +502,10 @@ def rh2_modal_experiment(wave: solutions.RossbyHaurwitzWave, perturbation: Spect
     """
     lmax = config.lmax
     psi_init = wave.psi.truncated(lmax) + perturbation.truncated(lmax)
-    result = dynamics.run(sht.laplacian(psi_init), config, keep_states=True)
-
     times, quad, balance, tail, c1_abs = [], [], [], [], []
     weights = np.array([l * l * (l + 1.0) ** 2 - 6.0 * l * (l + 1.0) for l in range(lmax + 1)])
-    for state in result.states:
+
+    def record(i, state):
         psi = state.stream_function()
         c20 = psi.get(2, 0).real
         c21 = psi.get(2, 1)
@@ -517,6 +516,8 @@ def rh2_modal_experiment(wave: solutions.RossbyHaurwitzWave, perturbation: Spect
         power = psi.degree_power()
         tail.append(float(np.sum(weights[3:] * power[3:])))
         c1_abs.append([abs(psi.get(1, m)) for m in (-1, 0, 1)])
+
+    result = dynamics.run(sht.laplacian(psi_init), config, on_step=record)
     return ModalSeries(
         times=np.array(times),
         quadratic_combination=np.array(quad),

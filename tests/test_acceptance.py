@@ -141,7 +141,7 @@ def test_05_travelling_wave_dynamics():
         lmax=lmax, diag_stride=500)
     res = dynamics.run(sht.laplacian(wave.psi), cfg)
 
-    final = sht.invert_laplacian(res.states[-1].vorticity)
+    final = sht.invert_laplacian(res.final.vorticity)
     # after an integer number of periods the order-1 phase returns to zero
     phase_defect = np.angle(final.get(2, 1) / wave.psi.get(2, 1))
     phase_defect = (phase_defect + math.pi) % (2 * math.pi) - math.pi
@@ -164,7 +164,7 @@ def test_05_travelling_wave_dynamics():
             omega=1.0, dt=p2 / divisions, t_end=p2,
             lmax=lm, diag_stride=divisions)
         r2 = dynamics.run(sht.laplacian(wave2.psi), c2)
-        f2 = sht.invert_laplacian(r2.states[-1].vorticity)
+        f2 = sht.invert_laplacian(r2.final.vorticity)
         ph = np.angle(f2.get(2, 1) / wave2.psi.get(2, 1))
         errors.append(abs((ph + math.pi) % (2 * math.pi) - math.pi))
         dts.append(p2 / divisions)
@@ -212,10 +212,12 @@ def test_06_degree_two_modal_mechanics():
         cfg = dynamics.SimulationConfig(
             omega=omega, dt=0.05, t_end=t_end,
             lmax=lm, diag_stride=40)
-        res = dynamics.run(sht.laplacian(pert_wave.psi), cfg, keep_states=True)
+        states = []
+        dynamics.run(sht.laplacian(pert_wave.psi), cfg,
+                     on_step=lambda i, state: states.append(state))
         bound = stability.instability_separation_bound(2, 1.0, ycoeffs, n)
         sup = 0.0
-        for state in res.states:
+        for state in states:
             psi = state.stream_function()
             sup = max(sup, (psi - base.psi).norm() ** 2)
         assert sup >= 0.9 * bound.total

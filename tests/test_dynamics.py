@@ -83,9 +83,8 @@ class TestStep:
         vort = random_real_field(10, seed=24, decay=0.0)
         cfg = _config(10, omega=0.0, dt=0.01, t_end=0.05, filter_strength=5.0)
         res = dynamics.run(vort, cfg)
-        assert res.filter_strength == 5.0
         top_before = vort.degree_power()[-1]
-        top_after = res.states[-1].vorticity.degree_power()[-1]
+        top_after = res.final.vorticity.degree_power()[-1]
         assert top_after < top_before
 
 
@@ -108,9 +107,9 @@ class TestRunInvariants:
         assert max(res.drift_report["c1_abs_drift"]) < 1e-9
         assert max(res.drift_report["c1_modulated_drift"]) < 1e-8
         # the order-1 coefficient rotates at exactly the frame rate
-        psi0 = sht.invert_laplacian(res.states[0].vorticity)
-        psi1 = sht.invert_laplacian(res.states[-1].vorticity)
-        t_end = res.states[-1].time
+        psi0 = sht.invert_laplacian(vort)
+        psi1 = sht.invert_laplacian(res.final.vorticity)
+        t_end = res.final.time
         phase = np.angle(psi1.get(1, 1) / psi0.get(1, 1))
         expected = (omega * t_end + math.pi) % (2 * math.pi) - math.pi
         assert abs(phase - expected) < 1e-6
@@ -145,6 +144,20 @@ class TestRunInvariants:
         with pytest.raises(dynamics.SimulationBlowup):
             dynamics.run(vort, _config(8, omega=0.0, dt=5.0, t_end=5.0))
 
+    def test_on_step_sees_every_state_once(self):
+        vort = random_real_field(8, seed=27)
+        cfg = _config(8, omega=1.0, dt=0.05, t_end=0.35, diag_stride=3)
+        seen = []
+        res = dynamics.run(vort, cfg, on_step=lambda i, state: seen.append((i, state)))
+        assert [i for i, _ in seen] == list(range(cfg.n_steps + 1))
+        assert np.array_equal(seen[0][1].vorticity.coeffs, vort.coeffs)
+        assert seen[-1][1] is res.final
+        times = [state.time for _, state in seen]
+        assert times[0] == 0.0
+        assert all(b == a + cfg.dt for a, b in zip(times, times[1:]))
+        # the diagnostics are recorded at the hook's times: every third step and the last
+        assert [d.time for d in res.diagnostics] == [times[i] for i in (0, 3, 6, 7)]
+
     def test_initial_mean_rejected(self):
         vort = random_real_field(6, seed=29, zero_mean=False)
         vort.set(0, 0, 0.3)
@@ -166,11 +179,11 @@ class TestSymmetryProperties:
         fixed_init.add_to(1, 0, corio)
         res_fix = dynamics.run(fixed_init, _config(lmax, 0.0, dt, t_end, diag_stride=50))
 
-        shifted = res_fix.states[-1].vorticity.copy()
+        shifted = res_fix.final.vorticity.copy()
         m = np.arange(lmax + 1)
         shifted.halves *= np.exp(1j * m * omega * t_end)
         shifted.add_to(1, 0, -corio)
-        diff = np.max(np.abs(shifted.coeffs - res_rot.states[-1].vorticity.coeffs))
+        diff = np.max(np.abs(shifted.coeffs - res_rot.final.vorticity.coeffs))
         assert diff < 1e-8
 
     def test_scaling_symmetry(self):
@@ -180,8 +193,8 @@ class TestSymmetryProperties:
         vort0 = random_real_field(lmax, seed=31, decay=0.5)
         res_1 = dynamics.run(vort0, _config(lmax, omega, dt, t_end))
         res_2 = dynamics.run(vort0.scaled(2.0), _config(lmax, 2 * omega, dt / 2, t_end / 2))
-        diff = np.max(np.abs(res_2.states[-1].vorticity.coeffs
-                             - 2.0 * res_1.states[-1].vorticity.coeffs))
+        diff = np.max(np.abs(res_2.final.vorticity.coeffs
+                             - 2.0 * res_1.final.vorticity.coeffs))
         assert diff < 1e-9
 
 
@@ -208,7 +221,7 @@ class TestConvergence:
             cfg = _config(lmax, omega, dt, period, diag_stride=divisions)
             res = dynamics.run(vort, cfg)
             # premise: the run stays on the wave's support
-            assert np.max(np.abs(res.states[-1].vorticity.coeffs[off_wave])) < 1e-12
+            assert np.max(np.abs(res.final.vorticity.coeffs[off_wave])) < 1e-12
             drifts.append(res.drift_report["enstrophy_rel_drift"])
             dts.append(dt)
         slope = np.polyfit(np.log(dts), np.log(drifts), 1)[0]
@@ -221,7 +234,7 @@ class TestConvergence:
         period = wave.period()
         cfg = _config(lmax, omega, period / 500, period, diag_stride=100)
         res = dynamics.run(sht.laplacian(wave.psi), cfg)
-        final = sht.invert_laplacian(res.states[-1].vorticity)
+        final = sht.invert_laplacian(res.final.vorticity)
         phase = np.angle(final.get(2, 1) / wave.psi.get(2, 1))
         # one full period returns the phase to zero
         assert abs((phase + math.pi) % (2 * math.pi) - math.pi) < 1e-6

@@ -49,7 +49,7 @@ class TestRossbyHaurwitz:
             lmax=lmax)
         res = dynamics.run(sht.laplacian(wave.psi), cfg)
         exact = sht.laplacian(wave.at_time(0.5))
-        diff = np.max(np.abs(res.states[-1].vorticity.coeffs - exact.coeffs))
+        diff = np.max(np.abs(res.final.vorticity.coeffs - exact.coeffs))
         assert diff < 1e-9
 
 

@@ -284,10 +284,11 @@ class TestSeparationBound:
         cfg = dynamics.SimulationConfig(
             omega=omega, dt=beat_period / 4000, t_end=beat_period,
             lmax=lmax, diag_stride=40)
-        res = dynamics.run(sht.laplacian(pert.psi), cfg, keep_states=True)
+        states = []
+        dynamics.run(sht.laplacian(pert.psi), cfg, on_step=lambda i, state: states.append(state))
         bound = stability.instability_separation_bound(2, 1.0, ycoeffs, n)
         sup = 0.0
-        for state in res.states:
+        for state in states:
             psi = state.stream_function()
             delta = psi - base.at_time(state.time)
             sup = max(sup, delta.norm() ** 2)

@@ -47,7 +47,7 @@ class SymmetryGroup:
         return out
 
 
-def _closure(generators: list[np.ndarray], max_order: int = 256) -> list[np.ndarray]:
+def _closure(generators: list[np.ndarray]) -> list[np.ndarray]:
     def key(mat):
         return tuple(np.round(mat, 9).ravel())
 
@@ -61,7 +61,7 @@ def _closure(generators: list[np.ndarray], max_order: int = 256) -> list[np.ndar
                 b = g @ a
                 k = key(b)
                 if k not in elems:
-                    if len(elems) >= max_order:
+                    if len(elems) >= 256:
                         raise ArithmeticError("group closure exceeded the element budget")
                     elems[k] = b
                     nxt.append(b)
@@ -204,8 +204,7 @@ class SymmetrySubspace:
         return idx[0]
 
 
-def build_subspace(group: SymmetryGroup | str, lmax: int,
-                   eig_threshold: float = 0.5) -> SymmetrySubspace:
+def build_subspace(group: SymmetryGroup | str, lmax: int) -> SymmetrySubspace:
     """Group-averaged projector per degree, orthonormal invariant basis.
 
     The averaging matrix over an orthogonal representation is a symmetric
@@ -220,7 +219,7 @@ def build_subspace(group: SymmetryGroup | str, lmax: int,
     dims: dict[int, int] = {}
     for l, proj in group_projectors(group.elements(), lmax):
         eigvals, eigvecs = np.linalg.eigh(0.5 * (proj + proj.T))
-        keep = [i for i in range(eigvals.size) if eigvals[i] > eig_threshold]
+        keep = [i for i in range(eigvals.size) if eigvals[i] > 0.5]  # eigenvalues are 0 or 1
         dims[l] = len(keep)
         v = _real_to_complex_block(l)
         for i in keep:
@@ -251,12 +250,14 @@ class CubicShiftFamily:
 
     P(t) = mu1 t^3 - (mu + l(l+1)) t with mu, mu1 > 0; the trivial branch
     f = 0 exists for all lambda and loses simplicity where P'(lambda)
-    crosses -l(l+1), i.e. at lambda = +/- sqrt(mu / (3 mu1)).
+    crosses -l(l+1), i.e. at lambda = +/- sqrt(mu / (3 mu1)).  The balance
+    is posed in the fixed frame: N ignores z and psi is f itself.
     """
 
     mu: float
     mu1: float
     degree: int
+    depends_on_z = False  # every group element commutes with N
 
     def __post_init__(self):
         if self.mu <= 0 or self.mu1 <= 0:
@@ -268,11 +269,17 @@ class CubicShiftFamily:
     def dp(self, t):
         return 3.0 * self.mu1 * t**2 - (self.mu + self.degree * (self.degree + 1))
 
-    def value(self, lam: float, f: np.ndarray) -> np.ndarray:
+    def value(self, lam: float, f: np.ndarray, z: np.ndarray) -> np.ndarray:
         return self.p(lam + f) - self.p(lam)
 
-    def derivative(self, lam: float, f: np.ndarray) -> np.ndarray:
+    def derivative(self, lam: float, f: np.ndarray, z: np.ndarray) -> np.ndarray:
         return self.dp(lam + f)
+
+    def dlambda(self, lam: float, f: np.ndarray, z: np.ndarray) -> np.ndarray:
+        return self.dp(lam + f) - self.dp(lam)
+
+    def stream_shift(self, lam: float, z: np.ndarray) -> float:
+        return 0.0
 
     def linear_multiplier(self, lam):
         return self.dp(lam)
@@ -303,12 +310,14 @@ class SaturatingLinearFamily:
     Used for the rotating-frame branch: the balance reads
     Delta f = P((1+lambda^2) f - mu z) - 2 nu z - mean, z the axial
     coordinate, and nu is pinned to the degree by
-    nu = beta l(l+1) / (l(l+1) - 2).
+    nu = beta l(l+1) / (l(l+1) - 2).  The stream function is
+    psi = f - mu z / (1 + lambda^2).
     """
 
     beta: float
     mu: float
     degree: int
+    depends_on_z = True  # only the elements that fix z commute with N
 
     def __post_init__(self):
         ll1 = self.degree * (self.degree + 1)
@@ -345,6 +354,22 @@ class SaturatingLinearFamily:
         t = np.asarray(t, dtype=float)
         excess = np.abs(t) - 2.0 * self.mu
         return self.slope + np.where(excess > 0.0, 3.0 * self.kappa * np.maximum(excess, 0.0) ** 2, 0.0)
+
+    def argument(self, lam: float, f: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """(1 + lambda^2) f - mu z, the argument of P."""
+        return (1.0 + lam * lam) * f - self.mu * z
+
+    def value(self, lam: float, f: np.ndarray, z: np.ndarray) -> np.ndarray:
+        return self.p(self.argument(lam, f, z)) - 2.0 * self.nu * z
+
+    def derivative(self, lam: float, f: np.ndarray, z: np.ndarray) -> np.ndarray:
+        return (1.0 + lam * lam) * self.dp(self.argument(lam, f, z))
+
+    def dlambda(self, lam: float, f: np.ndarray, z: np.ndarray) -> np.ndarray:
+        return 2.0 * lam * f * self.dp(self.argument(lam, f, z))
+
+    def stream_shift(self, lam: float, z: np.ndarray) -> np.ndarray:
+        return (-self.mu / (1.0 + lam * lam)) * z
 
     def linear_multiplier(self, lam):
         return (1.0 + lam * lam) * self.slope
@@ -422,58 +447,31 @@ class ContinuationProblem:
 
     The integrand is invariant under the group, so the sums run over one
     grid point per orbit of `grid_orbit_labels` (`grid_points`, flat
-    indices), weighted by the orbit's total quadrature weight.  The
-    rotating frame's N depends on z, so it folds only by elements that
-    fix z.
+    indices), weighted by the orbit's total quadrature weight.  The family
+    sets the fold rule: an element folds only if it commutes with N, so a
+    family whose N depends on z (`depends_on_z`) folds only by elements
+    that fix z.  The family also owns its frame's stream function.
     """
 
     family: CubicShiftFamily | SaturatingLinearFamily
     subspace: SymmetrySubspace
-    mode: str = "fixed_frame"  # or "rotating_frame"
 
     def __post_init__(self):
-        if self.mode not in ("fixed_frame", "rotating_frame"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "rotating_frame" and not isinstance(self.family, SaturatingLinearFamily):
-            raise ValueError("rotating_frame mode requires the saturating family")
         # grid sized for cubic products (alias-free for polynomial families of
         # degree <= 3; generous quadrature for the saturating profile)
         lmax = self.subspace.lmax
-        self._transform = sht.get_transform(lmax, 2 * lmax + 9, 4 * lmax + 10)
-        grid = self._transform.grid
-        labels = grid_orbit_labels(self.subspace.group, grid,
-                                   fix_z=self.mode == "rotating_frame")
+        self.transform = sht.get_transform(lmax, 2 * lmax + 9, 4 * lmax + 10)
+        grid = self.transform.grid
+        labels = grid_orbit_labels(self.subspace.group, grid, fix_z=self.family.depends_on_z)
         self.grid_points, orbit = np.unique(labels, return_inverse=True)
         # (dim, orbits) grid values of the basis fields at the representatives
-        values = self._transform.synthesis(self.subspace.halves).reshape(self.subspace.dim, -1)
+        values = self.transform.synthesis(self.subspace.halves).reshape(self.subspace.dim, -1)
         self._basis = np.take(values, self.grid_points, axis=1)  # C-contiguous, unlike [:, idx]
         self._z = np.repeat(grid.nodes, grid.nlon)[self.grid_points]
         weights = np.repeat(grid.weights * (2.0 * math.pi / grid.nlon), grid.nlon)
         self._weights = np.bincount(orbit, weights)
         degrees = np.asarray(self.subspace.degrees, dtype=float)
         self._ll1 = degrees * (degrees + 1.0)
-
-    @property
-    def transform(self) -> sht.Transform:
-        return self._transform
-
-    def _saturation_argument(self, lam: float, f_values: np.ndarray,
-                             z: np.ndarray | None = None) -> np.ndarray:
-        """(1 + lambda^2) f - mu z, the rotating frame's argument of P; z is
-        that of the orbit representatives unless given."""
-        return (1.0 + lam * lam) * f_values - self.family.mu * (self._z if z is None else z)
-
-    def _nonlinearity(self, lam: float, f_values: np.ndarray,
-                      z: np.ndarray | None = None) -> np.ndarray:
-        if self.mode == "fixed_frame":
-            return self.family.value(lam, f_values)
-        z = self._z if z is None else z
-        return self.family.p(self._saturation_argument(lam, f_values, z)) - 2.0 * self.family.nu * z
-
-    def _nonlinearity_derivative(self, lam: float, f_values: np.ndarray) -> np.ndarray:
-        if self.mode == "fixed_frame":
-            return self.family.derivative(lam, f_values)
-        return (1.0 + lam * lam) * self.family.dp(self._saturation_argument(lam, f_values))
 
     def values(self, x: np.ndarray) -> np.ndarray:
         """Values of the field with subspace coordinates x at the orbit
@@ -484,9 +482,8 @@ class ContinuationProblem:
         """Half table of the residual f - inv_laplacian(rhs - mean), through
         the spherical transforms on the whole grid rather than the stored
         basis values."""
-        f_half = self.subspace.assemble_half(x)
-        rhs = self._transform.analysis(self._nonlinearity(
-            lam, self._transform.synthesis(f_half), self._transform.grid.nodes[:, None]))
+        f_half, tr = self.subspace.assemble_half(x), self.transform
+        rhs = tr.analysis(self.family.value(lam, tr.synthesis(f_half), tr.grid.nodes[:, None]))
         rhs[0, 0] = 0.0
         return f_half - sht.inverse_laplacian_table(rhs)
 
@@ -501,34 +498,22 @@ class ContinuationProblem:
         return (self._basis @ (self._weights * grid_values)) / self._ll1
 
     def residual(self, lam: float, x: np.ndarray) -> np.ndarray:
-        return x + self._quadrature(self._nonlinearity(lam, self.values(x)))
+        return x + self._quadrature(self.family.value(lam, self.values(x), self._z))
 
     def jacobian(self, lam: float, x: np.ndarray) -> np.ndarray:
-        weighted = self._weights * self._nonlinearity_derivative(lam, self.values(x))
+        weighted = self._weights * self.family.derivative(lam, self.values(x), self._z)
         coupling = (self._basis * weighted) @ self._basis.T
         return np.eye(self.subspace.dim) + coupling / self._ll1[:, None]
 
     def dresidual_dlambda(self, lam: float, x: np.ndarray) -> np.ndarray:
-        f_values = self.values(x)
-        if self.mode == "fixed_frame":  # d/dlambda [P(lambda + f) - P(lambda)]
-            return self._quadrature(self.family.dp(lam + f_values) - self.family.dp(lam))
-        arg = self._saturation_argument(lam, f_values)
-        return self._quadrature(2.0 * lam * f_values * self.family.dp(arg))
+        return self._quadrature(self.family.dlambda(lam, self.values(x), self._z))
 
     def stream_values(self, lam: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values of the stream function and of its vorticity at the orbit
-        representatives; in the rotating frame psi = f - mu z / (1 + lambda^2)."""
-        psi = self.values(x)
-        vorticity = self.values(-self._ll1 * x)  # each basis field has one degree
-        if self.mode == "rotating_frame":
-            shift = (-self.family.mu / (1.0 + lam * lam)) * self._z
-            psi += shift
-            vorticity -= 2.0 * shift  # z has degree 1
-        return psi, vorticity
-
-    def linear_multiplier(self, lam):
-        """The family's multiplier at a float or elementwise on an array."""
-        return self.family.linear_multiplier(lam)
+        representatives: f plus the family's shift in z.  Each basis field
+        and z have one degree, so the Laplacian is a factor on each."""
+        shift = self.family.stream_shift(lam, self._z)
+        return self.values(x) + shift, self.values(-self._ll1 * x) - 2.0 * shift
 
 
 # ---------------------------------------------------------------------------
@@ -539,21 +524,19 @@ class ContinuationProblem:
 class BifurcationPoint:
     lam: float
     degree: int
-    transversal: bool
-    multiplier_slope: float
 
 
 def detect_bifurcation_points(problem: ContinuationProblem,
                               lambda_range: tuple[float, float],
-                              degrees: Sequence[int] | None = None,
-                              n_scan: int = 400) -> list[BifurcationPoint]:
+                              degrees: Sequence[int] | None = None) -> list[BifurcationPoint]:
     """Roots of (linearized multiplier) + l(l+1) over the simple degrees.
 
     Follows the crossing condition of the trivial-branch linearization: the
     fixed-point derivative is singular where the multiplier equals
-    -l(l+1).  Transversality is the nonvanishing of the lambda-derivative
-    of the multiplier at the crossing; non-transversal roots are excluded
-    and degenerate (identically zero) scans are reported as errors.
+    -l(l+1).  A crossing counts only where the lambda-derivative of the
+    multiplier does not vanish (|slope| > 1e-8); tangential roots are
+    excluded, and degenerate (identically zero) scans are reported as
+    errors.
     """
     from scipy import optimize
 
@@ -563,12 +546,12 @@ def detect_bifurcation_points(problem: ContinuationProblem,
     if degrees is None:
         degrees = problem.subspace.simple_degrees()
     points: list[BifurcationPoint] = []
-    lam_grid = np.linspace(lo, hi, n_scan)
+    lam_grid = np.linspace(lo, hi, 400)
     for ell in degrees:
         target = ell * (ell + 1)
 
         def crossing(lam):
-            return problem.linear_multiplier(lam) + target
+            return problem.family.linear_multiplier(lam) + target
 
         # a constant multiplier comes back as a scalar
         vals = np.broadcast_to(crossing(lam_grid), lam_grid.shape)
@@ -585,10 +568,8 @@ def detect_bifurcation_points(problem: ContinuationProblem,
                                              xtol=1e-14, rtol=8.9e-16))
             h = 1e-6 * max(1.0, abs(lam_star))
             slope = (crossing(lam_star + h) - crossing(lam_star - h)) / (2.0 * h)
-            transversal = abs(slope) > 1e-8
-            if transversal:
-                points.append(BifurcationPoint(lam=lam_star, degree=ell,
-                                               transversal=True, multiplier_slope=slope))
+            if abs(slope) > 1e-8:
+                points.append(BifurcationPoint(lam=lam_star, degree=ell))
     points.sort(key=lambda p: p.lam)
     return points
 
@@ -607,7 +588,7 @@ class BranchPoint:
     sup_vorticity: float
     arclength: float
     within_bounds: bool
-    extras: dict
+    extras: dict = dataclasses.field(default_factory=dict)
 
 
 @dataclasses.dataclass
@@ -621,15 +602,14 @@ class ContinuationBranch:
 
 
 def _newton_corrector(problem: ContinuationProblem, tangent: np.ndarray,
-                      anchor: np.ndarray, ds: float,
-                      tol: float, max_iter: int = 25):
-    n = problem.subspace.dim
+                      anchor: np.ndarray, ds: float):
+    n, tol = problem.subspace.dim, 1e-10
     u = anchor + ds * tangent  # predictor
-    for _ in range(max_iter):
+    for _ in range(25):
         r = problem.residual(u[n], u[:n])
         constraint = float(tangent @ (u - anchor)) - ds
         if np.linalg.norm(r) < tol and abs(constraint) < tol:
-            return u[:n], float(u[n]), float(np.linalg.norm(r))
+            return u[:n], float(u[n])
         jac = np.zeros((n + 1, n + 1))
         jac[:n, :n] = problem.jacobian(u[n], u[:n])
         jac[:n, n] = problem.dresidual_dlambda(u[n], u[:n])
@@ -665,21 +645,19 @@ def _branch_tangent(problem: ContinuationProblem, lam: float, x: np.ndarray,
 
 
 def _measure_point(problem: ContinuationProblem, lam: float, x: np.ndarray,
-                   arclength: float, bounds_check, extras_fn) -> BranchPoint:
+                   arclength: float, bounds_check) -> BranchPoint:
     projected, full = problem.residual_norms(lam, x)
-    extras = extras_fn(lam, x) if extras_fn else {}
     psi, vorticity = problem.stream_values(lam, x)
     sup_psi = float(np.max(np.abs(psi)))
     sup_vort = float(np.max(np.abs(vorticity)))
     within = bounds_check(lam, sup_psi, sup_vort) if bounds_check else True
     return BranchPoint(lam=lam, x=x.copy(), residual=projected, full_residual=full,
                        sup_psi=sup_psi, sup_vorticity=sup_vort, arclength=arclength,
-                       within_bounds=within, extras=extras)
+                       within_bounds=within)
 
 
 def continue_branch(problem: ContinuationProblem, point: BifurcationPoint,
-                    steps: int, ds: float = 0.05, direction: float = 1.0,
-                    newton_tol: float = 1e-10, extras_fn=None) -> ContinuationBranch:
+                    steps: int, ds: float = 0.05, direction: float = 1.0) -> ContinuationBranch:
     """Follow the nontrivial branch rooted at a detected bifurcation point.
 
     The first tangent is the invariant generator of the critical degree;
@@ -705,14 +683,12 @@ def continue_branch(problem: ContinuationProblem, point: BifurcationPoint,
     tangent[gen] = direction
     anchor = np.concatenate([np.zeros(n), [point.lam]])
     branch = ContinuationBranch(origin=point, points=[], status="completed")
-    branch.points.append(
-        _measure_point(problem, point.lam, np.zeros(n), 0.0, bounds_check, extras_fn)
-    )
+    branch.points.append(_measure_point(problem, point.lam, np.zeros(n), 0.0, bounds_check))
     arclength = 0.0
     failures = 0
     step_size = ds
     while len(branch.points) - 1 < steps:
-        result = _newton_corrector(problem, tangent, anchor, step_size, newton_tol)
+        result = _newton_corrector(problem, tangent, anchor, step_size)
         if result is None:
             failures += 1
             step_size *= 0.5
@@ -721,9 +697,9 @@ def continue_branch(problem: ContinuationProblem, point: BifurcationPoint,
                 break
             continue
         failures = 0
-        x_new, lam_new, _ = result
+        x_new, lam_new = result
         arclength += step_size
-        bp = _measure_point(problem, lam_new, x_new, arclength, bounds_check, extras_fn)
+        bp = _measure_point(problem, lam_new, x_new, arclength, bounds_check)
         branch.points.append(bp)
         if not bp.within_bounds:
             branch.status = "bound_violation"
@@ -746,21 +722,19 @@ def omega_branch(family: SaturatingLinearFamily, subspace: SymmetrySubspace,
     the crossing value exactly, and the recovered stream function
     psi = f - mu z / (1 + lambda^2) obeys the sup bound mu + b.
     """
-    problem = ContinuationProblem(family=family, subspace=subspace, mode="rotating_frame")
+    problem = ContinuationProblem(family=family, subspace=subspace)
     lam_star = family.bifurcation_lambda()
     points = detect_bifurcation_points(
         problem, (max(0.0, lam_star - 1.0), lam_star + 1.0), degrees=[family.degree]
     )
     target = min(points, key=lambda p: abs(p.lam - lam_star))
     sup_bound = family.sup_bound()
-
-    def extras(lam, x):
-        margin = float(np.max(np.abs(problem._saturation_argument(lam, problem.values(x)))))
-        return {
+    branch = continue_branch(problem, target, steps=steps, ds=ds, direction=direction)
+    for p in branch.points:
+        margin = float(np.max(np.abs(family.argument(p.lam, problem.values(p.x), problem._z))))
+        p.extras = {
             "saturation_margin": margin,
             "linear_regime": margin <= 2.0 * family.mu,
             "sup_bound": sup_bound,
         }
-
-    return continue_branch(problem, target, steps=steps, ds=ds, direction=direction,
-                           extras_fn=extras)
+    return branch

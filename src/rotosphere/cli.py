@@ -526,8 +526,9 @@ def cmd_bifurcate(args):
     degree = _get(fam_cfg, "degree", int)
     steps = _get(config, "steps", int, 30 if kind == "cubic" else 20)
     ds, direction = _get(config, "ds", float, 0.05), _get(config, "direction", float, 1.0)
-    if not ds > 0.0 or direction not in (1.0, -1.0):
-        raise ConfigError(f"need ds > 0 and direction 1 or -1, got ds {ds}, direction {direction}")
+    if steps < 0 or not ds > 0.0 or direction not in (1.0, -1.0):
+        raise ConfigError(f"need steps >= 0, ds > 0 and direction 1 or -1, "
+                          f"got steps {steps}, ds {ds}, direction {direction}")
     try:
         subspace = bifurcation.build_subspace(_get(config, "group", str, "tetrahedral"), lmax)
     except ArithmeticError as exc:  # no invariant harmonics: nothing to continue

@@ -18,8 +18,9 @@ A `SpectralField` is real and stores the m >= 0 half table of its
 coefficients, `halves`; the negative orders follow from
 c_l^{-m} = (-1)^m conj(c_l^m).  Callers write `tr.synthesis(f.halves)` and
 `SpectralField(tr.analysis(values))`.  The full table over the orders
--l..l is built only for the file formats (`SpectralField.coeffs`, read back
-by `SpectralField.from_table`).
+-l..l (`SpectralField.coeffs`, read back by `SpectralField.from_table`) is
+built for the file formats and for `rotate`, whose Wigner blocks mix the
+orders m and -m.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ class SpectralField:
     (lmax+1, lmax+1), the array `Transform` takes.  The negative orders
     follow from c_l^{-m} = (-1)^m conj(c_l^m), and the m = 0 column is real.
     `coeffs` is the full (lmax+1, 2*lmax+1) table with column index
-    lmax + m, for the file formats; `from_table` reads one.
+    lmax + m, for the file formats and `rotate`; `from_table` reads one.
     The degree-0 coefficient is carried along but is constrained to zero for
     vorticity fields (closed-surface mean).
     """

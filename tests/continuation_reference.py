@@ -5,8 +5,10 @@ as quadrature sums over stored grid values of its basis.  Here every call
 synthesises the assembled field and the basis fields again, analyses the
 nonlinearity with `sht.Transform`, inverts the Laplacian on the half tables
 and projects, and dR/dlambda is a central difference.  Only the subspace,
-the family and the grid are shared, so agreement pins the quadrature
-identity, the 1 / (l (l + 1)) factors and the rotating-frame forcing.
+the family's profile P (and P') and the grid are shared: the frame's
+formulas are chosen by the family's type and written out here, so
+agreement pins the quadrature identity, the 1 / (l (l + 1)) factors, the
+family's N, dN/df and dN/dlambda, and the rotating-frame forcing.
 
 `residual_field` is the unprojected residual on the problem's own transform
 path, and `invariance_defect` rotates every basis field by every group
@@ -17,9 +19,13 @@ import math
 
 import numpy as np
 
-from rotosphere import sht
+from rotosphere import bifurcation as bif, sht
 
 ZONAL_DEGREE_ONE_COEFF = 2.0 * math.sqrt(math.pi / 3.0)  # sin(lat) = this * Y_1^0
+
+
+def _fixed_frame(problem):
+    return isinstance(problem.family, bif.CubicShiftFamily)
 
 
 def _z_values(problem):
@@ -28,24 +34,26 @@ def _z_values(problem):
 
 
 def _nonlinearity(problem, lam, f_values):
-    if problem.mode == "fixed_frame":
-        return problem.family.value(lam, f_values)
-    arg = (1.0 + lam * lam) * f_values - problem.family.mu * _z_values(problem)
-    return problem.family.p(arg)
+    family = problem.family
+    if _fixed_frame(problem):
+        return family.p(lam + f_values) - family.p(lam)
+    arg = (1.0 + lam * lam) * f_values - family.mu * _z_values(problem)
+    return family.p(arg)
 
 
 def _nonlinearity_derivative(problem, lam, f_values):
-    if problem.mode == "fixed_frame":
-        return problem.family.derivative(lam, f_values)
-    arg = (1.0 + lam * lam) * f_values - problem.family.mu * _z_values(problem)
-    return (1.0 + lam * lam) * problem.family.dp(arg)
+    family = problem.family
+    if _fixed_frame(problem):
+        return family.dp(lam + f_values)
+    arg = (1.0 + lam * lam) * f_values - family.mu * _z_values(problem)
+    return (1.0 + lam * lam) * family.dp(arg)
 
 
 def residual(problem, lam, x):
     tr, sub = problem.transform, problem.subspace
     f_half = sub.assemble_half(x)
     rhs = tr.analysis(_nonlinearity(problem, lam, tr.synthesis(f_half)))
-    if problem.mode == "rotating_frame":
+    if not _fixed_frame(problem):  # the -2 nu z forcing, added as a coefficient
         rhs[1, 0] -= 2.0 * problem.family.nu * ZONAL_DEGREE_ONE_COEFF
     rhs[0, 0] = 0.0
     return sub.project_half(f_half - sht.inverse_laplacian_table(rhs))

@@ -271,8 +271,7 @@ def test_08_bifurcation():
         assert p.sup_vorticity <= 2 * amp + 1e-9
 
     rot_family = bif.SaturatingLinearFamily(beta=1.0, mu=1.0, degree=3)
-    rot_problem = bif.ContinuationProblem(family=rot_family, subspace=subspace,
-                                          mode="rotating_frame")
+    rot_problem = bif.ContinuationProblem(family=rot_family, subspace=subspace)
     rot_points = bif.detect_bifurcation_points(rot_problem, (0.5, 3.5), degrees=[3])
     assert abs(rot_points[0].lam - 2.0) < 1e-10
     _report(8, f"crossings at +/-{target:.12f} (error "

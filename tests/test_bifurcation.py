@@ -31,25 +31,25 @@ def cubic_problem(tetra_subspace):
 @pytest.fixture(scope="module")
 def rotating_problem(tetra_subspace):
     family = bif.SaturatingLinearFamily(beta=1.0, mu=1.0, degree=3)
-    return bif.ContinuationProblem(family=family, subspace=tetra_subspace, mode="rotating_frame")
+    return bif.ContinuationProblem(family=family, subspace=tetra_subspace)
 
 
-def _problem(group, lmax, mode):
+def _problem(group, lmax, frame):
     """A cubic fixed-frame or saturating rotating-frame problem and the
     amplitude of its test point."""
     subspace = bif.build_subspace(group, lmax)
-    if mode == "fixed_frame":
+    if frame == "fixed_frame":
         family, amplitude = bif.CubicShiftFamily(mu=1.0, mu1=1.0, degree=3), 0.3
     else:
         family, amplitude = bif.SaturatingLinearFamily(beta=1.0, mu=1.0, degree=3), 0.6
-    return bif.ContinuationProblem(family=family, subspace=subspace, mode=mode), amplitude
+    return bif.ContinuationProblem(family=family, subspace=subspace), amplitude
 
 
 def _newton_point(problem, amplitude, seed):
     """A point (lambda, x) off the trivial branch: in the rotating frame near
     the crossing lambda = 2 with the saturating profile's cubic part active."""
     x = amplitude * np.random.default_rng(seed).normal(size=problem.subspace.dim)
-    return (0.4, x) if problem.mode == "fixed_frame" else (2.1, x)
+    return (0.4, x) if isinstance(problem.family, bif.CubicShiftFamily) else (2.1, x)
 
 
 class TestGroups:
@@ -172,11 +172,12 @@ class TestResidual:
         # for the pure eigen-balance the invariant degree-l generator solves exactly
         class LinearFamily:
             degree = 3
+            depends_on_z = False
 
-            def value(self, lam, f):
+            def value(self, lam, f, z):
                 return -12.0 * f
 
-            def derivative(self, lam, f):
+            def derivative(self, lam, f, z):
                 return -12.0 * np.ones_like(f)
 
             def linear_multiplier(self, lam):
@@ -218,12 +219,12 @@ class TestGridPath:
     transform path of `continuation_reference`."""
 
     @pytest.mark.parametrize("group,lmax", [("tetrahedral", 24), ("d4d", 12), ("trivial", 6)])
-    @pytest.mark.parametrize("mode", ["fixed_frame", "rotating_frame"])
-    def test_matches_transform_path(self, group, lmax, mode):
-        problem, amplitude = _problem(group, lmax, mode)
+    @pytest.mark.parametrize("frame", ["fixed_frame", "rotating_frame"])
+    def test_matches_transform_path(self, group, lmax, frame):
+        problem, amplitude = _problem(group, lmax, frame)
         lam, x = _newton_point(problem, amplitude, seed=5)
-        if mode == "rotating_frame":  # past the linear window of the profile
-            arg = problem._saturation_argument(lam, problem.values(x))
+        if frame == "rotating_frame":  # past the linear window of the profile
+            arg = problem.family.argument(lam, problem.values(x), problem._z)
             assert np.max(np.abs(arg)) > 2.0 * problem.family.mu
         for grid_path, transform_path in (
                 (problem.residual(lam, x), ref.residual(problem, lam, x)),
@@ -247,22 +248,22 @@ class TestGridPath:
 
     @pytest.mark.parametrize("group,lmax", [("tetrahedral", 24), ("d4d", 12), ("d2d", 12),
                                             ("trivial", 6)])
-    @pytest.mark.parametrize("mode", ["fixed_frame", "rotating_frame"])
-    def test_basis_constant_on_orbits(self, group, lmax, mode):
-        problem, _ = _problem(group, lmax, mode)
+    @pytest.mark.parametrize("frame", ["fixed_frame", "rotating_frame"])
+    def test_basis_constant_on_orbits(self, group, lmax, frame):
+        problem, _ = _problem(group, lmax, frame)
         sub, tr = problem.subspace, problem.transform
-        labels = bif.grid_orbit_labels(sub.group, tr.grid, fix_z=mode == "rotating_frame")
+        labels = bif.grid_orbit_labels(sub.group, tr.grid, fix_z=frame == "rotating_frame")
         assert np.array_equal(problem.grid_points, np.unique(labels))
         values = tr.synthesis(sub.halves).reshape(sub.dim, -1)
         defect = np.max(np.abs(values - values[:, labels]), axis=1)
         assert np.all(defect <= 1e-13 * np.max(np.abs(values), axis=1))
-        if mode == "rotating_frame":  # z varies on the sphere, so no orbit leaves its row
+        if frame == "rotating_frame":  # z varies on the sphere, so no orbit leaves its row
             assert np.array_equal(labels // tr.grid.nlon, np.arange(labels.size) // tr.grid.nlon)
         assert abs(np.sum(problem._weights) - 4.0 * math.pi) < 1e-13
 
     def test_folded_point_counts(self):
-        counts = {mode: _problem("tetrahedral", 24, mode)[0].grid_points.size
-                  for mode in ("fixed_frame", "rotating_frame")}
+        counts = {frame: _problem("tetrahedral", 24, frame)[0].grid_points.size
+                  for frame in ("fixed_frame", "rotating_frame")}
         assert counts == {"fixed_frame": 1511, "rotating_frame": 3021}  # of 57 x 106 = 6042
         problem, _ = _problem("trivial", 6, "fixed_frame")
         grid = problem.transform.grid
@@ -276,7 +277,6 @@ class TestDetection:
         expected = 1.0 / math.sqrt(3.0)
         assert abs(lams[0] + expected) < 1e-10
         assert abs(lams[-1] - expected) < 1e-10
-        assert all(p.transversal for p in points)
 
     def test_detection_independent_of_subspace_cap(self):
         for lmax in (8, 12, 16):
@@ -290,17 +290,18 @@ class TestDetection:
         # the scan evaluates the multiplier on the whole grid in one call
         lam_grid = np.linspace(-2.0, 2.0, 400)
         for problem in (cubic_problem, rotating_problem):
-            loop = [problem.linear_multiplier(float(lam)) for lam in lam_grid]
-            assert np.array_equal(problem.linear_multiplier(lam_grid), loop)
+            loop = [problem.family.linear_multiplier(float(lam)) for lam in lam_grid]
+            assert np.array_equal(problem.family.linear_multiplier(lam_grid), loop)
 
     def test_degenerate_linear_multiplier_reported(self, tetra_subspace):
         class DegenerateFamily:
             degree = 3
+            depends_on_z = False
 
-            def value(self, lam, f):
+            def value(self, lam, f, z):
                 return -12.0 * f
 
-            def derivative(self, lam, f):
+            def derivative(self, lam, f, z):
                 return -12.0 * np.ones_like(f)
 
             def linear_multiplier(self, lam):
@@ -309,6 +310,18 @@ class TestDetection:
         problem = bif.ContinuationProblem(family=DegenerateFamily(), subspace=tetra_subspace)
         with pytest.raises(ArithmeticError):
             bif.detect_bifurcation_points(problem, (-1.0, 1.0), degrees=[3])
+
+    def test_tangential_crossing_excluded(self, tetra_subspace):
+        # multiplier + l(l+1) = lambda^3 changes sign at 0 with zero slope
+        class TangentialFamily:
+            degree = 3
+            depends_on_z = False
+
+            def linear_multiplier(self, lam):
+                return lam**3 - 12.0
+
+        problem = bif.ContinuationProblem(family=TangentialFamily(), subspace=tetra_subspace)
+        assert bif.detect_bifurcation_points(problem, (-1.0, 1.0)) == []
 
     def test_saturating_family_constants(self):
         fam = bif.SaturatingLinearFamily(beta=1.0, mu=1.0, degree=3)

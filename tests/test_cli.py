@@ -361,9 +361,10 @@ class TestBifurcate:
         {"family": {"kind": "cubic", "mu": 1.0, "mu1": 1.0, "degree": 3.0}},
         {"branch_from": 7}, {"ds": "0.05"}, {"group": "icosahedral"},
         {"ds": 0}, {"direction": 5}, {"direction": 0}, {"lmax": 0}, {"lmax": -2}, {"lmax": 2},
+        {"steps": -3},
     ], ids=["fractional-lmax", "string-steps", "bool-branch", "float-degree", "branch-outside",
             "string-ds", "unknown-group", "zero-ds", "direction-5", "zero-direction",
-            "zero-lmax", "negative-lmax", "empty-subspace"])
+            "zero-lmax", "negative-lmax", "empty-subspace", "negative-steps"])
     def test_malformed_config_is_config_error(self, tmp_path, capsys, change):
         cfg = write_json(tmp_path / "prob.json", {
             "group": "tetrahedral", "lmax": 12,
@@ -529,6 +530,24 @@ class TestGoldenOutputs:
                         "--outdir", str(out)]) == 0
         digest = hashlib.sha256((out / "solution.shc").read_bytes()).hexdigest()
         assert digest == "2cc52347e6c426447155a7347b1ab9d1b1c87cc227a10684d23b4d4d31f91c95"
+
+    @pytest.mark.parametrize("change, digests", [
+        ({"ds": 0.08, "lambda_range": [0.0, 2.0],
+          "family": {"kind": "cubic", "mu": 1.0, "mu1": 1.0, "degree": 3}},
+         {"branch.csv": "44cf3ce6cb701d922a2d6a58cd0ca4046cc4b4baaf59bd4e27d993ab8233fd7d",
+          "branch_report.json": "b42b5e5547e0a01cb43038642c270614b6bedecb80d2ae2ab4ab4e101356ebf8"}),
+        # the last point leaves the saturating profile's linear window
+        ({"ds": 0.1, "family": {"kind": "saturating", "beta": 1.0, "mu": 1.0, "degree": 3}},
+         {"branch.csv": "5a2f8442fa70f82793e5ab46b220186180cab1e746e9b36a14d0547cbe444369",
+          "branch_report.json": "30b7100e818b286e72078a04163d4fe07298e163f13ba783b9ff4f5196ccc413"}),
+    ], ids=["cubic", "saturating"])
+    def test_bifurcate_branch(self, tmp_path, change, digests):
+        problem = {"group": "tetrahedral", "lmax": 8, "steps": 6, **change}
+        out = tmp_path / "out"
+        assert run_cli(["bifurcate", write_json(tmp_path / "problem.json", problem),
+                        "--outdir", str(out)]) == 0
+        for name, digest in digests.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 FUZZ_BIFURCATE = {

@@ -11,6 +11,7 @@ predictor-corrector steps with a-priori bound monitoring.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Callable, Iterator, Sequence
 
@@ -302,6 +303,14 @@ class CubicShiftFamily:
         a_plus = float(optimize.brentq(excess, root, hi, xtol=1e-12))
         return (-a_plus, a_plus, float(self.p(a_plus)))
 
+    _window = functools.cached_property(apriori_bounds)  # found once per family
+
+    def within_bounds(self, lam: float, sup_psi: float, sup_vort: float) -> bool:
+        """|lambda| + sup|psi| <= 2 (a_plus - a_minus) and sup|Delta psi| <= 2 A."""
+        a_minus, a_plus, amp = self._window
+        return (abs(lam) + sup_psi <= 2.0 * (a_plus - a_minus) + 1e-9
+                and sup_vort <= 2.0 * amp + 1e-9)
+
 
 @dataclasses.dataclass(frozen=True)
 class SaturatingLinearFamily:
@@ -373,6 +382,11 @@ class SaturatingLinearFamily:
 
     def linear_multiplier(self, lam):
         return (1.0 + lam * lam) * self.slope
+
+    def within_bounds(self, lam: float, sup_psi: float, sup_vort: float) -> bool:
+        """True: no a-priori bound is enforced in the rotating frame.  A rule that
+        ends the branch outside the linear window |argument| <= 2 mu goes here."""
+        return True
 
     def bifurcation_lambda(self) -> float:
         ll1 = self.degree * (self.degree + 1)
@@ -450,7 +464,7 @@ class ContinuationProblem:
     indices), weighted by the orbit's total quadrature weight.  The family
     sets the fold rule: an element folds only if it commutes with N, so a
     family whose N depends on z (`depends_on_z`) folds only by elements
-    that fix z.  The family also owns its frame's stream function.
+    that fix z.  The family also owns its frame's stream function and bounds.
     """
 
     family: CubicShiftFamily | SaturatingLinearFamily
@@ -588,7 +602,6 @@ class BranchPoint:
     sup_vorticity: float
     arclength: float
     within_bounds: bool
-    extras: dict = dataclasses.field(default_factory=dict)
 
 
 @dataclasses.dataclass
@@ -601,6 +614,17 @@ class ContinuationBranch:
         return np.array([p.lam for p in self.points])
 
 
+def _bordered(problem: ContinuationProblem, lam: float, x: np.ndarray,
+              tangent: np.ndarray) -> np.ndarray:
+    """The bordered matrix [[dR/dx, dR/dlambda], [tangent]] at (x, lam)."""
+    n = problem.subspace.dim
+    jac = np.zeros((n + 1, n + 1))
+    jac[:n, :n] = problem.jacobian(lam, x)
+    jac[:n, n] = problem.dresidual_dlambda(lam, x)
+    jac[n, :] = tangent
+    return jac
+
+
 def _newton_corrector(problem: ContinuationProblem, tangent: np.ndarray,
                       anchor: np.ndarray, ds: float):
     n, tol = problem.subspace.dim, 1e-10
@@ -610,13 +634,9 @@ def _newton_corrector(problem: ContinuationProblem, tangent: np.ndarray,
         constraint = float(tangent @ (u - anchor)) - ds
         if np.linalg.norm(r) < tol and abs(constraint) < tol:
             return u[:n], float(u[n])
-        jac = np.zeros((n + 1, n + 1))
-        jac[:n, :n] = problem.jacobian(u[n], u[:n])
-        jac[:n, n] = problem.dresidual_dlambda(u[n], u[:n])
-        jac[n, :] = tangent
         rhs = np.concatenate([r, [constraint]])
         try:
-            delta = np.linalg.solve(jac, rhs)
+            delta = np.linalg.solve(_bordered(problem, u[n], u[:n], tangent), rhs)
         except np.linalg.LinAlgError:
             return None
         u = u - delta
@@ -627,15 +647,10 @@ def _newton_corrector(problem: ContinuationProblem, tangent: np.ndarray,
 
 def _branch_tangent(problem: ContinuationProblem, lam: float, x: np.ndarray,
                     previous: np.ndarray) -> np.ndarray:
-    n = problem.subspace.dim
-    jac = np.zeros((n + 1, n + 1))
-    jac[:n, :n] = problem.jacobian(lam, x)
-    jac[:n, n] = problem.dresidual_dlambda(lam, x)
-    jac[n, :] = previous
-    rhs = np.zeros(n + 1)
-    rhs[n] = 1.0
+    rhs = np.zeros(problem.subspace.dim + 1)
+    rhs[-1] = 1.0
     try:
-        t = np.linalg.solve(jac, rhs)
+        t = np.linalg.solve(_bordered(problem, lam, x, previous), rhs)
     except np.linalg.LinAlgError:
         return previous
     norm = np.linalg.norm(t)
@@ -645,15 +660,14 @@ def _branch_tangent(problem: ContinuationProblem, lam: float, x: np.ndarray,
 
 
 def _measure_point(problem: ContinuationProblem, lam: float, x: np.ndarray,
-                   arclength: float, bounds_check) -> BranchPoint:
+                   arclength: float) -> BranchPoint:
     projected, full = problem.residual_norms(lam, x)
     psi, vorticity = problem.stream_values(lam, x)
     sup_psi = float(np.max(np.abs(psi)))
     sup_vort = float(np.max(np.abs(vorticity)))
-    within = bounds_check(lam, sup_psi, sup_vort) if bounds_check else True
     return BranchPoint(lam=lam, x=x.copy(), residual=projected, full_residual=full,
                        sup_psi=sup_psi, sup_vorticity=sup_vort, arclength=arclength,
-                       within_bounds=within)
+                       within_bounds=problem.family.within_bounds(lam, sup_psi, sup_vort))
 
 
 def continue_branch(problem: ContinuationProblem, point: BifurcationPoint,
@@ -664,26 +678,17 @@ def continue_branch(problem: ContinuationProblem, point: BifurcationPoint,
     afterwards the tangent is continued through the bordered system.  Newton
     failures halve the step; six consecutive failures stall the branch.
     Returns to the trivial solution away from the origin (the global
-    alternative) terminate it, as do a-priori bound violations.
+    alternative) terminate it, as do points outside the family's a-priori
+    bounds (`within_bounds`).
     """
     sub = problem.subspace
     n = sub.dim
     gen = sub.generator_index(point.degree)
-
-    bounds_check = None
-    if isinstance(problem.family, CubicShiftFamily):
-        a_minus, a_plus, amp = problem.family.apriori_bounds()
-
-        def bounds_check(lam, sup_psi, sup_vort):
-            return (abs(lam) + sup_psi <= 2.0 * (a_plus - a_minus) + 1e-9) and (
-                sup_vort <= 2.0 * amp + 1e-9
-            )
-
     tangent = np.zeros(n + 1)
     tangent[gen] = direction
     anchor = np.concatenate([np.zeros(n), [point.lam]])
     branch = ContinuationBranch(origin=point, points=[], status="completed")
-    branch.points.append(_measure_point(problem, point.lam, np.zeros(n), 0.0, bounds_check))
+    branch.points.append(_measure_point(problem, point.lam, np.zeros(n), 0.0))
     arclength = 0.0
     failures = 0
     step_size = ds
@@ -699,7 +704,7 @@ def continue_branch(problem: ContinuationProblem, point: BifurcationPoint,
         failures = 0
         x_new, lam_new = result
         arclength += step_size
-        bp = _measure_point(problem, lam_new, x_new, arclength, bounds_check)
+        bp = _measure_point(problem, lam_new, x_new, arclength)
         branch.points.append(bp)
         if not bp.within_bounds:
             branch.status = "bound_violation"
@@ -710,31 +715,4 @@ def continue_branch(problem: ContinuationProblem, point: BifurcationPoint,
         anchor = np.concatenate([x_new, [lam_new]])
         tangent = _branch_tangent(problem, lam_new, x_new, tangent)
         step_size = min(ds, step_size * 1.5)
-    return branch
-
-
-def omega_branch(family: SaturatingLinearFamily, subspace: SymmetrySubspace,
-                 steps: int, ds: float = 0.05, direction: float = 1.0) -> ContinuationBranch:
-    """Rotating-frame branch in the auxiliary unknown, with regime tracking.
-
-    Each accepted point records the saturation margin sup|(1+lambda^2) f -
-    mu z|; while it stays within the linear window the parameter must sit at
-    the crossing value exactly, and the recovered stream function
-    psi = f - mu z / (1 + lambda^2) obeys the sup bound mu + b.
-    """
-    problem = ContinuationProblem(family=family, subspace=subspace)
-    lam_star = family.bifurcation_lambda()
-    points = detect_bifurcation_points(
-        problem, (max(0.0, lam_star - 1.0), lam_star + 1.0), degrees=[family.degree]
-    )
-    target = min(points, key=lambda p: abs(p.lam - lam_star))
-    sup_bound = family.sup_bound()
-    branch = continue_branch(problem, target, steps=steps, ds=ds, direction=direction)
-    for p in branch.points:
-        margin = float(np.max(np.abs(family.argument(p.lam, problem.values(p.x), problem._z))))
-        p.extras = {
-            "saturation_margin": margin,
-            "linear_regime": margin <= 2.0 * family.mu,
-            "sup_bound": sup_bound,
-        }
     return branch

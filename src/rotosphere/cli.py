@@ -230,13 +230,11 @@ def _write_svg(path: Path, series: list[tuple[str, np.ndarray, np.ndarray]]) -> 
 # ---------------------------------------------------------------------------
 
 def _simulation_config(config: dict, **kwargs) -> dynamics.SimulationConfig:
-    """`dt`, `t_end` and `diag_stride` plus `kwargs`.  The library rounds
-    `t_end` to a whole number of steps; the CLI rejects one that is not."""
-    sim = dynamics.SimulationConfig(
+    """`dt`, `t_end` and `diag_stride` plus `kwargs`; a `t_end` that is not a
+    whole number of steps is rejected by `SimulationConfig`."""
+    return dynamics.SimulationConfig(
         dt=_get(config, "dt", float), t_end=_get(config, "t_end", float),
         diag_stride=_get(config, "diag_stride", int, 10), **kwargs)
-    dynamics.whole_steps(sim.t_end, sim.dt)
-    return sim
 
 
 def _modes_field(entries: list, lmax: int) -> sht.SpectralField:
@@ -419,7 +417,9 @@ def _fraction_str(x: Fraction) -> str:
 
 def cmd_stability(args):
     if args.analysis == "planet":
-        name = args.name.lower()
+        if args.config is not None:
+            raise ConfigError("stability planet reads no --config")
+        name = "uranus" if args.name is None else args.name.lower()
         result = stability.planet_wind_stability(name)  # exact rational arithmetic, no numerics
 
         def work(ctx):
@@ -446,6 +446,8 @@ def cmd_stability(args):
 
         return "stability planet", {"analysis": "planet", "name": name}, None, work
 
+    if args.name is not None or args.config is None:
+        raise ConfigError(f"stability {args.analysis} needs --config and reads no --name")
     config = _load_config(args.config)
     if args.analysis == "zonal":
         omega = _get(config, "omega", float)
@@ -536,28 +538,24 @@ def cmd_bifurcate(args):
     if kind == "cubic":
         family = bifurcation.CubicShiftFamily(
             mu=_get(fam_cfg, "mu", float), mu1=_get(fam_cfg, "mu1", float), degree=degree)
-        lo, hi = _get(config, "lambda_range", (float, float), [-3.0, 3.0])
-        which = _get(config, "branch_from", int, -1)
-        problem = bifurcation.ContinuationProblem(family=family, subspace=subspace)
-        points = bifurcation.detect_bifurcation_points(problem, (lo, hi))
-        if not points:
-            raise ConfigError("no bifurcation points detected in the range")
-        if not -len(points) <= which < len(points):
-            raise ConfigError(f"branch_from {which} outside the {len(points)} detected points")
-    else:
+        window = tuple(_get(config, "lambda_range", (float, float), [-3.0, 3.0]))
+        degrees, which = subspace.simple_degrees(), _get(config, "branch_from", int, -1)
+    else:  # the one crossing of the degree's multiplier, at lambda* >= 0
         family = bifurcation.SaturatingLinearFamily(
             beta=_get(fam_cfg, "beta", float), mu=_get(fam_cfg, "mu", float), degree=degree)
-        subspace.generator_index(degree)  # the branch leaves this degree's invariant line
+        lam_star = family.bifurcation_lambda()
+        window, degrees, which = (max(0.0, lam_star - 1.0), lam_star + 1.0), [degree], 0
+    problem = bifurcation.ContinuationProblem(family=family, subspace=subspace)
+    points = bifurcation.detect_bifurcation_points(problem, window, degrees)
+    if not points:
+        raise ConfigError("no bifurcation points detected in the range")
+    if not -len(points) <= which < len(points):
+        raise ConfigError(f"branch_from {which} outside the {len(points)} detected points")
+    subspace.generator_index(points[which].degree)  # the branch leaves this degree's line
 
     def work(ctx):
-        if kind == "cubic":
-            branch = bifurcation.continue_branch(problem, points[which], steps=steps, ds=ds,
-                                                 direction=direction)
-            detected = points
-        else:
-            branch = bifurcation.omega_branch(family, subspace, steps=steps, ds=ds,
-                                              direction=direction)
-            detected = [branch.origin]
+        branch = bifurcation.continue_branch(problem, points[which], steps=steps, ds=ds,
+                                             direction=direction)
         rows = ["lambda,amplitude,residual,full_residual,sup_psi,sup_vorticity,arclength,within_bounds"]
         for p in branch.points:
             rows.append(",".join(repr(float(x)) for x in (
@@ -573,7 +571,7 @@ def cmd_bifurcate(args):
             "status": branch.status,
             "origin_lambda": branch.origin.lam,
             "origin_degree": branch.origin.degree,
-            "detected_points": [[p.lam, p.degree] for p in detected],
+            "detected_points": [[p.lam, p.degree] for p in points],
             "n_points": len(branch.points),
             "subspace_dimensions": {str(k): v for k, v in subspace.dimension_by_degree.items()},
         })
@@ -712,6 +710,8 @@ def _selftest_checks(lmax: int) -> list[tuple[str, float, float]]:
 
 def cmd_selftest(args):
     sht.default_transform(args.lmax)  # GridShapeError below lmax 1
+    if args.record_wallclock and not args.outdir:
+        raise ConfigError("--record-wallclock needs --outdir: no manifest is written without it")
 
     def work(ctx):
         checks = _selftest_checks(args.lmax)
@@ -744,16 +744,17 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
+    def common(p, svg=False):
         p.add_argument("--outdir", default="rotosphere_out", help="output directory")
         p.add_argument("--record-wallclock", action="store_true",
                        help="store wall-clock timestamps in the manifest "
                             "(off by default so reruns are byte-identical)")
-        p.add_argument("--svg", action="store_true", help="emit simple SVG line plots")
+        if svg:
+            p.add_argument("--svg", action="store_true", help="emit simple SVG line plots")
 
     p = sub.add_parser("simulate", help="integrate the vorticity equation from a JSON config")
     p.add_argument("config")
-    common(p)
+    common(p, svg=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("make-solution", help="materialize an explicit solution family member")
@@ -765,14 +766,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stability", help="stability analyses with JSON reports")
     p.add_argument("analysis", choices=["zonal", "rh2", "planet"])
-    p.add_argument("--name", default="uranus", help="planet name for the planet analysis")
-    p.add_argument("--config", default="", help="JSON config for zonal/rh2 analyses")
+    p.add_argument("--name", help="planet name for the planet analysis (default uranus)")
+    p.add_argument("--config", help="JSON config for zonal/rh2 analyses")
     common(p)
     p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("bifurcate", help="detect bifurcation points and continue a branch")
     p.add_argument("problem", help="JSON problem description")
-    common(p)
+    common(p, svg=True)
     p.set_defaults(func=cmd_bifurcate)
 
     p = sub.add_parser("lift3d", help="lift a stationary solution into the stratified 3D layer")

@@ -67,10 +67,7 @@ class SimulationConfig:
     def __post_init__(self):
         if self.lmax < 1:
             raise sht.GridShapeError(f"lmax must be >= 1, got {self.lmax}")
-        if not (self.dt > 0.0 and math.isfinite(self.dt)):
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_end < 0.0:
-            raise ValueError("t_end must be nonnegative")
+        whole_steps(self.t_end, self.dt)
         if self.diag_stride < 1:
             raise ValueError("diag_stride must be >= 1")
         if self.filter_strength < 0.0:
@@ -78,7 +75,7 @@ class SimulationConfig:
 
     @property
     def n_steps(self) -> int:
-        return int(round(self.t_end / self.dt))
+        return whole_steps(self.t_end, self.dt)
 
     def check_initial(self, initial: SpectralField) -> None:
         """Raise unless `initial` is a zero-mean vorticity of degree `lmax`."""

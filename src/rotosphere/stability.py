@@ -261,7 +261,8 @@ def zonal_operator_matrix(zp: ZonalProfile, omega: float, k: int, n_basis: int) 
     degrees = np.arange(ak, ak + n_basis)
     lmax = int(degrees[-1])
     nq = 2 * lmax + 32
-    x, w = np.polynomial.legendre.leggauss(nq)
+    grid = sht.build_grid(nq, 1)
+    x, w = grid.nodes, grid.weights
     table = sht.normalized_legendre_table(lmax, x)[:, ak:, ak]  # (nq, n_basis)
     # orthonormal on ds after the 2*pi longitude factor
     basis = math.sqrt(2.0 * math.pi) * table
@@ -551,7 +552,8 @@ def instability_separation_bound(j: int, beta: float, ycoeffs: dict[int, complex
     nonzonal = {m: c for m, c in ycoeffs.items() if m != 0 and abs(c) > 0}
     if not nonzonal:
         raise ValueError("separation bound degenerates for zonal patterns")
-    x, w = np.polynomial.legendre.leggauss(j + 2)
+    grid = sht.build_grid(j + 2, 1)
+    x, w = grid.nodes, grid.weights
     table = sht.normalized_legendre_table(j, x)
     wave_term = 0.0
     for m, c in nonzonal.items():

@@ -208,7 +208,7 @@ def test_06_degree_two_modal_mechanics():
         pert_wave = solutions.make_rossby_haurwitz(2, alpha0 + 1.0 / n, ycoeffs,
                                                    omega, lmax=lm)
         beat = 2 * math.pi / abs(pert_wave.speed - base.speed)
-        t_end = 0.55 * beat
+        t_end = round(0.55 * beat / 0.05) * 0.05
         cfg = dynamics.SimulationConfig(
             omega=omega, dt=0.05, t_end=t_end,
             lmax=lm, diag_stride=40)

@@ -357,6 +357,28 @@ class TestContinuation:
             assert p.sup_vorticity <= 2 * amp + 1e-9
             assert p.residual < 1e-9
 
+    def test_within_bounds_is_the_family_window(self):
+        fam = bif.CubicShiftFamily(mu=1.0, mu1=1.0, degree=3)
+        a_minus, a_plus, amp = fam.apriori_bounds()
+        edge = 2 * (a_plus - a_minus)
+        assert fam.within_bounds(0.5, edge - 0.5, 2 * amp)
+        assert not fam.within_bounds(0.5, edge - 0.4, 0.0)
+        assert not fam.within_bounds(0.0, 0.0, 2 * amp + 1e-6)
+        # no a-priori bound in the rotating frame
+        assert bif.SaturatingLinearFamily(beta=1.0, mu=1.0, degree=3).within_bounds(9.0, 9.0, 9.0)
+
+    def test_point_outside_family_bounds_ends_branch(self, tetra_subspace):
+        class Trivial(bif.CubicShiftFamily):  # bounds that admit the trivial branch only
+            def within_bounds(self, lam, sup_psi, sup_vort):
+                return sup_psi == 0.0
+
+        problem = bif.ContinuationProblem(family=Trivial(mu=1.0, mu1=1.0, degree=3),
+                                          subspace=tetra_subspace)
+        points = bif.detect_bifurcation_points(problem, (0.0, 1.0))
+        branch = bif.continue_branch(problem, points[0], steps=10, ds=0.08)
+        assert branch.status == "bound_violation"
+        assert [p.within_bounds for p in branch.points] == [True, False]
+
     def test_full_residual_tracks_subspace_residual(self, cubic_problem):
         points = bif.detect_bifurcation_points(cubic_problem, (0.0, 1.0))
         branch = bif.continue_branch(cubic_problem, points[0], steps=12, ds=0.08)
@@ -398,32 +420,46 @@ class TestContinuation:
         assert np.all(np.abs(columns[0] - columns[1]) <= 1e-12 * np.abs(columns[0]))
 
 
+def _rotating_branch(problem, steps, ds):
+    """The saturating branch as `bifurcate` follows it, from the one crossing
+    in (max(0, lambda* - 1), lambda* + 1), and each point's saturation margin
+    sup |(1 + lambda^2) f - mu z| at the orbit representatives."""
+    fam, grid = problem.family, problem.transform.grid
+    lam_star = fam.bifurcation_lambda()
+    points = bif.detect_bifurcation_points(
+        problem, (max(0.0, lam_star - 1.0), lam_star + 1.0), degrees=[fam.degree])
+    assert len(points) == 1
+    branch = bif.continue_branch(problem, points[0], steps=steps, ds=ds)
+    z = grid.nodes[problem.grid_points // grid.nlon]
+    margins = [float(np.max(np.abs(fam.argument(p.lam, problem.values(p.x), z))))
+               for p in branch.points]
+    return branch, margins
+
+
 class TestRotatingFrameBranch:
-    def test_linear_regime_pins_lambda(self, tetra_subspace):
-        fam = bif.SaturatingLinearFamily(beta=1.0, mu=1.0, degree=3)
-        branch = bif.omega_branch(fam, tetra_subspace, steps=15, ds=0.05)
+    def test_linear_regime_pins_lambda(self, rotating_problem):
+        fam = rotating_problem.family
+        branch, margins = _rotating_branch(rotating_problem, steps=15, ds=0.05)
         lam_star = fam.bifurcation_lambda()
-        linear_pts = [p for p in branch.points[1:] if p.extras["linear_regime"]]
+        linear_pts = [p for p, m in zip(branch.points[1:], margins[1:]) if m <= 2.0 * fam.mu]
         assert len(linear_pts) >= 3
+        gen = rotating_problem.subspace.generator_index(3)
         for p in linear_pts:
             assert abs(p.lam - lam_star) < 1e-9
             # in the window the solution is a pure multiple of the generator
-            gen = tetra_subspace.generator_index(3)
             others = np.delete(p.x, gen)
             assert np.max(np.abs(others)) < 1e-8
 
-    def test_sup_bound_holds_along_branch(self, tetra_subspace):
-        fam = bif.SaturatingLinearFamily(beta=1.0, mu=1.0, degree=3)
-        branch = bif.omega_branch(fam, tetra_subspace, steps=20, ds=0.05)
+    def test_sup_bound_holds_along_branch(self, rotating_problem):
+        branch, _ = _rotating_branch(rotating_problem, steps=20, ds=0.05)
+        bound = rotating_problem.family.sup_bound()
         for p in branch.points:
-            assert p.sup_psi <= p.extras["sup_bound"] + 1e-9
+            assert p.within_bounds
+            assert p.sup_psi <= bound + 1e-9
 
-    def test_nonlinear_regime_flagged(self, tetra_subspace):
-        fam = bif.SaturatingLinearFamily(beta=1.0, mu=1.0, degree=3)
-        branch = bif.omega_branch(fam, tetra_subspace, steps=20, ds=0.05)
-        flags = [p.extras["linear_regime"] for p in branch.points]
-        if not all(flags):
-            # once the saturation margin exceeds the window the flag flips
-            # and the full-sphere residual reports the symmetry commitment
-            idx = flags.index(False)
-            assert branch.points[idx].extras["saturation_margin"] > 2 * fam.mu
+    def test_nonlinear_regime_flagged(self, rotating_problem):
+        # the margin flags the nonlinear regime: the 20-step branch leaves the window
+        branch, margins = _rotating_branch(rotating_problem, steps=20, ds=0.05)
+        assert len(branch.points) == 21
+        assert margins[0] <= 2.0 * rotating_problem.family.mu
+        assert max(margins) > 2.0 * rotating_problem.family.mu

@@ -207,6 +207,11 @@ class TestStabilityCommands:
         assert payload["coefficients"]["alpha"] == "2048/75"
         assert payload["verdict"] == "stable"
 
+    def test_planet_defaults_to_uranus(self, tmp_path):
+        out = tmp_path / "p"
+        assert run_cli(["stability", "planet", "--outdir", str(out)]) == 0
+        assert json.loads((out / "stability_report.json").read_text())["planet"] == "uranus"
+
     def test_unknown_planet_is_config_error(self, tmp_path):
         assert run_cli(["stability", "planet", "--name", "vulcan",
                         "--outdir", str(tmp_path / "p")]) == 2
@@ -464,6 +469,31 @@ class TestImportPath:
         codes, loaded = json.loads(proc.stdout.splitlines()[-1])
         assert codes == [0] * len(argvs), proc.stderr
         assert loaded == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["make-solution", "--family", "log", "--params", '{"epsilon": 0.3, "lmax": 8}', "--svg"],
+    ["stability", "planet", "--svg"],
+    ["lift3d", "--omega", "18", "--lmax", "8", "--samples", "2", "--svg"],
+    ["stability", "planet", "--config", "ZONAL"],
+    ["stability", "zonal", "--config", "ZONAL", "--name", "uranus"],
+    ["stability", "rh2", "--config", "RH2", "--name", "uranus"],
+    ["sht-selftest", "--lmax", "4", "--record-wallclock"],
+], ids=["make-solution-svg", "stability-svg", "lift3d-svg", "planet-config", "zonal-name",
+        "rh2-name", "selftest-wallclock-without-outdir"])
+def test_flag_the_command_would_ignore_exits_2(tmp_path, argv):
+    configs = {"ZONAL": write_json(tmp_path / "zonal.json", TestStabilityCommands.ZONAL_CONFIG),
+               "RH2": write_json(tmp_path / "rh2.json", TestStabilityCommands.RH2_CONFIG)}
+    out = tmp_path / "out"
+    argv = [configs.get(a, a) for a in argv]
+    if argv[0] != "sht-selftest":
+        argv += ["--outdir", str(out)]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse: the command has no such flag
+        code = exc.code
+    assert code == 2
+    assert not out.exists()
 
 
 class TestSelftest:

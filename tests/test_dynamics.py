@@ -46,6 +46,15 @@ class TestTendency:
         assert out.mean_coefficient == 0.0
 
 
+class TestConfig:
+    @pytest.mark.parametrize("dt, t_end", [(0.07, 0.2), (0.0, 1.0), (-0.1, 1.0),
+                                           (math.inf, 1.0), (0.1, -0.1), (0.1, math.nan)])
+    def test_rejects_partial_or_invalid_steps(self, dt, t_end):
+        # 0.2 / 0.07 = 2.86 steps: the library does not round to 3 (t = 0.21)
+        with pytest.raises(ValueError):
+            _config(6, omega=0.0, dt=dt, t_end=t_end)
+
+
 class TestStep:
     def test_zero_field_stays_zero(self):
         cfg = _config(8, omega=1.0, dt=0.05, t_end=1.0)

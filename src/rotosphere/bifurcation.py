@@ -18,6 +18,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import sht
+from ._roots import brentq
 from .sht import RotationSpec, SpectralField
 
 # ---------------------------------------------------------------------------
@@ -287,20 +288,15 @@ class CubicShiftFamily:
 
     def apriori_bounds(self) -> tuple[float, float, float]:
         """(a_minus, a_plus, A): window with P increasing outside and |P| <= A inside."""
-        from scipy import optimize
-
         ll1 = self.degree * (self.degree + 1)
         turn = math.sqrt((self.mu + ll1) / (3.0 * self.mu1))
         depth = abs(self.p(turn))
         root = math.sqrt((self.mu + ll1) / self.mu1)
 
-        def excess(t):
-            return self.p(t) - depth
-
         hi = root + 1.0
-        while excess(hi) < 0:
+        while self.p(hi) < depth:
             hi *= 2.0
-        a_plus = float(optimize.brentq(excess, root, hi, xtol=1e-12))
+        a_plus = brentq(lambda t: self.p(t) - depth, root, hi, xtol=1e-12)
         return (-a_plus, a_plus, float(self.p(a_plus)))
 
     _window = functools.cached_property(apriori_bounds)  # found once per family
@@ -395,25 +391,6 @@ class SaturatingLinearFamily:
             raise ArithmeticError("no real bifurcation parameter for these constants")
         return math.sqrt(val)
 
-    def sup_bound(self) -> float:
-        """mu + b, with b chosen so P(b) dominates |P| on the non-monotone window."""
-        from scipy import optimize
-
-        zero_hi = 2.0 * self.mu + (2.0 * self.nu / (self.mu * self.kappa)) ** (1.0 / 3.0) * (
-            (3.0 * self.mu) ** (1.0 / 3.0)
-        )
-        hi = max(4.0 * self.mu, zero_hi)
-        while self.p(hi) <= 0:
-            hi *= 2.0
-        a = float(optimize.brentq(lambda t: float(self.p(t)), 2.0 * self.mu, hi, xtol=1e-12))
-        tt = np.linspace(0.0, a, 4001)
-        depth = float(np.max(np.abs(self.p(tt))))
-        hi_b = a + 1.0
-        while self.p(hi_b) < depth:
-            hi_b *= 2.0
-        b = float(optimize.brentq(lambda t: float(self.p(t)) - depth, a, hi_b, xtol=1e-12))
-        return self.mu + b
-
 
 # ---------------------------------------------------------------------------
 # Continuation problems
@@ -478,9 +455,9 @@ class ContinuationProblem:
         grid = self.transform.grid
         labels = grid_orbit_labels(self.subspace.group, grid, fix_z=self.family.depends_on_z)
         self.grid_points, orbit = np.unique(labels, return_inverse=True)
-        # (dim, orbits) grid values of the basis fields at the representatives
-        values = self.transform.synthesis(self.subspace.halves).reshape(self.subspace.dim, -1)
-        self._basis = np.take(values, self.grid_points, axis=1)  # C-contiguous, unlike [:, idx]
+        # (dim, orbits) values at the representatives, one field at a time: no whole-grid batch
+        self._basis = np.array([self.transform.synthesis(half).ravel()[self.grid_points]
+                                for half in self.subspace.halves])
         self._z = np.repeat(grid.nodes, grid.nlon)[self.grid_points]
         weights = np.repeat(grid.weights * (2.0 * math.pi / grid.nlon), grid.nlon)
         self._weights = np.bincount(orbit, weights)
@@ -552,8 +529,6 @@ def detect_bifurcation_points(problem: ContinuationProblem,
     excluded, and degenerate (identically zero) scans are reported as
     errors.
     """
-    from scipy import optimize
-
     lo, hi = lambda_range
     if not lo < hi:
         raise ValueError("empty lambda range")
@@ -578,8 +553,7 @@ def detect_bifurcation_points(problem: ContinuationProblem,
         for i in np.nonzero(np.diff(sign) != 0)[0]:
             if sign[i] == 0:
                 continue
-            lam_star = float(optimize.brentq(crossing, lam_grid[i], lam_grid[i + 1],
-                                             xtol=1e-14, rtol=8.9e-16))
+            lam_star = brentq(crossing, lam_grid[i], lam_grid[i + 1], xtol=1e-14, rtol=8.9e-16)
             h = 1e-6 * max(1.0, abs(lam_star))
             slope = (crossing(lam_star + h) - crossing(lam_star - h)) / (2.0 * h)
             if abs(slope) > 1e-8:

@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import dynamics, fields, sht, solutions
+from ._roots import brentq
 from .sht import SpectralField
 
 FOUR_PI = 4.0 * math.pi
@@ -183,10 +184,7 @@ def rayleigh_criterion(zp: ZonalProfile, omega: float, n_samples: int = 2001) ->
             last_sign, last_s = 0, si
             continue
         if last_sign != 0 and vi != last_sign:
-            # scipy loads only when a sign change needs refining
-            from scipy import optimize
-
-            roots.append(float(optimize.brentq(lambda x: float(grad(x)), last_s, si)))
+            roots.append(brentq(grad, last_s, si))
         last_sign, last_s = vi, si
     # deduplicate near-identical locations from exact-zero samples
     deduped: list[float] = []

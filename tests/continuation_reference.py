@@ -11,13 +11,15 @@ agreement pins the quadrature identity, the 1 / (l (l + 1)) factors, the
 family's N, dN/df and dN/dlambda, and the rotating-frame forcing.
 
 `residual_field` is the unprojected residual on the problem's own transform
-path, and `invariance_defect` rotates every basis field by every group
-element.
+path, `invariance_defect` rotates every basis field by every group
+element, and `sup_bound` is the a-priori bound on sup |psi| along a
+saturating family's branch.
 """
 
 import math
 
 import numpy as np
+from scipy import optimize
 
 from rotosphere import bifurcation as bif, sht
 
@@ -84,3 +86,21 @@ def invariance_defect(subspace):
             rotated = sht.rotate(b, elem.rotation, parity=elem.parity)
             worst = max(worst, float(np.max(np.abs(rotated.halves - b.halves))))
     return worst
+
+
+def sup_bound(family: bif.SaturatingLinearFamily) -> float:
+    """mu + b, with b chosen so P(b) dominates |P| on the non-monotone window."""
+    zero_hi = 2.0 * family.mu + (2.0 * family.nu / (family.mu * family.kappa)) ** (1.0 / 3.0) * (
+        (3.0 * family.mu) ** (1.0 / 3.0)
+    )
+    hi = max(4.0 * family.mu, zero_hi)
+    while family.p(hi) <= 0:
+        hi *= 2.0
+    a = float(optimize.brentq(lambda t: float(family.p(t)), 2.0 * family.mu, hi, xtol=1e-12))
+    tt = np.linspace(0.0, a, 4001)
+    depth = float(np.max(np.abs(family.p(tt))))
+    hi_b = a + 1.0
+    while family.p(hi_b) < depth:
+        hi_b *= 2.0
+    b = float(optimize.brentq(lambda t: float(family.p(t)) - depth, a, hi_b, xtol=1e-12))
+    return family.mu + b

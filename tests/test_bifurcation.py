@@ -452,7 +452,7 @@ class TestRotatingFrameBranch:
 
     def test_sup_bound_holds_along_branch(self, rotating_problem):
         branch, _ = _rotating_branch(rotating_problem, steps=20, ds=0.05)
-        bound = rotating_problem.family.sup_bound()
+        bound = ref.sup_bound(rotating_problem.family)
         for p in branch.points:
             assert p.within_bounds
             assert p.sup_psi <= bound + 1e-9

@@ -442,7 +442,11 @@ class TestLift3d:
 
 class TestImportPath:
     def test_commands_load_no_scipy(self, tmp_path):
-        # scipy serves only the root finding of bifurcate and of the Rayleigh criterion
+        # root finding runs on the package's own Brent port, so no command needs scipy
+        cubic = {"group": "tetrahedral", "lmax": 8, "steps": 3, "ds": 0.08, "lambda_range": [0.0, 2.0],
+                 "family": {"kind": "cubic", "mu": 1.0, "mu1": 1.0, "degree": 3}}
+        saturating = {"group": "tetrahedral", "lmax": 8, "steps": 3, "ds": 0.1,
+                      "family": {"kind": "saturating", "beta": 1.0, "mu": 1.0, "degree": 3}}
         argvs = [
             ["simulate", write_json(tmp_path / "sim.json", SIM_CONFIG), "--outdir", str(tmp_path / "s")],
             ["make-solution", "--family", "log", "--params", '{"epsilon": 0.3, "lmax": 8}',
@@ -455,6 +459,13 @@ class TestImportPath:
             ["stability", "zonal", "--outdir", str(tmp_path / "z"), "--config",
              write_json(tmp_path / "zonal.json", {"omega": 18.0, "wavenumbers": [1], "basis_size": 8,
                                                   "zonal_coefficients": {"1": 1.0, "2": 1.0}})],
+            # a total vorticity gradient that changes sign: Brent refines the crossing
+            ["stability", "zonal", "--outdir", str(tmp_path / "zs"), "--config",
+             write_json(tmp_path / "zonal_sign.json", {"omega": 2.0, "wavenumbers": [1], "basis_size": 8,
+                                                       "zonal_coefficients": {"1": 1.0, "2": 1.0}})],
+            ["bifurcate", write_json(tmp_path / "cubic.json", cubic), "--outdir", str(tmp_path / "bc")],
+            ["bifurcate", write_json(tmp_path / "saturating.json", saturating),
+             "--outdir", str(tmp_path / "bs")],
         ]
         script = ("import json, sys\n"
                   "from rotosphere import cli\n"
@@ -469,6 +480,8 @@ class TestImportPath:
         codes, loaded = json.loads(proc.stdout.splitlines()[-1])
         assert codes == [0] * len(argvs), proc.stderr
         assert loaded == []
+        report = json.loads((tmp_path / "zs" / "stability_report.json").read_text())
+        assert report["rayleigh"]["sign_changes"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -48,16 +48,11 @@ def advection(psi: SpectralField, q: SpectralField) -> SpectralField:
     on a grid large enough that the quadratic product is alias-free, then
     truncates back to the common degree.  The degree-0 coefficient of the
     result is set to zero exactly (the bracket integrates to zero over the
-    sphere).  psi and q are real; both go through one gradient pass.
+    sphere).  psi and q are real; `Transform.bracket` fuses the work.
     """
     if psi.lmax != q.lmax:
         raise sht.GridShapeError(f"advection truncation mismatch: {psi.lmax} vs {q.lmax}")
-    tr = sht.dealiased_transform(psi.lmax)
-    dtheta, dphi_over_cos = tr.gradient_values(np.stack([psi.halves, q.halves]))
-    bracket = -dtheta[0] * dphi_over_cos[1] + dphi_over_cos[0] * dtheta[1]
-    out = tr.analysis(bracket)
-    out[0, 0] = 0.0
-    return SpectralField(out)
+    return SpectralField(sht.dealiased_transform(psi.lmax).bracket(np.stack([psi.halves, q.halves])))
 
 
 def energy(psi: SpectralField) -> float:

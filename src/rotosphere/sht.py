@@ -12,7 +12,7 @@ A `Transform(lmax, nlat, nlon)` describes one grid and owns its
 Gauss-Legendre, longitude uses numpy's real FFT (`numpy.fft.rfft` and
 `irfft`).  Its methods map arrays to arrays and keep any leading axes:
 m >= 0 half tables (..., lmax+1, lmax+1) give grid values (..., nlat, nlon),
-and `analysis` maps real values back.
+and `analysis` maps real values back; `bracket` fuses an advection product.
 
 A `SpectralField` is real and stores the m >= 0 half table of its
 coefficients, `halves`; the negative orders follow from
@@ -452,6 +452,19 @@ class Transform:
         halves = self._analyse(batch)
         return halves.reshape(*values.shape[:-2], *halves.shape[1:])
 
+    def bracket(self, pair: np.ndarray) -> np.ndarray:
+        """Half table of (1/cos)(-psi_theta q_phi + psi_phi q_theta), degree 0
+        zeroed, for the half tables pair = [psi, q] (2, lmax+1, lmax+1): one
+        gradient pass, the product and its analysis.  The pair is packed once;
+        the transpose of a C-ordered (lmax+1, lmax+1, 2) array is read in place."""
+        if pair.ndim != 3 or len(pair) != 2:
+            raise GridShapeError(f"bracket pair of shape {pair.shape} is not (2, lmax+1, lmax+1)")
+        dtheta, dphi_over_cos = self.gradient_values(pair)
+        product = -dtheta[0] * dphi_over_cos[1] + dphi_over_cos[0] * dtheta[1]
+        out = self._analyse(product[None])[0]
+        out[0, 0] = 0.0
+        return out
+
 
 @lru_cache(maxsize=64)
 def get_transform(lmax: int, nlat: int, nlon: int) -> Transform:
@@ -493,16 +506,14 @@ def harmonic(l: int, m: int, grid: GaussGrid) -> np.ndarray:
 
 def laplacian(c: SpectralField) -> SpectralField:
     """Apply the Laplace-Beltrami operator: each degree scales by -l(l+1)."""
-    l = np.arange(c.lmax + 1, dtype=float)
-    return SpectralField(c.halves * (-l * (l + 1.0))[:, None])
+    return SpectralField(c.halves * laplacian_eigenvalues(c.lmax))
 
 
 def require_zero_mean(c: SpectralField, mean_tol: float = 1e-10) -> None:
     """Raise unless the degree-0 coefficient vanishes to `mean_tol` relative
     to the field's norm: a constant has no Poisson solution on a closed surface."""
     mean_size = abs(c.mean_coefficient)
-    scale = max(c.norm(), 1.0)
-    if mean_size > mean_tol * scale:
+    if mean_size and mean_size > mean_tol * max(c.norm(), 1.0):
         raise MeanConstraintError(
             f"cannot invert Laplacian: degree-0 coefficient {mean_size:.3e} "
             f"violates the closed-surface mean constraint"
@@ -522,10 +533,18 @@ def invert_laplacian(c: SpectralField, mean_tol: float = 1e-10) -> SpectralField
 def inverse_laplacian_table(table: np.ndarray) -> np.ndarray:
     """Degree rows l >= 1 of a coefficient table (..., l, order) divided by
     -l(l+1), degree-0 row zeroed; full and half tables alike."""
-    l = np.arange(1, table.shape[-2], dtype=float)
     out = np.zeros(table.shape, dtype=table.dtype)
-    out[..., 1:, :] = table[..., 1:, :] / (-l * (l + 1.0))[:, None]
+    out[..., 1:, :] = table[..., 1:, :] / laplacian_eigenvalues(table.shape[-2] - 1)[1:]
     return out
+
+
+@lru_cache(maxsize=64)
+def laplacian_eigenvalues(lmax: int) -> np.ndarray:
+    """The column -l(l+1), l = 0..lmax, shape (lmax+1, 1), cached and read-only."""
+    l = np.arange(lmax + 1, dtype=float)
+    eigenvalues = (-l * (l + 1.0))[:, None]
+    eigenvalues.setflags(write=False)
+    return eigenvalues
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,7 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_blowup_is_numerical_failure(self, tmp_path):
         config = dict(SIM_CONFIG, dt=20.0, t_end=2000.0, lmax=10,
                       initial={"kind": "random", "decay": 0.2})

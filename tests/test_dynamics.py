@@ -14,6 +14,36 @@ def _config(lmax, omega, dt, t_end, **kw):
         lmax=lmax, **kw)
 
 
+def _unfused_tendency(vort, omega):
+    """Minus the advection bracket through the public unfused path: one
+    stacked `gradient_values`, the grid product, `analysis`."""
+    lmax = vort.shape[0] - 1
+    tr = sht.dealiased_transform(lmax)
+    l = np.arange(1, lmax + 1, dtype=float)
+    psi = np.zeros_like(vort)
+    psi[1:] = vort[1:] / (-l * (l + 1.0))[:, None]
+    q = vort.copy()
+    q[1, 0] += fields.coriolis_stream_coefficient(omega)
+    dtheta, dphi_over_cos = tr.gradient_values(np.stack([psi, q]))
+    out = tr.analysis(-dtheta[0] * dphi_over_cos[1] + dphi_over_cos[0] * dtheta[1])
+    out[0, 0] = 0.0
+    return -out
+
+
+def _unfused_rk4_step(c0, cfg):
+    """One RK4 step of the half table c0 on `_unfused_tendency`, then the filter."""
+    dt, omega = cfg.dt, cfg.omega
+    k1 = _unfused_tendency(c0, omega)
+    k2 = _unfused_tendency(c0 + 0.5 * dt * k1, omega)
+    k3 = _unfused_tendency(c0 + 0.5 * dt * k2, omega)
+    k4 = _unfused_tendency(c0 + dt * k3, omega)
+    new = c0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if cfg.filter_strength == 0.0:
+        return new
+    l = np.arange(cfg.lmax + 1) / cfg.lmax
+    return new * np.exp(-cfg.filter_strength * dt * l**8)[:, None]
+
+
 class TestTendency:
     def test_zonal_state_is_stationary(self):
         lmax = 12
@@ -81,12 +111,24 @@ class TestStep:
         out = dynamics.step(dynamics.SimulationState(0.0, vort), cfg)
         assert reality_defect(out.vorticity.coeffs) == 0.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_blowup_detection(self):
         vort = random_real_field(6, seed=23)
         vort.set(2, 0, np.inf)
         cfg = _config(6, omega=0.0, dt=0.1, t_end=1.0)
         with pytest.raises(dynamics.SimulationBlowup):
             dynamics.step(dynamics.SimulationState(0.0, vort), cfg)
+
+    @pytest.mark.parametrize("filter_strength", [0.0, 3.0])
+    @pytest.mark.parametrize("lmax", [12, 31])
+    def test_bit_identical_to_unfused_rk4(self, lmax, filter_strength):
+        vort = random_real_field(lmax, seed=lmax, decay=0.1)
+        cfg = _config(lmax, omega=1.3, dt=0.01, t_end=0.02, filter_strength=filter_strength)
+        state, want = dynamics.SimulationState(0.0, vort), vort.halves
+        for _ in range(2):
+            state = dynamics.step(state, cfg)
+            want = _unfused_rk4_step(want, cfg)
+        assert np.array_equal(state.vorticity.halves, want)
 
     def test_filter_reported_and_damps(self):
         vort = random_real_field(10, seed=24, decay=0.0)
@@ -143,6 +185,7 @@ class TestRunInvariants:
         for k in (2, 3, 4, 5):
             assert res.drift_report["casimir_rel_drift"][k] < 1e-9
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_cfl_advisory_reported(self):
         # reported, never enforced: at dt 0.25 (CFL 2.05) the step is stable;
         # at dt 5 (CFL 41) the enstrophy grows 1e11-fold and the run fails

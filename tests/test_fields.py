@@ -99,6 +99,11 @@ class TestAdvection:
     def test_truncation_mismatch_rejected(self):
         with pytest.raises(sht.GridShapeError):
             fields.advection(random_real_field(8), random_real_field(9))
+        # the fused bracket takes exactly one [psi, q] pair of half tables
+        tr, half = sht.dealiased_transform(8), random_real_field(8).halves
+        for pair in (half, np.stack([half] * 3), np.stack([half, half])[:, :8, :8]):
+            with pytest.raises(sht.GridShapeError):
+                tr.bracket(pair)
 
 
 class TestIntegralDiagnostics:

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -259,6 +261,36 @@ class TestLongitudeFFT:
             assert np.array_equal(got, want)
         values = np.random.default_rng(nlat).normal(size=(*batch, nlat, nlon))
         assert np.array_equal(tr.analysis(values), ref.analysis(values))
+        assert np.array_equal(tr.bracket(pair), ref.bracket(pair))
+
+    def test_bracket_shared_between_threads(self):
+        # both threads also race to build the gradient table on first use
+        tr = sht.Transform(31, 48, 96)
+        pairs = [np.stack([random_real_field(31, seed=2 * i).halves,
+                           random_real_field(31, seed=2 * i + 1).halves]) for i in range(6)]
+        serial = [sht.Transform(31, 48, 96).bracket(pair) for pair in pairs]
+        results = [[], []]
+        start = threading.Barrier(2)
+
+        def work(out):
+            start.wait(timeout=30)
+            for _ in range(10):
+                out.extend(tr.bracket(pair) for pair in pairs)
+
+        threads = [threading.Thread(target=work, args=(out,)) for out in results]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for out in results:
+            assert len(out) == 10 * len(pairs)
+            assert all(np.array_equal(got, serial[i % len(pairs)]) for i, got in enumerate(out))
 
     def test_gradient_table_built_on_first_use(self):
         tr = sht.Transform(12, 13, 26)

@@ -104,9 +104,9 @@ def tendency(state: SimulationState, omega: float) -> SpectralField:
 
 
 def _tendency_half(tr: sht.Transform, vort: np.ndarray, omega: float) -> np.ndarray:
-    """`tendency` on the half table (l, m) of a zero-mean real vorticity; psi and
-    q = vort + 2 omega sin(lat) are written straight into the columns `tr.bracket` reads."""
-    psi, q = pair = np.zeros((*vort.shape, 2), dtype=complex).T
+    """`tendency` on the half table (l, m) of a zero-mean real vorticity, with
+    psi and q = vort + 2 omega sin(lat) stacked for `tr.bracket`."""
+    psi, q = pair = np.zeros((2, *vort.shape), dtype=complex)
     np.divide(vort[1:], sht.laplacian_eigenvalues(tr.lmax)[1:], out=psi[1:])
     q[...] = vort
     q[1, 0] += fields.coriolis_stream_coefficient(omega)

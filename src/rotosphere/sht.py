@@ -9,10 +9,12 @@ associated Legendre functions are evaluated at s = sin(latitude)).
 A `Transform(lmax, nlat, nlon)` describes one grid and owns its
 `GaussGrid`; the pair is exact for bandlimited fields as long as
 ``nlat >= lmax + 1`` and ``nlon >= 2*lmax + 1``.  Latitude quadrature is
-Gauss-Legendre, longitude uses numpy's real FFT (`numpy.fft.rfft` and
-`irfft`).  Its methods map arrays to arrays and keep any leading axes:
-m >= 0 half tables (..., lmax+1, lmax+1) give grid values (..., nlat, nlon),
-and `analysis` maps real values back; `bracket` fuses an advection product.
+Gauss-Legendre.  In longitude, grids of at most DFT_MAX_NLON points run a
+real DFT as one matmul per field against cached tables, larger grids numpy's
+real FFT (`numpy.fft.rfft` and `irfft`).  Its methods map arrays to arrays
+and keep any leading axes: m >= 0 half tables (..., lmax+1, lmax+1) give
+grid values (..., nlat, nlon), and `analysis` maps real values back;
+`bracket` fuses an advection product.
 
 A `SpectralField` is real and stores the m >= 0 half table of its
 coefficients, `halves`; the negative orders follow from
@@ -289,43 +291,93 @@ def normalized_legendre_table(lmax: int, s: np.ndarray) -> np.ndarray:
     phase included) evaluated at s[i]; entries with m > l are zero.  The
     harmonic is then Y_l^m = P[.., l, m] * exp(i m phi).
 
-    Upward three-term recurrence in l for each order, with the diagonal
-    seed accumulated in log space so high orders near the poles do not
+    Each order is `legendre_order`'s upward recurrence in l; the diagonal
+    seeds are accumulated in log space so high orders near the poles do not
     underflow stepwise.
     """
     s = np.asarray(s, dtype=float)
-    npts = s.size
-    c = np.sqrt(np.maximum(0.0, 1.0 - s * s))
-    table = np.zeros((npts, lmax + 1, lmax + 1))
-
-    # log of prod_{k=1..m} sqrt((2k+1)/(2k)); sign (-1)^m applied separately
-    with np.errstate(divide="ignore"):
-        logc = np.log(np.where(c > 0.0, c, 1.0))
-    log_ratio = 0.0
-    for m in range(lmax + 1):
-        if m == 0:
-            pmm = np.full(npts, 1.0 / math.sqrt(FOUR_PI))
-        else:
-            log_ratio += 0.5 * math.log((2 * m + 1) / (2 * m))
-            sign = -1.0 if m % 2 else 1.0
-            pmm = sign / math.sqrt(FOUR_PI) * np.exp(log_ratio + m * logc)
-            pmm = np.where(c > 0.0, pmm, 0.0)
-        table[:, m, m] = pmm
-        if m < lmax:
-            table[:, m + 1, m] = math.sqrt(2 * m + 3) * s * pmm
-        for l in range(m + 2, lmax + 1):
-            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = math.sqrt(
-                ((2.0 * l + 1.0) * (l - 1.0 - m) * (l - 1.0 + m))
-                / ((2.0 * l - 3.0) * (l - m) * (l + m))
-            )
-            table[:, l, m] = a * s * table[:, l - 1, m] - b * table[:, l - 2, m]
+    table = np.zeros((s.size, lmax + 1, lmax + 1))
+    for m, log_ratio in enumerate(_seed_log_ratios(lmax)):
+        _fill_order(table[:, :, m], m, s, log_ratio)
     return table
 
 
-def _batch_major(y: np.ndarray) -> np.ndarray:
-    """(order, rows, 2*batch) real columns [re, im] -> (batch, rows, order) complex view."""
-    return y.view(complex).transpose(2, 1, 0)
+def legendre_order(lmax: int, m: int, s: np.ndarray) -> np.ndarray:
+    """The order-m column P[:, :, m] of `normalized_legendre_table(lmax, s)`,
+    shape (len(s), lmax+1), by the same arithmetic and without the other orders."""
+    s = np.asarray(s, dtype=float)
+    column = np.zeros((s.size, lmax + 1))
+    _fill_order(column, m, s, _seed_log_ratios(m)[m])
+    return column
+
+
+def _seed_log_ratios(lmax: int) -> list[float]:
+    """log prod_{k=1..m} sqrt((2k+1)/(2k)) for m = 0..lmax, summed in order of k:
+    the diagonal seed of order m is its exp times cos^m (sign (-1)^m separate)."""
+    ratios = [0.0]
+    for m in range(1, lmax + 1):
+        ratios.append(ratios[-1] + 0.5 * math.log((2 * m + 1) / (2 * m)))
+    return ratios
+
+
+def _fill_order(column: np.ndarray, m: int, s: np.ndarray, log_ratio: float) -> None:
+    """Write degrees m..lmax of order m into `column` (len(s), lmax+1) from the
+    seed's accumulated log ratio, by the upward three-term recurrence in l."""
+    lmax = column.shape[1] - 1
+    c = np.sqrt(np.maximum(0.0, 1.0 - s * s))
+    if m == 0:
+        pmm = np.full(s.size, 1.0 / math.sqrt(FOUR_PI))
+    else:
+        with np.errstate(divide="ignore"):
+            logc = np.log(np.where(c > 0.0, c, 1.0))
+        sign = -1.0 if m % 2 else 1.0
+        pmm = sign / math.sqrt(FOUR_PI) * np.exp(log_ratio + m * logc)
+        pmm = np.where(c > 0.0, pmm, 0.0)
+    column[:, m] = pmm
+    if m < lmax:
+        column[:, m + 1] = math.sqrt(2 * m + 3) * s * pmm
+    for l in range(m + 2, lmax + 1):
+        a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+        b = math.sqrt(
+            ((2.0 * l + 1.0) * (l - 1.0 - m) * (l - 1.0 + m))
+            / ((2.0 * l - 3.0) * (l - m) * (l + m))
+        )
+        column[:, l] = a * s * column[:, l - 1] - b * column[:, l - 2]
+
+
+# Longitude transforms run as real matmuls against DFT tables on grids of at
+# most this many longitudes and on numpy.fft above.  Measured on a 2-core
+# host, the DFT bracket takes 0.65-0.72x the FFT's time at 96 longitudes
+# (dealiased lmax 31), 0.30x at 106 (continuation lmax 24, 2 x 53) and
+# 0.83-0.87x at 182, but 0.99-1.13x at 192 (dealiased lmax 63).
+DFT_MAX_NLON = 191
+
+
+def _dft_tables(lmax: int, nlon: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real DFT tables over the columns (m, re/im), m = 0..lmax, of Fourier rows.
+
+    Returns the synthesis tables (2, 2(lmax+1), nlon): [0] sums
+    c_m (re cos m phi - im sin m phi), [1] is d/dphi of it, with c_0 = 1 and
+    c_m = 2 for the negative orders; and the analysis table (nlon, 2(lmax+1)),
+    (2 pi / nlon)(cos m phi, -sin m phi).  Angles are reduced exactly, m j mod nlon.
+    """
+    m = np.arange(lmax + 1)[:, None]
+    angle = (2.0 * math.pi / nlon) * ((m * np.arange(nlon)) % nlon)
+    cos, sin = np.cos(angle), np.sin(angle)
+    c = np.where(m == 0, 1.0, 2.0)
+    synthesis = np.stack([np.stack([c * cos, -c * sin], axis=1),
+                          np.stack([-c * m * sin, -c * m * cos], axis=1)])
+    synthesis = synthesis.reshape(2, 2 * (lmax + 1), nlon)
+    analysis = np.ascontiguousarray(
+        (2.0 * math.pi / nlon) * np.stack([cos, -sin], axis=1).reshape(2 * (lmax + 1), nlon).T)
+    for table in (synthesis, analysis):
+        table.setflags(write=False)
+    return synthesis, analysis
+
+
+# Orders per Legendre product: a group of orders from m contracts the degrees
+# l >= m only, which skips about 40% of the table's zeros at lmax 127.
+ORDER_GROUP = 16
 
 
 class Transform:
@@ -339,11 +391,16 @@ class Transform:
 
     The methods map arrays to arrays and keep any leading axes: m >= 0 half
     tables (..., lmax+1, lmax+1) give grid values (..., nlat, nlon), and
-    `analysis` maps real grid values back.  All leading axes are contracted
-    in one matmul batched over the orders m >= 0.  The tables are computed
-    once and treated as immutable; the gradient table is built on the first
-    `gradient_values` call, and threads racing there build identical tables,
-    so a Transform can be shared freely between threads.
+    `analysis` maps real grid values back.  The Legendre stage contracts all
+    leading axes in one matmul per group of ORDER_GROUP orders and emits the
+    Fourier rows in (order, re/im, batch, latitude) order.  Up to
+    DFT_MAX_NLON longitudes the longitude stage is one real matmul per field
+    against cached DFT tables, so grid values come out longitude-major and are
+    returned as transposed views; above it, numpy's rfft/irfft run on the same
+    rows.  The tables are computed once and treated as immutable; the gradient
+    table is built on the first `gradient_values` call, and threads racing
+    there build identical tables, so a Transform can be shared freely between
+    threads.
     """
 
     def __init__(self, lmax: int, nlat: int, nlon: int):
@@ -362,13 +419,16 @@ class Transform:
         self._p_next = np.ascontiguousarray(ptab[:, :, L + 1])
         self._grad = None
 
-        self._weights = self.grid.weights[:, None] * (2.0 * math.pi / nlon)
+        # (synthesis tables, analysis table), or None where numpy.fft runs
+        self._dft = _dft_tables(L, nlon) if nlon <= DFT_MAX_NLON else None
+        # quadrature weights of the Fourier rows; the DFT analysis table holds 2 pi / nlon
+        self._weights = self.grid.weights if self._dft else self.grid.weights * (2.0 * math.pi / nlon)
         self._im = 1j * np.arange(L + 1)
 
     def _gradient_table(self) -> np.ndarray:
-        """Stacked [d/dtheta ; P / cos] rows (m, 2*nlat, l): one product gives
-        both gradient components, the i*m factor of d/dphi is applied after it.
-        Built in place, so the build holds one table-sized temporary at most."""
+        """Stacked [d/dtheta, P / cos] tables (2, m, l, latitude): one product
+        gives both gradient components, the longitude stage applies d/dphi.
+        The build holds one table-sized temporary at most."""
         L, nlat = self.lmax, self.grid.nlat
         coslat = self.grid.cos_lat[None, :, None]
         # d/dtheta of the latitude factor, from
@@ -376,14 +436,14 @@ class Transform:
         l = np.arange(L + 2)[None, :]
         m = np.arange(L + 1)[:, None]
         eps = np.sqrt(np.where((m <= l) & (l > 0), l * l - m * m, 0) / (4.0 * l * l - 1.0))
-        grad = np.zeros((L + 1, 2 * nlat, L + 1))
-        dtheta = grad[:, :nlat]
+        grad = np.zeros((2, L + 1, L + 1, nlat))
+        dtheta, p_over_cos = grad.transpose(0, 1, 3, 2)
         dtheta[:, :, 1:] = ((l[:, 1 : L + 1] + 1) * eps[:, 1 : L + 1])[:, None, :] * self._p[:, :, :L]
         lower = l[:, : L + 1] * eps[:, 1:]
         dtheta[:, :, :L] -= lower[:, None, :L] * self._p[:, :, 1:]
         dtheta[:, :, L] -= lower[:, L:] * self._p_next
         dtheta /= coslat
-        np.divide(self._p, coslat, out=grad[:, nlat:])
+        np.divide(self._p, coslat, out=p_over_cos)
         return grad
 
     # -- core on a batch of m >= 0 half tables ----------------------------------
@@ -397,27 +457,54 @@ class Transform:
         return array.reshape(-1, *shape)
 
     def _to_grid(self, table: np.ndarray, halves: np.ndarray) -> np.ndarray:
-        """(batch, l, m) half tables -> (batch, rows, m) Fourier rows, with one
-        real BLAS product per order on the columns [h_0.re, h_0.im, h_1.re, ...]."""
-        cols = np.ascontiguousarray(halves.transpose(2, 1, 0), dtype=complex).view(float)
-        return _batch_major(np.matmul(table, cols))
-
-    def _irfft(self, spectra: np.ndarray) -> np.ndarray:
-        """(batch, rows, m) Fourier rows -> (batch, rows, nlon) real values.
-        The rows are first copied into one contiguous buffer zero-padded to
-        nlon//2 + 1 orders: numpy's irfft runs fastest on that layout."""
-        nlon = self.grid.nlon
-        padded = np.zeros((*spectra.shape[:-1], nlon // 2 + 1), dtype=complex)
-        padded[..., : self.lmax + 1] = spectra
-        return np.fft.irfft(padded, n=nlon, axis=-1, norm="forward")
+        """(batch, l, m) half tables -> (parts, batch, nlat, nlon) grid values of the
+        Legendre tables (parts, m, l, latitude); part 1, if any, is differentiated
+        in longitude."""
+        batch, orders = len(halves), self.lmax + 1
+        cols = np.empty((orders, 2, batch, orders))
+        cols[:, 0] = halves.real.transpose(2, 0, 1)
+        cols[:, 1] = halves.imag.transpose(2, 0, 1)
+        cols = cols.reshape(orders, 2 * batch, orders)
+        # Fourier rows (parts, m, re/im, batch, latitude)
+        parts, nlat, nlon = len(table), self.grid.nlat, self.grid.nlon
+        rows = np.empty((parts, orders, 2 * batch, nlat))
+        for lo in range(0, orders, ORDER_GROUP):
+            group = slice(lo, lo + ORDER_GROUP)
+            np.matmul(cols[group, :, lo:], table[:, group, lo:], out=rows[:, group])
+        if self._dft is not None:
+            fields = rows.reshape(parts, 2 * orders, batch, nlat).transpose(0, 2, 1, 3)
+            synthesis = self._dft[0][:parts, None].transpose(0, 1, 3, 2)  # (parts, 1, nlon, 2(L+1))
+            return np.matmul(synthesis, fields).transpose(0, 1, 3, 2)
+        spectra = np.zeros((parts, batch, nlat, nlon // 2 + 1), dtype=complex)
+        rows = rows.reshape(parts, orders, 2, batch, nlat).transpose(2, 0, 3, 4, 1)
+        spectra.real[..., :orders] = rows[0]
+        spectra.imag[..., :orders] = rows[1]
+        spectra[1:, ..., :orders] *= self._im
+        return np.fft.irfft(spectra, n=nlon, axis=-1, norm="forward")
 
     def _analyse(self, values: np.ndarray) -> np.ndarray:
         """(batch, nlat, nlon) real values -> (batch, l, m) half tables."""
-        # along axis 0 of the (nlon, nlat, batch) view the Fourier rows come
-        # out order-major, so the product needs no layout copy
-        fourier = np.ascontiguousarray(np.fft.rfft(values.transpose(2, 1, 0), axis=0)[: self.lmax + 1])
-        fourier *= self._weights
-        return _batch_major(np.matmul(self._p.transpose(0, 2, 1), fourier.view(float)))
+        batch, nlat, nlon = values.shape
+        orders = self.lmax + 1
+        if self._dft is not None:
+            # longitude-major values, as the DFT path synthesises them, are read in place
+            rows = self._dft[1].T @ values.transpose(2, 0, 1).reshape(nlon, batch * nlat)
+        else:
+            fourier = np.fft.rfft(values, axis=-1)[..., :orders].transpose(2, 0, 1)
+            rows = np.empty((orders, 2, batch, nlat))
+            rows[:, 0] = fourier.real
+            rows[:, 1] = fourier.imag
+        rows = rows.reshape(orders, 2 * batch, nlat)
+        rows *= self._weights
+        out = np.zeros((orders, 2 * batch, orders))
+        for lo in range(0, orders, ORDER_GROUP):
+            group = slice(lo, lo + ORDER_GROUP)
+            np.matmul(rows[group], self._p[group, :, lo:], out=out[group, :, lo:])
+        out = out.reshape(orders, 2, batch, orders)
+        halves = np.empty((batch, orders, orders), dtype=complex)
+        halves.real = out[:, 0].transpose(1, 2, 0)
+        halves.imag = out[:, 1].transpose(1, 2, 0)
+        return halves
 
     # -- public operations ----------------------------------------------------
 
@@ -425,7 +512,7 @@ class Transform:
         """Grid values (..., nlat, nlon) of half tables (..., lmax+1, lmax+1)."""
         halves = np.asarray(halves)
         batch = self._batch(halves, (self.lmax + 1, self.lmax + 1), "half tables")
-        values = self._irfft(self._to_grid(self._p, batch))
+        values = self._to_grid(self._p.transpose(0, 2, 1)[None], batch)[0]
         return values.reshape(*halves.shape[:-2], *values.shape[1:])
 
     def gradient_values(self, halves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -435,12 +522,9 @@ class Transform:
         batch = self._batch(halves, (self.lmax + 1, self.lmax + 1), "half tables")
         if self._grad is None:
             self._grad = self._gradient_table()
-        spectra = self._to_grid(self._grad, batch)
-        nlat = self.grid.nlat
-        spectra[:, nlat:] *= self._im
-        values = self._irfft(spectra)
-        values = values.reshape(*halves.shape[:-2], *values.shape[1:])
-        return values[..., :nlat, :], values[..., nlat:, :]
+        dtheta, dphi_over_cos = self._to_grid(self._grad, batch)
+        shape = (*halves.shape[:-2], *dtheta.shape[1:])
+        return dtheta.reshape(shape), dphi_over_cos.reshape(shape)
 
     def analysis(self, values: np.ndarray) -> np.ndarray:
         """Half tables (..., lmax+1, lmax+1) of real grid values (..., nlat, nlon),
@@ -455,8 +539,7 @@ class Transform:
     def bracket(self, pair: np.ndarray) -> np.ndarray:
         """Half table of (1/cos)(-psi_theta q_phi + psi_phi q_theta), degree 0
         zeroed, for the half tables pair = [psi, q] (2, lmax+1, lmax+1): one
-        gradient pass, the product and its analysis.  The pair is packed once;
-        the transpose of a C-ordered (lmax+1, lmax+1, 2) array is read in place."""
+        gradient pass, the product and its analysis."""
         if pair.ndim != 3 or len(pair) != 2:
             raise GridShapeError(f"bracket pair of shape {pair.shape} is not (2, lmax+1, lmax+1)")
         dtheta, dphi_over_cos = self.gradient_values(pair)
@@ -485,7 +568,7 @@ def dealiased_transform(lmax: int) -> Transform:
     """
     nlat = (3 * lmax) // 2 + 2
     nlon = 3 * lmax + 2
-    nlon += nlon % 2  # even sizes keep the FFT fast
+    nlon += nlon % 2  # even sizes keep numpy's FFT, used above DFT_MAX_NLON, fast
     return get_transform(lmax, nlat, nlon)
 
 
@@ -497,8 +580,7 @@ def harmonic(l: int, m: int, grid: GaussGrid) -> np.ndarray:
     """(nlat, nlon) complex values of the orthonormal harmonic of degree l, order m on the grid."""
     if abs(m) > l:
         raise ValueError(f"|m| = {abs(m)} exceeds degree l = {l}")
-    ptab = normalized_legendre_table(l, grid.nodes)
-    lat_part = ptab[:, l, abs(m)]
+    lat_part = legendre_order(l, abs(m), grid.nodes)[:, l]
     if m < 0:
         lat_part = lat_part * (-1.0 if m % 2 else 1.0)
     return lat_part[:, None] * np.exp(1j * m * grid.longitudes)[None, :]

@@ -261,7 +261,7 @@ def zonal_operator_matrix(zp: ZonalProfile, omega: float, k: int, n_basis: int) 
     nq = 2 * lmax + 32
     grid = sht.build_grid(nq, 1)
     x, w = grid.nodes, grid.weights
-    table = sht.normalized_legendre_table(lmax, x)[:, ak:, ak]  # (nq, n_basis)
+    table = sht.legendre_order(lmax, ak, x)[:, ak:]  # (nq, n_basis)
     # orthonormal on ds after the 2*pi longitude factor
     basis = math.sqrt(2.0 * math.pi) * table
     wb = w[:, None] * basis

@@ -7,9 +7,9 @@ agreement between the two pins the m >= 0 contraction, the rfft/irfft
 scaling, the i*m factor and the rebuilding of negative orders.
 
 `ScipyFFTTransform` is `sht.Transform` as it was on scipy.fft, with its
-gradient table built eagerly from the degree lmax+1 Legendre table: the
-bit-for-bit reference for the numpy.fft longitude transforms and the lazily
-built gradient table.
+gradient table built eagerly from the degree lmax+1 Legendre table: an
+independent FFT path for the real-DFT longitude stage and the lazily built
+gradient table, on the m >= 0 orders and with batches.
 
 `evaluate` sums a field's harmonics at arbitrary points, and
 `rotate_field_values`, the grid oracle for `sht.rotate`, samples the rotated
@@ -72,6 +72,11 @@ class ReferenceTransform:
                 self._to_grid(field.coeffs * (1j * m)[None, :], self._pc))
 
     def analysis(self, values):
+        return sht.SpectralField.from_table(self.analysis_table(values))
+
+    def analysis_table(self, values):
+        """The full table of `analysis`, before its reality check: the mirror
+        defect of values far from bandlimited exceeds that check's 1e-12."""
         L, nlon = self.lmax, self.grid.nlon
         fourier = np.fft.fft(values, axis=1) * (2.0 * math.pi / nlon)
         weighted = self.grid.weights[:, None] * fourier
@@ -81,7 +86,7 @@ class ReferenceTransform:
         coeffs = np.zeros((L + 1, 2 * L + 1), dtype=complex)
         coeffs[:, L:] = cpos
         coeffs[:, :L] = cneg[:, ::-1]
-        return sht.SpectralField.from_table(coeffs)
+        return coeffs
 
 
 def rotate_field_values(field, rot, grid, parity=False):
@@ -101,12 +106,18 @@ def rotate_field_values(field, rot, grid, parity=False):
     return evaluate(field, phi_new.ravel(), s_new.ravel()).reshape(phi_new.shape)
 
 
-class ScipyFFTTransform(sht.Transform):
+class ScipyFFTTransform:
+    """`sht.Transform` as it was on scipy.fft: the Legendre products on the
+    order-major columns [h_0.re, h_0.im, h_1.re, ...], the gradient table built
+    eagerly from the degree lmax+1 Legendre table, the i*m factor applied to
+    the Fourier rows, and scipy's irfft/rfft in longitude."""
+
     def __init__(self, lmax, nlat, nlon):
-        super().__init__(lmax, nlat, nlon)
-        L = lmax
+        self.lmax = L = lmax
+        self.grid = sht.build_grid(nlat, nlon)
         coslat = self.grid.cos_lat[None, :, None]
         ptab = sht.normalized_legendre_table(L + 1, self.grid.nodes).transpose(2, 0, 1)[: L + 1]
+        self._p = np.ascontiguousarray(ptab[:, :, : L + 1])
         l = np.arange(L + 2)[None, :]
         m = np.arange(L + 1)[:, None]
         eps = np.sqrt(np.where((m <= l) & (l > 0), l * l - m * m, 0) / (4.0 * l * l - 1.0))
@@ -116,6 +127,14 @@ class ScipyFFTTransform(sht.Transform):
         dtheta -= (l[:, : L + 1] * eps[:, 1:])[:, None, :] * ptab[:, :, 1:]
         dtheta /= coslat
         np.divide(self._p, coslat, out=self._grad[:, nlat:])
+        self._weights = self.grid.weights[:, None] * (2.0 * math.pi / nlon)
+        self._im = 1j * np.arange(L + 1)
+
+    @staticmethod
+    def _to_grid(table, halves):
+        # (batch, l, m) half tables -> (batch, rows, m) Fourier rows
+        cols = np.ascontiguousarray(halves.transpose(2, 1, 0), dtype=complex).view(float)
+        return np.matmul(table, cols).view(complex).transpose(2, 1, 0)
 
     def _irfft(self, spectra):
         return scipy.fft.irfft(spectra, n=self.grid.nlon, axis=-1, norm="forward")
@@ -123,7 +142,29 @@ class ScipyFFTTransform(sht.Transform):
     def _analyse(self, values):
         fourier = np.ascontiguousarray(scipy.fft.rfft(values.transpose(2, 1, 0), axis=0)[: self.lmax + 1])
         fourier *= self._weights
-        return sht._batch_major(np.matmul(self._p.transpose(0, 2, 1), fourier.view(float)))
+        return np.matmul(self._p.transpose(0, 2, 1), fourier.view(float)).view(complex).transpose(2, 1, 0)
+
+    def synthesis(self, halves):
+        batch = halves.reshape(-1, self.lmax + 1, self.lmax + 1)
+        values = self._irfft(self._to_grid(self._p, batch))
+        return values.reshape(*halves.shape[:-2], *values.shape[1:])
+
+    def gradient_values(self, halves):
+        batch, nlat = halves.reshape(-1, self.lmax + 1, self.lmax + 1), self.grid.nlat
+        spectra = self._to_grid(self._grad, batch)
+        spectra[:, nlat:] *= self._im
+        values = self._irfft(spectra).reshape(*halves.shape[:-2], 2 * nlat, self.grid.nlon)
+        return values[..., :nlat, :], values[..., nlat:, :]
+
+    def analysis(self, values):
+        halves = self._analyse(values.reshape(-1, self.grid.nlat, self.grid.nlon))
+        return halves.reshape(*values.shape[:-2], *halves.shape[1:])
+
+    def bracket(self, pair):
+        dtheta, dphi_over_cos = self.gradient_values(pair)
+        out = self.analysis(-dtheta[0] * dphi_over_cos[1] + dphi_over_cos[0] * dtheta[1])
+        out[0, 0] = 0.0
+        return out
 
 
 def evaluate(field, phi, s):

@@ -59,6 +59,24 @@ class TestSimulate:
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
+    def test_outputs_independent_of_blas_threads(self, tmp_path):
+        # the longitude stage of the lmax-31 step runs through BLAS products
+        config = dict(SIM_CONFIG, lmax=31, dt=0.01, t_end=0.2, snapshot_stride=10, seed=4,
+                      initial={"kind": "random"})
+        cfg = write_json(tmp_path / "sim.json", config)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            subprocess.run([sys.executable, "-m", "rotosphere", "simulate", cfg, "--outdir", str(out)],
+                           env=env, check=True)
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.glob("snapshot_*.shc"))}
+                           | {"diagnostics.csv": (out / "diagnostics.csv").read_bytes()})
+        assert len(outputs[0]) == 4
+        assert outputs[0] == outputs[1]
+
     def test_zero_initial_state_gives_zero_diagnostics(self, tmp_path):
         config = dict(SIM_CONFIG, initial={"kind": "modes", "coefficients": []})
         cfg = write_json(tmp_path / "sim.json", config)
@@ -573,16 +591,16 @@ class TestGoldenOutputs:
         assert run_cli(["make-solution", "--family", "rotated", "--params", json.dumps(params),
                         "--outdir", str(out)]) == 0
         digest = hashlib.sha256((out / "solution.shc").read_bytes()).hexdigest()
-        assert digest == "2cc52347e6c426447155a7347b1ab9d1b1c87cc227a10684d23b4d4d31f91c95"
+        assert digest == "471fe81f74fda08f008ccfd7f8dc878256697d7ddcb38a697e8d853c2e7876bc"
 
     @pytest.mark.parametrize("change, digests", [
         ({"ds": 0.08, "lambda_range": [0.0, 2.0],
           "family": {"kind": "cubic", "mu": 1.0, "mu1": 1.0, "degree": 3}},
-         {"branch.csv": "44cf3ce6cb701d922a2d6a58cd0ca4046cc4b4baaf59bd4e27d993ab8233fd7d",
+         {"branch.csv": "3c281e91c0089e05925f70778ec4694d9a96d82c2dcd8df977f097ca3353a7d1",
           "branch_report.json": "b42b5e5547e0a01cb43038642c270614b6bedecb80d2ae2ab4ab4e101356ebf8"}),
         # the last point leaves the saturating profile's linear window
         ({"ds": 0.1, "family": {"kind": "saturating", "beta": 1.0, "mu": 1.0, "degree": 3}},
-         {"branch.csv": "5a2f8442fa70f82793e5ab46b220186180cab1e746e9b36a14d0547cbe444369",
+         {"branch.csv": "d6145bf9ff1350d0ee6dc20b229435c1af02fce9e08d0ea5c8464661da8df634",
           "branch_report.json": "30b7100e818b286e72078a04163d4fe07298e163f13ba783b9ff4f5196ccc413"}),
     ], ids=["cubic", "saturating"])
     def test_bifurcate_branch(self, tmp_path, change, digests):

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -244,24 +245,69 @@ def _grid_sizes(rule: str, lmax: int) -> tuple[int, int]:
 
 
 class TestLongitudeFFT:
-    """numpy.fft and the lazily built gradient table against the former
-    scipy.fft path with its eager table, bit for bit."""
+    """The longitude stage (real-DFT matmuls up to sht.DFT_MAX_NLON
+    longitudes, numpy.fft above) and the lazily built gradient table against
+    the former scipy.fft path with its eager table and against the full-order
+    reference, to 1e-13 relative."""
 
+    # the name is that of the bit-for-bit comparison the DFT stage replaced
     @pytest.mark.parametrize("batch", [(), (2,)], ids=["single", "batch2"])
     @pytest.mark.parametrize("lmax", [1, 2, 12, 24, 31, 63])
     @pytest.mark.parametrize("rule", ["for_lmax", "dealiased", "casimir5", "continuation"])
     def test_bit_identical_to_scipy_fft(self, rule, lmax, batch):
         nlat, nlon = _grid_sizes(rule, lmax)
-        tr, ref = sht.Transform(lmax, nlat, nlon), ScipyFFTTransform(lmax, nlat, nlon)
-        pair = np.stack([random_real_field(lmax, seed=nlon + i, zero_mean=False).halves
-                         for i in range(2)])
+        tr, fft = sht.Transform(lmax, nlat, nlon), ScipyFFTTransform(lmax, nlat, nlon)
+        fields = [random_real_field(lmax, seed=nlon + i, zero_mean=False) for i in range(2)]
+        pair = np.stack([f.halves for f in fields])
         halves = pair if batch else pair[0]
-        assert np.array_equal(tr.synthesis(halves), ref.synthesis(halves))
-        for got, want in zip(tr.gradient_values(halves), ref.gradient_values(halves)):
-            assert np.array_equal(got, want)
         values = np.random.default_rng(nlat).normal(size=(*batch, nlat, nlon))
-        assert np.array_equal(tr.analysis(values), ref.analysis(values))
-        assert np.array_equal(tr.bracket(pair), ref.bracket(pair))
+        synthesised, analysed = tr.synthesis(halves), tr.analysis(values)
+        gradients = tr.gradient_values(halves)
+        assert _rel(synthesised, fft.synthesis(halves)) < 1e-13
+        for got, want in zip(gradients, fft.gradient_values(halves)):
+            assert _rel(got, want) < 1e-13
+        assert _rel(analysed, fft.analysis(values)) < 1e-13
+        bracket = tr.bracket(pair)
+        assert _rel(bracket, fft.bracket(pair)) < 1e-13
+        # the full-order reference, one field at a time
+        ref = ReferenceTransform(lmax, nlat, nlon)
+        for i, f in enumerate(fields[: len(pair) if batch else 1]):
+            at = (i,) if batch else ()
+            assert _rel(synthesised[at], ref.synthesis(f)) < 1e-13
+            for got, want in zip(gradients, ref.gradient_values(f)):
+                assert _rel(got[at], want) < 1e-13
+            assert _rel(analysed[at], ref.analysis_table(values[at])[:, lmax:]) < 1e-13
+        (psi_theta, psi_phi), (q_theta, q_phi) = (ref.gradient_values(f) for f in fields)
+        want = ref.analysis_table(-psi_theta * q_phi + psi_phi * q_theta)[:, lmax:]
+        want[0, 0] = 0.0
+        assert _rel(bracket, want) < 1e-13
+
+    @pytest.mark.parametrize("rule", ["for_lmax", "dealiased", "casimir5", "continuation"])
+    def test_no_fft_below_crossover(self, rule, monkeypatch):
+        # the sizes of each lmax's grid, without building (and caching) its transform
+        monkeypatch.setattr(sht, "get_transform", lambda lmax, nlat, nlon: types.SimpleNamespace(
+            grid=types.SimpleNamespace(nlat=nlat, nlon=nlon)))
+        below, lmax = {}, 1
+        while (sizes := _grid_sizes(rule, lmax))[1] <= sht.DFT_MAX_NLON:
+            below[lmax], lmax = sizes, lmax + 1
+        above = lmax, sizes
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.fft called")
+
+        monkeypatch.setattr(np.fft, "rfft", refuse)
+        monkeypatch.setattr(np.fft, "irfft", refuse)
+        top = max(below)
+        for lmax in sorted({*range(1, 5), *range(8, top, 8), top}):
+            tr = sht.Transform(lmax, *below[lmax])
+            pair = np.stack([random_real_field(lmax, seed=s).halves for s in (1, 2)])
+            values = tr.synthesis(pair)
+            assert all(g.shape == values.shape for g in tr.gradient_values(pair))
+            assert tr.bracket(pair).shape == pair.shape[1:]
+            assert _rel(tr.analysis(values), pair) < 1e-12
+        lmax, sizes = above
+        with pytest.raises(AssertionError, match="numpy.fft called"):
+            sht.Transform(lmax, *sizes).synthesis(random_real_field(lmax, seed=1).halves)
 
     def test_bracket_shared_between_threads(self):
         # both threads also race to build the gradient table on first use
@@ -300,7 +346,7 @@ class TestLongitudeFFT:
         got = tr.gradient_values(f.halves)
         assert tr._grad is not None
         want = ScipyFFTTransform(12, 13, 26).gradient_values(f.halves)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert all(_rel(g, w) < 1e-13 for g, w in zip(got, want))
 
 
 def _layout_value(rng, m: int) -> complex:

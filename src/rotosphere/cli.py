@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import functools
 import hashlib
 import json
 import math
@@ -736,6 +737,7 @@ def cmd_selftest(args):
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="rotosphere",

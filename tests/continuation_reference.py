@@ -12,8 +12,9 @@ family's N, dN/df and dN/dlambda, and the rotating-frame forcing.
 
 `residual_field` is the unprojected residual on the problem's own transform
 path, `invariance_defect` rotates every basis field by every group
-element, and `sup_bound` is the a-priori bound on sup |psi| along a
-saturating family's branch.
+element, `sup_bound` is the a-priori bound on sup |psi| along a
+saturating family's branch, and `projectors_by_element` is the group
+average of the rotation blocks summed one element at a time.
 """
 
 import math
@@ -104,3 +105,20 @@ def sup_bound(family: bif.SaturatingLinearFamily) -> float:
         hi_b *= 2.0
     b = float(optimize.brentq(lambda t: float(family.p(t)) - depth, a, hi_b, xtol=1e-12))
     return family.mu + b
+
+
+def projectors_by_element(elements, lmax):
+    """{l: P_l} for l = 1..lmax, each element's factorised block added in turn."""
+    phases = [sht.rotation_phases(e.rotation, lmax) for e in elements]
+    out = {}
+    for l, delta in enumerate(sht.pi2_factors(lmax)):
+        if l == 0:
+            continue
+        orders = slice(lmax - l, lmax + l + 1)
+        total = np.zeros((2 * l + 1, 2 * l + 1), dtype=complex)
+        for elem, (left, middle, right) in zip(elements, phases):
+            block = left[orders, None] * ((delta * middle[orders]) @ delta.T) * right[orders]
+            total += -block if elem.parity and l % 2 == 1 else block
+        v = bif._real_to_complex_block(l)
+        out[l] = (v.conj().T @ total @ v).real / len(elements)
+    return out

@@ -135,6 +135,21 @@ class TestSubspaces:
             expected = (v.conj().T @ total @ v).real / len(elements)
             assert np.max(np.abs(proj - expected)) < 1e-12
 
+    @pytest.mark.parametrize("name, lmax", [("tetrahedral", 24), ("d4d", 16), ("d2d", 16),
+                                            ("trivial", 4)])
+    def test_projector_matches_sum_by_element(self, name, lmax):
+        elements = bif.NAMED_GROUPS[name]().elements()
+        expected = ref.projectors_by_element(elements, lmax)
+        projectors = dict(bif.group_projectors(elements, lmax))
+        assert sorted(projectors) == list(range(1, lmax + 1))
+        for l, proj in projectors.items():
+            assert np.max(np.abs(proj - expected[l])) < 1e-13, l
+
+    def test_lmax24_projectors_symmetric_and_idempotent(self):
+        for l, proj in bif.group_projectors(bif.tetrahedral_group().elements(), 24):
+            assert np.max(np.abs(proj - proj.T)) < 1e-13, l
+            assert np.max(np.abs(proj @ proj - proj)) < 1e-13, l
+
     def test_tetrahedral_lmax24_dimensions_and_invariance(self, tetra24_subspace):
         expected = {l: 0 for l in range(1, 25)}
         expected.update({3: 1, 4: 1, 12: 2, 13: 1, 14: 1, 15: 2, 16: 2, 17: 1, 24: 3})
@@ -268,6 +283,62 @@ class TestGridPath:
         problem, _ = _problem("trivial", 6, "fixed_frame")
         grid = problem.transform.grid
         assert np.array_equal(problem.grid_points, np.arange(grid.nlat * grid.nlon))
+
+
+class TestProfileCubes:
+    """The profiles cube by products; they agree with the pow forms to 1e-15
+    of the size of their terms."""
+
+    CUBICS = [bif.CubicShiftFamily(mu=1.0, mu1=1.0404, degree=3),
+              bif.CubicShiftFamily(mu=2.5, mu1=0.3, degree=5)]
+    SATURATING = [bif.SaturatingLinearFamily(beta=1.0, mu=1.0, degree=3),
+                  bif.SaturatingLinearFamily(beta=0.5, mu=2.0, degree=4)]
+    FLOATS = [0.0, -0.0, 1.0, -1.0, 0.3, -2.5, 2.0000001, 7.25, -123.456, 1e3, -1e3, 3.7e-5]
+
+    @staticmethod
+    def arrays():
+        rng = np.random.default_rng(19)
+        values = np.concatenate([rng.uniform(-1e3, 1e3, 500), rng.uniform(-5.0, 5.0, 500),
+                                 np.zeros(4), -np.logspace(-8, 3, 50), np.logspace(-8, 3, 50)])
+        return [values, values.reshape(-1, 6)[:, ::-1]]
+
+    @staticmethod
+    def cubic_pow(family, t):
+        return family.mu1 * t**3 - (family.mu + family.degree * (family.degree + 1)) * t
+
+    @staticmethod
+    def cubic_scale(family, t):
+        return family.mu1 * np.abs(t) ** 3 + (family.mu + family.degree * (family.degree + 1)) * np.abs(t)
+
+    @pytest.mark.parametrize("family", CUBICS, ids=["mu1-1.0404", "mu1-0.3"])
+    def test_cubic_matches_pow(self, family):
+        for t in self.arrays() + self.FLOATS:
+            got = family.p(t)
+            assert np.all(np.abs(got - self.cubic_pow(family, t)) <= 1e-15 * self.cubic_scale(family, t))
+            if isinstance(t, float):
+                assert isinstance(got, float)
+        for lam in (0.0, 0.56603, -1.3, 40.0):
+            for f in self.arrays() + self.FLOATS:
+                got = family.value(lam, f, None)
+                expected = self.cubic_pow(family, lam + f) - self.cubic_pow(family, lam)
+                scale = self.cubic_scale(family, lam + f) + self.cubic_scale(family, lam)
+                assert np.all(np.abs(got - expected) <= 1e-15 * scale)
+
+    @pytest.mark.parametrize("family", SATURATING, ids=["beta-1", "beta-0.5"])
+    def test_saturating_matches_pow(self, family):
+        for t in self.arrays() + self.FLOATS:
+            t = np.asarray(t, dtype=float)
+            excess = np.abs(t) - 2.0 * family.mu
+            outer = np.where(excess > 0.0,
+                             family.kappa * np.sign(t) * np.maximum(excess, 0.0) ** 3, 0.0)
+            expected = family.slope * t + outer
+            scale = np.abs(family.slope * t) + np.abs(outer)
+            got = family.p(t)
+            assert got.shape == t.shape
+            assert np.all(np.abs(got - expected) <= 1e-15 * scale)
+            # the linear window is exact
+            inside = excess <= 0.0
+            assert np.array_equal(got[inside], expected[inside])
 
 
 class TestDetection:

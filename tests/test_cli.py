@@ -411,6 +411,29 @@ class TestBifurcate:
         report = json.loads((out / "branch_report.json").read_text())
         assert abs(report["origin_lambda"] - 2.0) < 1e-9
 
+    def test_parser_built_once_per_process(self, tmp_path):
+        cfg = write_json(tmp_path / "prob.json", {
+            "group": "tetrahedral", "lmax": 8, "steps": 4, "ds": 0.08, "lambda_range": [0.0, 2.0],
+            "family": {"kind": "cubic", "mu": 1.0, "mu1": 1.0, "degree": 3},
+        })
+        assert run_cli(["bifurcate", cfg, "--outdir", str(tmp_path / "first")]) == 0
+        with pytest.raises(SystemExit) as exc:  # argparse: no such flag
+            run_cli(["bifurcate", cfg, "--no-such-flag"])
+        assert exc.value.code == 2
+        assert run_cli(["make-solution", "--family", "log", "--params",
+                        '{"epsilon": 0.3, "lmax": 8}', "--outdir", str(tmp_path / "m")]) == 0
+        assert run_cli(["bifurcate", cfg, "--outdir", str(tmp_path / "second")]) == 0
+        assert cli.build_parser() is cli.build_parser()
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "rotosphere", "bifurcate", cfg,
+                        "--outdir", str(tmp_path / "fresh")], env=env, check=True, timeout=300)
+        runs = [{p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+                for name in ("first", "second", "fresh")]
+        assert "branch.csv" in runs[0]
+        assert runs[0] == runs[1] == runs[2]
+
 
 class TestLift3d:
     def test_fields_and_trajectories(self, tmp_path):
@@ -596,11 +619,11 @@ class TestGoldenOutputs:
     @pytest.mark.parametrize("change, digests", [
         ({"ds": 0.08, "lambda_range": [0.0, 2.0],
           "family": {"kind": "cubic", "mu": 1.0, "mu1": 1.0, "degree": 3}},
-         {"branch.csv": "3c281e91c0089e05925f70778ec4694d9a96d82c2dcd8df977f097ca3353a7d1",
+         {"branch.csv": "10e78040289abd8a0f483f729757692cd388730c8c210d72f3a0a27c9b0b8584",
           "branch_report.json": "b42b5e5547e0a01cb43038642c270614b6bedecb80d2ae2ab4ab4e101356ebf8"}),
         # the last point leaves the saturating profile's linear window
         ({"ds": 0.1, "family": {"kind": "saturating", "beta": 1.0, "mu": 1.0, "degree": 3}},
-         {"branch.csv": "d6145bf9ff1350d0ee6dc20b229435c1af02fce9e08d0ea5c8464661da8df634",
+         {"branch.csv": "70a22ab4e12666d42db5579cd32fa25c267da76f7fcf125db21752c598f459a9",
           "branch_report.json": "30b7100e818b286e72078a04163d4fe07298e163f13ba783b9ff4f5196ccc413"}),
     ], ids=["cubic", "saturating"])
     def test_bifurcate_branch(self, tmp_path, change, digests):

@@ -11,6 +11,7 @@ predictor-corrector steps with a-priori bound monitoring.
 from __future__ import annotations
 
 import dataclasses
+import fractions
 import functools
 import math
 from typing import Callable, Iterator, Sequence
@@ -399,6 +400,34 @@ class SaturatingLinearFamily:
 # Continuation problems
 # ---------------------------------------------------------------------------
 
+def _axis_moves(group: SymmetryGroup) -> list[tuple[int, int, fractions.Fraction]]:
+    """(z sign, longitude sign, c) of each element that sends z to +/- z:
+    it maps (z, phi) to (z sign * z, longitude sign * phi + 2 pi c), with c
+    in turns, exact.  An element whose c is not a fraction of denominator
+    at most 4 * order folds no grid and is left out."""
+    moves = []
+    for mat in group.matrices:
+        off_axis = max(np.max(np.abs(mat[2, :2])), np.max(np.abs(mat[:2, 2])))
+        if off_axis > 1e-9:
+            continue
+        plane = mat[:2, :2]  # rotation phi -> phi + c, or reflection phi -> c - phi
+        turns = math.atan2(plane[1, 0], plane[0, 0]) / (2.0 * math.pi) % 1.0
+        c = fractions.Fraction(turns).limit_denominator(4 * group.order)
+        if abs(float(c) - turns) > 1e-9:
+            continue
+        sign = 1 if np.linalg.det(plane) > 0 else -1
+        moves.append((1 if mat[2, 2] > 0 else -1, sign, c % 1))
+    return moves
+
+
+def _longitude_period(group: SymmetryGroup) -> int:
+    """The smallest q with every c of `_axis_moves` a multiple of 1 / q: a grid
+    of nlon longitudes is folded by all those elements when q divides nlon,
+    and its longitudes include every mirror meridian phi = pi c when 2 q
+    divides nlon.  Tetrahedral and d2d give 4, d4d 8, trivial 1."""
+    return math.lcm(1, *(c.denominator for _, _, c in _axis_moves(group)))
+
+
 def grid_orbit_labels(group: SymmetryGroup, grid: sht.GaussGrid,
                       fix_z: bool) -> np.ndarray:
     """Orbit label of each grid point, flattened: the smallest flat index of
@@ -406,25 +435,20 @@ def grid_orbit_labels(group: SymmetryGroup, grid: sht.GaussGrid,
 
     An element folds when it sends z to +/- z (to z alone if `fix_z`), which
     maps Gauss row i to itself or to nlat - 1 - i, and longitude phi to
-    +/- phi + c with c a multiple of 2 pi / nlon.  Those elements form a
-    subgroup, so each label names one orbit; a group-invariant integrand
-    takes one value on an orbit.
+    +/- phi + 2 pi c with c a multiple of 1 / nlon (`_axis_moves`).  Those
+    elements form a subgroup, so each label names one orbit; a
+    group-invariant integrand takes one value on an orbit.  On the grid of
+    a `ContinuationProblem` every element that sends z to +/- z folds.
     """
     nlat, nlon = grid.nlat, grid.nlon
     rows, cols = np.arange(nlat)[:, None], np.arange(nlon)
     labels = rows * nlon + cols
-    for mat in group.matrices:
-        flip = mat[2, 2]
-        off_axis = max(np.max(np.abs(mat[2, :2])), np.max(np.abs(mat[:2, 2])))
-        if off_axis > 1e-9 or (fix_z and flip < 0):
+    for flip, sign, c in _axis_moves(group):
+        shift = c * nlon
+        if (fix_z and flip < 0) or shift.denominator != 1:
             continue
-        plane = mat[:2, :2]  # rotation phi -> phi + c, or reflection phi -> c - phi
-        shift = math.atan2(plane[1, 0], plane[0, 0]) * nlon / (2.0 * math.pi)
-        if abs(shift - round(shift)) > 1e-9:
-            continue
-        sign = 1 if np.linalg.det(plane) > 0 else -1
         image_rows = rows if flip > 0 else nlat - 1 - rows
-        labels = np.minimum(labels, image_rows * nlon + (sign * cols + round(shift)) % nlon)
+        labels = np.minimum(labels, image_rows * nlon + (sign * cols + int(shift)) % nlon)
     return labels.ravel()
 
 
@@ -439,12 +463,21 @@ class ContinuationProblem:
     values of the basis, synthesised once: residual, Jacobian and
     dR/dlambda are matrix-vector products and one basis-sized product.
 
-    The integrand is invariant under the group, so the sums run over one
-    grid point per orbit of `grid_orbit_labels` (`grid_points`, flat
-    indices), weighted by the orbit's total quadrature weight.  The family
-    sets the fold rule: an element folds only if it commutes with N, so a
-    family whose N depends on z (`depends_on_z`) folds only by elements
-    that fix z.  The family also owns its frame's stream function and bounds.
+    The grid has 2 lmax + 9 Gauss latitudes and nlon longitudes, nlon the
+    smallest multiple of 2 q at or above 4 lmax + 10, q the group's
+    longitude period (`_longitude_period`: tetrahedral and d2d 4, d4d 8,
+    trivial 1).  So every element that sends z to +/- z maps the grid onto
+    itself, every mirror meridian is a grid longitude, and the trivial
+    group keeps 4 lmax + 10.  The integrand is invariant under the group,
+    so the sums run over one grid point per orbit of `grid_orbit_labels`
+    (`grid_points`, flat indices), weighted by the orbit's total quadrature
+    weight: at tetrahedral lmax 24, 827 of 57 x 112 = 6,384 points.  The
+    family sets the fold rule: an element folds only if it commutes with N,
+    so a family whose N depends on z (`depends_on_z`) folds only by
+    elements that fix z (1,653 points there).  The family also owns its
+    frame's stream function and bounds.  A branch point's `sup_psi` and
+    `sup_vorticity` are maxima over the grid points, so they are sampled
+    estimates of the suprema and move with the grid.
     """
 
     family: CubicShiftFamily | SaturatingLinearFamily
@@ -452,9 +485,12 @@ class ContinuationProblem:
 
     def __post_init__(self):
         # grid sized for cubic products (alias-free for polynomial families of
-        # degree <= 3; generous quadrature for the saturating profile)
-        lmax = self.subspace.lmax
-        self.transform = sht.get_transform(lmax, 2 * lmax + 9, 4 * lmax + 10)
+        # degree <= 3; generous quadrature for the saturating profile), with
+        # nlon a multiple of twice the longitude period so that every element
+        # sending z to +/- z folds it
+        lmax, period = self.subspace.lmax, 2 * _longitude_period(self.subspace.group)
+        nlon = period * math.ceil((4 * lmax + 10) / period)
+        self.transform = sht.get_transform(lmax, 2 * lmax + 9, nlon)
         grid = self.transform.grid
         labels = grid_orbit_labels(self.subspace.group, grid, fix_z=self.family.depends_on_z)
         self.grid_points, orbit = np.unique(labels, return_inverse=True)

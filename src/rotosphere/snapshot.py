@@ -72,16 +72,26 @@ def write_snapshot(path: str | Path, field: SpectralField, time: float = 0.0) ->
 
 
 def write_snapshot_json(path: str | Path, field: SpectralField, time: float = 0.0) -> None:
+    """The text of `json.dumps(payload, sort_keys=True, indent=1)` plus a
+    newline.  An indent switches json to its pure-Python encoder, so the
+    coefficient block (the first key) is formatted here with float repr, as
+    json does; a field with a non-finite coefficient goes through json."""
     flat = _flatten(field)
-    payload = {
+    header = {
         "format": MAGIC.decode(),
         "version": VERSION,
         "lmax": field.lmax,
         "real_valued": True,
         "time": float(time),
-        "coefficients": [[z.real, z.imag] for z in flat],
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    pairs = zip(flat.real.tolist(), flat.imag.tolist())
+    if np.all(np.isfinite(flat)):
+        block = ",\n".join(map("  [\n   %r,\n   %r\n  ]".__mod__, pairs))
+        rest = json.dumps(header, sort_keys=True, indent=1)[1:]
+        text = '{\n "coefficients": [\n' + block + "\n ]," + rest
+    else:
+        text = json.dumps(dict(header, coefficients=[list(p) for p in pairs]), sort_keys=True, indent=1)
+    Path(path).write_text(text + "\n")
 
 
 def read_snapshot(path: str | Path) -> tuple[SpectralField, float]:

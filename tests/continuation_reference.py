@@ -10,7 +10,8 @@ formulas are chosen by the family's type and written out here, so
 agreement pins the quadrature identity, the 1 / (l (l + 1)) factors, the
 family's N, dN/df and dN/dlambda, and the rotating-frame forcing.
 
-`residual_field` is the unprojected residual on the problem's own transform
+`whole_grid_quadrature` sums the residual and its Jacobian over every point
+of a grid it is given, `residual_field` is the unprojected residual on the problem's own transform
 path, `invariance_defect` rotates every basis field by every group
 element, `sup_bound` is the a-priori bound on sup |psi| along a
 saturating family's branch, and `projectors_by_element` is the group
@@ -31,31 +32,24 @@ def _fixed_frame(problem):
     return isinstance(problem.family, bif.CubicShiftFamily)
 
 
-def _z_values(problem):
-    grid = problem.transform.grid
-    return np.broadcast_to(grid.nodes[:, None], (grid.nlat, grid.nlon))
-
-
-def _nonlinearity(problem, lam, f_values):
+def _nonlinearity(problem, lam, f_values, z):
     family = problem.family
     if _fixed_frame(problem):
         return family.p(lam + f_values) - family.p(lam)
-    arg = (1.0 + lam * lam) * f_values - family.mu * _z_values(problem)
-    return family.p(arg)
+    return family.p((1.0 + lam * lam) * f_values - family.mu * z)
 
 
-def _nonlinearity_derivative(problem, lam, f_values):
+def _nonlinearity_derivative(problem, lam, f_values, z):
     family = problem.family
     if _fixed_frame(problem):
         return family.dp(lam + f_values)
-    arg = (1.0 + lam * lam) * f_values - family.mu * _z_values(problem)
-    return (1.0 + lam * lam) * family.dp(arg)
+    return (1.0 + lam * lam) * family.dp((1.0 + lam * lam) * f_values - family.mu * z)
 
 
 def residual(problem, lam, x):
     tr, sub = problem.transform, problem.subspace
     f_half = sub.assemble_half(x)
-    rhs = tr.analysis(_nonlinearity(problem, lam, tr.synthesis(f_half)))
+    rhs = tr.analysis(_nonlinearity(problem, lam, tr.synthesis(f_half), tr.grid.nodes[:, None]))
     if not _fixed_frame(problem):  # the -2 nu z forcing, added as a coefficient
         rhs[1, 0] -= 2.0 * problem.family.nu * ZONAL_DEGREE_ONE_COEFF
     rhs[0, 0] = 0.0
@@ -65,13 +59,32 @@ def residual(problem, lam, x):
 def jacobian(problem, lam, x):
     tr, sub = problem.transform, problem.subspace
     f_values = tr.synthesis(sub.assemble_half(x))
-    forced = tr.synthesis(sub.halves) * _nonlinearity_derivative(problem, lam, f_values)
+    forced = tr.synthesis(sub.halves) * _nonlinearity_derivative(problem, lam, f_values,
+                                                                 tr.grid.nodes[:, None])
     images = sht.inverse_laplacian_table(tr.analysis(forced))
     return np.eye(sub.dim) - sub.project_half(images).T
 
 
 def dresidual_dlambda(problem, lam, x, h=1e-7):
     return (residual(problem, lam + h, x) - residual(problem, lam - h, x)) / (2.0 * h)
+
+
+def whole_grid_quadrature(problem, transform, lam, x):
+    """(residual, Jacobian) as Gauss quadrature sums over every point of the
+    given transform's grid, the basis synthesised there: neither the
+    problem's grid nor its orbit fold is used."""
+    grid, sub = transform.grid, problem.subspace
+    basis = transform.synthesis(sub.halves).reshape(sub.dim, -1)
+    weights = np.repeat(grid.weights * (2.0 * math.pi / grid.nlon), grid.nlon)
+    z, f_values = np.repeat(grid.nodes, grid.nlon), x @ basis
+    degrees = np.asarray(sub.degrees, dtype=float)
+    ll1 = degrees * (degrees + 1.0)
+    forcing = weights * _nonlinearity(problem, lam, f_values, z)
+    if not _fixed_frame(problem):
+        forcing -= weights * 2.0 * problem.family.nu * z
+    coupling = weights * _nonlinearity_derivative(problem, lam, f_values, z)
+    return (x + (basis @ forcing) / ll1,
+            np.eye(sub.dim) + ((basis * coupling) @ basis.T) / ll1[:, None])
 
 
 def residual_field(problem, lam, x):

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -279,10 +280,97 @@ class TestGridPath:
     def test_folded_point_counts(self):
         counts = {frame: _problem("tetrahedral", 24, frame)[0].grid_points.size
                   for frame in ("fixed_frame", "rotating_frame")}
-        assert counts == {"fixed_frame": 1511, "rotating_frame": 3021}  # of 57 x 106 = 6042
+        assert counts == {"fixed_frame": 827, "rotating_frame": 1653}  # of 57 x 112 = 6384
         problem, _ = _problem("trivial", 6, "fixed_frame")
         grid = problem.transform.grid
         assert np.array_equal(problem.grid_points, np.arange(grid.nlat * grid.nlon))
+
+
+@functools.cache
+def _subspace(group, lmax):
+    return bif.build_subspace(group, lmax)
+
+
+def _axis_elements(group, fix_z):
+    """The group matrices that send z to +z (and to -z unless `fix_z`),
+    found from the matrices themselves."""
+    return [mat for mat in group.matrices
+            if np.allclose(mat[2, :2], 0.0, atol=1e-12) and np.allclose(mat[:2, 2], 0.0, atol=1e-12)
+            and (mat[2, 2] > 0 or not fix_z)]
+
+
+class TestGridRule:
+    """nlon is the smallest multiple of twice the longitude period at or
+    above 4 lmax + 10, so the whole z-axis stabiliser folds the grid."""
+
+    PERIODS = {"tetrahedral": 4, "d2d": 4, "d4d": 8, "trivial": 1}
+    # elements sending z to +/- z (fixed frame) and to z (rotating frame)
+    FOLDING = {"tetrahedral": (8, 4), "d2d": (8, 4), "d4d": (16, 8), "trivial": (1, 1)}
+    FAMILIES = (bif.CubicShiftFamily(mu=1.0, mu1=1.0, degree=3),
+                bif.SaturatingLinearFamily(beta=1.0, mu=1.0, degree=3))
+
+    @pytest.mark.parametrize("frame", [0, 1], ids=["fixed_frame", "rotating_frame"])
+    @pytest.mark.parametrize("lmax", [8, 12, 24])
+    @pytest.mark.parametrize("group", ["tetrahedral", "d2d", "d4d", "trivial"])
+    def test_whole_stabiliser_folds_the_grid(self, group, lmax, frame):
+        sub = _subspace(group, lmax)
+        assert bif._longitude_period(sub.group) == self.PERIODS[group]
+        problem = bif.ContinuationProblem(family=self.FAMILIES[frame], subspace=sub)
+        grid = problem.transform.grid
+        nlon = grid.nlon
+        assert grid.nlat == 2 * lmax + 9
+        assert nlon >= 4 * lmax + 10 and nlon % (2 * self.PERIODS[group]) == 0
+        if group == "trivial":
+            assert nlon == 4 * lmax + 10
+        lat = np.arcsin(grid.nodes)[:, None]
+        points = np.stack(np.broadcast_arrays(np.cos(lat) * np.cos(grid.longitudes),
+                                              np.cos(lat) * np.sin(grid.longitudes),
+                                              np.sin(lat)), axis=-1).reshape(-1, 3)
+        labels = bif.grid_orbit_labels(sub.group, grid, fix_z=bool(frame))
+        elements = _axis_elements(sub.group, fix_z=bool(frame))
+        assert len(elements) == self.FOLDING[group][frame]
+        for mat in elements:
+            # the image of each point is a grid point, and in its orbit
+            images = points @ mat.T
+            rows = np.argmin(np.abs(images[:, 2, None] - grid.nodes), axis=1)
+            cols = np.rint(np.arctan2(images[:, 1], images[:, 0]) * nlon / (2.0 * math.pi))
+            flat = rows * nlon + cols.astype(int) % nlon
+            assert np.max(np.abs(points[flat] - images)) < 1e-12
+            assert np.array_equal(labels[flat], labels)
+        assert np.array_equal(problem.grid_points, np.unique(labels))
+
+    @pytest.mark.parametrize("group", ["tetrahedral", "d2d", "d4d"])
+    def test_mirror_meridians_are_grid_longitudes(self, group):
+        for lmax in (8, 12, 24):
+            problem = bif.ContinuationProblem(bif.CubicShiftFamily(mu=1.0, mu1=1.0, degree=3),
+                                              _subspace(group, lmax))
+            nlon = problem.transform.grid.nlon
+            mirrors = [mat for mat in _axis_elements(problem.subspace.group, fix_z=True)
+                       if np.linalg.det(mat[:2, :2]) < 0]
+            assert mirrors
+            for mat in mirrors:
+                # the meridian a mirror fixes is its plane's +1 eigenvector
+                eigvals, eigvecs = np.linalg.eigh(mat[:2, :2])
+                axis = eigvecs[:, np.argmax(eigvals)]
+                position = math.atan2(axis[1], axis[0]) * nlon / (2.0 * math.pi)
+                assert abs(position - round(position)) < 1e-9
+
+    def test_cubic_quadrature_exact_on_the_former_grid(self):
+        """Cubic integrands are exact on both grids, so the folded sums on the
+        new grid equal whole-grid sums on the former 4 lmax + 10 longitudes."""
+        lmax = 12
+        problem = bif.ContinuationProblem(bif.CubicShiftFamily(mu=1.0, mu1=1.0404, degree=3),
+                                          _subspace("tetrahedral", lmax))
+        former = sht.get_transform(lmax, 2 * lmax + 9, 4 * lmax + 10)
+        assert former.grid.nlon != problem.transform.grid.nlon
+        point = bif.detect_bifurcation_points(problem, (0.0, 2.0), degrees=[3])[-1]
+        branch = bif.continue_branch(problem, point, steps=20, ds=0.08)
+        assert len(branch.points) == 21
+        for p in branch.points:
+            residual, jacobian = ref.whole_grid_quadrature(problem, former, p.lam, p.x)
+            scale = max(1.0, np.max(np.abs(p.x)))
+            assert np.max(np.abs(problem.residual(p.lam, p.x) - residual)) < 1e-13 * scale
+            assert np.max(np.abs(problem.jacobian(p.lam, p.x) - jacobian)) < 1e-13
 
 
 class TestProfileCubes:

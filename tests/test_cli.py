@@ -619,11 +619,11 @@ class TestGoldenOutputs:
     @pytest.mark.parametrize("change, digests", [
         ({"ds": 0.08, "lambda_range": [0.0, 2.0],
           "family": {"kind": "cubic", "mu": 1.0, "mu1": 1.0, "degree": 3}},
-         {"branch.csv": "10e78040289abd8a0f483f729757692cd388730c8c210d72f3a0a27c9b0b8584",
+         {"branch.csv": "99d26df0b04b6363e94244a86c66f4b314b21f3c5d5ac0b6accdebe5be1026a0",
           "branch_report.json": "b42b5e5547e0a01cb43038642c270614b6bedecb80d2ae2ab4ab4e101356ebf8"}),
         # the last point leaves the saturating profile's linear window
         ({"ds": 0.1, "family": {"kind": "saturating", "beta": 1.0, "mu": 1.0, "degree": 3}},
-         {"branch.csv": "70a22ab4e12666d42db5579cd32fa25c267da76f7fcf125db21752c598f459a9",
+         {"branch.csv": "7f287a9f568f888deaa41eca693809e6eb354575ce41fcd4da1d8ddb12af6152",
           "branch_report.json": "30b7100e818b286e72078a04163d4fe07298e163f13ba783b9ff4f5196ccc413"}),
     ], ids=["cubic", "saturating"])
     def test_bifurcate_branch(self, tmp_path, change, digests):

@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 
 import numpy as np
@@ -136,6 +137,49 @@ def _golden_json(pairs, lmax, real_valued, time):
     return (f'{{\n "coefficients": [\n{coefficients}\n ],\n "format": "RSPHCOF1",\n'
             f' "lmax": {lmax},\n "real_valued": {real_valued},\n "time": {time},\n'
             f' "version": 1\n}}\n')
+
+
+def _json_dumps_twin(field, time):
+    """The JSON twin as json's own encoder writes it."""
+    payload = {"format": "RSPHCOF1", "version": 1, "lmax": field.lmax, "real_valued": True,
+               "time": float(time),
+               "coefficients": [[z.real, z.imag] for z in snapshot._flatten(field)]}
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
+class TestJsonTwinBytes:
+    """The directly formatted coefficient block gives json's bytes."""
+
+    SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, 0.1, -2.5e-7, 123456789.0]
+
+    @pytest.mark.parametrize("lmax, seed", [(3, 0), (8, 1), (63, 2)])
+    def test_random_fields(self, tmp_path, lmax, seed):
+        rng = np.random.default_rng(seed)
+        shape = (2, lmax + 1, lmax + 1)
+        parts = rng.normal(size=shape) * 10.0 ** rng.uniform(-300, 300, size=shape)
+        parts = np.where(rng.random(size=shape) < 0.3, rng.choice(self.SPECIAL, size=shape), parts)
+        written = np.flatnonzero(np.tri(lmax + 1, dtype=bool))  # the entries m <= l
+        parts[0].reshape(-1)[rng.choice(written, len(self.SPECIAL), replace=False)] = self.SPECIAL
+        field = sht.SpectralField.zeros(lmax)
+        field.halves.real, field.halves.imag = parts  # keeps -0.0, unlike a + 1j * b
+        flat = snapshot._flatten(field).real
+        assert all(np.any((flat == v) & (np.signbit(flat) == np.signbit(v))) for v in self.SPECIAL)
+        for time in (0.0, 0.1, -3.5e-9, 1e300):
+            path = tmp_path / "twin.json"
+            snapshot.write_snapshot_json(path, field, time=time)
+            assert path.read_text() == _json_dumps_twin(field, time)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_field(self, tmp_path):
+        field = random_real_field(4, seed=5)
+        field.halves[2, 1] = complex(math.nan, 1.0)
+        field.halves[3, 0] = math.inf
+        field.halves[4, 2] = complex(0.5, -math.inf)
+        path = tmp_path / "twin.json"
+        snapshot.write_snapshot_json(path, field, time=2.0)
+        text = path.read_text()
+        assert text == _json_dumps_twin(field, 2.0)
+        assert "NaN" in text and "-Infinity" in text
 
 
 class TestGoldenBytes:

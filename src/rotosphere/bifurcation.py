@@ -32,10 +32,18 @@ class GroupElement:
     parity: bool
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True, eq=False)
 class SymmetryGroup:
+    """A finite subgroup of O(3); read-only copies of its matrices fix its grid fold."""
+
     name: str
-    matrices: list[np.ndarray]
+    matrices: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        matrices = tuple(np.array(mat, dtype=float) for mat in self.matrices)
+        for mat in matrices:
+            mat.setflags(write=False)
+        object.__setattr__(self, "matrices", matrices)
 
     @property
     def order(self) -> int:
@@ -99,7 +107,7 @@ def antiprism_group(n: int = 4) -> SymmetryGroup:
 
 
 def trivial_group() -> SymmetryGroup:
-    return SymmetryGroup(name="trivial", matrices=[np.eye(3)])
+    return SymmetryGroup(name="trivial", matrices=(np.eye(3),))
 
 
 NAMED_GROUPS: dict[str, Callable[[], SymmetryGroup]] = {
@@ -115,19 +123,13 @@ NAMED_GROUPS: dict[str, Callable[[], SymmetryGroup]] = {
 # ---------------------------------------------------------------------------
 
 def _real_to_complex_block(l: int) -> np.ndarray:
-    """Unitary sending real-basis coordinates to complex coefficients, degree l."""
-    dim = 2 * l + 1
-    v = np.zeros((dim, dim), dtype=complex)
+    """Unitary sending real coordinates (cos-type l + mu, sin-type l - mu) to complex ones."""
+    mu, inv_sqrt2 = np.arange(1, l + 1), 1.0 / math.sqrt(2.0)
+    signed = sht._order_signs(l)[1:] * inv_sqrt2
+    v = np.zeros((2 * l + 1, 2 * l + 1), dtype=complex)
     v[l, l] = 1.0
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for mu in range(1, l + 1):
-        sign = (-1.0) ** mu
-        # column for the cos-type real function (label +mu)
-        v[l + mu, l + mu] = inv_sqrt2
-        v[l - mu, l + mu] = sign * inv_sqrt2
-        # column for the sin-type real function (label -mu)
-        v[l + mu, l - mu] = -1j * sign * inv_sqrt2
-        v[l - mu, l - mu] = 1j * inv_sqrt2
+    v[l + mu, l + mu], v[l - mu, l + mu] = inv_sqrt2, signed
+    v[l + mu, l - mu], v[l - mu, l - mu] = -1j * signed, 1j * inv_sqrt2
     return v
 
 
@@ -164,26 +166,33 @@ def group_projectors(elements: Sequence[GroupElement],
         yield l, (v.conj().T @ total @ v).real / len(elements)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True, eq=False)
 class SymmetrySubspace:
-    """Orthonormal real basis of group-invariant fields, organized by degree."""
+    """Orthonormal real basis of group-invariant fields, organized by degree:
+    one read-only stack `halves` (dim, lmax+1, lmax+1) of m >= 0 half tables,
+    field i of the single degree `degrees[i]`.  `lmax`, `dim` and
+    `dimension_by_degree` (0 for an empty degree in 1..lmax) derive from them."""
 
     group: SymmetryGroup
-    lmax: int
-    degrees: list[int]                 # degree of each basis element
-    basis: list[SpectralField]         # unit-norm real fields, one degree each
-    dimension_by_degree: dict[int, int]
+    degrees: tuple[int, ...]
+    halves: np.ndarray
 
     def __post_init__(self):
-        # m >= 0 half tables of the basis fields, stacked (dim, l, m)
-        self.halves = np.stack([b.halves for b in self.basis])
-        # inner products of real fields on half tables: order 0 once, m > 0 twice
-        weighted = self.halves * np.where(np.arange(self.lmax + 1) == 0, 1.0, 2.0)
-        self._rows = weighted.view(float).reshape(self.dim, -1)
+        halves = np.array(self.halves, dtype=complex)
+        halves.setflags(write=False)
+        object.__setattr__(self, "halves", halves)
+
+    @property
+    def lmax(self) -> int:
+        return self.halves.shape[-1] - 1
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.halves)
+
+    @property
+    def dimension_by_degree(self) -> dict[int, int]:
+        return {l: self.degrees.count(l) for l in range(1, self.lmax + 1)}
 
     def simple_degrees(self) -> list[int]:
         """Degrees whose invariant subspace is one-dimensional."""
@@ -198,54 +207,48 @@ class SymmetrySubspace:
     def project_half(self, halves: np.ndarray) -> np.ndarray:
         """Coordinates of real fields given as half tables (..., l, m); a
         leading batch axis gives one row of coordinates per field."""
-        flat = np.ascontiguousarray(halves).view(float)
-        return flat.reshape(*halves.shape[:-2], -1) @ self._rows.T
-
-    def project(self, field: SpectralField) -> np.ndarray:
-        """Coordinates of the field."""
-        return self.project_half(field.halves)
+        # inner products of real fields on half tables: order 0 once, m > 0 twice
+        weight = np.where(np.arange(self.lmax + 1) == 0, 1.0, 2.0)
+        rows = np.ascontiguousarray(halves * weight).view(float).reshape(*halves.shape[:-2], -1)
+        return rows @ self.halves.view(float).reshape(self.dim, -1).T
 
     def generator_index(self, degree: int) -> int:
-        idx = [i for i, d in enumerate(self.degrees) if d == degree]
-        if len(idx) != 1:
+        if self.degrees.count(degree) != 1:
             raise ValueError(f"degree {degree} does not carry a one-dimensional subspace")
-        return idx[0]
+        return self.degrees.index(degree)
 
 
 def build_subspace(group: SymmetryGroup | str, lmax: int) -> SymmetrySubspace:
     """Group-averaged projector per degree, orthonormal invariant basis.
 
     The averaging matrix over an orthogonal representation is a symmetric
-    idempotent; its unit-eigenvalue eigenvectors span the invariants.
+    idempotent; its unit-eigenvalue eigenvectors R span the invariants, in
+    the real basis of `_real_to_complex_block`.  Each R is written straight
+    into its degree-l half-table row: c_l^0 = R[l] and, for mu = 1..l,
+    c_l^mu = (R[l + mu] - i (-1)^mu R[l - mu]) / sqrt(2).
     """
+    if lmax < 1:
+        raise ValueError(f"lmax must be >= 1, got {lmax}")
     if isinstance(group, str):
         if group.lower() not in NAMED_GROUPS:
             raise ValueError(f"unknown group {group!r}; known: {sorted(NAMED_GROUPS)}")
         group = NAMED_GROUPS[group.lower()]()
-    degrees: list[int] = []
-    basis: list[SpectralField] = []
-    dims: dict[int, int] = {}
+    degrees, blocks, inv_sqrt2 = [], [], 1.0 / math.sqrt(2.0)  # blocks: (n_l, l, m) half tables
     for l, proj in group_projectors(group.elements(), lmax):
         eigvals, eigvecs = np.linalg.eigh(0.5 * (proj + proj.T))
-        keep = [i for i in range(eigvals.size) if eigvals[i] > 0.5]  # eigenvalues are 0 or 1
-        dims[l] = len(keep)
-        v = _real_to_complex_block(l)
-        for i in keep:
-            r = eigvecs[:, i]
-            # deterministic sign: largest-magnitude coordinate positive
-            pivot = int(np.argmax(np.abs(r)))
-            if r[pivot] < 0:
-                r = -r
-            c_block = v @ r
-            table = np.zeros((lmax + 1, 2 * lmax + 1), dtype=complex)
-            table[l, lmax - l : lmax + l + 1] = c_block
-            degrees.append(l)
-            # the real part: the average of the computed row and its mirror
-            basis.append(SpectralField(sht._mirror_average(table)))
-    if not basis:
+        kept = eigvecs[:, eigvals > 0.5].T  # eigenvalues are 0 or 1
+        # deterministic sign: largest-magnitude coordinate positive
+        kept *= np.sign(kept[np.arange(len(kept)), np.argmax(np.abs(kept), axis=1)])[:, None]
+        h = np.zeros((len(kept), lmax + 1, lmax + 1), dtype=complex)
+        h[:, l, 0] = kept[:, l]
+        signed = sht._order_signs(l)[1:] * inv_sqrt2
+        h[:, l, 1 : l + 1] = inv_sqrt2 * kept[:, l + 1 :] - 1j * signed * kept[:, l - 1 :: -1]
+        degrees += [l] * len(kept)
+        blocks.append(h)
+    if not degrees:
         raise ArithmeticError(f"group {group.name!r} has no invariant harmonics up to degree {lmax}")
-    return SymmetrySubspace(group=group, lmax=lmax, degrees=degrees, basis=basis,
-                            dimension_by_degree=dims)
+    # + 0.0 turns the formula's signed zeros into the +0.0 of a mirror average
+    return SymmetrySubspace(group=group, degrees=tuple(degrees), halves=np.concatenate(blocks) + 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -355,14 +358,12 @@ class SaturatingLinearFamily:
         return self.nu / self.mu**3
 
     def p(self, t):
-        t = np.asarray(t, dtype=float)
         excess = np.maximum(np.abs(t) - 2.0 * self.mu, 0.0)
         return self.slope * t + self.kappa * np.sign(t) * (excess * excess * excess)
 
     def dp(self, t):
-        t = np.asarray(t, dtype=float)
-        excess = np.abs(t) - 2.0 * self.mu
-        return self.slope + np.where(excess > 0.0, 3.0 * self.kappa * np.maximum(excess, 0.0) ** 2, 0.0)
+        excess = np.maximum(np.abs(t) - 2.0 * self.mu, 0.0)
+        return self.slope + 3.0 * self.kappa * excess**2
 
     def argument(self, lam: float, f: np.ndarray, z: np.ndarray) -> np.ndarray:
         """(1 + lambda^2) f - mu z, the argument of P."""

@@ -520,8 +520,6 @@ def cmd_stability(args):
 def cmd_bifurcate(args):
     config = _load_config(args.problem)
     lmax = _get(config, "lmax", int, 12)
-    if lmax < 1:
-        raise ConfigError(f"lmax must be >= 1, got {lmax}")
     fam_cfg = _get(config, "family", dict)
     kind = _get(fam_cfg, "kind", str, "cubic")
     if kind not in ("cubic", "saturating"):

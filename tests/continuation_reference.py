@@ -14,8 +14,9 @@ family's N, dN/df and dN/dlambda, and the rotating-frame forcing.
 of a grid it is given, `residual_field` is the unprojected residual on the problem's own transform
 path, `invariance_defect` rotates every basis field by every group
 element, `sup_bound` is the a-priori bound on sup |psi| along a
-saturating family's branch, and `projectors_by_element` is the group
-average of the rotation blocks summed one element at a time.
+saturating family's branch, `projectors_by_element` is the group
+average of the rotation blocks summed one element at a time, and
+`full_table_halves` builds the invariant basis through full complex tables.
 """
 
 import math
@@ -96,7 +97,7 @@ def invariance_defect(subspace):
     """Largest coefficient change of a basis field under a group element."""
     worst = 0.0
     for elem in subspace.group.elements():
-        for b in subspace.basis:
+        for b in (subspace.assemble(row) for row in np.eye(subspace.dim)):
             rotated = sht.rotate(b, elem.rotation, parity=elem.parity)
             worst = max(worst, float(np.max(np.abs(rotated.halves - b.halves))))
     return worst
@@ -135,3 +136,24 @@ def projectors_by_element(elements, lmax):
         v = bif._real_to_complex_block(l)
         out[l] = (v.conj().T @ total @ v).real / len(elements)
     return out
+
+
+def full_table_halves(group, lmax):
+    """Stacked half tables of the invariant basis, each kept eigenvector of
+    the group projector sent to a full (lmax+1, 2 lmax+1) complex table by
+    `_real_to_complex_block` and cut back by the mirror average."""
+    halves = []
+    for l, proj in bif.group_projectors(group.elements(), lmax):
+        eigvals, eigvecs = np.linalg.eigh(0.5 * (proj + proj.T))
+        v = bif._real_to_complex_block(l)
+        for i in range(eigvals.size):
+            if eigvals[i] <= 0.5:
+                continue
+            r = eigvecs[:, i]
+            pivot = int(np.argmax(np.abs(r)))
+            if r[pivot] < 0:
+                r = -r
+            table = np.zeros((lmax + 1, 2 * lmax + 1), dtype=complex)
+            table[l, lmax - l : lmax + l + 1] = v @ r
+            halves.append(sht._mirror_average(table))
+    return np.stack(halves)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import os
@@ -46,6 +47,11 @@ def _problem(group, lmax, frame):
     return bif.ContinuationProblem(family=family, subspace=subspace), amplitude
 
 
+def _basis_field(subspace, i):
+    """Basis field i of the subspace as a spectral field."""
+    return subspace.assemble(np.eye(subspace.dim)[i])
+
+
 def _newton_point(problem, amplitude, seed):
     """A point (lambda, x) off the trivial branch: in the rotating frame near
     the crossing lambda = 2 with the saturating profile's cubic part active."""
@@ -73,7 +79,7 @@ class TestGroups:
 class TestSubspaces:
     def test_tetrahedral_degree_three_generator(self, tetra_subspace):
         assert tetra_subspace.dimension_by_degree[3] == 1
-        gen = tetra_subspace.basis[tetra_subspace.generator_index(3)]
+        gen = _basis_field(tetra_subspace, tetra_subspace.generator_index(3))
         # the generator is the sin(2 phi)-type real harmonic of degree 3
         ref = sht.SpectralField.zeros(12)
         ref.set(3, -2, 1j / math.sqrt(2))
@@ -88,7 +94,7 @@ class TestSubspaces:
     def test_antiprism_degree_five_generator(self):
         sub = bif.build_subspace("d4d", 5)
         assert sub.dimension_by_degree[5] == 1
-        gen = sub.basis[sub.generator_index(5)]
+        gen = _basis_field(sub, sub.generator_index(5))
         support = [(l, m - 5) for l in range(6) for m in range(11)
                    if abs(gen.coeffs[l, m]) > 1e-10]
         assert support == [(5, -4), (5, 4)]
@@ -96,7 +102,7 @@ class TestSubspaces:
     def test_d2d_degree_five_generator_support(self):
         sub = bif.build_subspace("d2d", 5)
         assert sub.dimension_by_degree[5] == 1
-        gen = sub.basis[sub.generator_index(5)]
+        gen = _basis_field(sub, sub.generator_index(5))
         support = [(l, m - 5) for l in range(6) for m in range(11)
                    if abs(gen.coeffs[l, m]) > 1e-10]
         assert support == [(5, -2), (5, 2)]
@@ -106,10 +112,9 @@ class TestSubspaces:
         assert sub.dimension_by_degree == {1: 3, 2: 5, 3: 7}
 
     def test_basis_orthonormal(self, tetra_subspace):
-        gram = np.array([
-            [float(np.sum((np.conj(a.coeffs) * b.coeffs).real)) for b in tetra_subspace.basis]
-            for a in tetra_subspace.basis
-        ])
+        basis = [_basis_field(tetra_subspace, i) for i in range(tetra_subspace.dim)]
+        gram = np.array([[float(np.sum((np.conj(a.coeffs) * b.coeffs).real)) for b in basis]
+                         for a in basis])
         assert np.max(np.abs(gram - np.eye(tetra_subspace.dim))) < 1e-12
 
     def test_basis_invariant_under_all_elements(self, tetra_subspace):
@@ -163,10 +168,11 @@ class TestSubspaces:
     def test_project_and_assemble_match_coefficient_sums(self, tetra24_subspace):
         sub = tetra24_subspace
         field = random_real_field(24, seed=21)
-        loop = np.array([float(np.sum((np.conj(b.coeffs) * field.coeffs).real)) for b in sub.basis])
-        assert np.max(np.abs(sub.project(field) - loop)) < 1e-13
+        basis = [_basis_field(sub, i) for i in range(sub.dim)]
+        loop = np.array([float(np.sum((np.conj(b.coeffs) * field.coeffs).real)) for b in basis])
+        assert np.max(np.abs(sub.project_half(field.halves) - loop)) < 1e-13
         x = np.random.default_rng(22).normal(size=sub.dim)
-        summed = sum(xi * b.coeffs for xi, b in zip(x, sub.basis))
+        summed = sum(xi * b.coeffs for xi, b in zip(x, basis))
         assert np.max(np.abs(sub.assemble(x).coeffs - summed)) < 1e-13
 
     def test_unknown_group_name(self):
@@ -176,6 +182,39 @@ class TestSubspaces:
     def test_empty_subspace_rejected(self):
         with pytest.raises(ArithmeticError):
             bif.build_subspace("tetrahedral", 2)
+
+    @pytest.mark.parametrize("lmax", [0, -3])
+    def test_lmax_below_one_rejected(self, lmax):
+        with pytest.raises(ValueError, match=f"lmax must be >= 1, got {lmax}"):
+            bif.build_subspace("tetrahedral", lmax)
+
+    @pytest.mark.parametrize("group", ["tetrahedral", "d2d", "d4d", "trivial"])
+    @pytest.mark.parametrize("lmax", [8, 12, 24])
+    def test_halves_match_full_table_construction(self, group, lmax):
+        sub = bif.build_subspace(group, lmax)
+        expected = ref.full_table_halves(bif.NAMED_GROUPS[group](), lmax)
+        assert sub.halves.tobytes() == expected.tobytes()
+        assert sub.degrees == tuple(l for l in range(1, lmax + 1)
+                                    for _ in range(sub.dimension_by_degree[l]))
+        assert sub.lmax == lmax and sub.dim == len(expected)
+
+    def test_subspace_and_group_are_frozen(self, tetra_subspace):
+        group = tetra_subspace.group
+        for obj, name in ((tetra_subspace, "halves"), (tetra_subspace, "degrees"),
+                          (tetra_subspace, "group"), (group, "matrices"), (group, "name")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, getattr(obj, name))
+        for array in (tetra_subspace.halves, group.matrices[1]):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            tetra_subspace.halves.real[0] += 1.0
+
+    def test_group_copies_its_matrices(self):
+        mats = [np.eye(3), np.diag([1.0, -1.0, -1.0])]
+        group = bif.SymmetryGroup(name="c2", matrices=mats)
+        mats[1][0, 0] = 5.0
+        assert group.matrices[1][0, 0] == 1.0 and isinstance(group.matrices, tuple)
 
 
 class TestResidual:
@@ -224,7 +263,7 @@ class TestResidual:
         rng = np.random.default_rng(4)
         x = 0.2 * rng.normal(size=cubic_problem.subspace.dim)
         field = ref.residual_field(cubic_problem, 0.5, x)
-        coords = cubic_problem.subspace.project(field)
+        coords = cubic_problem.subspace.project_half(field.halves)
         recon = cubic_problem.subspace.assemble(coords)
         leak = (field - recon).norm()
         assert leak < 1e-10 * max(1.0, field.norm())

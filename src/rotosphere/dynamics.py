@@ -2,10 +2,14 @@
 
 The prognostic variable is the vorticity; the stream function is recovered
 by inverting the Laplacian at every stage, which keeps the closed-surface
-mean constraint enforced by construction.  Each stage is one fused
-`Transform.bracket` pass on raw half tables.  The integrator is classical
-RK4 with a fixed step: deterministic, with an O(dt^4) phase error; over a
-fixed time the drift of quadratic invariants on neutral modes is O(dt^5).
+mean constraint enforced by construction.  A step converts the vorticity's
+half table to the transform's real columns once, runs its four stages (each
+one fused gradient pass, grid product and analysis) and the RK4
+combinations on columns, and converts back once.  `tendency` runs the same
+stage through the converters, and `Transform.bracket` (so
+`fields.advection`) the same bracket.  The integrator is classical RK4 with
+a fixed step: deterministic, with an O(dt^4) phase error; over a fixed time
+the drift of quadratic invariants on neutral modes is O(dt^5).
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -100,17 +105,64 @@ def tendency(state: SimulationState, omega: float) -> SpectralField:
     """Vorticity tendency: minus the advection of total vorticity by the flow."""
     sht.require_zero_mean(state.vorticity)
     tr = sht.dealiased_transform(state.vorticity.lmax)
-    return SpectralField(_tendency_half(tr, state.vorticity.halves, omega))
+    return SpectralField(sht.from_columns(
+        _tendency_columns(tr, sht.to_columns(state.vorticity.halves), omega))[0])
 
 
-def _tendency_half(tr: sht.Transform, vort: np.ndarray, omega: float) -> np.ndarray:
-    """`tendency` on the half table (l, m) of a zero-mean real vorticity, with
-    psi and q = vort + 2 omega sin(lat) stacked for `tr.bracket`."""
-    psi, q = pair = np.zeros((2, *vort.shape), dtype=complex)
-    np.divide(vort[1:], sht.laplacian_eigenvalues(tr.lmax)[1:], out=psi[1:])
-    q[...] = vort
-    q[1, 0] += fields.coriolis_stream_coefficient(omega)
-    return -tr.bracket(pair)
+# numpy multiplies a complex number by a real x > 0 as by x + 0i, to the parts
+# re x - im 0 and im x + re 0.  The zero terms set the signs of zero parts (and
+# turn an infinite part into a NaN in the other); `_signed` adds them on columns.
+@lru_cache(maxsize=64)
+def _zero_factors(lmax: int) -> np.ndarray:
+    """-0 on the real rows and +0 on the imaginary rows of the columns
+    (lmax+1, 2, lmax+1), cached and read-only; a full array, since a
+    broadcast one slows numpy's loop over the swapped rows."""
+    factors = np.zeros((lmax + 1, 2, lmax + 1))
+    factors[:, 0] = -0.0
+    factors.setflags(write=False)
+    return factors
+
+
+def _signed(cols: np.ndarray) -> np.ndarray:
+    """The columns (m, re/im, l) of z plus the zero terms of z: x * _signed(z)
+    has the bits of numpy's x * z for a number x > 0.  numpy's loop rounds
+    each part of x * z once, so a product that underflows to zero keeps the
+    sign of its exact value; x * _signed(z) keeps it too."""
+    out = cols[:, ::-1] * _zero_factors(len(cols) - 1)
+    out += cols
+    return out
+
+
+@lru_cache(maxsize=64)
+def _pair_factors(lmax: int) -> np.ndarray:
+    """Factors (lmax+1, 2, 2, lmax+1) over (m, re/im, [psi, q], l) that take
+    vorticity columns to the [psi, q] columns: 1 / (-l(l+1)) for psi, 0 at
+    l = 0, and 1 for q; cached and read-only."""
+    inverse = np.zeros(lmax + 1)
+    inverse[1:] = 1.0 / sht.laplacian_eigenvalues(lmax)[1:, 0]
+    factors = np.empty((lmax + 1, 2, 2, lmax + 1))
+    factors[:, :, 0] = inverse
+    factors[:, :, 1] = 1.0
+    factors.setflags(write=False)
+    return factors
+
+
+def _tendency_columns(tr: sht.Transform, vort: np.ndarray, omega: float) -> np.ndarray:
+    """`tendency` on the columns (m, re/im, l) of a zero-mean real vorticity.
+
+    psi = vort / (-l(l+1)) and q = vort + 2 omega sin(lat) are written as the
+    pair columns of `tr._bracket_columns` by one product.  The pair enters
+    only the transform's matrix products, whose sums start from +0, and one
+    non-finite entry there makes every entry the analysis computes
+    non-finite; so the signs of its zero parts, and a NaN where complex
+    division gives an infinity, reach no output, and psi needs none of
+    numpy's complex zero terms.
+    """
+    orders = tr.lmax + 1
+    pair = vort[:, :, None] * _pair_factors(tr.lmax)
+    pair[0, 0, 1, 1] += fields.coriolis_stream_coefficient(omega)
+    out = tr._bracket_columns(pair.reshape(orders, 4, orders))
+    return np.negative(out, out=out)
 
 
 def _spectral_filter(lmax: int, strength: float, dt: float) -> np.ndarray | None:
@@ -121,20 +173,27 @@ def _spectral_filter(lmax: int, strength: float, dt: float) -> np.ndarray | None
 
 
 def step(state: SimulationState, config: SimulationConfig) -> SimulationState:
-    """One RK4 step on the half tables; overflow is left to the finite check."""
+    """One RK4 step on the columns of the vorticity, converted from its half
+    table once and back before the filter; overflow is left to the finite
+    check.  The stage inputs only feed the transform (see
+    `_tendency_columns`); the combination that makes the new state carries
+    numpy's complex zero terms, so every bit of the state, signed zeros
+    included, is that of the same formula on complex half tables."""
     dt, omega = config.dt, config.omega
-    c0 = state.vorticity.halves
     tr = sht.dealiased_transform(state.vorticity.lmax)
+    c0 = sht.to_columns(state.vorticity.halves)
     with np.errstate(over="ignore", invalid="ignore"):
         sht.require_zero_mean(state.vorticity)
-        k1 = _tendency_half(tr, c0, omega)
-        k2 = _tendency_half(tr, c0 + 0.5 * dt * k1, omega)
-        k3 = _tendency_half(tr, c0 + 0.5 * dt * k2, omega)
-        k4 = _tendency_half(tr, c0 + dt * k3, omega)
-        new_coeffs = c0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(new_coeffs)):
-        bad = int(np.count_nonzero(~np.isfinite(new_coeffs)))
+        k1 = _tendency_columns(tr, c0, omega)
+        k2 = _tendency_columns(tr, c0 + 0.5 * dt * k1, omega)
+        k3 = _tendency_columns(tr, c0 + 0.5 * dt * k2, omega)
+        k4 = _tendency_columns(tr, c0 + dt * k3, omega)
+        new = c0 + (dt / 6.0) * _signed(k1 + 2.0 * _signed(k2) + 2.0 * _signed(k3) + k4)
+    finite = np.isfinite(new)
+    if not finite.all():
+        bad = int(np.count_nonzero(~(finite[:, 0] & finite[:, 1])))
         raise SimulationBlowup(state.time + dt, f"{bad} non-finite coefficients after RK4 step")
+    new_coeffs = sht.from_columns(new)[0]
     filt = _spectral_filter(tr.lmax, config.filter_strength, dt)
     if filt is not None:
         new_coeffs = new_coeffs * filt

@@ -14,7 +14,12 @@ real DFT as one matmul per field against cached tables, larger grids numpy's
 real FFT (`numpy.fft.rfft` and `irfft`).  Its methods map arrays to arrays
 and keep any leading axes: m >= 0 half tables (..., lmax+1, lmax+1) give
 grid values (..., nlat, nlon), and `analysis` maps real values back;
-`bracket` fuses an advection product.
+`bracket` fuses an advection product.  Inside, the transform computes on one
+real layout, order-major columns (m, re/im x batch, l): for each order, the
+real parts of every field over the degrees, then their imaginary parts.
+`to_columns` and `from_columns` convert half tables, and the public methods
+convert only at their boundary, so a caller that keeps columns (the RK4 step
+in `dynamics`) converts once per step.
 
 A `SpectralField` is real and stores the m >= 0 half table of its
 coefficients, `halves`; the negative orders follow from
@@ -391,16 +396,18 @@ class Transform:
 
     The methods map arrays to arrays and keep any leading axes: m >= 0 half
     tables (..., lmax+1, lmax+1) give grid values (..., nlat, nlon), and
-    `analysis` maps real grid values back.  The Legendre stage contracts all
-    leading axes in one matmul per group of ORDER_GROUP orders and emits the
-    Fourier rows in (order, re/im, batch, latitude) order.  Up to
+    `analysis` maps real grid values back.  They convert at their boundary
+    to the core's columns (m, re/im x batch, l), which `_to_grid` takes and
+    `_analyse` and `_bracket_columns` return.  The Legendre stage contracts
+    all leading axes in one matmul per group of ORDER_GROUP orders and emits
+    the Fourier rows in (order, re/im, batch, latitude) order.  Up to
     DFT_MAX_NLON longitudes the longitude stage is one real matmul per field
     against cached DFT tables, so grid values come out longitude-major and are
     returned as transposed views; above it, numpy's rfft/irfft run on the same
-    rows.  The tables are computed once and treated as immutable; the gradient
-    table is built on the first `gradient_values` call, and threads racing
-    there build identical tables, so a Transform can be shared freely between
-    threads.
+    rows.  The tables are computed once and treated as immutable, and every
+    call allocates its own work arrays; the gradient table is built on the
+    first gradient or bracket call, and threads racing there build identical
+    tables, so a Transform can be shared freely between threads.
     """
 
     def __init__(self, lmax: int, nlat: int, nlon: int):
@@ -446,7 +453,7 @@ class Transform:
         np.divide(self._p, coslat, out=p_over_cos)
         return grad
 
-    # -- core on a batch of m >= 0 half tables ----------------------------------
+    # -- core on order-major real columns --------------------------------------
 
     @staticmethod
     def _batch(array: np.ndarray, shape: tuple[int, int], what: str) -> np.ndarray:
@@ -456,15 +463,12 @@ class Transform:
                 f"{what} of shape {array.shape} do not match (..., {shape[0]}, {shape[1]})")
         return array.reshape(-1, *shape)
 
-    def _to_grid(self, table: np.ndarray, halves: np.ndarray) -> np.ndarray:
-        """(batch, l, m) half tables -> (parts, batch, nlat, nlon) grid values of the
-        Legendre tables (parts, m, l, latitude); part 1, if any, is differentiated
-        in longitude."""
-        batch, orders = len(halves), self.lmax + 1
-        cols = np.empty((orders, 2, batch, orders))
-        cols[:, 0] = halves.real.transpose(2, 0, 1)
-        cols[:, 1] = halves.imag.transpose(2, 0, 1)
-        cols = cols.reshape(orders, 2 * batch, orders)
+    def _to_grid(self, table: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Columns (m, re/im x batch, l) -> (parts, batch, nlat, nlon) grid values of
+        the Legendre tables (parts, m, l, latitude); part 1, if any, is
+        differentiated in longitude."""
+        orders = self.lmax + 1
+        batch = cols.shape[1] // 2
         # Fourier rows (parts, m, re/im, batch, latitude)
         parts, nlat, nlon = len(table), self.grid.nlat, self.grid.nlon
         rows = np.empty((parts, orders, 2 * batch, nlat))
@@ -483,7 +487,7 @@ class Transform:
         return np.fft.irfft(spectra, n=nlon, axis=-1, norm="forward")
 
     def _analyse(self, values: np.ndarray) -> np.ndarray:
-        """(batch, nlat, nlon) real values -> (batch, l, m) half tables."""
+        """(batch, nlat, nlon) real values -> columns (m, re/im x batch, l)."""
         batch, nlat, nlon = values.shape
         orders = self.lmax + 1
         if self._dft is not None:
@@ -500,11 +504,22 @@ class Transform:
         for lo in range(0, orders, ORDER_GROUP):
             group = slice(lo, lo + ORDER_GROUP)
             np.matmul(rows[group], self._p[group, :, lo:], out=out[group, :, lo:])
-        out = out.reshape(orders, 2, batch, orders)
-        halves = np.empty((batch, orders, orders), dtype=complex)
-        halves.real = out[:, 0].transpose(1, 2, 0)
-        halves.imag = out[:, 1].transpose(1, 2, 0)
-        return halves
+        return out
+
+    def _bracket_columns(self, pair: np.ndarray) -> np.ndarray:
+        """Columns (m, re/im, l) of (1/cos)(-psi_theta q_phi + psi_phi q_theta),
+        degree 0 zeroed, from the [psi, q] columns (m, re/im x 2, l): one
+        gradient pass, the grid product and one analysis."""
+        if self._grad is None:
+            self._grad = self._gradient_table()
+        dtheta, dphi_over_cos = self._to_grid(self._grad, pair)
+        # psi_phi q_theta - psi_theta q_phi: x - y is x + (-y), so this has the
+        # bits of -psi_theta q_phi + psi_phi q_theta in one operation fewer
+        product = dphi_over_cos[0] * dtheta[1]
+        product -= dtheta[0] * dphi_over_cos[1]
+        out = self._analyse(product[None])
+        out[0, :, 0] = 0.0
+        return out
 
     # -- public operations ----------------------------------------------------
 
@@ -512,7 +527,7 @@ class Transform:
         """Grid values (..., nlat, nlon) of half tables (..., lmax+1, lmax+1)."""
         halves = np.asarray(halves)
         batch = self._batch(halves, (self.lmax + 1, self.lmax + 1), "half tables")
-        values = self._to_grid(self._p.transpose(0, 2, 1)[None], batch)[0]
+        values = self._to_grid(self._p.transpose(0, 2, 1)[None], to_columns(batch))[0]
         return values.reshape(*halves.shape[:-2], *values.shape[1:])
 
     def gradient_values(self, halves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -522,7 +537,7 @@ class Transform:
         batch = self._batch(halves, (self.lmax + 1, self.lmax + 1), "half tables")
         if self._grad is None:
             self._grad = self._gradient_table()
-        dtheta, dphi_over_cos = self._to_grid(self._grad, batch)
+        dtheta, dphi_over_cos = self._to_grid(self._grad, to_columns(batch))
         shape = (*halves.shape[:-2], *dtheta.shape[1:])
         return dtheta.reshape(shape), dphi_over_cos.reshape(shape)
 
@@ -533,7 +548,7 @@ class Transform:
         batch = self._batch(values, (self.grid.nlat, self.grid.nlon), "grid values")
         if np.iscomplexobj(values):
             raise ValueError("analysis takes real values")
-        halves = self._analyse(batch)
+        halves = from_columns(self._analyse(batch))
         return halves.reshape(*values.shape[:-2], *halves.shape[1:])
 
     def bracket(self, pair: np.ndarray) -> np.ndarray:
@@ -542,11 +557,31 @@ class Transform:
         gradient pass, the product and its analysis."""
         if pair.ndim != 3 or len(pair) != 2:
             raise GridShapeError(f"bracket pair of shape {pair.shape} is not (2, lmax+1, lmax+1)")
-        dtheta, dphi_over_cos = self.gradient_values(pair)
-        product = -dtheta[0] * dphi_over_cos[1] + dphi_over_cos[0] * dtheta[1]
-        out = self._analyse(product[None])[0]
-        out[0, 0] = 0.0
-        return out
+        pair = self._batch(np.asarray(pair), (self.lmax + 1, self.lmax + 1), "half tables")
+        return from_columns(self._bracket_columns(to_columns(pair)))[0]
+
+
+def to_columns(halves: np.ndarray) -> np.ndarray:
+    """Half tables (..., l, m), their leading axes taken as one batch, -> the
+    real columns (m, re/im x batch, l) that `Transform` computes on."""
+    orders = halves.shape[-1]
+    halves = halves.reshape(-1, orders, orders)
+    batch = len(halves)
+    cols = np.empty((orders, 2, batch, orders))
+    cols[:, 0] = halves.real.transpose(2, 0, 1)
+    cols[:, 1] = halves.imag.transpose(2, 0, 1)
+    return cols.reshape(orders, 2 * batch, orders)
+
+
+def from_columns(cols: np.ndarray) -> np.ndarray:
+    """Columns (m, re/im x batch, l) -> half tables (batch, l, m), bit for bit
+    the inverse of `to_columns`."""
+    orders = len(cols)
+    cols = cols.reshape(orders, 2, -1, orders)
+    halves = np.empty((cols.shape[2], orders, orders), dtype=complex)
+    halves.real = cols[:, 0].transpose(1, 2, 0)
+    halves.imag = cols[:, 1].transpose(1, 2, 0)
+    return halves
 
 
 @lru_cache(maxsize=64)

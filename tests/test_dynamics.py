@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rotosphere import dynamics, fields, sht, solutions
+from rotosphere import dynamics, fields, sht, snapshot, solutions
 from conftest import random_real_field
 from spectral_reference import reality_defect
 
@@ -14,20 +14,25 @@ def _config(lmax, omega, dt, t_end, **kw):
         lmax=lmax, **kw)
 
 
+def _unfused_bracket(tr, pair):
+    """The advection bracket of the half tables pair = [psi, q] through the
+    public unfused path: one stacked `gradient_values`, the grid product,
+    `analysis`."""
+    dtheta, dphi_over_cos = tr.gradient_values(pair)
+    out = tr.analysis(-dtheta[0] * dphi_over_cos[1] + dphi_over_cos[0] * dtheta[1])
+    out[0, 0] = 0.0
+    return out
+
+
 def _unfused_tendency(vort, omega):
-    """Minus the advection bracket through the public unfused path: one
-    stacked `gradient_values`, the grid product, `analysis`."""
+    """Minus the unfused advection bracket of psi and the total vorticity q."""
     lmax = vort.shape[0] - 1
-    tr = sht.dealiased_transform(lmax)
     l = np.arange(1, lmax + 1, dtype=float)
     psi = np.zeros_like(vort)
     psi[1:] = vort[1:] / (-l * (l + 1.0))[:, None]
     q = vort.copy()
     q[1, 0] += fields.coriolis_stream_coefficient(omega)
-    dtheta, dphi_over_cos = tr.gradient_values(np.stack([psi, q]))
-    out = tr.analysis(-dtheta[0] * dphi_over_cos[1] + dphi_over_cos[0] * dtheta[1])
-    out[0, 0] = 0.0
-    return -out
+    return -_unfused_bracket(sht.dealiased_transform(lmax), np.stack([psi, q]))
 
 
 def _unfused_rk4_step(c0, cfg):
@@ -42,6 +47,19 @@ def _unfused_rk4_step(c0, cfg):
         return new
     l = np.arange(cfg.lmax + 1) / cfg.lmax
     return new * np.exp(-cfg.filter_strength * dt * l**8)[:, None]
+
+
+def _assert_two_steps_match_unfused(vort, filter_strength):
+    """Two steps of `dynamics.step` equal two `_unfused_rk4_step`s, and the
+    entries a snapshot writes have the same bytes, sign bits of zeros included."""
+    cfg = _config(vort.lmax, omega=1.3, dt=0.01, t_end=0.02, filter_strength=filter_strength)
+    state, want = dynamics.SimulationState(0.0, vort), vort.halves
+    for _ in range(2):
+        state = dynamics.step(state, cfg)
+        want = _unfused_rk4_step(want, cfg)
+    assert np.array_equal(state.vorticity.halves, want)
+    got, ref = snapshot._flatten(state.vorticity), snapshot._flatten(sht.SpectralField(want))
+    assert got.tobytes() == ref.tobytes()
 
 
 class TestTendency:
@@ -119,16 +137,51 @@ class TestStep:
         with pytest.raises(dynamics.SimulationBlowup):
             dynamics.step(dynamics.SimulationState(0.0, vort), cfg)
 
+    # the count of non-finite coefficients in the message, as the step on
+    # complex half tables gives it
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("lmax, omega, lm, value, count", [
+        (6, 0.0, (2, 0), np.inf, 48),
+        (6, 0.0, (2, 1), complex(np.nan, 1.0), 48),
+        (12, 1.0, (4, 2), complex(0.0, np.inf), 168),
+    ])
+    def test_blowup_count(self, lmax, omega, lm, value, count):
+        vort = random_real_field(lmax, seed=23)
+        vort.set(*lm, value)
+        cfg = _config(lmax, omega=omega, dt=0.1, t_end=1.0)
+        with pytest.raises(dynamics.SimulationBlowup) as info:
+            dynamics.step(dynamics.SimulationState(0.0, vort), cfg)
+        assert info.value.detail == f"{count} non-finite coefficients after RK4 step"
+
+    # lmax 12 and 31 run the longitude DFT, lmax 63 (192 longitudes) numpy's FFT
     @pytest.mark.parametrize("filter_strength", [0.0, 3.0])
-    @pytest.mark.parametrize("lmax", [12, 31])
+    @pytest.mark.parametrize("lmax", [12, 31, 63])
     def test_bit_identical_to_unfused_rk4(self, lmax, filter_strength):
         vort = random_real_field(lmax, seed=lmax, decay=0.1)
-        cfg = _config(lmax, omega=1.3, dt=0.01, t_end=0.02, filter_strength=filter_strength)
-        state, want = dynamics.SimulationState(0.0, vort), vort.halves
-        for _ in range(2):
-            state = dynamics.step(state, cfg)
-            want = _unfused_rk4_step(want, cfg)
-        assert np.array_equal(state.vorticity.halves, want)
+        # zero parts of both signs, as a Rossby-Haurwitz state holds -0.0 at (0, 0)
+        rng = np.random.default_rng(lmax)
+        for part in (vort.halves.real, vort.halves.imag):
+            part[rng.random(part.shape) < 0.3] = -0.0
+            part[rng.random(part.shape) < 0.1] = 0.0
+        vort.halves.imag[:, 0] = 0.0
+        vort.halves[0, 0] = -0.0
+        _assert_two_steps_match_unfused(vort, filter_strength)
+
+    @pytest.mark.parametrize("filter_strength", [0.0, 3.0])
+    @pytest.mark.parametrize("lmax", [12, 63])
+    def test_zonal_zero_signs_match_unfused_rk4(self, lmax, filter_strength):
+        # a zonal flow's tendency is zero, so the m >= 1 parts of its next
+        # states are sums of signed zeros, which the snapshot writes
+        vort = sht.SpectralField.zeros(lmax)
+        vort.halves[1:, 0] = np.random.default_rng(lmax).normal(size=lmax)
+        vort.halves[:, 1:] = complex(-0.0, -0.0)
+        _assert_two_steps_match_unfused(vort, filter_strength)
+
+    @pytest.mark.parametrize("lmax", [12, 31, 63])
+    def test_bracket_bit_identical_to_unfused(self, lmax):
+        tr = sht.dealiased_transform(lmax)
+        pair = np.stack([random_real_field(lmax, seed=lmax + k, decay=0.1).halves for k in (1, 2)])
+        assert tr.bracket(pair).tobytes() == _unfused_bracket(tr, pair).tobytes()
 
     def test_filter_reported_and_damps(self):
         vort = random_real_field(10, seed=24, decay=0.0)

@@ -231,6 +231,24 @@ class TestRealFieldCore:
         g = random_real_field(9, seed=4)
         assert np.array_equal(sht.SpectralField.from_table(g.coeffs).coeffs, g.coeffs)
 
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    @pytest.mark.parametrize("lmax", [1, 8, 31, 63])
+    def test_columns_round_trip(self, lmax, lead):
+        rng = np.random.default_rng(lmax)
+        shape = (*lead, lmax + 1, lmax + 1)
+        halves = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        halves.real[..., ::3, :] = -0.0
+        halves.imag[..., 1::4] = -0.0
+        halves.flat[1] = complex(np.inf, np.nan)
+        cols = sht.to_columns(halves)
+        batch = math.prod(lead)
+        assert cols.shape == (lmax + 1, 2 * batch, lmax + 1)
+        # order-major: the real parts of every field, then the imaginary parts
+        flat = halves.reshape(batch, lmax + 1, lmax + 1)
+        assert cols[2 % (lmax + 1), batch - 1, 1].tobytes() == flat[-1, 1, 2 % (lmax + 1)].real.tobytes()
+        assert cols[1, 2 * batch - 1, lmax].tobytes() == flat[-1, lmax, 1].imag.tobytes()
+        assert sht.from_columns(cols).reshape(shape).tobytes() == halves.tobytes()
+
 
 def _grid_sizes(rule: str, lmax: int) -> tuple[int, int]:
     """(nlat, nlon) of each grid rule the package builds; the Casimir k = 5 grid

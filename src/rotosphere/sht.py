@@ -9,14 +9,13 @@ associated Legendre functions are evaluated at s = sin(latitude)).
 A `Transform(lmax, nlat, nlon)` describes one grid and owns its
 `GaussGrid`; the pair is exact for bandlimited fields as long as
 ``nlat >= lmax + 1`` and ``nlon >= 2*lmax + 1``.  Latitude quadrature is
-Gauss-Legendre.  In longitude, grids of at most DFT_MAX_NLON points run a
-real DFT as one matmul per field against cached tables, larger grids numpy's
-real FFT (`numpy.fft.rfft` and `irfft`).  Its methods map arrays to arrays
-and keep any leading axes: m >= 0 half tables (..., lmax+1, lmax+1) give
-grid values (..., nlat, nlon), and `analysis` maps real values back;
-`bracket` fuses an advection product.  Inside, the transform computes on one
-real layout, order-major columns (m, re/im x batch, l): for each order, the
-real parts of every field over the degrees, then their imaginary parts.
+Gauss-Legendre.  In longitude, every grid runs a real DFT as one matmul per
+field against cached tables.  Its methods map arrays to arrays and keep any
+leading axes: m >= 0 half tables (..., lmax+1, lmax+1) give grid values
+(..., nlat, nlon), and `analysis` maps real values back; `bracket` fuses an
+advection product.  Inside, the transform computes on one real layout,
+order-major columns (m, re/im x batch, l): for each order, the real parts of
+every field over the degrees, then their imaginary parts.
 `to_columns` and `from_columns` convert half tables, and the public methods
 convert only at their boundary, so a caller that keeps columns (the RK4 step
 in `dynamics`) converts once per step.
@@ -34,7 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -350,14 +349,6 @@ def _fill_order(column: np.ndarray, m: int, s: np.ndarray, log_ratio: float) -> 
         column[:, l] = a * s * column[:, l - 1] - b * column[:, l - 2]
 
 
-# Longitude transforms run as real matmuls against DFT tables on grids of at
-# most this many longitudes and on numpy.fft above.  Measured on a 2-core
-# host, the DFT bracket takes 0.65-0.72x the FFT's time at 96 longitudes
-# (dealiased lmax 31), 0.30x at 106 (continuation lmax 24, 2 x 53) and
-# 0.83-0.87x at 182, but 0.99-1.13x at 192 (dealiased lmax 63).
-DFT_MAX_NLON = 191
-
-
 def _dft_tables(lmax: int, nlon: int) -> tuple[np.ndarray, np.ndarray]:
     """Real DFT tables over the columns (m, re/im), m = 0..lmax, of Fourier rows.
 
@@ -400,14 +391,15 @@ class Transform:
     to the core's columns (m, re/im x batch, l), which `_to_grid` takes and
     `_analyse` and `_bracket_columns` return.  The Legendre stage contracts
     all leading axes in one matmul per group of ORDER_GROUP orders and emits
-    the Fourier rows in (order, re/im, batch, latitude) order.  Up to
-    DFT_MAX_NLON longitudes the longitude stage is one real matmul per field
-    against cached DFT tables, so grid values come out longitude-major and are
-    returned as transposed views; above it, numpy's rfft/irfft run on the same
-    rows.  The tables are computed once and treated as immutable, and every
-    call allocates its own work arrays; the gradient table is built on the
-    first gradient or bracket call, and threads racing there build identical
-    tables, so a Transform can be shared freely between threads.
+    the Fourier rows in (order, re/im, batch, latitude) order.  The longitude
+    stage is one real matmul per field against cached DFT tables, so grid
+    values come out longitude-major and are returned as transposed views.  A
+    longitude DFT costs O(nlat nlon lmax), the order of the Legendre stage.
+    The tables are computed once and treated as immutable, and every
+    call allocates its own work arrays; the gradient table is a cached
+    property built on the first gradient or bracket call, and threads racing
+    there build identical tables, so a Transform can be shared freely between
+    threads.
     """
 
     def __init__(self, lmax: int, nlat: int, nlon: int):
@@ -424,14 +416,10 @@ class Transform:
         ptab = normalized_legendre_table(L + 1, self.grid.nodes).transpose(2, 0, 1)[: L + 1]
         self._p = np.ascontiguousarray(ptab[:, :, : L + 1])
         self._p_next = np.ascontiguousarray(ptab[:, :, L + 1])
-        self._grad = None
+        # (synthesis tables, analysis table); the analysis table holds 2 pi / nlon
+        self._dft = _dft_tables(L, nlon)
 
-        # (synthesis tables, analysis table), or None where numpy.fft runs
-        self._dft = _dft_tables(L, nlon) if nlon <= DFT_MAX_NLON else None
-        # quadrature weights of the Fourier rows; the DFT analysis table holds 2 pi / nlon
-        self._weights = self.grid.weights if self._dft else self.grid.weights * (2.0 * math.pi / nlon)
-        self._im = 1j * np.arange(L + 1)
-
+    @cached_property
     def _gradient_table(self) -> np.ndarray:
         """Stacked [d/dtheta, P / cos] tables (2, m, l, latitude): one product
         gives both gradient components, the longitude stage applies d/dphi.
@@ -470,36 +458,23 @@ class Transform:
         orders = self.lmax + 1
         batch = cols.shape[1] // 2
         # Fourier rows (parts, m, re/im, batch, latitude)
-        parts, nlat, nlon = len(table), self.grid.nlat, self.grid.nlon
+        parts, nlat = len(table), self.grid.nlat
         rows = np.empty((parts, orders, 2 * batch, nlat))
         for lo in range(0, orders, ORDER_GROUP):
             group = slice(lo, lo + ORDER_GROUP)
             np.matmul(cols[group, :, lo:], table[:, group, lo:], out=rows[:, group])
-        if self._dft is not None:
-            fields = rows.reshape(parts, 2 * orders, batch, nlat).transpose(0, 2, 1, 3)
-            synthesis = self._dft[0][:parts, None].transpose(0, 1, 3, 2)  # (parts, 1, nlon, 2(L+1))
-            return np.matmul(synthesis, fields).transpose(0, 1, 3, 2)
-        spectra = np.zeros((parts, batch, nlat, nlon // 2 + 1), dtype=complex)
-        rows = rows.reshape(parts, orders, 2, batch, nlat).transpose(2, 0, 3, 4, 1)
-        spectra.real[..., :orders] = rows[0]
-        spectra.imag[..., :orders] = rows[1]
-        spectra[1:, ..., :orders] *= self._im
-        return np.fft.irfft(spectra, n=nlon, axis=-1, norm="forward")
+        fields = rows.reshape(parts, 2 * orders, batch, nlat).transpose(0, 2, 1, 3)
+        synthesis = self._dft[0][:parts, None].transpose(0, 1, 3, 2)  # (parts, 1, nlon, 2(L+1))
+        return np.matmul(synthesis, fields).transpose(0, 1, 3, 2)
 
     def _analyse(self, values: np.ndarray) -> np.ndarray:
         """(batch, nlat, nlon) real values -> columns (m, re/im x batch, l)."""
         batch, nlat, nlon = values.shape
         orders = self.lmax + 1
-        if self._dft is not None:
-            # longitude-major values, as the DFT path synthesises them, are read in place
-            rows = self._dft[1].T @ values.transpose(2, 0, 1).reshape(nlon, batch * nlat)
-        else:
-            fourier = np.fft.rfft(values, axis=-1)[..., :orders].transpose(2, 0, 1)
-            rows = np.empty((orders, 2, batch, nlat))
-            rows[:, 0] = fourier.real
-            rows[:, 1] = fourier.imag
+        # longitude-major values, as `_to_grid` synthesises them, are read in place
+        rows = self._dft[1].T @ values.transpose(2, 0, 1).reshape(nlon, batch * nlat)
         rows = rows.reshape(orders, 2 * batch, nlat)
-        rows *= self._weights
+        rows *= self.grid.weights
         out = np.zeros((orders, 2 * batch, orders))
         for lo in range(0, orders, ORDER_GROUP):
             group = slice(lo, lo + ORDER_GROUP)
@@ -510,9 +485,7 @@ class Transform:
         """Columns (m, re/im, l) of (1/cos)(-psi_theta q_phi + psi_phi q_theta),
         degree 0 zeroed, from the [psi, q] columns (m, re/im x 2, l): one
         gradient pass, the grid product and one analysis."""
-        if self._grad is None:
-            self._grad = self._gradient_table()
-        dtheta, dphi_over_cos = self._to_grid(self._grad, pair)
+        dtheta, dphi_over_cos = self._to_grid(self._gradient_table, pair)
         # psi_phi q_theta - psi_theta q_phi: x - y is x + (-y), so this has the
         # bits of -psi_theta q_phi + psi_phi q_theta in one operation fewer
         product = dphi_over_cos[0] * dtheta[1]
@@ -535,9 +508,7 @@ class Transform:
         tables (..., lmax+1, lmax+1), in one fused transform pass."""
         halves = np.asarray(halves)
         batch = self._batch(halves, (self.lmax + 1, self.lmax + 1), "half tables")
-        if self._grad is None:
-            self._grad = self._gradient_table()
-        dtheta, dphi_over_cos = self._to_grid(self._grad, to_columns(batch))
+        dtheta, dphi_over_cos = self._to_grid(self._gradient_table, to_columns(batch))
         shape = (*halves.shape[:-2], *dtheta.shape[1:])
         return dtheta.reshape(shape), dphi_over_cos.reshape(shape)
 
@@ -555,9 +526,10 @@ class Transform:
         """Half table of (1/cos)(-psi_theta q_phi + psi_phi q_theta), degree 0
         zeroed, for the half tables pair = [psi, q] (2, lmax+1, lmax+1): one
         gradient pass, the product and its analysis."""
+        pair = np.asarray(pair)
         if pair.ndim != 3 or len(pair) != 2:
             raise GridShapeError(f"bracket pair of shape {pair.shape} is not (2, lmax+1, lmax+1)")
-        pair = self._batch(np.asarray(pair), (self.lmax + 1, self.lmax + 1), "half tables")
+        pair = self._batch(pair, (self.lmax + 1, self.lmax + 1), "half tables")
         return from_columns(self._bracket_columns(to_columns(pair)))[0]
 
 
@@ -603,7 +575,7 @@ def dealiased_transform(lmax: int) -> Transform:
     """
     nlat = (3 * lmax) // 2 + 2
     nlon = 3 * lmax + 2
-    nlon += nlon % 2  # even sizes keep numpy's FFT, used above DFT_MAX_NLON, fast
+    nlon += nlon % 2  # kept even: the grid sizes fix every output's bits
     return get_transform(lmax, nlat, nlon)
 
 

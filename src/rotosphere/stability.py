@@ -19,9 +19,7 @@ import numpy as np
 
 from . import dynamics, fields, sht, solutions
 from ._roots import brentq
-from .sht import SpectralField
-
-FOUR_PI = 4.0 * math.pi
+from .sht import FOUR_PI, SpectralField
 
 
 # ---------------------------------------------------------------------------

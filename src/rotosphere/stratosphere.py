@@ -19,9 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import dynamics, solutions
-
-FOUR_PI = 4.0 * math.pi
+from . import dynamics, sht, solutions
 
 
 @dataclasses.dataclass(frozen=True)
@@ -210,11 +208,9 @@ def lift_solution(base: solutions.EllipticSolution, density: DensityProfile,
 
 
 def _balance_mean(base: solutions.EllipticSolution) -> float:
-    from . import sht
-
     tr = sht.default_transform(base.psi.lmax)
     values = tr.synthesis(base.psi.halves)
-    return float(tr.grid.integrate(base.vf.f(values)).real) / FOUR_PI
+    return float(tr.grid.integrate(base.vf.f(values)).real) / sht.FOUR_PI
 
 
 @dataclasses.dataclass

@@ -153,7 +153,7 @@ class TestStep:
             dynamics.step(dynamics.SimulationState(0.0, vort), cfg)
         assert info.value.detail == f"{count} non-finite coefficients after RK4 step"
 
-    # lmax 12 and 31 run the longitude DFT, lmax 63 (192 longitudes) numpy's FFT
+    # lmax 12 and 31 on grids below 192 longitudes, lmax 63 on 192
     @pytest.mark.parametrize("filter_strength", [0.0, 3.0])
     @pytest.mark.parametrize("lmax", [12, 31, 63])
     def test_bit_identical_to_unfused_rk4(self, lmax, filter_strength):

@@ -20,6 +20,14 @@ every field over the degrees, then their imaginary parts.
 convert only at their boundary, so a caller that keeps columns (the RK4 step
 in `dynamics`) converts once per step.
 
+The Legendre stage contracts the orders in groups of ORDER_GROUP, and a group
+from order lo meets only the degrees l >= lo.  A transform stores one slab
+per group holding just those degrees: the read-only P slab (m, latitude,
+l >= lo), built order by order in the constructor, and the stacked
+[d/dtheta, P / cos] slab (2, m, l >= lo, latitude), built on the first
+gradient or bracket call.  At dealiased lmax 127 they hold 40.7 MiB, where
+full (lmax+1)^2 x nlat tables held 72.2 MiB.
+
 A `SpectralField` is real and stores the m >= 0 half table of its
 coefficients, `halves`; the negative orders follow from
 c_l^{-m} = (-1)^m conj(c_l^m).  Callers write `tr.synthesis(f.halves)` and
@@ -302,7 +310,7 @@ def normalized_legendre_table(lmax: int, s: np.ndarray) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     table = np.zeros((s.size, lmax + 1, lmax + 1))
     for m, log_ratio in enumerate(_seed_log_ratios(lmax)):
-        _fill_order(table[:, :, m], m, s, log_ratio)
+        _fill_order(table[:, m:, m], m, s, log_ratio)
     return table
 
 
@@ -311,7 +319,7 @@ def legendre_order(lmax: int, m: int, s: np.ndarray) -> np.ndarray:
     shape (len(s), lmax+1), by the same arithmetic and without the other orders."""
     s = np.asarray(s, dtype=float)
     column = np.zeros((s.size, lmax + 1))
-    _fill_order(column, m, s, _seed_log_ratios(m)[m])
+    _fill_order(column[:, m:], m, s, _seed_log_ratios(m)[m])
     return column
 
 
@@ -324,10 +332,10 @@ def _seed_log_ratios(lmax: int) -> list[float]:
     return ratios
 
 
-def _fill_order(column: np.ndarray, m: int, s: np.ndarray, log_ratio: float) -> None:
-    """Write degrees m..lmax of order m into `column` (len(s), lmax+1) from the
-    seed's accumulated log ratio, by the upward three-term recurrence in l."""
-    lmax = column.shape[1] - 1
+def _fill_order(column: np.ndarray, m: int, s: np.ndarray, log_ratio: float) -> np.ndarray:
+    """Write the degrees m..m+n-1 of order m into `column` (len(s), n), degree
+    m + j in column j, and return degree m + n: the upward three-term
+    recurrence in l from the seed's accumulated log ratio."""
     c = np.sqrt(np.maximum(0.0, 1.0 - s * s))
     if m == 0:
         pmm = np.full(s.size, 1.0 / math.sqrt(FOUR_PI))
@@ -337,16 +345,18 @@ def _fill_order(column: np.ndarray, m: int, s: np.ndarray, log_ratio: float) -> 
         sign = -1.0 if m % 2 else 1.0
         pmm = sign / math.sqrt(FOUR_PI) * np.exp(log_ratio + m * logc)
         pmm = np.where(c > 0.0, pmm, 0.0)
-    column[:, m] = pmm
-    if m < lmax:
-        column[:, m + 1] = math.sqrt(2 * m + 3) * s * pmm
-    for l in range(m + 2, lmax + 1):
+    column[:, 0] = pmm
+    lower, upper = pmm, math.sqrt(2 * m + 3) * s * pmm
+    for j in range(1, column.shape[1]):
+        column[:, j] = upper
+        l = m + j + 1
         a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
         b = math.sqrt(
             ((2.0 * l + 1.0) * (l - 1.0 - m) * (l - 1.0 + m))
             / ((2.0 * l - 3.0) * (l - m) * (l + m))
         )
-        column[:, l] = a * s * column[:, l - 1] - b * column[:, l - 2]
+        lower, upper = upper, a * s * upper - b * lower
+    return upper
 
 
 def _dft_tables(lmax: int, nlon: int) -> tuple[np.ndarray, np.ndarray]:
@@ -371,8 +381,9 @@ def _dft_tables(lmax: int, nlon: int) -> tuple[np.ndarray, np.ndarray]:
     return synthesis, analysis
 
 
-# Orders per Legendre product: a group of orders from m contracts the degrees
-# l >= m only, which skips about 40% of the table's zeros at lmax 127.
+# Orders per Legendre product and per stored slab: a group of orders from lo
+# contracts and stores the degrees l >= lo only, which skips about 40% of the
+# table's zeros at lmax 127.
 ORDER_GROUP = 16
 
 
@@ -391,15 +402,17 @@ class Transform:
     to the core's columns (m, re/im x batch, l), which `_to_grid` takes and
     `_analyse` and `_bracket_columns` return.  The Legendre stage contracts
     all leading axes in one matmul per group of ORDER_GROUP orders and emits
-    the Fourier rows in (order, re/im, batch, latitude) order.  The longitude
-    stage is one real matmul per field against cached DFT tables, so grid
-    values come out longitude-major and are returned as transposed views.  A
-    longitude DFT costs O(nlat nlon lmax), the order of the Legendre stage.
-    The tables are computed once and treated as immutable, and every
-    call allocates its own work arrays; the gradient table is a cached
-    property built on the first gradient or bracket call, and threads racing
-    there build identical tables, so a Transform can be shared freely between
-    threads.
+    the Fourier rows in (order, re/im, batch, latitude) order; each group
+    multiplies its own contiguous slab, which holds the degrees l >= lo of
+    the group's orders from lo and nothing else.  The longitude stage is one
+    real matmul per field against cached DFT tables, so grid values come out
+    longitude-major and are returned as transposed views.  A longitude DFT
+    costs O(nlat nlon lmax), the order of the Legendre stage.
+    The P slabs are built in the constructor and every table is read-only,
+    and every call allocates its own work arrays; the gradient slabs are a
+    cached property built on the first gradient or bracket call, and threads
+    racing there build identical slabs, so a Transform can be shared freely
+    between threads.
     """
 
     def __init__(self, lmax: int, nlat: int, nlon: int):
@@ -412,34 +425,51 @@ class Transform:
         self.lmax = L = lmax
         self.grid = build_grid(nlat, nlon)
 
-        # order-major layout (m, latitude, l); degree L+1 feeds d/dtheta
-        ptab = normalized_legendre_table(L + 1, self.grid.nodes).transpose(2, 0, 1)[: L + 1]
-        self._p = np.ascontiguousarray(ptab[:, :, : L + 1])
-        self._p_next = np.ascontiguousarray(ptab[:, :, L + 1])
+        # one slab per order group from lo, order-major (m, latitude, l >= lo);
+        # degree L+1 of each order feeds d/dtheta only
+        ratios, slabs = _seed_log_ratios(L), []
+        self._p_next = np.empty((L + 1, nlat))
+        for lo in range(0, L + 1, ORDER_GROUP):
+            slab = np.zeros((min(ORDER_GROUP, L + 1 - lo), nlat, L + 1 - lo))
+            for m in range(lo, lo + len(slab)):
+                self._p_next[m] = _fill_order(slab[m - lo, :, m - lo :], m, self.grid.nodes, ratios[m])
+            slabs.append(slab)
+        self._p = tuple(slabs)
+        for table in (*self._p, self._p_next):
+            table.setflags(write=False)
+        # the same slabs as `_to_grid` takes them, (1, m, l >= lo, latitude) views
+        self._p_synthesis = tuple(p.transpose(0, 2, 1)[None] for p in self._p)
         # (synthesis tables, analysis table); the analysis table holds 2 pi / nlon
         self._dft = _dft_tables(L, nlon)
 
     @cached_property
-    def _gradient_table(self) -> np.ndarray:
-        """Stacked [d/dtheta, P / cos] tables (2, m, l, latitude): one product
-        gives both gradient components, the longitude stage applies d/dphi.
-        The build holds one table-sized temporary at most."""
-        L, nlat = self.lmax, self.grid.nlat
+    def _gradient_slabs(self) -> tuple[np.ndarray, ...]:
+        """Stacked [d/dtheta, P / cos] slabs (2, m, l >= lo, latitude), one per
+        order group: one product gives both gradient components, the longitude
+        stage applies d/dphi.  Temporaries are at most one group's size."""
+        L = self.lmax
         coslat = self.grid.cos_lat[None, :, None]
         # d/dtheta of the latitude factor, from
         # (1-s^2) d/ds Pbar_l^m = (l+1) eps_l^m Pbar_{l-1}^m - l eps_{l+1}^m Pbar_{l+1}^m
         l = np.arange(L + 2)[None, :]
         m = np.arange(L + 1)[:, None]
         eps = np.sqrt(np.where((m <= l) & (l > 0), l * l - m * m, 0) / (4.0 * l * l - 1.0))
-        grad = np.zeros((2, L + 1, L + 1, nlat))
-        dtheta, p_over_cos = grad.transpose(0, 1, 3, 2)
-        dtheta[:, :, 1:] = ((l[:, 1 : L + 1] + 1) * eps[:, 1 : L + 1])[:, None, :] * self._p[:, :, :L]
-        lower = l[:, : L + 1] * eps[:, 1:]
-        dtheta[:, :, :L] -= lower[:, None, :L] * self._p[:, :, 1:]
-        dtheta[:, :, L] -= lower[:, L:] * self._p_next
-        dtheta /= coslat
-        np.divide(self._p, coslat, out=p_over_cos)
-        return grad
+        upper = (l[:, 1 : L + 1] + 1) * eps[:, 1 : L + 1]  # degrees 1..L
+        lower = l[:, : L + 1] * eps[:, 1:]  # degrees 0..L
+        slabs = []
+        for lo, p in zip(range(0, L + 1, ORDER_GROUP), self._p):
+            group = slice(lo, lo + len(p))
+            grad = np.zeros((2, len(p), L + 1 - lo, self.grid.nlat))
+            dtheta, p_over_cos = grad.transpose(0, 1, 3, 2)
+            # degree lo has no P_{lo-1} term: that degree is zero at every m >= lo
+            np.multiply(upper[group, None, lo:], p[:, :, :-1], out=dtheta[:, :, 1:])
+            dtheta[:, :, :-1] -= lower[group, None, lo:L] * p[:, :, 1:]
+            dtheta[:, :, -1] -= lower[group, L:] * self._p_next[group]
+            dtheta /= coslat
+            np.divide(p, coslat, out=p_over_cos)
+            grad.setflags(write=False)
+            slabs.append(grad)
+        return tuple(slabs)
 
     # -- core on order-major real columns --------------------------------------
 
@@ -451,18 +481,18 @@ class Transform:
                 f"{what} of shape {array.shape} do not match (..., {shape[0]}, {shape[1]})")
         return array.reshape(-1, *shape)
 
-    def _to_grid(self, table: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    def _to_grid(self, slabs: tuple[np.ndarray, ...], cols: np.ndarray) -> np.ndarray:
         """Columns (m, re/im x batch, l) -> (parts, batch, nlat, nlon) grid values of
-        the Legendre tables (parts, m, l, latitude); part 1, if any, is
-        differentiated in longitude."""
+        the Legendre slabs (parts, m, l >= lo, latitude), one per order group;
+        part 1, if any, is differentiated in longitude."""
         orders = self.lmax + 1
         batch = cols.shape[1] // 2
         # Fourier rows (parts, m, re/im, batch, latitude)
-        parts, nlat = len(table), self.grid.nlat
+        parts, nlat = len(slabs[0]), self.grid.nlat
         rows = np.empty((parts, orders, 2 * batch, nlat))
-        for lo in range(0, orders, ORDER_GROUP):
+        for lo, slab in zip(range(0, orders, ORDER_GROUP), slabs):
             group = slice(lo, lo + ORDER_GROUP)
-            np.matmul(cols[group, :, lo:], table[:, group, lo:], out=rows[:, group])
+            np.matmul(cols[group, :, lo:], slab, out=rows[:, group])
         fields = rows.reshape(parts, 2 * orders, batch, nlat).transpose(0, 2, 1, 3)
         synthesis = self._dft[0][:parts, None].transpose(0, 1, 3, 2)  # (parts, 1, nlon, 2(L+1))
         return np.matmul(synthesis, fields).transpose(0, 1, 3, 2)
@@ -476,16 +506,16 @@ class Transform:
         rows = rows.reshape(orders, 2 * batch, nlat)
         rows *= self.grid.weights
         out = np.zeros((orders, 2 * batch, orders))
-        for lo in range(0, orders, ORDER_GROUP):
+        for lo, p in zip(range(0, orders, ORDER_GROUP), self._p):
             group = slice(lo, lo + ORDER_GROUP)
-            np.matmul(rows[group], self._p[group, :, lo:], out=out[group, :, lo:])
+            np.matmul(rows[group], p, out=out[group, :, lo:])
         return out
 
     def _bracket_columns(self, pair: np.ndarray) -> np.ndarray:
         """Columns (m, re/im, l) of (1/cos)(-psi_theta q_phi + psi_phi q_theta),
         degree 0 zeroed, from the [psi, q] columns (m, re/im x 2, l): one
         gradient pass, the grid product and one analysis."""
-        dtheta, dphi_over_cos = self._to_grid(self._gradient_table, pair)
+        dtheta, dphi_over_cos = self._to_grid(self._gradient_slabs, pair)
         # psi_phi q_theta - psi_theta q_phi: x - y is x + (-y), so this has the
         # bits of -psi_theta q_phi + psi_phi q_theta in one operation fewer
         product = dphi_over_cos[0] * dtheta[1]
@@ -500,7 +530,7 @@ class Transform:
         """Grid values (..., nlat, nlon) of half tables (..., lmax+1, lmax+1)."""
         halves = np.asarray(halves)
         batch = self._batch(halves, (self.lmax + 1, self.lmax + 1), "half tables")
-        values = self._to_grid(self._p.transpose(0, 2, 1)[None], to_columns(batch))[0]
+        values = self._to_grid(self._p_synthesis, to_columns(batch))[0]
         return values.reshape(*halves.shape[:-2], *values.shape[1:])
 
     def gradient_values(self, halves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -508,7 +538,7 @@ class Transform:
         tables (..., lmax+1, lmax+1), in one fused transform pass."""
         halves = np.asarray(halves)
         batch = self._batch(halves, (self.lmax + 1, self.lmax + 1), "half tables")
-        dtheta, dphi_over_cos = self._to_grid(self._gradient_table, to_columns(batch))
+        dtheta, dphi_over_cos = self._to_grid(self._gradient_slabs, to_columns(batch))
         shape = (*halves.shape[:-2], *dtheta.shape[1:])
         return dtheta.reshape(shape), dphi_over_cos.reshape(shape)
 

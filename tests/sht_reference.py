@@ -11,6 +11,12 @@ gradient table built eagerly from the degree lmax+1 Legendre table: an
 independent FFT path for the real-DFT longitude stage and the lazily built
 gradient table, on the m >= 0 orders and with batches.
 
+`FullTableTransform` is `sht.Transform`'s Legendre stage as it was before the
+per-group slabs: full (lmax+1)^2 x nlat tables from `full_legendre_table`,
+the former recurrence that writes each order in place, sliced per order
+group.  It multiplies the same numbers in the same order as the slabs, so
+the two agree bit for bit.
+
 `evaluate` sums a field's harmonics at arbitrary points, and
 `rotate_field_values`, the grid oracle for `sht.rotate`, samples the rotated
 field with it at the rotated grid points.
@@ -165,6 +171,110 @@ class ScipyFFTTransform:
         out = self.analysis(-dtheta[0] * dphi_over_cos[1] + dphi_over_cos[0] * dtheta[1])
         out[0, 0] = 0.0
         return out
+
+
+def full_legendre_table(lmax, s):
+    """`sht.normalized_legendre_table` as it was before the slab storage: each
+    order's recurrence reads its two lower degrees back from the table."""
+    s = np.asarray(s, dtype=float)
+    table = np.zeros((s.size, lmax + 1, lmax + 1))
+    c = np.sqrt(np.maximum(0.0, 1.0 - s * s))
+    log_ratio = 0.0
+    for m in range(lmax + 1):
+        column = table[:, :, m]
+        if m == 0:
+            pmm = np.full(s.size, 1.0 / math.sqrt(4.0 * math.pi))
+        else:
+            log_ratio += 0.5 * math.log((2 * m + 1) / (2 * m))
+            with np.errstate(divide="ignore"):
+                logc = np.log(np.where(c > 0.0, c, 1.0))
+            sign = -1.0 if m % 2 else 1.0
+            pmm = sign / math.sqrt(4.0 * math.pi) * np.exp(log_ratio + m * logc)
+            pmm = np.where(c > 0.0, pmm, 0.0)
+        column[:, m] = pmm
+        if m < lmax:
+            column[:, m + 1] = math.sqrt(2 * m + 3) * s * pmm
+        for l in range(m + 2, lmax + 1):
+            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+            b = math.sqrt(
+                ((2.0 * l + 1.0) * (l - 1.0 - m) * (l - 1.0 + m))
+                / ((2.0 * l - 3.0) * (l - m) * (l + m))
+            )
+            column[:, l] = a * s * column[:, l - 1] - b * column[:, l - 2]
+    return table
+
+
+class FullTableTransform:
+    """`sht.Transform` on full Legendre tables: P (m, latitude, l), its degree
+    lmax+1, and the [d/dtheta, P / cos] table (2, m, l, latitude) built from
+    them whole; each group of sht.ORDER_GROUP orders from lo multiplies a
+    strided view of its degrees l >= lo.  The DFT tables and the column
+    converters are `sht`'s own."""
+
+    def __init__(self, lmax, nlat, nlon):
+        self.lmax = L = lmax
+        self.grid = sht.build_grid(nlat, nlon)
+        ptab = full_legendre_table(L + 1, self.grid.nodes).transpose(2, 0, 1)[: L + 1]
+        self._p = np.ascontiguousarray(ptab[:, :, : L + 1])
+        p_next = np.ascontiguousarray(ptab[:, :, L + 1])
+        self._dft = sht._dft_tables(L, nlon)
+        coslat = self.grid.cos_lat[None, :, None]
+        l = np.arange(L + 2)[None, :]
+        m = np.arange(L + 1)[:, None]
+        eps = np.sqrt(np.where((m <= l) & (l > 0), l * l - m * m, 0) / (4.0 * l * l - 1.0))
+        self._grad = np.zeros((2, L + 1, L + 1, nlat))
+        dtheta, p_over_cos = self._grad.transpose(0, 1, 3, 2)
+        dtheta[:, :, 1:] = ((l[:, 1 : L + 1] + 1) * eps[:, 1 : L + 1])[:, None, :] * self._p[:, :, :L]
+        lower = l[:, : L + 1] * eps[:, 1:]
+        dtheta[:, :, :L] -= lower[:, None, :L] * self._p[:, :, 1:]
+        dtheta[:, :, L] -= lower[:, L:] * p_next
+        dtheta /= coslat
+        np.divide(self._p, coslat, out=p_over_cos)
+
+    def _to_grid(self, table, cols):
+        orders, batch, nlat = self.lmax + 1, cols.shape[1] // 2, self.grid.nlat
+        rows = np.empty((len(table), orders, 2 * batch, nlat))
+        for lo in range(0, orders, sht.ORDER_GROUP):
+            group = slice(lo, lo + sht.ORDER_GROUP)
+            np.matmul(cols[group, :, lo:], table[:, group, lo:], out=rows[:, group])
+        fields = rows.reshape(len(table), 2 * orders, batch, nlat).transpose(0, 2, 1, 3)
+        synthesis = self._dft[0][: len(table), None].transpose(0, 1, 3, 2)
+        return np.matmul(synthesis, fields).transpose(0, 1, 3, 2)
+
+    def _analyse(self, values):
+        batch, nlat, nlon = values.shape
+        orders = self.lmax + 1
+        rows = self._dft[1].T @ values.transpose(2, 0, 1).reshape(nlon, batch * nlat)
+        rows = rows.reshape(orders, 2 * batch, nlat)
+        rows *= self.grid.weights
+        out = np.zeros((orders, 2 * batch, orders))
+        for lo in range(0, orders, sht.ORDER_GROUP):
+            group = slice(lo, lo + sht.ORDER_GROUP)
+            np.matmul(rows[group], self._p[group, :, lo:], out=out[group, :, lo:])
+        return out
+
+    def synthesis(self, halves):
+        batch = halves.reshape(-1, self.lmax + 1, self.lmax + 1)
+        values = self._to_grid(self._p.transpose(0, 2, 1)[None], sht.to_columns(batch))[0]
+        return values.reshape(*halves.shape[:-2], *values.shape[1:])
+
+    def gradient_values(self, halves):
+        batch = halves.reshape(-1, self.lmax + 1, self.lmax + 1)
+        dtheta, dphi_over_cos = self._to_grid(self._grad, sht.to_columns(batch))
+        shape = (*halves.shape[:-2], *dtheta.shape[1:])
+        return dtheta.reshape(shape), dphi_over_cos.reshape(shape)
+
+    def analysis(self, values):
+        halves = sht.from_columns(self._analyse(values.reshape(-1, self.grid.nlat, self.grid.nlon)))
+        return halves.reshape(*values.shape[:-2], *halves.shape[1:])
+
+    def bracket(self, pair):
+        dtheta, dphi_over_cos = self._to_grid(self._grad, sht.to_columns(pair))
+        product = dphi_over_cos[0] * dtheta[1]
+        product -= dtheta[0] * dphi_over_cos[1]
+        out = self._analyse(product[None])
+        out[0, :, 0] = 0.0
+        return sht.from_columns(out)[0]
 
 
 def evaluate(field, phi, s):

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from rotosphere import sht
 from conftest import random_real_field
-from sht_reference import ReferenceTransform, ScipyFFTTransform, evaluate, rotate_field_values
+from sht_reference import (FullTableTransform, ReferenceTransform, ScipyFFTTransform, evaluate,
+                           full_legendre_table, rotate_field_values)
 from spectral_reference import FullTableField, reality_defect
 
 
@@ -278,7 +280,7 @@ REFERENCE_CASES += [pytest.param("dealiased", lmax, id=f"dealiased-{lmax}") for 
 
 class TestLongitudeFFT:
     """The longitude stage (real-DFT matmuls on every grid) and the lazily
-    built gradient table against the former scipy.fft path with its eager
+    built gradient slabs against the former scipy.fft path with its eager
     table and against the full-order reference, to 1e-13 relative."""
 
     # the name is that of the bit-for-bit comparison the DFT stage replaced
@@ -333,7 +335,7 @@ class TestLongitudeFFT:
         assert _rel(tr.analysis(values), pair) < (2e-12 if lmax > 63 else 1e-12)
 
     def test_bracket_shared_between_threads(self):
-        # both threads also race to build the gradient table on first use
+        # both threads also race to build the gradient slabs on first use
         tr = sht.Transform(31, 48, 96)
         pairs = [np.stack([random_real_field(31, seed=2 * i).halves,
                            random_real_field(31, seed=2 * i + 1).halves]) for i in range(6)]
@@ -362,14 +364,100 @@ class TestLongitudeFFT:
             assert all(np.array_equal(got, serial[i % len(pairs)]) for i, got in enumerate(out))
 
     def test_gradient_table_built_on_first_use(self):
-        tr = sht.Transform(12, 13, 26)
-        f = random_real_field(12, seed=3)
-        tr.analysis(tr.synthesis(f.halves))
-        assert "_gradient_table" not in vars(tr)
-        got = tr.gradient_values(f.halves)
-        assert "_gradient_table" in vars(tr)
-        want = ScipyFFTTransform(12, 13, 26).gradient_values(f.halves)
-        assert all(_rel(g, w) < 1e-13 for g, w in zip(got, want))
+        # lmax 20: two order groups; synthesis and analysis build no gradient
+        # slabs, and the first gradient or bracket call adds just them
+        pair = np.stack([random_real_field(20, seed=s).halves for s in (3, 4)])
+        fft = ScipyFFTTransform(20, 21, 42)
+        for first in ("gradient_values", "bracket"):
+            tr = sht.Transform(20, 21, 42)
+            tr.analysis(tr.synthesis(pair))
+            held = dict(vars(tr))
+            assert "_gradient_slabs" not in held
+            got, want = getattr(tr, first)(pair), getattr(fft, first)(pair)
+            assert set(vars(tr)) - set(held) == {"_gradient_slabs"}
+            assert all(vars(tr)[name] is table for name, table in held.items())
+            assert [s.shape for s in tr._gradient_slabs] == [(2, 16, 21, 21), (2, 5, 5, 21)]
+            if first == "bracket":
+                got, want = [got], [want]
+            assert all(_rel(g, w) < 1e-13 for g, w in zip(got, want))
+
+
+# every grid rule at lmax 1 and 2, at 24 and 63, and on both sides of the
+# ORDER_GROUP boundaries 16 and 32; the dealiased lmax 84 grid has 254
+# longitudes and six order groups
+SLAB_CASES = [pytest.param(rule, lmax, id=f"{rule}-{lmax}")
+              for rule in RULES for lmax in (1, 2, 15, 16, 17, 24, 31, 32, 33, 63)]
+SLAB_CASES.append(pytest.param("dealiased", 84, id="dealiased-84"))
+
+
+def _same_bits(got, want) -> bool:
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestLegendreSlabs:
+    """The per-group Legendre slabs against the full tables they replaced:
+    the same products of the same numbers, so every output is bit-identical."""
+
+    @pytest.mark.parametrize("batch", [(), (2,)], ids=["single", "batch2"])
+    @pytest.mark.parametrize("rule, lmax", SLAB_CASES)
+    def test_bit_identical_to_full_tables(self, rule, lmax, batch):
+        nlat, nlon = _grid_sizes(rule, lmax)
+        tr, full = sht.Transform(lmax, nlat, nlon), FullTableTransform(lmax, nlat, nlon)
+        pair = np.stack([random_real_field(lmax, seed=nlon + i, zero_mean=False).halves
+                         for i in range(2)])
+        halves = pair if batch else pair[0]
+        values = np.random.default_rng(nlat).normal(size=(*batch, nlat, nlon))
+        assert _same_bits(tr.synthesis(halves), full.synthesis(halves))
+        for got, want in zip(tr.gradient_values(halves), full.gradient_values(halves)):
+            assert _same_bits(got, want)
+        assert _same_bits(tr.analysis(values), full.analysis(values))
+        assert _same_bits(tr.bracket(pair), full.bracket(pair))
+
+    @pytest.mark.parametrize("lmax", [1, 15, 16, 17, 33, 63])
+    def test_slabs_hold_the_full_tables_operands(self, lmax):
+        nlat, nlon = _grid_sizes("dealiased", lmax)
+        tr, full = sht.Transform(lmax, nlat, nlon), FullTableTransform(lmax, nlat, nlon)
+        assert _same_bits(sht.normalized_legendre_table(lmax + 1, tr.grid.nodes),
+                          full_legendre_table(lmax + 1, tr.grid.nodes))
+        los = range(0, lmax + 1, sht.ORDER_GROUP)
+        assert len(tr._p) == len(tr._gradient_slabs) == len(los)
+        for lo, p, grad in zip(los, tr._p, tr._gradient_slabs):
+            group = slice(lo, lo + sht.ORDER_GROUP)
+            assert p.flags.c_contiguous and grad.flags.c_contiguous
+            assert _same_bits(p, full._p[group, :, lo:])
+            assert _same_bits(grad, full._grad[:, group, lo:])
+
+    @pytest.mark.parametrize("lmax", [8, 40])
+    def test_stored_tables_are_read_only(self, lmax):
+        tr = sht.dealiased_transform(lmax)
+        tr.gradient_values(random_real_field(lmax, seed=1).halves)
+        tables = [*tr._p, *tr._p_synthesis, tr._p_next, *tr._gradient_slabs, *tr._dft]
+        assert len(tables) == 3 * len(tr._p) + 3
+        for table in tables:
+            with pytest.raises(ValueError):
+                table += 0.0
+
+    def test_table_memory(self):
+        # lmax 63 on 96 x 192 latitudes and longitudes: the P slabs hold
+        # 1.9 MiB, the gradient slabs 3.8 and the DFT tables 0.6, where the
+        # full tables held 9.0 MiB; no temporary of the build or of the first
+        # gradient call is as large as one full (lmax+1)^2 x nlat table
+        halves = random_real_field(63, seed=1).halves
+        sht.Transform(8, 10, 20).gradient_values(halves[:9, :9])
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tr = sht.Transform(63, 96, 192)
+            built, build_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            tr.gradient_values(halves)
+            retained, gradient_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained - start <= 6.5 * 2**20
+        table = 64 * 64 * 96 * 8
+        assert build_peak - built < table and gradient_peak - retained < table
+        assert sum(t.nbytes for t in (*tr._p, tr._p_next, *tr._gradient_slabs)) <= 5.7 * 2**20
 
 
 def _layout_value(rng, m: int) -> complex:

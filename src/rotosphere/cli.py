@@ -376,9 +376,12 @@ def cmd_make_solution(args):
     params = _parse_json(args.params or "{}", "--params")
     if args.params_file:
         params.update(_load_config(args.params_file))
-    built = _solution(kind, params)
+    # overflow is left to the finite check in `work`, before anything is written
+    with np.errstate(all="ignore"):
+        built = _solution(kind, params)
     omega = _get(params, "omega", float, 0.0)
 
+    @np.errstate(all="ignore")
     def work(ctx):
         report: dict = {"family": kind}
         if isinstance(built, solutions.EllipticSolution):
@@ -401,6 +404,9 @@ def cmd_make_solution(args):
         stat = solutions.verify_stationary(psi, omega)
         report.update({"advection_l2": stat.l2, "advection_linf": stat.linf,
                        "stationary": bool(stat.stationary)})
+        if not all(np.isfinite(v).all() for v in [psi.halves, *report.values()]
+                   if not isinstance(v, str)):
+            raise ArithmeticError("the solution or its residual report is not finite")
         snapshot.write_snapshot(ctx.register("solution.shc"), psi)
         snapshot.write_snapshot_json(ctx.register("solution.json"), psi)
         ctx.write_json("residual_report.json", report)
@@ -625,8 +631,11 @@ def cmd_lift3d(args):
         zs = np.linspace(0.0, args.z_max, n)
         rows = ["phi,theta,z,psi,u,v,p,T"]
         grid = np.meshgrid(phis, thetas, zs, indexing="ij")
-        values = [*grid] + [f(*grid, 0.0) for f in (field.stream, field.u0, field.v0, field.p0,
-                                                     field.temperature)]
+        with np.errstate(all="ignore"):  # the density underflows high up: checked below
+            values = [*grid] + [f(*grid, 0.0) for f in (field.stream, field.u0, field.v0,
+                                                         field.p0, field.temperature)]
+        if not all(np.isfinite(v).all() for v in values):
+            raise ArithmeticError("the lifted fields are not finite at every sample")
         rows.extend(f"{phi!r},{theta!r},{z!r},{psi!r},{u!r},{v!r},{p!r},{T!r}"
                     for phi, theta, z, psi, u, v, p, T in zip(*(x.ravel().tolist()
                                                                 for x in values)))

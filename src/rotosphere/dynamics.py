@@ -3,13 +3,14 @@
 The prognostic variable is the vorticity; the stream function is recovered
 by inverting the Laplacian at every stage, which keeps the closed-surface
 mean constraint enforced by construction.  A step converts the vorticity's
-half table to the transform's real columns once, runs its four stages (each
-one fused gradient pass, grid product and analysis) and the RK4
-combinations on columns, and converts back once.  `tendency` runs the same
-stage through the converters, and `Transform.bracket` (so
-`fields.advection`) the same bracket.  The integrator is classical RK4 with
-a fixed step: deterministic, with an O(dt^4) phase error; over a fixed time
-the drift of quadratic invariants on neutral modes is O(dt^5).
+half table to the transform's real columns once and runs its four stages
+(each one fused gradient pass, grid product and analysis) on columns; the
+four tendencies are converted back, and the RK4 combination runs on
+complex half tables.  `tendency` runs the same stage through the
+converters, and `Transform.bracket` (so `fields.advection`) the same
+bracket.  The integrator is classical RK4 with a fixed step: deterministic,
+with an O(dt^4) phase error; over a fixed time the drift of quadratic
+invariants on neutral modes is O(dt^5).
 """
 
 from __future__ import annotations
@@ -109,30 +110,6 @@ def tendency(state: SimulationState, omega: float) -> SpectralField:
         _tendency_columns(tr, sht.to_columns(state.vorticity.halves), omega))[0])
 
 
-# numpy multiplies a complex number by a real x > 0 as by x + 0i, to the parts
-# re x - im 0 and im x + re 0.  The zero terms set the signs of zero parts (and
-# turn an infinite part into a NaN in the other); `_signed` adds them on columns.
-@lru_cache(maxsize=64)
-def _zero_factors(lmax: int) -> np.ndarray:
-    """-0 on the real rows and +0 on the imaginary rows of the columns
-    (lmax+1, 2, lmax+1), cached and read-only; a full array, since a
-    broadcast one slows numpy's loop over the swapped rows."""
-    factors = np.zeros((lmax + 1, 2, lmax + 1))
-    factors[:, 0] = -0.0
-    factors.setflags(write=False)
-    return factors
-
-
-def _signed(cols: np.ndarray) -> np.ndarray:
-    """The columns (m, re/im, l) of z plus the zero terms of z: x * _signed(z)
-    has the bits of numpy's x * z for a number x > 0.  numpy's loop rounds
-    each part of x * z once, so a product that underflows to zero keeps the
-    sign of its exact value; x * _signed(z) keeps it too."""
-    out = cols[:, ::-1] * _zero_factors(len(cols) - 1)
-    out += cols
-    return out
-
-
 @lru_cache(maxsize=64)
 def _pair_factors(lmax: int) -> np.ndarray:
     """Factors (lmax+1, 2, 2, lmax+1) over (m, re/im, [psi, q], l) that take
@@ -155,8 +132,8 @@ def _tendency_columns(tr: sht.Transform, vort: np.ndarray, omega: float) -> np.n
     only the transform's matrix products, whose sums start from +0, and one
     non-finite entry there makes every entry the analysis computes
     non-finite; so the signs of its zero parts, and a NaN where complex
-    division gives an infinity, reach no output, and psi needs none of
-    numpy's complex zero terms.
+    division gives an infinity, reach no output, and psi needs none of the
+    zero terms that numpy's complex arithmetic adds.
     """
     orders = tr.lmax + 1
     pair = vort[:, :, None] * _pair_factors(tr.lmax)
@@ -173,31 +150,29 @@ def _spectral_filter(lmax: int, strength: float, dt: float) -> np.ndarray | None
 
 
 def step(state: SimulationState, config: SimulationConfig) -> SimulationState:
-    """One RK4 step on the columns of the vorticity, converted from its half
-    table once and back before the filter; overflow is left to the finite
-    check.  The stage inputs only feed the transform (see
-    `_tendency_columns`); the combination that makes the new state carries
-    numpy's complex zero terms, so every bit of the state, signed zeros
-    included, is that of the same formula on complex half tables."""
+    """One RK4 step: the four stages on the columns of the vorticity, the
+    combination on complex half tables, so every bit of the new state,
+    signed zeros included, is that of the formula on half tables; overflow
+    is left to the finite check, then the filter is applied."""
     dt, omega = config.dt, config.omega
     tr = sht.dealiased_transform(state.vorticity.lmax)
-    c0 = sht.to_columns(state.vorticity.halves)
+    halves = state.vorticity.halves
+    c0 = sht.to_columns(halves)
     with np.errstate(over="ignore", invalid="ignore"):
         sht.require_zero_mean(state.vorticity)
         k1 = _tendency_columns(tr, c0, omega)
         k2 = _tendency_columns(tr, c0 + 0.5 * dt * k1, omega)
         k3 = _tendency_columns(tr, c0 + 0.5 * dt * k2, omega)
         k4 = _tendency_columns(tr, c0 + dt * k3, omega)
-        new = c0 + (dt / 6.0) * _signed(k1 + 2.0 * _signed(k2) + 2.0 * _signed(k3) + k4)
-    finite = np.isfinite(new)
-    if not finite.all():
-        bad = int(np.count_nonzero(~(finite[:, 0] & finite[:, 1])))
+        k1, k2, k3, k4 = (sht.from_columns(k)[0] for k in (k1, k2, k3, k4))
+        new = halves + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    bad = int(np.count_nonzero(~np.isfinite(new)))
+    if bad:
         raise SimulationBlowup(state.time + dt, f"{bad} non-finite coefficients after RK4 step")
-    new_coeffs = sht.from_columns(new)[0]
     filt = _spectral_filter(tr.lmax, config.filter_strength, dt)
     if filt is not None:
-        new_coeffs = new_coeffs * filt
-    return SimulationState(time=state.time + dt, vorticity=SpectralField(new_coeffs))
+        new = new * filt
+    return SimulationState(time=state.time + dt, vorticity=SpectralField(new))
 
 
 def cfl_advisory(state: SimulationState, config: SimulationConfig) -> dict:

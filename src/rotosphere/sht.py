@@ -125,13 +125,15 @@ class SpectralField:
     def from_table(cls, table: np.ndarray) -> "SpectralField":
         """Field from a full (lmax+1, 2*lmax+1) table, column index lmax + m.
 
-        The table must satisfy c_l^{-m} = (-1)^m conj(c_l^m) and have a real
-        m = 0 column, to 1e-12; it is stored as its mirror average.
+        The table must be finite, satisfy c_l^{-m} = (-1)^m conj(c_l^m) and
+        have a real m = 0 column, to 1e-12; it is stored as its mirror average.
         """
         table = np.asarray(table, dtype=complex)
         L = table.shape[0] - 1
         if table.shape != (L + 1, 2 * L + 1):
             raise ValueError(f"coefficient table of shape {table.shape} is not (lmax+1, 2*lmax+1)")
+        if not np.isfinite(table).all():
+            raise ValueError("coefficient table holds a non-finite entry")
         halves = _mirror_average(table)
         # c - h is half the mirror defect at m > 0 and i Im c_l^0 at m = 0
         weight = np.where(np.arange(L + 1) == 0, 1.0, 2.0)

@@ -12,8 +12,8 @@ Layout of the binary format (little endian):
 
 The JSON twin stores the same ordering as [re, im] pairs and is accepted
 interchangeably on read.  Fields are real: reading rejects a file whose
-flag is 0, and one that violates c_l^{-m} = (-1)^m conj(c_l^m) by more
-than 1e-12.
+flag is 0, one with a non-finite coefficient, and one that violates
+c_l^{-m} = (-1)^m conj(c_l^m) by more than 1e-12.
 """
 
 from __future__ import annotations
@@ -125,5 +125,6 @@ def read_snapshot(path: str | Path) -> tuple[SpectralField, float]:
     if len(blob) != expected:
         raise SnapshotFormatError(f"{path}: expected {expected} bytes, got {len(blob)}")
     data = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
-    flat = data[0::2] + 1j * data[1::2]
+    with np.errstate(invalid="ignore"):  # 1j * inf has a NaN part; `_unflatten` rejects it
+        flat = data[0::2] + 1j * data[1::2]
     return _unflatten(path, lmax, flat, bool(real_flag)), float(time)

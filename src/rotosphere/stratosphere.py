@@ -256,7 +256,9 @@ def particle_paths(field: Field3D, seeds: Sequence[tuple[float, float, float]],
     call of the base gradient per stage.  Along each path the base stream
     value at the co-drifting longitude is conserved; the maximum deviation
     from its initial value is reported as the level drift.  `t_end` must be
-    a whole number of steps of `dt` (`dynamics.whole_steps`).
+    a whole number of steps of `dt` (`dynamics.whole_steps`).  A path that
+    leaves the finite numbers, as one high enough for the density to
+    underflow does, raises ArithmeticError.
     """
     n_steps = dynamics.whole_steps(t_end, dt)
     omega = field.omega
@@ -264,7 +266,8 @@ def particle_paths(field: Field3D, seeds: Sequence[tuple[float, float, float]],
     half, sixth = 0.5 * dt, dt / 6.0
     out = []
     for phi0, theta0, z0 in seeds:
-        isr = float(field.density.inv_sqrt(z0))
+        with np.errstate(all="ignore"):
+            isr = float(field.density.inv_sqrt(z0))
 
         def rhs(t, phi, theta):
             cos_lat = math.cos(theta)
@@ -274,16 +277,21 @@ def particle_paths(field: Field3D, seeds: Sequence[tuple[float, float, float]],
 
         phi, theta, t = float(phi0), float(theta0), 0.0
         path = [(t, phi, theta)]
-        for _ in range(n_steps):
-            a1, b1 = rhs(t, phi, theta)
-            a2, b2 = rhs(t + half, phi + half * a1, theta + half * b1)
-            a3, b3 = rhs(t + half, phi + half * a2, theta + half * b2)
-            a4, b4 = rhs(t + dt, phi + dt * a3, theta + dt * b3)
-            phi = phi + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-            theta = theta + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            t += dt
-            path.append((t, phi, theta))
+        try:
+            for _ in range(n_steps):
+                a1, b1 = rhs(t, phi, theta)
+                a2, b2 = rhs(t + half, phi + half * a1, theta + half * b1)
+                a3, b3 = rhs(t + half, phi + half * a2, theta + half * b2)
+                a4, b4 = rhs(t + dt, phi + dt * a3, theta + dt * b3)
+                phi = phi + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+                theta = theta + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                t += dt
+                path.append((t, phi, theta))
+        except ValueError as exc:  # math's domain error at an infinite angle
+            raise ArithmeticError(f"particle path from {phi0, theta0, z0} diverged: {exc}") from exc
         times, phis, thetas = np.array(path).T
+        if not np.isfinite((phis, thetas)).all():
+            raise ArithmeticError(f"particle path from {phi0, theta0, z0} is not finite")
         levels = field.base.evaluate(phis + omega * times, np.sin(thetas))
         drift = float(np.max(np.abs(levels - levels[0])))
         out.append(Trajectory(times=times, phi=phis, theta=thetas, z=z0, level_drift=drift))

@@ -360,6 +360,19 @@ class TestMakeSolution:
         assert report["degree"] == 2
         assert report["speed"] == solutions.rossby_haurwitz_speed(2, 0.5, 1.0)
 
+    # epsilon 1e6 overflows the exp family to a NaN solution; omega 1e308
+    # makes the advection residual of a finite zonal flow NaN
+    @pytest.mark.parametrize("family, params", [
+        ("exp", {"epsilon": 1e6}),
+        ("zonal_harmonic", {"components": [{"l": 2, "coefficient": 1.0}], "omega": 1e308}),
+    ], ids=["exp-overflow", "advection-overflow"])
+    def test_non_finite_solution_is_numerical_failure(self, tmp_path, capsys, family, params):
+        out = tmp_path / "x"
+        assert run_cli(["make-solution", "--family", family, "--params", json.dumps(params),
+                        "--outdir", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure:")
+        assert sorted(p.name for p in out.iterdir()) == ["config.json"]
+
 
 class TestBifurcate:
     def test_branch_outputs(self, tmp_path):
@@ -480,6 +493,18 @@ class TestLift3d:
                         "--outdir", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
+
+    # the density exp(-3 z) underflows to 0 above z ~ 248
+    @pytest.mark.parametrize("flags, written", [
+        (["--samples", "2", "--seeds", "[[0.1, 0.2, 300]]"], ["config.json", "fields.csv"]),
+        (["--samples", "4", "--z-max", "300"], ["config.json"]),
+    ], ids=["seed-above-underflow", "samples-above-underflow"])
+    def test_non_finite_output_is_numerical_failure(self, tmp_path, capsys, flags, written):
+        out = tmp_path / "x"
+        assert run_cli(["lift3d", "--omega", "1", "--lmax", "8", *flags,
+                        "--outdir", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure:")
+        assert sorted(p.name for p in out.iterdir()) == written
 
 
 class TestImportPath:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rotosphere import dynamics, fields, sht, snapshot, solutions
 from conftest import random_real_field
@@ -138,12 +139,15 @@ class TestStep:
             dynamics.step(dynamics.SimulationState(0.0, vort), cfg)
 
     # the count of non-finite coefficients in the message, as the step on
-    # complex half tables gives it
+    # complex half tables gives it; the last two states are finite and their
+    # tendencies overflow
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("lmax, omega, lm, value, count", [
         (6, 0.0, (2, 0), np.inf, 48),
         (6, 0.0, (2, 1), complex(np.nan, 1.0), 48),
         (12, 1.0, (4, 2), complex(0.0, np.inf), 168),
+        (12, 0.0, (5, 3), 1e300, 168),
+        (31, 1.0, (2, 1), 1e154, 767),
     ])
     def test_blowup_count(self, lmax, omega, lm, value, count):
         vort = random_real_field(lmax, seed=23)
@@ -165,6 +169,19 @@ class TestStep:
             part[rng.random(part.shape) < 0.1] = 0.0
         vort.halves.imag[:, 0] = 0.0
         vort.halves[0, 0] = -0.0
+        _assert_two_steps_match_unfused(vort, filter_strength)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(lmax=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           filter_strength=st.sampled_from([0.0, 3.0]))
+    def test_bit_identical_to_unfused_rk4_property(self, lmax, seed, filter_strength):
+        rng = np.random.default_rng(seed)
+        vort = random_real_field(lmax, seed=seed, decay=rng.uniform(0.0, 0.5))
+        for part in (vort.halves.real, vort.halves.imag):
+            part[rng.random(part.shape) < rng.uniform(0.0, 0.5)] = -0.0
+            part[rng.random(part.shape) < rng.uniform(0.0, 0.5)] = 0.0
+        vort.halves.imag[:, 0] = 0.0
+        vort.halves[0, 0] = rng.choice([0.0, -0.0])
         _assert_two_steps_match_unfused(vort, filter_strength)
 
     @pytest.mark.parametrize("filter_strength", [0.0, 3.0])

@@ -229,3 +229,54 @@ class TestComplexFilesRejected:
         assert cli.main(["simulate", str(tmp_path / "sim.json"), "--outdir", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "o").exists()
+
+
+def _lmax2_table():
+    """The lmax-2 table of the real field with c_2^1 = 1."""
+    table = np.zeros((3, 5), dtype=complex)
+    table[2, 3], table[2, 1] = 1.0, -1.0
+    return table
+
+
+def _write_table(path, table):
+    """A snapshot file of the full table as it stands, real or not."""
+    lmax = table.shape[0] - 1
+    flat = table[snapshot._triangle(lmax)]
+    if path.suffix == ".json":
+        path.write_text(json.dumps({"format": "RSPHCOF1", "version": 1, "lmax": lmax,
+                                    "real_valued": True, "time": 0.0,
+                                    "coefficients": [[z.real, z.imag] for z in flat]}))
+        return
+    data = np.empty(2 * flat.size, dtype="<f8")
+    data[0::2], data[1::2] = flat.real, flat.imag
+    path.write_bytes(struct.pack("<8sIIBxxxd", b"RSPHCOF1", 1, lmax, 1, 0.0) + data.tobytes())
+
+
+# c_2^-1 = NaN against c_2^1 = 1, and c_1^0 = 0.5 + inf i
+NON_FINITE = pytest.mark.parametrize("index, value", [
+    ((2, 1), complex(math.nan, 0.0)), ((1, 2), complex(0.5, math.inf)),
+], ids=["nan-mirror", "infinite-m0-imaginary"])
+
+
+class TestNonFiniteTablesRejected:
+    """A table with a non-finite entry is rejected: its mirror defect would be
+    NaN, which no bound rejects."""
+
+    @NON_FINITE
+    def test_from_table(self, index, value):
+        table = _lmax2_table()
+        assert sht.SpectralField.from_table(table).get(2, 1) == 1.0
+        table[index] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            sht.SpectralField.from_table(table)
+
+    @NON_FINITE
+    @pytest.mark.parametrize("name", ["state.shc", "state.json"])
+    def test_read(self, tmp_path, name, index, value):
+        path, table = tmp_path / name, _lmax2_table()
+        _write_table(path, table)
+        assert snapshot.read_snapshot(path)[0].get(2, 1) == 1.0
+        table[index] = value
+        _write_table(path, table)
+        with pytest.raises(snapshot.SnapshotFormatError, match="non-finite"):
+            snapshot.read_snapshot(path)

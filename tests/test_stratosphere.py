@@ -276,6 +276,20 @@ class TestParticlePaths:
         with pytest.raises(ValueError):
             strat.particle_paths(lifted_field, [(0.5, 0.4, 0.2)], t_end=t_end, dt=dt)
 
+    def test_non_finite_path_is_arithmetic_error(self, lifted_field):
+        period = 2 * math.pi / lifted_field.omega
+        # above z ~ 248 the density exp(-3 z) underflows to 0: the angles run
+        # to infinity and math's domain error is turned into ArithmeticError
+        with pytest.raises(ArithmeticError, match="diverged: math domain error"):
+            strat.particle_paths(lifted_field, [(0.5, 0.4, 300.0)],
+                                 t_end=period / 4, dt=period / 8000)
+        # a NaN velocity passes math's functions; the finished path is checked
+        nan_base = dataclasses.replace(lifted_field.base,
+                                       gradient=lambda phi, s, lib: (math.nan, math.nan))
+        with pytest.raises(ArithmeticError, match="is not finite"):
+            strat.particle_paths(dataclasses.replace(lifted_field, base=nan_base),
+                                 [(0.5, 0.4, 0.2)], t_end=period / 4, dt=period / 8000)
+
     @pytest.mark.parametrize("family", ["log", "exp"])
     def test_matches_numpy_reference(self, family):
         make = {"log": solutions.make_log_solution, "exp": solutions.make_exp_solution}[family]

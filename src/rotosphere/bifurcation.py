@@ -226,13 +226,27 @@ def build_subspace(group: SymmetryGroup | str, lmax: int) -> SymmetrySubspace:
     the real basis of `_real_to_complex_block`.  Each R is written straight
     into its degree-l half-table row: c_l^0 = R[l] and, for mu = 1..l,
     c_l^mu = (R[l + mu] - i (-1)^mu R[l - mu]) / sqrt(2).
+
+    A named group's subspace is built once per process and shared
+    (`_named_subspace`); a `SymmetryGroup` is built afresh on every call.
     """
     if lmax < 1:
         raise ValueError(f"lmax must be >= 1, got {lmax}")
     if isinstance(group, str):
         if group.lower() not in NAMED_GROUPS:
             raise ValueError(f"unknown group {group!r}; known: {sorted(NAMED_GROUPS)}")
-        group = NAMED_GROUPS[group.lower()]()
+        return _named_subspace(group.lower(), lmax)
+    return _build_subspace(group, lmax)
+
+
+@functools.lru_cache(maxsize=8)
+def _named_subspace(name: str, lmax: int) -> SymmetrySubspace:
+    """The subspace of the group `NAMED_GROUPS[name]`, cached like
+    `sht.get_transform`; an error is raised anew on every call."""
+    return _build_subspace(NAMED_GROUPS[name](), lmax)
+
+
+def _build_subspace(group: SymmetryGroup, lmax: int) -> SymmetrySubspace:
     degrees, blocks, inv_sqrt2 = [], [], 1.0 / math.sqrt(2.0)  # blocks: (n_l, l, m) half tables
     for l, proj in group_projectors(group.elements(), lmax):
         eigvals, eigvecs = np.linalg.eigh(0.5 * (proj + proj.T))
@@ -453,6 +467,39 @@ def grid_orbit_labels(group: SymmetryGroup, grid: sht.GaussGrid,
     return labels.ravel()
 
 
+def _problem_transform(subspace: SymmetrySubspace) -> sht.Transform:
+    """The transform of a `ContinuationProblem` on the subspace: its grid is
+    sized for cubic products (alias-free for polynomial families of degree
+    <= 3; generous quadrature for the saturating profile), with nlon a
+    multiple of twice the longitude period so that every element sending z
+    to +/- z folds it."""
+    lmax, period = subspace.lmax, 2 * _longitude_period(subspace.group)
+    nlon = period * math.ceil((4 * lmax + 10) / period)
+    return sht.get_transform(lmax, 2 * lmax + 9, nlon)
+
+
+@functools.lru_cache(maxsize=8)
+def _orbit_quadrature(subspace: SymmetrySubspace, fix_z: bool) -> tuple[np.ndarray, ...]:
+    """Read-only (grid_points, basis, z, weights, ll1) of every
+    `ContinuationProblem` on the subspace whose family has
+    `depends_on_z == fix_z`: none depends on the family's constants, so
+    they are built once per process per subspace and fold rule and shared.
+    The cache holds no transform."""
+    tr = _problem_transform(subspace)
+    grid = tr.grid
+    labels = grid_orbit_labels(subspace.group, grid, fix_z=fix_z)
+    grid_points, orbit = np.unique(labels, return_inverse=True)
+    # (dim, orbits) values at the representatives, one field at a time: no whole-grid batch
+    basis = np.array([tr.synthesis(half).ravel()[grid_points] for half in subspace.halves])
+    z = np.repeat(grid.nodes, grid.nlon)[grid_points]
+    weights = np.bincount(orbit, np.repeat(grid.weights * (2.0 * math.pi / grid.nlon), grid.nlon))
+    degrees = np.asarray(subspace.degrees, dtype=float)
+    shared = (grid_points, basis, z, weights, degrees * (degrees + 1.0))
+    for array in shared:
+        array.setflags(write=False)
+    return shared
+
+
 @dataclasses.dataclass
 class ContinuationProblem:
     """Galerkin form of the fixed-point equation on an invariant subspace.
@@ -461,8 +508,10 @@ class ContinuationProblem:
     Gauss quadrature, so the coordinates of the projected residual are
     R_i = x_i + sum_grid w b_i N(lambda, f) / (l_i (l_i + 1)) with
     f = sum_j x_j b_j.  The Newton loop therefore runs on the grid
-    values of the basis, synthesised once: residual, Jacobian and
-    dR/dlambda are matrix-vector products and one basis-sized product.
+    values of the basis, synthesised once per process per subspace and
+    fold rule (`_orbit_quadrature`, read-only and shared between problems):
+    residual, Jacobian and dR/dlambda are matrix-vector products and one
+    basis-sized product.
 
     The grid has 2 lmax + 9 Gauss latitudes and nlon longitudes, nlon the
     smallest multiple of 2 q at or above 4 lmax + 10, q the group's
@@ -485,24 +534,9 @@ class ContinuationProblem:
     subspace: SymmetrySubspace
 
     def __post_init__(self):
-        # grid sized for cubic products (alias-free for polynomial families of
-        # degree <= 3; generous quadrature for the saturating profile), with
-        # nlon a multiple of twice the longitude period so that every element
-        # sending z to +/- z folds it
-        lmax, period = self.subspace.lmax, 2 * _longitude_period(self.subspace.group)
-        nlon = period * math.ceil((4 * lmax + 10) / period)
-        self.transform = sht.get_transform(lmax, 2 * lmax + 9, nlon)
-        grid = self.transform.grid
-        labels = grid_orbit_labels(self.subspace.group, grid, fix_z=self.family.depends_on_z)
-        self.grid_points, orbit = np.unique(labels, return_inverse=True)
-        # (dim, orbits) values at the representatives, one field at a time: no whole-grid batch
-        self._basis = np.array([self.transform.synthesis(half).ravel()[self.grid_points]
-                                for half in self.subspace.halves])
-        self._z = np.repeat(grid.nodes, grid.nlon)[self.grid_points]
-        weights = np.repeat(grid.weights * (2.0 * math.pi / grid.nlon), grid.nlon)
-        self._weights = np.bincount(orbit, weights)
-        degrees = np.asarray(self.subspace.degrees, dtype=float)
-        self._ll1 = degrees * (degrees + 1.0)
+        self.transform = _problem_transform(self.subspace)
+        (self.grid_points, self._basis, self._z, self._weights,
+         self._ll1) = _orbit_quadrature(self.subspace, self.family.depends_on_z)
 
     def values(self, x: np.ndarray) -> np.ndarray:
         """Values of the field with subspace coordinates x at the orbit

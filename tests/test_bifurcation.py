@@ -217,6 +217,59 @@ class TestSubspaces:
         assert group.matrices[1][0, 0] == 1.0 and isinstance(group.matrices, tuple)
 
 
+class TestSharedTables:
+    """A named group's subspace and the continuation grid of each subspace
+    and fold rule are built once per process and shared read-only."""
+
+    def test_named_subspace_built_once(self):
+        sub = bif.build_subspace("tetrahedral", 24)
+        assert bif.build_subspace("Tetrahedral", 24) is sub
+        bif._named_subspace.cache_clear()
+        rebuilt = bif.build_subspace("tetrahedral", 24)
+        assert rebuilt is not sub
+        assert rebuilt.halves.tobytes() == sub.halves.tobytes() and rebuilt.degrees == sub.degrees
+
+    def test_supplied_group_built_on_every_call(self):
+        group = bif.tetrahedral_group()
+        first, second = bif.build_subspace(group, 8), bif.build_subspace(group, 8)
+        assert first is not second and first.group is group
+        assert first.halves.tobytes() == second.halves.tobytes()
+        assert bif.build_subspace("tetrahedral", 8) is not first
+
+    def test_errors_raised_on_every_call(self):
+        cached = bif._named_subspace.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError, match="unknown group"):
+                bif.build_subspace("icosahedral", 6)
+            with pytest.raises(ValueError, match="lmax must be >= 1"):
+                bif.build_subspace("tetrahedral", 0)
+            with pytest.raises(ArithmeticError, match="no invariant harmonics"):
+                bif.build_subspace("tetrahedral", 2)
+        assert bif._named_subspace.cache_info().currsize == cached
+
+    def test_problem_arrays_shared_and_read_only(self, tetra_subspace):
+        first = bif.ContinuationProblem(bif.CubicShiftFamily(mu=1.0, mu1=1.0, degree=3),
+                                        tetra_subspace)
+        second = bif.ContinuationProblem(bif.CubicShiftFamily(mu=2.0, mu1=0.5, degree=5),
+                                         tetra_subspace)
+        for name in ("grid_points", "_basis", "_z", "_weights", "_ll1"):
+            array = getattr(first, name)
+            assert getattr(second, name) is array, name
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_fold_rule_keys_the_grid(self, tetra24_subspace):
+        """A cubic problem, then a saturating one, on one subspace: each gets
+        its own fold (827 and 1,653 orbit points of 57 x 112)."""
+        bif._orbit_quadrature.cache_clear()
+        cubic = bif.ContinuationProblem(bif.CubicShiftFamily(mu=1.0, mu1=1.0, degree=3),
+                                        tetra24_subspace)
+        saturating = bif.ContinuationProblem(bif.SaturatingLinearFamily(beta=1.0, mu=1.0, degree=3),
+                                             tetra24_subspace)
+        assert (cubic.grid_points.size, saturating.grid_points.size) == (827, 1653)
+        assert cubic.transform is saturating.transform
+
+
 class TestResidual:
     def test_trivial_solution_for_all_lambda(self, cubic_problem):
         x0 = np.zeros(cubic_problem.subspace.dim)

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rotosphere import cli, snapshot, solutions
+import rotosphere
+from rotosphere import bifurcation, cli, dynamics, sht, snapshot, solutions
 
 
 def run_cli(argv):
@@ -658,6 +659,38 @@ class TestGoldenOutputs:
                         "--outdir", str(out)]) == 0
         for name, digest in digests.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+    def test_bifurcate_branches_in_one_process(self, tmp_path):
+        """Cubic, saturating, cubic again on one cached subspace: each run
+        folds its own grid and writes the pinned digests above."""
+        (mark,) = [m for m in self.test_bifurcate_branch.pytestmark if m.name == "parametrize"]
+        cases = dict(zip(mark.kwargs["ids"], mark.args[1]))
+        rotosphere.clear_caches()
+        for i, kind in enumerate(["cubic", "saturating", "cubic"]):
+            (tmp_path / f"run{i}").mkdir()
+            self.test_bifurcate_branch(tmp_path / f"run{i}", *cases[kind])
+
+
+def test_clear_caches_empties_every_table_cache(tmp_path):
+    caches = [sht.get_transform, sht.laplacian_eigenvalues, dynamics._pair_factors,
+              bifurcation._named_subspace, bifurcation._orbit_quadrature]
+    runs = [["simulate", write_json(tmp_path / "sim.json", SIM_CONFIG)],
+            ["bifurcate", write_json(tmp_path / "problem.json", FUZZ_BIFURCATE)]]
+
+    def outputs(tag):
+        files = {}
+        for i, argv in enumerate(runs):
+            out = tmp_path / f"{tag}{i}"
+            assert run_cli([*argv, "--outdir", str(out)]) == 0
+            files |= {(i, p.name): p.read_bytes() for p in out.iterdir()}
+        return files
+
+    before = outputs("before")
+    assert all(cache.cache_info().currsize for cache in caches) and len(sht._pi2_tables) > 1
+    rotosphere.clear_caches()
+    assert [cache.cache_info().currsize for cache in caches] == [0] * len(caches)
+    assert list(sht._pi2_tables) == [0]
+    assert outputs("after") == before
 
 
 FUZZ_BIFURCATE = {

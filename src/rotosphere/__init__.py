@@ -16,12 +16,12 @@ from .sht import (  # noqa: F401
 
 def clear_caches() -> None:
     """Empty every cache of numerical tables the package keeps: transforms,
-    Laplacian eigenvalues, the stepper's pair factors, the Wigner d(pi/2)
-    tables above degree 0, named invariant subspaces and continuation grids.
-    Later calls rebuild them with the same bytes."""
-    from . import bifurcation, dynamics, sht
+    Laplacian eigenvalues, the Wigner d(pi/2) tables above degree 0, named
+    invariant subspaces and continuation grids.  Later calls rebuild them
+    with the same bytes."""
+    from . import bifurcation, sht
 
-    for cached in (sht.get_transform, sht.laplacian_eigenvalues, dynamics._pair_factors,
+    for cached in (sht.get_transform, sht.laplacian_eigenvalues,
                    bifurcation._named_subspace, bifurcation._orbit_quadrature):
         cached.cache_clear()
     for l in [l for l in sht._pi2_tables if l > 0]:

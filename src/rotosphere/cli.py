@@ -397,8 +397,7 @@ def cmd_make_solution(args):
             })
         elif isinstance(built, solutions.RossbyHaurwitzWave):
             psi = built.psi
-            report.update({"speed": built.speed, "degree": built.degree,
-                           "stationary": built.stationary})
+            report.update({"speed": built.speed, "degree": built.degree})
         else:
             psi = built
         stat = solutions.verify_stationary(psi, omega)

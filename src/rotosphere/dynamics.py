@@ -4,13 +4,14 @@ The prognostic variable is the vorticity; the stream function is recovered
 by inverting the Laplacian at every stage, which keeps the closed-surface
 mean constraint enforced by construction.  A step converts the vorticity's
 half table to the transform's real columns once and runs its four stages
-(each one fused gradient pass, grid product and analysis) on columns; the
-four tendencies are converted back, and the RK4 combination runs on
-complex half tables.  `tendency` runs the same stage through the
-converters, and `Transform.bracket` (so `fields.advection`) the same
-bracket.  The integrator is classical RK4 with a fixed step: deterministic,
-with an O(dt^4) phase error; over a fixed time the drift of quadratic
-invariants on neutral modes is O(dt^5).
+on columns: each writes the stream-function and total-vorticity columns
+straight from the vorticity columns, then runs one fused gradient pass,
+grid product and analysis.  The four tendencies are converted back, and
+the RK4 combination runs on complex half tables.  `tendency` runs the same
+stage through the converters, and `Transform.bracket` (so
+`fields.advection`) the same bracket.  The integrator is classical RK4
+with a fixed step: deterministic, with an O(dt^4) phase error; over a fixed
+time the drift of quadratic invariants on neutral modes is O(dt^5).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -110,33 +110,24 @@ def tendency(state: SimulationState, omega: float) -> SpectralField:
         _tendency_columns(tr, sht.to_columns(state.vorticity.halves), omega))[0])
 
 
-@lru_cache(maxsize=64)
-def _pair_factors(lmax: int) -> np.ndarray:
-    """Factors (lmax+1, 2, 2, lmax+1) over (m, re/im, [psi, q], l) that take
-    vorticity columns to the [psi, q] columns: 1 / (-l(l+1)) for psi, 0 at
-    l = 0, and 1 for q; cached and read-only."""
-    inverse = np.zeros(lmax + 1)
-    inverse[1:] = 1.0 / sht.laplacian_eigenvalues(lmax)[1:, 0]
-    factors = np.empty((lmax + 1, 2, 2, lmax + 1))
-    factors[:, :, 0] = inverse
-    factors[:, :, 1] = 1.0
-    factors.setflags(write=False)
-    return factors
-
-
 def _tendency_columns(tr: sht.Transform, vort: np.ndarray, omega: float) -> np.ndarray:
     """`tendency` on the columns (m, re/im, l) of a zero-mean real vorticity.
 
-    psi = vort / (-l(l+1)) and q = vort + 2 omega sin(lat) are written as the
-    pair columns of `tr._bracket_columns` by one product.  The pair enters
-    only the transform's matrix products, whose sums start from +0, and one
-    non-finite entry there makes every entry the analysis computes
-    non-finite; so the signs of its zero parts, and a NaN where complex
-    division gives an infinity, reach no output, and psi needs none of the
-    zero terms that numpy's complex arithmetic adds.
+    psi = vort * 1/(-l(l+1)), with +0 at l = 0, and q = vort + 2 omega sin(lat)
+    are written straight into the pair columns [psi, q] of
+    `tr._bracket_columns`.  The pair enters only the transform's matrix
+    products, whose sums start from +0, and one non-finite entry there makes
+    every entry the analysis computes non-finite; so the signs of its zero
+    parts, and a NaN where complex division gives an infinity, reach no
+    output, and psi needs none of the zero terms that numpy's complex
+    arithmetic adds.
     """
     orders = tr.lmax + 1
-    pair = vort[:, :, None] * _pair_factors(tr.lmax)
+    pair = np.empty((orders, 2, 2, orders))
+    pair[:, :, 0, 0] = 0.0
+    np.multiply(vort[:, :, 1:], 1.0 / sht.laplacian_eigenvalues(tr.lmax)[1:, 0],
+                out=pair[:, :, 0, 1:])
+    pair[:, :, 1] = vort
     pair[0, 0, 1, 1] += fields.coriolis_stream_coefficient(omega)
     out = tr._bracket_columns(pair.reshape(orders, 4, orders))
     return np.negative(out, out=out)

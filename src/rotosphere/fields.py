@@ -91,8 +91,7 @@ def first_modes(psi: SpectralField) -> tuple[complex, complex, complex]:
     return (-2.0 * psi.get(1, -1), -2.0 * psi.get(1, 0), -2.0 * psi.get(1, 1))
 
 
-def harmonic_product_integral(factors: list[tuple[int, int, int]],
-                              check_tol: float = 1e-9) -> float:
+def harmonic_product_integral(factors: list[tuple[int, int, int]]) -> float:
     """Quadrature of a product of harmonics, prod (Y_l^m)^power, over the sphere.
 
     The grid is sized for the total polynomial degree; a second, finer grid
@@ -116,11 +115,11 @@ def harmonic_product_integral(factors: list[tuple[int, int, int]],
 
     coarse = _compute(0)
     fine = _compute(4)
-    if abs(coarse - fine) > check_tol * max(1.0, abs(fine)):
+    if abs(coarse - fine) > 1e-9 * max(1.0, abs(fine)):
         raise ArithmeticError(
             f"product integral failed quadrature convergence check: {coarse} vs {fine}"
         )
-    if abs(fine.imag) > check_tol:
+    if abs(fine.imag) > 1e-9:
         raise ArithmeticError(f"product integral has non-negligible imaginary part {fine.imag}")
     return float(fine.real)
 
@@ -132,7 +131,7 @@ class PoincareReport:
     holds: bool
 
 
-def poincare_check(psi: SpectralField, n: int, tol: float = 1e-10) -> PoincareReport:
+def poincare_check(psi: SpectralField, n: int) -> PoincareReport:
     """Sharp spectral-gap inequality after removing degrees 1..n.
 
     Projections onto the first n eigenspaces are zeroed, then the squared
@@ -145,7 +144,7 @@ def poincare_check(psi: SpectralField, n: int, tol: float = 1e-10) -> PoincareRe
     proj.halves[: n + 1] = 0.0
     lhs = enstrophy(proj)
     rhs = (n + 1) * (n + 2) * 2.0 * energy(proj)
-    return PoincareReport(lhs, rhs, lhs >= rhs - tol * max(1.0, abs(rhs)))
+    return PoincareReport(lhs, rhs, lhs >= rhs - 1e-10 * max(1.0, abs(rhs)))
 
 
 # ---------------------------------------------------------------------------

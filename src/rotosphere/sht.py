@@ -630,24 +630,24 @@ def laplacian(c: SpectralField) -> SpectralField:
     return SpectralField(c.halves * laplacian_eigenvalues(c.lmax))
 
 
-def require_zero_mean(c: SpectralField, mean_tol: float = 1e-10) -> None:
-    """Raise unless the degree-0 coefficient vanishes to `mean_tol` relative
-    to the field's norm: a constant has no Poisson solution on a closed surface."""
+def require_zero_mean(c: SpectralField) -> None:
+    """Raise unless the degree-0 coefficient vanishes to 1e-10 relative to
+    the field's norm: a constant has no Poisson solution on a closed surface."""
     mean_size = abs(c.mean_coefficient)
-    if mean_size and mean_size > mean_tol * max(c.norm(), 1.0):
+    if mean_size and mean_size > 1e-10 * max(c.norm(), 1.0):
         raise MeanConstraintError(
             f"cannot invert Laplacian: degree-0 coefficient {mean_size:.3e} "
             f"violates the closed-surface mean constraint"
         )
 
 
-def invert_laplacian(c: SpectralField, mean_tol: float = 1e-10) -> SpectralField:
+def invert_laplacian(c: SpectralField) -> SpectralField:
     """Zero-mean solution of the Poisson problem on the sphere.
 
     Raises when the source carries a degree-0 component beyond tolerance:
     a constant forcing has no solution on a closed surface.
     """
-    require_zero_mean(c, mean_tol)
+    require_zero_mean(c)
     return SpectralField(inverse_laplacian_table(c.halves))
 
 

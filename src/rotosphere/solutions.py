@@ -30,9 +30,10 @@ class VorticityFunction:
     antiderivative: Callable[[np.ndarray], np.ndarray] | None = None
     label: str = ""
 
-    def consistency_defect(self, lo: float, hi: float, n: int = 200) -> float:
-        """Max mismatch between fprime and centered differences of f."""
-        x = np.linspace(lo, hi, n)
+    def consistency_defect(self, lo: float, hi: float) -> float:
+        """Max mismatch between fprime and centered differences of f at 200
+        points of [lo, hi]."""
+        x = np.linspace(lo, hi, 200)
         h = 1e-6 * max(1.0, hi - lo)
         fd = (self.f(x + h) - self.f(x - h)) / (2.0 * h)
         return float(np.max(np.abs(fd - self.fprime(x))))
@@ -165,6 +166,28 @@ def _project(evaluator, lmax: int) -> tuple[SpectralField, float]:
     return coeffs, tail
 
 
+def _tilted_solution(family: str, eps: float, phi0: float, lmax: int,
+                     vf: VorticityFunction, profile: Callable, slope: Callable) -> EllipticSolution:
+    """The zonal parent psi = profile(eps*s) tilted into the equatorial plane:
+    psi = profile(eu) with eu = eps*u and u = cos(lat)*sin(phi - phi0), its
+    gradient from the slope d psi/du = slope(eu, xp), projected to `lmax`."""
+
+    def evaluate(phi, s):
+        return profile(eps * (np.sqrt(1.0 - s * s) * np.sin(phi - phi0)))
+
+    def gradient(phi, s, xp=np):
+        cos_lat = xp.sqrt(1.0 - s * s)
+        sin_phi = xp.sin(phi - phi0)
+        dpsi_du = slope(eps * (cos_lat * sin_phi), xp)
+        return dpsi_du * cos_lat * xp.cos(phi - phi0), dpsi_du * -s * sin_phi
+
+    psi, tail = _project(evaluate, lmax)
+    return EllipticSolution(
+        psi=psi, vf=vf, evaluate=evaluate, gradient=gradient,
+        family=family, params={"epsilon": eps, "phi0": phi0}, tail_norm=tail,
+    )
+
+
 def make_log_solution(epsilon: float, phi0: float = 0.0,
                       lmax: int = 63) -> EllipticSolution:
     """Non-zonal stationary state with a logarithmic profile across circular cells.
@@ -179,18 +202,10 @@ def make_log_solution(epsilon: float, phi0: float = 0.0,
         raise ValueError("epsilon must lie in (0, 1)")
     eps = float(epsilon)
 
-    def evaluate(phi, s):
-        eu = eps * (np.sqrt(1.0 - s * s) * np.sin(phi - phi0))
-        return np.log((1.0 + eu) / (1.0 - eu))
-
-    def gradient(phi, s, xp=np):
-        cos_lat = xp.sqrt(1.0 - s * s)
-        sin_phi = xp.sin(phi - phi0)
-        eu = eps * (cos_lat * sin_phi)
+    def slope(eu, xp):
         # eu**2 rather than eu*eu: on floats libm pow rounds it, as numpy does
         # for scalars, so float and numpy-scalar evaluation agree bitwise
-        dpsi_du = 2.0 * eps / (1.0 - eu**2)
-        return dpsi_du * cos_lat * xp.cos(phi - phi0), dpsi_du * -s * sin_phi
+        return 2.0 * eps / (1.0 - eu**2)
 
     pref = 0.5 * (1.0 - eps * eps)
 
@@ -200,11 +215,8 @@ def make_log_solution(epsilon: float, phi0: float = 0.0,
         antiderivative=lambda p: -pref * (2.0 * np.cosh(p) + 0.5 * np.cosh(2.0 * p) - 2.5),
         label=f"log-family eps={eps}",
     )
-    psi, tail = _project(evaluate, lmax)
-    return EllipticSolution(
-        psi=psi, vf=vf, evaluate=evaluate, gradient=gradient,
-        family="log", params={"epsilon": eps, "phi0": phi0}, tail_norm=tail,
-    )
+    return _tilted_solution("log", eps, phi0, lmax, vf,
+                            lambda eu: np.log((1.0 + eu) / (1.0 - eu)), slope)
 
 
 def make_exp_solution(epsilon: float, phi0: float = 0.0,
@@ -217,15 +229,6 @@ def make_exp_solution(epsilon: float, phi0: float = 0.0,
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     eps = float(epsilon)
-
-    def evaluate(phi, s):
-        return np.exp(eps * (np.sqrt(1.0 - s * s) * np.sin(phi - phi0))) - 1.0
-
-    def gradient(phi, s, xp=np):
-        cos_lat = xp.sqrt(1.0 - s * s)
-        sin_phi = xp.sin(phi - phi0)
-        dpsi_du = eps * xp.exp(eps * (cos_lat * sin_phi))
-        return dpsi_du * cos_lat * xp.cos(phi - phi0), dpsi_du * -s * sin_phi
 
     def f(p):
         w = 1.0 + np.asarray(p)
@@ -244,11 +247,8 @@ def make_exp_solution(epsilon: float, phi0: float = 0.0,
 
     vf = VorticityFunction(f=f, fprime=fprime, antiderivative=antiderivative,
                            label=f"exp-family eps={eps}")
-    psi, tail = _project(evaluate, lmax)
-    return EllipticSolution(
-        psi=psi, vf=vf, evaluate=evaluate, gradient=gradient,
-        family="exp", params={"epsilon": eps, "phi0": phi0}, tail_norm=tail,
-    )
+    return _tilted_solution("exp", eps, phi0, lmax, vf, lambda eu: np.exp(eu) - 1.0,
+                            lambda eu, xp: eps * xp.exp(eu))
 
 
 def rotate_solution(sol: EllipticSolution, rot: RotationSpec) -> EllipticSolution:
@@ -278,19 +278,22 @@ def rotate_solution(sol: EllipticSolution, rot: RotationSpec) -> EllipticSolutio
     )
 
 
+# Bound on the advection residual of a stationary state, and on the mean of
+# the balance right side of a liftable one (`stratosphere.lift_solution`).
+STATIONARITY_TOL = 1e-8
+
+
 @dataclasses.dataclass
 class StationarityReport:
     l2: float
     linf: float
-    tolerance: float
 
     @property
     def stationary(self) -> bool:
-        return self.linf < self.tolerance
+        return self.linf < STATIONARITY_TOL
 
 
-def verify_stationary(psi: SpectralField, omega: float,
-                      tolerance: float = 1e-8) -> StationarityReport:
+def verify_stationary(psi: SpectralField, omega: float) -> StationarityReport:
     """Norms of the advection of total vorticity by the flow of psi.
 
     Zero (to quadrature accuracy) exactly when psi is a stationary state of
@@ -302,7 +305,7 @@ def verify_stationary(psi: SpectralField, omega: float,
     bracket = fields.advection(psi, q)
     l2 = bracket.norm()
     linf = float(np.max(np.abs(tr.synthesis(bracket.halves))))
-    return StationarityReport(l2=l2, linf=linf, tolerance=tolerance)
+    return StationarityReport(l2=l2, linf=linf)
 
 
 def arnold_range(vf: VorticityFunction, psi: SpectralField | EllipticSolution) -> tuple[float, float]:

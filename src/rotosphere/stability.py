@@ -46,8 +46,8 @@ class ZonalProfile:
             if defect > 1e-8:
                 raise ValueError(f"vorticity inconsistent with stream function ({defect:.2e})")
 
-    def consistency_defect(self, n: int = 64) -> float:
-        s = np.cos(np.pi * (np.arange(n) + 0.5) / n) * 0.999
+    def consistency_defect(self) -> float:
+        s = np.cos(np.pi * (np.arange(64) + 0.5) / 64) * 0.999
         h = 1e-5
         d2 = (self.dpsi(s + h) - self.dpsi(s - h)) / (2 * h)
         expected = (1 - s * s) * d2 - 2 * s * self.dpsi(s)
@@ -158,13 +158,13 @@ def _total_vorticity_gradient(zp: ZonalProfile, omega: float) -> Callable:
     return lambda s: zp.dvort(s) + 2.0 * omega
 
 
-def rayleigh_criterion(zp: ZonalProfile, omega: float, n_samples: int = 2001) -> CriterionReport:
+def rayleigh_criterion(zp: ZonalProfile, omega: float) -> CriterionReport:
     """Sign changes of the meridional gradient of total vorticity.
 
     A sign change on the open interval is necessary for linear instability.
     """
     grad = _total_vorticity_gradient(zp, omega)
-    s = np.linspace(-1.0, 1.0, n_samples)[1:-1]
+    s = np.linspace(-1.0, 1.0, 2001)[1:-1]
     vals = grad(s)
     scale = float(np.max(np.abs(vals)))
     if scale < 1e-13:
@@ -193,7 +193,7 @@ def rayleigh_criterion(zp: ZonalProfile, omega: float, n_samples: int = 2001) ->
 
 
 def fjortoft_criterion(zp: ZonalProfile, omega: float,
-                       gamma_samples: Sequence[float], n_samples: int = 2001) -> CriterionReport:
+                       gamma_samples: Sequence[float]) -> CriterionReport:
     """Shear-weighted refinement of the sign-change criterion.
 
     Met when for every real gamma there is a latitude where the total
@@ -206,7 +206,7 @@ def fjortoft_criterion(zp: ZonalProfile, omega: float,
     if len(gamma_samples) == 0:
         raise ValueError("gamma_samples must be non-empty")
     grad = _total_vorticity_gradient(zp, omega)
-    s = np.linspace(-1.0, 1.0, n_samples)[1:-1]
+    s = np.linspace(-1.0, 1.0, 2001)[1:-1]
     g = grad(s)
     angular_wind = -zp.dpsi(s)  # U0/cos(lat) expressed in s
     scale = float(np.max(np.abs(g)))
@@ -312,27 +312,27 @@ def solid_rotation_eigenvalues(alpha: float, omega: float, k: int, n_basis: int)
     return alpha - 2.0 * (alpha - omega) / (n * (n + 1.0))
 
 
-def critical_amplitude_three_jet(omega: float, k_range: Sequence[int] = (1, 2),
-                                 n_basis: int = 48, beta_hi: float = 20.0,
+def critical_amplitude_three_jet(omega: float, n_basis: int = 48,
                                  rel_tol: float = 1e-4) -> float:
     """Amplitude of the degree-3 zonal harmonic at which instability first appears.
 
-    Located by bisection on the amplitude; reported as a computed quantity
+    Located by bisection on the amplitude in [1e-3, 20], instability being
+    judged at zonal wavenumbers 1 and 2; reported as a computed quantity
     (no analytic reference value exists for it).
     """
 
     def unstable(beta: float) -> bool:
         zp = ZonalProfile.from_zonal_coefficients({3: beta})
         return any(
-            zonal_operator_spectrum(zp, omega, k, n_basis).unstable for k in k_range
+            zonal_operator_spectrum(zp, omega, k, n_basis).unstable for k in (1, 2)
         )
 
     lo = 1e-3
     if unstable(lo):
         raise ArithmeticError("profile already unstable at the smallest amplitude probed")
-    hi = beta_hi
+    hi = 20.0
     if not unstable(hi):
-        raise ArithmeticError(f"no instability found up to amplitude {beta_hi}")
+        raise ArithmeticError(f"no instability found up to amplitude {hi}")
     while (hi - lo) / hi > rel_tol:
         mid = 0.5 * (lo + hi)
         if unstable(mid):
@@ -353,20 +353,19 @@ class ArnoldVerdict:
     fprime_max: float
 
 
-def arnold_theorem_check(fprime_range: tuple[float, float],
-                         boundary_tol: float = 1e-9) -> ArnoldVerdict:
+def arnold_theorem_check(fprime_range: tuple[float, float]) -> ArnoldVerdict:
     """Nonlinear stability verdict from the range of F' along the solution.
 
     Stable when the range lies strictly inside (-6, 0); the lower endpoint
     -6 (the second Laplacian eigenvalue) is the transition, reported as
-    "critical".
+    "critical" to within 1e-9.
     """
     lo, hi = fprime_range
     if lo > hi:
         raise ValueError("empty range")
     if -6.0 < lo and hi < 0.0:
         return ArnoldVerdict("stable", lo, hi)
-    if abs(lo + 6.0) <= boundary_tol and hi < 0.0:
+    if abs(lo + 6.0) <= 1e-9 and hi < 0.0:
         return ArnoldVerdict("critical", lo, hi)
     return ArnoldVerdict("inconclusive", lo, hi)
 
@@ -386,15 +385,21 @@ class QuadraticForm:
         return self.p * self.p - 4 * self.q
 
     def roots_in_unit_interval(self) -> bool:
+        """Whether a real root lies in (0, 1), decided exactly.
+
+        The roots are (-p +- s)/2 with s = sqrt(disc) >= 0, so one lies in
+        (0, 1) iff p < s < 2 + p or -2 - p < s < -p; s is compared with
+        each bound a through disc and a^2.
+        """
         disc = self.discriminant()
         if disc < 0:
             return False
-        sq = math.sqrt(float(disc))
-        for sign in (-1.0, 1.0):
-            root = (-float(self.p) + sign * sq) / 2.0
-            if 0.0 < root < 1.0:
-                return True
-        return False
+
+        def between(lo: Fraction, hi: Fraction) -> bool:
+            return (lo < 0 or disc > lo * lo) and hi > 0 and disc < hi * hi
+
+        p = self.p
+        return between(p, 2 + p) or between(-2 - p, -p)
 
 
 @dataclasses.dataclass

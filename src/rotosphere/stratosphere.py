@@ -179,8 +179,7 @@ class Field3D:
 
 
 def lift_solution(base: solutions.EllipticSolution, density: DensityProfile,
-                  omega: float, g: float = 1.0, stationarity_tol: float = 1e-8,
-                  pressure_offset: float = 0.0) -> Field3D:
+                  omega: float, g: float = 1.0, pressure_offset: float = 0.0) -> Field3D:
     """Embed a zero-mean stationary 2D balance into the stratified 3D layer.
 
     Requires the exact balance Delta(psi0) = F(psi0) with F(psi0)
@@ -192,13 +191,13 @@ def lift_solution(base: solutions.EllipticSolution, density: DensityProfile,
         raise LiftError("base solution must provide analytic partial derivatives")
     if base.vf.antiderivative is None:
         raise LiftError("base balance function must provide an antiderivative")
-    report = solutions.verify_stationary(base.psi, 0.0, tolerance=stationarity_tol)
+    report = solutions.verify_stationary(base.psi, 0.0)
     if not report.stationary:
         raise LiftError(
             f"base field is not stationary for the fixed frame: residual {report.linf:.3e}"
         )
     mean_rhs = _balance_mean(base)
-    if abs(mean_rhs) > stationarity_tol:
+    if abs(mean_rhs) > solutions.STATIONARITY_TOL:
         raise LiftError(
             f"balance right side has nonzero mean {mean_rhs:.3e}; "
             "only exact zero-mean balances are liftable"
@@ -219,8 +218,8 @@ class TemperatureReport:
     monotone_fraction: float
 
 
-def temperature_field(field: Field3D, n_samples: int = 24) -> TemperatureReport:
-    """Temperature evaluator plus a monotonicity report.
+def temperature_field(field: Field3D) -> TemperatureReport:
+    """Temperature evaluator plus a monotonicity report on a 24 x 24 grid.
 
     With the exponential density a*exp(-b z), the ideal-gas temperature is
     g/b + exp(b z) * (p_hat/a - g/b) with p_hat the tropopause pressure, so
@@ -229,8 +228,8 @@ def temperature_field(field: Field3D, n_samples: int = 24) -> TemperatureReport:
     """
     if field.density.b == 0.0:
         raise ValueError("temperature profile undefined in this form for constant density")
-    phi = np.linspace(0.0, 2.0 * math.pi, n_samples, endpoint=False)
-    theta = np.linspace(-1.4, 1.4, n_samples)
+    phi = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)
+    theta = np.linspace(-1.4, 1.4, 24)
     pp, tt = np.meshgrid(phi, theta)
     p_hat = field.tropopause_pressure(pp, tt, 0.0)
     coeff = p_hat / field.density.a - field.g / field.density.b

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rotosphere
-from rotosphere import bifurcation, cli, dynamics, sht, snapshot, solutions
+from rotosphere import bifurcation, cli, sht, snapshot, solutions
 
 
 def run_cli(argv):
@@ -672,7 +672,7 @@ class TestGoldenOutputs:
 
 
 def test_clear_caches_empties_every_table_cache(tmp_path):
-    caches = [sht.get_transform, sht.laplacian_eigenvalues, dynamics._pair_factors,
+    caches = [sht.get_transform, sht.laplacian_eigenvalues,
               bifurcation._named_subspace, bifurcation._orbit_quadrature]
     runs = [["simulate", write_json(tmp_path / "sim.json", SIM_CONFIG)],
             ["bifurcate", write_json(tmp_path / "problem.json", FUZZ_BIFURCATE)]]

@@ -104,8 +104,7 @@ class TestOperatorSpectrum:
 
     def test_three_jet_instability_beyond_critical_amplitude(self):
         omega = 1.0
-        critical = stability.critical_amplitude_three_jet(omega, k_range=(1, 2),
-                                                          n_basis=40, rel_tol=1e-3)
+        critical = stability.critical_amplitude_three_jet(omega, n_basis=40, rel_tol=1e-3)
         zp_low = stability.ZonalProfile.from_zonal_coefficients({3: 0.9 * critical})
         zp_high = stability.ZonalProfile.from_zonal_coefficients({3: 1.1 * critical})
         low_unstable = any(
@@ -208,6 +207,31 @@ class TestQuinticFits:
         verdict = stability.theorem42_check(profile, 0)
         assert verdict.denominator_quadratic.p == -1
         assert verdict.denominator_quadratic.q == Fraction(3, 16)
+        assert verdict.verdict == "inconclusive"
+
+    @pytest.mark.parametrize("r1, r2, inside", [
+        (1 - Fraction(1, 10**20), 5, True), (Fraction(1, 10**20), 5, True),
+        (-1, Fraction(1, 2), True), (1, 5, False), (0, 5, False), (2, 3, False),
+        (-1, -2, False),
+    ], ids=["below-one", "above-zero", "larger-inside", "one", "zero", "both-above-one",
+            "both-negative"])
+    def test_roots_in_unit_interval_decided_exactly(self, r1, r2, inside):
+        # (x - r1)(x - r2): a float square root of the discriminant rounds
+        # the first two r1 onto 1 and 0
+        quad = stability.QuadraticForm(p=-Fraction(r1 + r2), q=Fraction(r1 * r2))
+        assert quad.roots_in_unit_interval() is inside
+
+    def test_denominator_root_just_below_one_is_inconclusive(self):
+        # denominator roots 1 - 1e-20 and 5 with alpha = 1 and omega = 0, via
+        # p = 2(beta - 2)/5 and q = (gamma - 8 beta)/15; beta != -4/3, so the
+        # numerator cannot match the denominator
+        r1, r2 = 1 - Fraction(1, 10**20), Fraction(5)
+        beta = -Fraction(5, 2) * (r1 + r2) + 2
+        gamma = 15 * r1 * r2 + 8 * beta
+        profile = stability.QuinticZonalProfile(alpha=Fraction(1), beta=beta, gamma=gamma)
+        verdict = stability.theorem42_check(profile, 0)
+        assert verdict.denominator_quadratic.p == -(r1 + r2)
+        assert verdict.denominator_quadratic.q == r1 * r2
         assert verdict.verdict == "inconclusive"
 
     def test_zero_leading_coefficient_rejected(self):

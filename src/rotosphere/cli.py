@@ -374,8 +374,6 @@ def _solution(kind: str, p: dict):
 def cmd_make_solution(args):
     kind = {"log": "log_family", "exp": "exp_family"}.get(args.family, args.family)
     params = _parse_json(args.params or "{}", "--params")
-    if args.params_file:
-        params.update(_load_config(args.params_file))
     # overflow is left to the finite check in `work`, before anything is written
     with np.errstate(all="ignore"):
         built = _solution(kind, params)
@@ -421,75 +419,74 @@ def _fraction_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
-def cmd_stability(args):
-    if args.analysis == "planet":
-        if args.config is not None:
-            raise ConfigError("stability planet reads no --config")
-        name = "uranus" if args.name is None else args.name.lower()
-        result = stability.planet_wind_stability(name)  # exact rational arithmetic, no numerics
+def cmd_stability_planet(args):
+    name = args.name.lower()
+    result = stability.planet_wind_stability(name)  # exact rational arithmetic, no numerics
 
-        def work(ctx):
-            profile, verdict = result["profile"], result["verdict"]
-            payload = {
-                "planet": name,
-                "omega": _fraction_str(result["omega"]),
-                "coefficients": {
-                    "alpha": _fraction_str(profile.alpha),
-                    "beta": _fraction_str(profile.beta),
-                    "gamma": _fraction_str(profile.gamma),
-                },
-                "denominator_quadratic": {
-                    "p": _fraction_str(verdict.denominator_quadratic.p),
-                    "q": _fraction_str(verdict.denominator_quadratic.q),
-                    "discriminant": _fraction_str(verdict.denominator_quadratic.discriminant()),
-                },
-                "chosen_shift": (_fraction_str(verdict.chosen_shift)
-                                 if verdict.chosen_shift is not None else None),
-                "verdict": verdict.verdict,
-            }
-            ctx.write_json("stability_report.json", payload)
-            _print_report(json.dumps(payload, sort_keys=True, indent=1))
+    def work(ctx):
+        profile, verdict = result["profile"], result["verdict"]
+        payload = {
+            "planet": name,
+            "omega": _fraction_str(result["omega"]),
+            "coefficients": {
+                "alpha": _fraction_str(profile.alpha),
+                "beta": _fraction_str(profile.beta),
+                "gamma": _fraction_str(profile.gamma),
+            },
+            "denominator_quadratic": {
+                "p": _fraction_str(verdict.denominator_quadratic.p),
+                "q": _fraction_str(verdict.denominator_quadratic.q),
+                "discriminant": _fraction_str(verdict.denominator_quadratic.discriminant()),
+            },
+            "chosen_shift": (_fraction_str(verdict.chosen_shift)
+                             if verdict.chosen_shift is not None else None),
+            "verdict": verdict.verdict,
+        }
+        ctx.write_json("stability_report.json", payload)
+        _print_report(json.dumps(payload, sort_keys=True, indent=1))
 
-        return "stability planet", {"analysis": "planet", "name": name}, None, work
+    return "stability planet", {"analysis": "planet", "name": name}, None, work
 
-    if args.name is not None or args.config is None:
-        raise ConfigError(f"stability {args.analysis} needs --config and reads no --name")
+
+def cmd_stability_zonal(args):
     config = _load_config(args.config)
-    if args.analysis == "zonal":
-        omega = _get(config, "omega", float)
-        zp = stability.ZonalProfile.from_zonal_coefficients(
-            _get(config, "zonal_coefficients", {int: float}))
-        ks = [_check("wavenumbers", k, int) for k in _get(config, "wavenumbers", list, [1, 2])]
-        n_basis = _get(config, "basis_size", int, 48)
-        gammas = [_check("gamma_samples", g, float)
-                  for g in _get(config, "gamma_samples", list, [-1.0, 0.0, 1.0])]
-        if 0 in ks or n_basis < 1 or not gammas:
-            raise ConfigError("need nonzero wavenumbers, basis_size >= 1 and gamma_samples")
+    omega = _get(config, "omega", float)
+    zp = stability.ZonalProfile.from_zonal_coefficients(
+        _get(config, "zonal_coefficients", {int: float}))
+    ks = [_check("wavenumbers", k, int) for k in _get(config, "wavenumbers", list, [1, 2])]
+    n_basis = _get(config, "basis_size", int, 48)
+    gammas = [_check("gamma_samples", g, float)
+              for g in _get(config, "gamma_samples", list, [-1.0, 0.0, 1.0])]
+    if 0 in ks or n_basis < 1 or not gammas:
+        raise ConfigError("need nonzero wavenumbers, basis_size >= 1 and gamma_samples")
 
-        def work(ctx):
-            reports = {}
-            for k in ks:
-                rep = stability.zonal_operator_spectrum(zp, omega, k, n_basis)
-                reports[str(k)] = {
-                    "essential_interval": list(rep.essential_interval),
-                    "unstable": rep.unstable,
-                    "max_growth_rate": rep.max_growth_rate,
-                    "pairing_defect": rep.pairing_defect,
-                    "discrete_eigenvalues": [[z.real, z.imag] for z in rep.discrete_eigenvalues],
-                }
-            ray = stability.rayleigh_criterion(zp, omega)
-            fjo = stability.fjortoft_criterion(zp, omega, gammas)
-            payload = {
-                "per_wavenumber": reports,
-                "rayleigh": {"met": ray.met, "degenerate": ray.degenerate,
-                             "sign_changes": ray.sign_change_locations},
-                "fjortoft": {"met": fjo.met, "degenerate": fjo.degenerate, "detail": fjo.detail},
+    def work(ctx):
+        reports = {}
+        for k in ks:
+            rep = stability.zonal_operator_spectrum(zp, omega, k, n_basis)
+            reports[str(k)] = {
+                "essential_interval": list(rep.essential_interval),
+                "unstable": rep.unstable,
+                "max_growth_rate": rep.max_growth_rate,
+                "pairing_defect": rep.pairing_defect,
+                "discrete_eigenvalues": [[z.real, z.imag] for z in rep.discrete_eigenvalues],
             }
-            ctx.write_json("stability_report.json", payload)
-            _print_report(json.dumps(payload, sort_keys=True, indent=1))
+        ray = stability.rayleigh_criterion(zp, omega)
+        fjo = stability.fjortoft_criterion(zp, omega, gammas)
+        payload = {
+            "per_wavenumber": reports,
+            "rayleigh": {"met": ray.met, "degenerate": ray.degenerate,
+                         "sign_changes": ray.sign_change_locations},
+            "fjortoft": {"met": fjo.met, "degenerate": fjo.degenerate, "detail": fjo.detail},
+        }
+        ctx.write_json("stability_report.json", payload)
+        _print_report(json.dumps(payload, sort_keys=True, indent=1))
 
-        return "stability zonal", config, None, work
+    return "stability zonal", config, None, work
 
+
+def cmd_stability_rh2(args):
+    config = _load_config(args.config)
     sim_config = _simulation_config(config, omega=_get(config, "omega", float, 0.0),
                                     lmax=_get(config, "lmax", int, 15))
     perturbation = _modes_field(_get(config, "perturbation", list, []), sim_config.lmax)
@@ -768,16 +765,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("make-solution", help="materialize an explicit solution family member")
     p.add_argument("--family", required=True, choices=sorted(SOLUTION_KINDS) + ["log", "exp"])
     p.add_argument("--params", default="", help="JSON object of family parameters")
-    p.add_argument("--params-file", default="", help="JSON file of family parameters")
     common(p)
     p.set_defaults(func=cmd_make_solution)
 
-    p = sub.add_parser("stability", help="stability analyses with JSON reports")
-    p.add_argument("analysis", choices=["zonal", "rh2", "planet"])
-    p.add_argument("--name", help="planet name for the planet analysis (default uranus)")
-    p.add_argument("--config", help="JSON config for zonal/rh2 analyses")
+    analyses = sub.add_parser("stability", help="stability analyses with JSON reports")
+    analyses = analyses.add_subparsers(dest="analysis", required=True)
+    p = analyses.add_parser("planet", help="quintic wind fit and its exact stability test")
+    p.add_argument("--name", default="uranus", help="planet name (default uranus)")
     common(p)
-    p.set_defaults(func=cmd_stability)
+    p.set_defaults(func=cmd_stability_planet)
+    for analysis, func, what in (
+            ("zonal", cmd_stability_zonal, "spectra and instability criteria of a zonal profile"),
+            ("rh2", cmd_stability_rh2, "modal experiment on a perturbed degree-2 wave")):
+        p = analyses.add_parser(analysis, help=what)
+        p.add_argument("--config", required=True, help="JSON config of the analysis")
+        common(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("bifurcate", help="detect bifurcation points and continue a branch")
     p.add_argument("problem", help="JSON problem description")

@@ -297,28 +297,15 @@ def euler_from_matrix(rot: np.ndarray) -> RotationSpec:
 # Associated Legendre tables
 # ---------------------------------------------------------------------------
 
-def normalized_legendre_table(lmax: int, s: np.ndarray) -> np.ndarray:
-    """Orthonormal associated Legendre functions at the points s.
-
-    Returns P with shape (len(s), lmax+1, lmax+1), P[i, l, m] holding the
-    fully normalized function of degree l and order m >= 0 (Condon-Shortley
-    phase included) evaluated at s[i]; entries with m > l are zero.  The
-    harmonic is then Y_l^m = P[.., l, m] * exp(i m phi).
-
-    Each order is `legendre_order`'s upward recurrence in l; the diagonal
-    seeds are accumulated in log space so high orders near the poles do not
-    underflow stepwise.
-    """
-    s = np.asarray(s, dtype=float)
-    table = np.zeros((s.size, lmax + 1, lmax + 1))
-    for m, log_ratio in enumerate(_seed_log_ratios(lmax)):
-        _fill_order(table[:, m:, m], m, s, log_ratio)
-    return table
-
-
 def legendre_order(lmax: int, m: int, s: np.ndarray) -> np.ndarray:
-    """The order-m column P[:, :, m] of `normalized_legendre_table(lmax, s)`,
-    shape (len(s), lmax+1), by the same arithmetic and without the other orders."""
+    """Orthonormal associated Legendre functions of order m >= 0 at the points s.
+
+    Returns P with shape (len(s), lmax+1), P[i, l] holding the fully
+    normalized function of degree l (Condon-Shortley phase included) at
+    s[i]; degrees l < m are zero.  The harmonic is then
+    Y_l^m = P[.., l] * exp(i m phi).  The diagonal seed is accumulated in log
+    space so high orders near the poles do not underflow stepwise.
+    """
     s = np.asarray(s, dtype=float)
     column = np.zeros((s.size, lmax + 1))
     _fill_order(column[:, m:], m, s, _seed_log_ratios(m)[m])
@@ -334,10 +321,20 @@ def _seed_log_ratios(lmax: int) -> list[float]:
     return ratios
 
 
-def _fill_order(column: np.ndarray, m: int, s: np.ndarray, log_ratio: float) -> np.ndarray:
+def _recurrence(l: int, m: int) -> tuple[float, float]:
+    """(a, b) of the upward step P_l^m = a s P_{l-1}^m - b P_{l-2}^m."""
+    a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+    b = math.sqrt(
+        ((2.0 * l + 1.0) * (l - 1.0 - m) * (l - 1.0 + m))
+        / ((2.0 * l - 3.0) * (l - m) * (l + m))
+    )
+    return a, b
+
+
+def _fill_order(column: np.ndarray, m: int, s: np.ndarray, log_ratio: float) -> None:
     """Write the degrees m..m+n-1 of order m into `column` (len(s), n), degree
-    m + j in column j, and return degree m + n: the upward three-term
-    recurrence in l from the seed's accumulated log ratio."""
+    m + j in column j: the upward three-term recurrence in l from the seed's
+    accumulated log ratio."""
     c = np.sqrt(np.maximum(0.0, 1.0 - s * s))
     if m == 0:
         pmm = np.full(s.size, 1.0 / math.sqrt(FOUR_PI))
@@ -351,14 +348,8 @@ def _fill_order(column: np.ndarray, m: int, s: np.ndarray, log_ratio: float) -> 
     lower, upper = pmm, math.sqrt(2 * m + 3) * s * pmm
     for j in range(1, column.shape[1]):
         column[:, j] = upper
-        l = m + j + 1
-        a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-        b = math.sqrt(
-            ((2.0 * l + 1.0) * (l - 1.0 - m) * (l - 1.0 + m))
-            / ((2.0 * l - 3.0) * (l - m) * (l + m))
-        )
+        a, b = _recurrence(m + j + 1, m)
         lower, upper = upper, a * s * upper - b * lower
-    return upper
 
 
 def _dft_tables(lmax: int, nlon: int) -> tuple[np.ndarray, np.ndarray]:
@@ -412,7 +403,9 @@ class Transform:
     costs O(nlat nlon lmax), the order of the Legendre stage.
     The P slabs are built in the constructor and every table is read-only,
     and every call allocates its own work arrays; the gradient slabs are a
-    cached property built on the first gradient or bracket call, and threads
+    cached property built on the first gradient or bracket call.  No table
+    holds degree lmax+1, which d/dtheta reads: the gradient slabs take it
+    from each P slab's top two degrees by one more recurrence step.  Threads
     racing there build identical slabs, so a Transform can be shared freely
     between threads.
     """
@@ -428,17 +421,15 @@ class Transform:
         self.grid = build_grid(nlat, nlon)
 
         # one slab per order group from lo, order-major (m, latitude, l >= lo);
-        # degree L+1 of each order feeds d/dtheta only
+        # degree L+1, which d/dtheta alone reads, is left to `_gradient_slabs`
         ratios, slabs = _seed_log_ratios(L), []
-        self._p_next = np.empty((L + 1, nlat))
         for lo in range(0, L + 1, ORDER_GROUP):
             slab = np.zeros((min(ORDER_GROUP, L + 1 - lo), nlat, L + 1 - lo))
             for m in range(lo, lo + len(slab)):
-                self._p_next[m] = _fill_order(slab[m - lo, :, m - lo :], m, self.grid.nodes, ratios[m])
+                _fill_order(slab[m - lo, :, m - lo :], m, self.grid.nodes, ratios[m])
+            slab.setflags(write=False)
             slabs.append(slab)
         self._p = tuple(slabs)
-        for table in (*self._p, self._p_next):
-            table.setflags(write=False)
         # the same slabs as `_to_grid` takes them, (1, m, l >= lo, latitude) views
         self._p_synthesis = tuple(p.transpose(0, 2, 1)[None] for p in self._p)
         # (synthesis tables, analysis table); the analysis table holds 2 pi / nlon
@@ -461,12 +452,19 @@ class Transform:
         slabs = []
         for lo, p in zip(range(0, L + 1, ORDER_GROUP), self._p):
             group = slice(lo, lo + len(p))
+            # degree L+1: `_fill_order`'s next step on the top two stored
+            # degrees; a slab of the single degree L has P_{L-1} = 0 below it
+            below = p[:, :, -2] if p.shape[2] > 1 else np.zeros(p.shape[:2])
+            p_next = np.empty(p.shape[:2])
+            for i, m in enumerate(range(lo, lo + len(p))):
+                a, b = _recurrence(L + 1, m)
+                p_next[i] = a * self.grid.nodes * p[i, :, -1] - b * below[i]
             grad = np.zeros((2, len(p), L + 1 - lo, self.grid.nlat))
             dtheta, p_over_cos = grad.transpose(0, 1, 3, 2)
             # degree lo has no P_{lo-1} term: that degree is zero at every m >= lo
             np.multiply(upper[group, None, lo:], p[:, :, :-1], out=dtheta[:, :, 1:])
             dtheta[:, :, :-1] -= lower[group, None, lo:L] * p[:, :, 1:]
-            dtheta[:, :, -1] -= lower[group, L:] * self._p_next[group]
+            dtheta[:, :, -1] -= lower[group, L:] * p_next
             dtheta /= coslat
             np.divide(p, coslat, out=p_over_cos)
             grad.setflags(write=False)

@@ -28,7 +28,6 @@ class VorticityFunction:
     f: Callable[[np.ndarray], np.ndarray]
     fprime: Callable[[np.ndarray], np.ndarray]
     antiderivative: Callable[[np.ndarray], np.ndarray] | None = None
-    label: str = ""
 
     def consistency_defect(self, lo: float, hi: float) -> float:
         """Max mismatch between fprime and centered differences of f at 200
@@ -41,13 +40,16 @@ class VorticityFunction:
 
 @dataclasses.dataclass
 class RossbyHaurwitzWave:
-    """Solid rotation plus a single-eigenspace component, advected rigidly."""
+    """Solid rotation plus a single-eigenspace component, advected rigidly.
+
+    `psi` is the stream function at time 0, `degree` the degree j of its
+    non-zonal part and `speed` that part's azimuthal phase speed
+    (`rossby_haurwitz_speed` of the alpha and omega it was built from).
+    """
 
     psi: SpectralField
     speed: float
     degree: int
-    alpha: float
-    omega: float
 
     def at_time(self, t: float) -> SpectralField:
         """Exact state at time t: the degree-j pattern shifted by speed*t."""
@@ -115,7 +117,6 @@ def make_rossby_haurwitz(j: int, alpha: float, ycoeffs: dict[int, complex],
         psi.add_to(j, m, c.real if m == 0 else c)
     return RossbyHaurwitzWave(
         psi=psi, speed=rossby_haurwitz_speed(j, alpha, omega), degree=j,
-        alpha=alpha, omega=omega,
     )
 
 
@@ -131,15 +132,14 @@ class EllipticSolution:
     `gradient(phi, s, xp=np)` gives the pair (d psi/d phi, d psi/d latitude)
     there, computed with the math namespace `xp`: `np` for arrays, `math`
     for Python floats.  It is None where no closed form is kept (rotated
-    solutions).
+    solutions).  `psi` is the projection onto the transform grid of the
+    requested lmax and `tail_norm` the norm of its top three degrees.
     """
 
     psi: SpectralField
     vf: VorticityFunction
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
     gradient: Callable[..., tuple] | None
-    family: str
-    params: dict
     tail_norm: float
 
     def grid_residual(self) -> tuple[float, float]:
@@ -166,8 +166,8 @@ def _project(evaluator, lmax: int) -> tuple[SpectralField, float]:
     return coeffs, tail
 
 
-def _tilted_solution(family: str, eps: float, phi0: float, lmax: int,
-                     vf: VorticityFunction, profile: Callable, slope: Callable) -> EllipticSolution:
+def _tilted_solution(eps: float, phi0: float, lmax: int, vf: VorticityFunction,
+                     profile: Callable, slope: Callable) -> EllipticSolution:
     """The zonal parent psi = profile(eps*s) tilted into the equatorial plane:
     psi = profile(eu) with eu = eps*u and u = cos(lat)*sin(phi - phi0), its
     gradient from the slope d psi/du = slope(eu, xp), projected to `lmax`."""
@@ -183,8 +183,7 @@ def _tilted_solution(family: str, eps: float, phi0: float, lmax: int,
 
     psi, tail = _project(evaluate, lmax)
     return EllipticSolution(
-        psi=psi, vf=vf, evaluate=evaluate, gradient=gradient,
-        family=family, params={"epsilon": eps, "phi0": phi0}, tail_norm=tail,
+        psi=psi, vf=vf, evaluate=evaluate, gradient=gradient, tail_norm=tail,
     )
 
 
@@ -213,9 +212,8 @@ def make_log_solution(epsilon: float, phi0: float = 0.0,
         f=lambda p: -pref * (2.0 * np.sinh(p) + np.sinh(2.0 * p)),
         fprime=lambda p: -pref * (2.0 * np.cosh(p) + 2.0 * np.cosh(2.0 * p)),
         antiderivative=lambda p: -pref * (2.0 * np.cosh(p) + 0.5 * np.cosh(2.0 * p) - 2.5),
-        label=f"log-family eps={eps}",
     )
-    return _tilted_solution("log", eps, phi0, lmax, vf,
+    return _tilted_solution(eps, phi0, lmax, vf,
                             lambda eu: np.log((1.0 + eu) / (1.0 - eu)), slope)
 
 
@@ -245,9 +243,8 @@ def make_exp_solution(epsilon: float, phi0: float = 0.0,
         val = 0.5 * eps * eps * w * w - 0.5 * w * w * lw * lw - 0.5 * w * w * lw + 0.25 * w * w
         return val - (0.5 * eps * eps + 0.25)
 
-    vf = VorticityFunction(f=f, fprime=fprime, antiderivative=antiderivative,
-                           label=f"exp-family eps={eps}")
-    return _tilted_solution("exp", eps, phi0, lmax, vf, lambda eu: np.exp(eu) - 1.0,
+    vf = VorticityFunction(f=f, fprime=fprime, antiderivative=antiderivative)
+    return _tilted_solution(eps, phi0, lmax, vf, lambda eu: np.exp(eu) - 1.0,
                             lambda eu, xp: eps * xp.exp(eu))
 
 
@@ -273,7 +270,6 @@ def rotate_solution(sol: EllipticSolution, rot: RotationSpec) -> EllipticSolutio
     psi = sht.rotate(sol.psi, rot)
     return EllipticSolution(
         psi=psi, vf=sol.vf, evaluate=evaluate, gradient=None,
-        family=sol.family, params={**sol.params, "rotation": (rot.alpha, rot.beta, rot.gamma)},
         tail_norm=sol.tail_norm,
     )
 

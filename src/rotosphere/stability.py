@@ -154,8 +154,18 @@ class CriterionReport:
     detail: str = ""
 
 
-def _total_vorticity_gradient(zp: ZonalProfile, omega: float) -> Callable:
-    return lambda s: zp.dvort(s) + 2.0 * omega
+def _sampled_gradient(zp: ZonalProfile, omega: float):
+    """The total vorticity gradient as a callable of s, its 1999 interior
+    sample points of [-1, 1], its values there and the masks where they are
+    positive or negative beyond 1e-13 of the largest; None where the gradient
+    vanishes identically (largest value below 1e-13)."""
+    grad = lambda s: zp.dvort(s) + 2.0 * omega
+    s = np.linspace(-1.0, 1.0, 2001)[1:-1]
+    vals = grad(s)
+    scale = float(np.max(np.abs(vals)))
+    if scale < 1e-13:
+        return None
+    return grad, s, vals, vals > 1e-13 * scale, vals < -1e-13 * scale
 
 
 def rayleigh_criterion(zp: ZonalProfile, omega: float) -> CriterionReport:
@@ -163,20 +173,16 @@ def rayleigh_criterion(zp: ZonalProfile, omega: float) -> CriterionReport:
 
     A sign change on the open interval is necessary for linear instability.
     """
-    grad = _total_vorticity_gradient(zp, omega)
-    s = np.linspace(-1.0, 1.0, 2001)[1:-1]
-    vals = grad(s)
-    scale = float(np.max(np.abs(vals)))
-    if scale < 1e-13:
+    sampled = _sampled_gradient(zp, omega)
+    if sampled is None:
         return CriterionReport(met=False, degenerate=True, sign_change_locations=[],
                                detail="total vorticity gradient vanishes identically")
-    pos = vals > 1e-13 * scale
-    neg = vals < -1e-13 * scale
+    grad, s, _, pos, neg = sampled
     met = bool(pos.any() and neg.any())
     roots = []
     sign = np.where(pos, 1, np.where(neg, -1, 0))
     last_sign, last_s = 0, None
-    for si, vi, raw in zip(s, sign, vals):
+    for si, vi in zip(s, sign):
         if vi == 0:
             roots.append(float(si))
             last_sign, last_s = 0, si
@@ -205,16 +211,12 @@ def fjortoft_criterion(zp: ZonalProfile, omega: float,
     """
     if len(gamma_samples) == 0:
         raise ValueError("gamma_samples must be non-empty")
-    grad = _total_vorticity_gradient(zp, omega)
-    s = np.linspace(-1.0, 1.0, 2001)[1:-1]
-    g = grad(s)
-    angular_wind = -zp.dpsi(s)  # U0/cos(lat) expressed in s
-    scale = float(np.max(np.abs(g)))
-    if scale < 1e-13:
+    sampled = _sampled_gradient(zp, omega)
+    if sampled is None:
         return CriterionReport(met=False, degenerate=True, sign_change_locations=[],
                                detail="degenerate: gradient identically zero")
-    pos = g > 1e-13 * scale
-    neg = g < -1e-13 * scale
+    _, s, g, pos, neg = sampled
+    angular_wind = -zp.dpsi(s)  # U0/cos(lat) expressed in s
     sampled_ok = all(bool(np.any(g * (angular_wind - gam) > 0.0)) for gam in gamma_samples)
     if not (pos.any() and neg.any()):
         return CriterionReport(met=False, degenerate=False, sign_change_locations=[],
@@ -233,7 +235,6 @@ def fjortoft_criterion(zp: ZonalProfile, omega: float,
 
 @dataclasses.dataclass
 class EigenReport:
-    k: int
     essential_interval: tuple[float, float]
     eigenvalues: np.ndarray
     discrete_eigenvalues: list[complex]
@@ -300,7 +301,7 @@ def zonal_operator_spectrum(zp: ZonalProfile, omega: float, k: int,
     conj_sorted = np.sort_complex(np.conj(eigs))
     pairing = float(np.max(np.abs(eigs_sorted - conj_sorted)))
     return EigenReport(
-        k=k, essential_interval=essential, eigenvalues=eigs,
+        essential_interval=essential, eigenvalues=eigs,
         discrete_eigenvalues=sorted(discrete, key=lambda z: (z.real, z.imag)),
         unstable=unstable, max_growth_rate=growth, pairing_defect=pairing,
     )
@@ -349,8 +350,6 @@ def critical_amplitude_three_jet(omega: float, n_basis: int = 48,
 @dataclasses.dataclass
 class ArnoldVerdict:
     verdict: str  # "stable" | "critical" | "inconclusive"
-    fprime_min: float
-    fprime_max: float
 
 
 def arnold_theorem_check(fprime_range: tuple[float, float]) -> ArnoldVerdict:
@@ -358,16 +357,17 @@ def arnold_theorem_check(fprime_range: tuple[float, float]) -> ArnoldVerdict:
 
     Stable when the range lies strictly inside (-6, 0); the lower endpoint
     -6 (the second Laplacian eigenvalue) is the transition, reported as
-    "critical" to within 1e-9.
+    "critical" to within 1e-9; any other range is "inconclusive".  The
+    caller holds the range itself; the verdict carries only the word.
     """
     lo, hi = fprime_range
     if lo > hi:
         raise ValueError("empty range")
     if -6.0 < lo and hi < 0.0:
-        return ArnoldVerdict("stable", lo, hi)
+        return ArnoldVerdict("stable")
     if abs(lo + 6.0) <= 1e-9 and hi < 0.0:
-        return ArnoldVerdict("critical", lo, hi)
-    return ArnoldVerdict("inconclusive", lo, hi)
+        return ArnoldVerdict("critical")
+    return ArnoldVerdict("inconclusive")
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +408,6 @@ class ZonalStabilityVerdict:
     numerator_quadratic: QuadraticForm | None
     denominator_quadratic: QuadraticForm
     chosen_shift: Fraction | None
-    detail: str = ""
 
 
 def theorem42_check(profile: QuinticZonalProfile, omega: Fraction | int) -> ZonalStabilityVerdict:
@@ -435,7 +434,6 @@ def theorem42_check(profile: QuinticZonalProfile, omega: Fraction | int) -> Zona
         return ZonalStabilityVerdict(
             verdict="stable", numerator_quadratic=num, denominator_quadratic=denom,
             chosen_shift=shift,
-            detail="denominator quadratic has no roots in (0,1)",
         )
     # roots must be shared; with only the constant term free this needs
     # matching linear coefficients
@@ -444,12 +442,11 @@ def theorem42_check(profile: QuinticZonalProfile, omega: Fraction | int) -> Zona
         num = QuadraticForm(p=num_p, q=denom.q)
         return ZonalStabilityVerdict(
             verdict="stable", numerator_quadratic=num, denominator_quadratic=denom,
-            chosen_shift=shift, detail="numerator matched to the denominator roots",
+            chosen_shift=shift,
         )
     return ZonalStabilityVerdict(
         verdict="inconclusive", numerator_quadratic=None, denominator_quadratic=denom,
         chosen_shift=None,
-        detail="denominator quadratic has roots in (0,1); no admissible shift",
     )
 
 
@@ -555,10 +552,9 @@ def instability_separation_bound(j: int, beta: float, ycoeffs: dict[int, complex
         raise ValueError("separation bound degenerates for zonal patterns")
     grid = sht.build_grid(j + 2, 1)
     x, w = grid.nodes, grid.weights
-    table = sht.normalized_legendre_table(j, x)
     wave_term = 0.0
     for m, c in nonzonal.items():
-        lat_sq = float(w @ table[:, j, abs(m)] ** 2)  # = 1/(2 pi) for the normalized basis
+        lat_sq = float(w @ sht.legendre_order(j, abs(m), x)[:, j] ** 2)  # = 1/(2 pi) for the normalized basis
         wave_term += abs(c) ** 2 * lat_sq
     wave_term *= FOUR_PI * beta * beta
     perturbation_term = FOUR_PI / (3.0 * n * n)

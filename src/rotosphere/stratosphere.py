@@ -15,7 +15,7 @@ import json
 import math
 import warnings
 from importlib import resources
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -214,12 +214,13 @@ def _balance_mean(base: solutions.EllipticSolution) -> float:
 
 @dataclasses.dataclass
 class TemperatureReport:
-    evaluator: Callable
     monotone_fraction: float
 
 
 def temperature_field(field: Field3D) -> TemperatureReport:
-    """Temperature evaluator plus a monotonicity report on a 24 x 24 grid.
+    """Monotonicity of the temperature in height on a 24 x 24 grid of
+    longitudes and latitudes: the fraction of points where it increases
+    (the temperature itself is `field.temperature`).
 
     With the exponential density a*exp(-b z), the ideal-gas temperature is
     g/b + exp(b z) * (p_hat/a - g/b) with p_hat the tropopause pressure, so
@@ -234,7 +235,7 @@ def temperature_field(field: Field3D) -> TemperatureReport:
     p_hat = field.tropopause_pressure(pp, tt, 0.0)
     coeff = p_hat / field.density.a - field.g / field.density.b
     frac = float(np.mean(coeff > 0.0))
-    return TemperatureReport(evaluator=field.temperature, monotone_fraction=frac)
+    return TemperatureReport(monotone_fraction=frac)
 
 
 @dataclasses.dataclass
@@ -242,7 +243,6 @@ class Trajectory:
     times: np.ndarray
     phi: np.ndarray
     theta: np.ndarray
-    z: float
     level_drift: float
 
 
@@ -293,5 +293,5 @@ def particle_paths(field: Field3D, seeds: Sequence[tuple[float, float, float]],
             raise ArithmeticError(f"particle path from {phi0, theta0, z0} is not finite")
         levels = field.base.evaluate(phis + omega * times, np.sin(thetas))
         drift = float(np.max(np.abs(levels - levels[0])))
-        out.append(Trajectory(times=times, phi=phis, theta=thetas, z=z0, level_drift=drift))
+        out.append(Trajectory(times=times, phi=phis, theta=thetas, level_drift=drift))
     return out

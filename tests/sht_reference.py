@@ -2,9 +2,10 @@
 
 The negative orders are synthesised and analysed separately, the longitude
 transforms are complex FFTs, and the real part of the result is kept.
-It shares only the Legendre table and the grid with `sht.Transform`, so
-agreement between the two pins the m >= 0 contraction, the rfft/irfft
-scaling, the i*m factor and the rebuilding of negative orders.
+It shares only the grid with `sht.Transform`; its Legendre table is
+`full_legendre_table`, so agreement between the two pins the m >= 0
+contraction, the rfft/irfft scaling, the i*m factor, the rebuilding of
+negative orders and the library's Legendre recurrence.
 
 `ScipyFFTTransform` is `sht.Transform` as it was on scipy.fft, with its
 gradient table built eagerly from the degree lmax+1 Legendre table: an
@@ -35,7 +36,7 @@ class ReferenceTransform:
         self.lmax = L = lmax
         self.grid = sht.build_grid(nlat, nlon)
         coslat = self.grid.cos_lat
-        ptab_ext = sht.normalized_legendre_table(L + 1, self.grid.nodes)
+        ptab_ext = full_legendre_table(L + 1, self.grid.nodes)
         ptab = ptab_ext[:, : L + 1, : L + 1]
         eps = np.zeros((L + 2, L + 1))
         for l in range(1, L + 2):
@@ -122,7 +123,7 @@ class ScipyFFTTransform:
         self.lmax = L = lmax
         self.grid = sht.build_grid(nlat, nlon)
         coslat = self.grid.cos_lat[None, :, None]
-        ptab = sht.normalized_legendre_table(L + 1, self.grid.nodes).transpose(2, 0, 1)[: L + 1]
+        ptab = full_legendre_table(L + 1, self.grid.nodes).transpose(2, 0, 1)[: L + 1]
         self._p = np.ascontiguousarray(ptab[:, :, : L + 1])
         l = np.arange(L + 2)[None, :]
         m = np.arange(L + 1)[:, None]
@@ -174,8 +175,10 @@ class ScipyFFTTransform:
 
 
 def full_legendre_table(lmax, s):
-    """`sht.normalized_legendre_table` as it was before the slab storage: each
-    order's recurrence reads its two lower degrees back from the table."""
+    """Orthonormal associated Legendre functions at the points s, shape
+    (len(s), lmax+1, lmax+1) with P[i, l, m] the degree-l order-m function
+    at s[i]: the library's full table as it was before the slab storage, each
+    order's recurrence reading its two lower degrees back from the table."""
     s = np.asarray(s, dtype=float)
     table = np.zeros((s.size, lmax + 1, lmax + 1))
     c = np.sqrt(np.maximum(0.0, 1.0 - s * s))
@@ -284,7 +287,7 @@ def evaluate(field, phi, s):
     if phi.shape != s.shape:
         raise ValueError("phi and s must have matching shapes")
     L = field.lmax
-    ptab = sht.normalized_legendre_table(L, s.ravel())
+    ptab = full_legendre_table(L, s.ravel())
     # order -m adds the conjugate of order m: twice the real part for m > 0
     weighted = field.halves * np.where(np.arange(L + 1) == 0, 1.0, 2.0)
     phases = np.exp(1j * np.outer(phi.ravel(), np.arange(L + 1)))

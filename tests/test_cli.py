@@ -560,11 +560,16 @@ class TestImportPath:
     ["stability", "zonal", "--config", "ZONAL", "--name", "uranus"],
     ["stability", "rh2", "--config", "RH2", "--name", "uranus"],
     ["sht-selftest", "--lmax", "4", "--record-wallclock"],
+    ["make-solution", "--family", "log", "--params-file", "PARAMS"],
+    ["stability", "zonal"],
+    ["stability", "rh2"],
 ], ids=["make-solution-svg", "stability-svg", "lift3d-svg", "planet-config", "zonal-name",
-        "rh2-name", "selftest-wallclock-without-outdir"])
+        "rh2-name", "selftest-wallclock-without-outdir", "make-solution-params-file",
+        "zonal-without-config", "rh2-without-config"])
 def test_flag_the_command_would_ignore_exits_2(tmp_path, argv):
     configs = {"ZONAL": write_json(tmp_path / "zonal.json", TestStabilityCommands.ZONAL_CONFIG),
-               "RH2": write_json(tmp_path / "rh2.json", TestStabilityCommands.RH2_CONFIG)}
+               "RH2": write_json(tmp_path / "rh2.json", TestStabilityCommands.RH2_CONFIG),
+               "PARAMS": write_json(tmp_path / "params.json", {"epsilon": 0.3, "lmax": 8})}
     out = tmp_path / "out"
     argv = [configs.get(a, a) for a in argv]
     if argv[0] != "sht-selftest":

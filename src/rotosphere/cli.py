@@ -334,8 +334,7 @@ def cmd_simulate(args):
 # make-solution
 # ---------------------------------------------------------------------------
 
-SOLUTION_KINDS = ("zonal_harmonic", "rossby_haurwitz", "travelling", "log_family",
-                  "exp_family", "rotated")
+SOLUTION_KINDS = ("zonal_harmonic", "rossby_haurwitz", "log_family", "exp_family", "rotated")
 
 
 def _solution(kind: str, p: dict):
@@ -353,7 +352,7 @@ def _solution(kind: str, p: dict):
                 raise ConfigError(f"component degree {l} outside 0..{lmax}")
             psi.set(l, 0, _get(entry, "coefficient", float))
         return psi
-    if kind in ("rossby_haurwitz", "travelling"):
+    if kind == "rossby_haurwitz":
         return _rossby_haurwitz(p, _get(p, "lmax", int, None))
     if kind in ("log_family", "exp_family"):
         make = solutions.make_log_solution if kind == "log_family" else solutions.make_exp_solution
@@ -455,10 +454,8 @@ def cmd_stability_zonal(args):
         _get(config, "zonal_coefficients", {int: float}))
     ks = [_check("wavenumbers", k, int) for k in _get(config, "wavenumbers", list, [1, 2])]
     n_basis = _get(config, "basis_size", int, 48)
-    gammas = [_check("gamma_samples", g, float)
-              for g in _get(config, "gamma_samples", list, [-1.0, 0.0, 1.0])]
-    if 0 in ks or n_basis < 1 or not gammas:
-        raise ConfigError("need nonzero wavenumbers, basis_size >= 1 and gamma_samples")
+    if 0 in ks or n_basis < 1:
+        raise ConfigError("need nonzero wavenumbers and basis_size >= 1")
 
     def work(ctx):
         reports = {}
@@ -472,7 +469,7 @@ def cmd_stability_zonal(args):
                 "discrete_eigenvalues": [[z.real, z.imag] for z in rep.discrete_eigenvalues],
             }
         ray = stability.rayleigh_criterion(zp, omega)
-        fjo = stability.fjortoft_criterion(zp, omega, gammas)
+        fjo = stability.fjortoft_criterion(zp, omega)
         payload = {
             "per_wavenumber": reports,
             "rayleigh": {"met": ray.met, "degenerate": ray.degenerate,

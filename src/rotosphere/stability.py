@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from fractions import Fraction
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,31 +26,24 @@ from .sht import FOUR_PI, SpectralField
 # ---------------------------------------------------------------------------
 
 class ZonalProfile:
-    """Latitude-only stream function with derivative and vorticity accessors.
+    """Latitude-only stream function psi(s), s = sin(latitude), held as one
+    numpy series (`Legendre` or `Polynomial` on the default domain).
 
-    Stores callables of s = sin(latitude): the stream function, its
-    s-derivative, the vorticity (1-s^2) psi'' - 2 s psi', and the
-    s-derivative of the vorticity.  When both the stream function and the
-    vorticity are supplied independently they are cross-checked.
+    Its s-derivative `dpsi`, the vorticity `vort` = (1 - s^2) psi'' - 2 s psi'
+    = ((1 - s^2) psi')' and the vorticity's s-derivative `dvort` are series
+    derived from it; on a Legendre series the vorticity is -l(l+1) c_l.
     """
 
-    def __init__(self, psi: Callable, dpsi: Callable, vort: Callable, dvort: Callable,
-                 check: bool = True):
+    def __init__(self, psi):
         self.psi = psi
-        self.dpsi = dpsi
-        self.vort = vort
-        self.dvort = dvort
-        if check:
-            defect = self.consistency_defect()
-            if defect > 1e-8:
-                raise ValueError(f"vorticity inconsistent with stream function ({defect:.2e})")
-
-    def consistency_defect(self) -> float:
-        s = np.cos(np.pi * (np.arange(64) + 0.5) / 64) * 0.999
-        h = 1e-5
-        d2 = (self.dpsi(s + h) - self.dpsi(s - h)) / (2 * h)
-        expected = (1 - s * s) * d2 - 2 * s * self.dpsi(s)
-        return float(np.max(np.abs(expected - self.vort(s))) / max(1.0, np.max(np.abs(self.vort(s)))))
+        self.dpsi = psi.deriv()
+        if isinstance(psi, np.polynomial.Legendre):  # each P_l is an eigenfunction
+            l = np.arange(psi.coef.size)
+            self.vort = np.polynomial.Legendre(-l * (l + 1) * psi.coef)
+        else:
+            s = psi.identity()
+            self.vort = ((1 - s * s) * self.dpsi).deriv()
+        self.dvort = self.vort.deriv()
 
     @classmethod
     def from_zonal_coefficients(cls, coeffs: dict[int, float]) -> "ZonalProfile":
@@ -59,25 +51,14 @@ class ZonalProfile:
         if not coeffs or min(coeffs) < 0:
             raise ValueError(f"zonal coefficients need degrees >= 0, got {sorted(coeffs)}")
         leg = np.zeros(max(coeffs) + 1)
-        vort_leg = np.zeros_like(leg)
         for l, a in coeffs.items():
-            scale = math.sqrt((2 * l + 1) / FOUR_PI)
-            leg[l] = a * scale
-            vort_leg[l] = -l * (l + 1) * a * scale
-        psi = np.polynomial.legendre.Legendre(leg)
-        vort = np.polynomial.legendre.Legendre(vort_leg)
-        return cls(psi=psi, dpsi=psi.deriv(), vort=vort, dvort=vort.deriv(), check=False)
+            leg[l] = a * math.sqrt((2 * l + 1) / FOUR_PI)
+        return cls(np.polynomial.Legendre(leg))
 
     @classmethod
     def solid_rotation(cls, alpha: float) -> "ZonalProfile":
         """psi = alpha * s."""
-        return cls(
-            psi=lambda s: alpha * np.asarray(s, dtype=float),
-            dpsi=lambda s: alpha * np.ones_like(np.asarray(s, dtype=float)),
-            vort=lambda s: -2.0 * alpha * np.asarray(s, dtype=float),
-            dvort=lambda s: -2.0 * alpha * np.ones_like(np.asarray(s, dtype=float)),
-            check=False,
-        )
+        return cls(np.polynomial.Legendre([0.0, alpha]))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -103,9 +84,7 @@ class QuinticZonalProfile:
         s = np.polynomial.Polynomial([0.0, 1.0])
         c2 = one - s * s
         dpsi = -(a * c2 * c2 + b * c2 + g * one) - omega * one
-        psi = dpsi.integ()
-        vort = c2 * dpsi.deriv() - 2.0 * s * dpsi
-        return ZonalProfile(psi=psi, dpsi=dpsi, vort=vort, dvort=vort.deriv(), check=False)
+        return ZonalProfile(dpsi.integ())
 
 
 def fit_quintic_profile(cos_critical: Fraction, min_value: Fraction,
@@ -146,86 +125,93 @@ def _solve3_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fract
 # Necessary criteria for linear instability of zonal flows
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass
-class CriterionReport:
-    met: bool
-    degenerate: bool
-    sign_change_locations: list[float]
-    detail: str = ""
+def _knots(p) -> np.ndarray:
+    """-1, the sorted real parts of the series p's roots inside (-1, 1), and 1.
+    Of p.deriv(), these are every point where p can take its extremes."""
+    x = np.sort(p.roots().real)
+    return np.concatenate(([-1.0], x[(-1.0 < x) & (x < 1.0)], [1.0]))
 
 
-def _sampled_gradient(zp: ZonalProfile, omega: float):
-    """The total vorticity gradient as a callable of s, its 1999 interior
-    sample points of [-1, 1], its values there and the masks where they are
-    positive or negative beyond 1e-13 of the largest; None where the gradient
-    vanishes identically (largest value below 1e-13)."""
-    grad = lambda s: zp.dvort(s) + 2.0 * omega
-    s = np.linspace(-1.0, 1.0, 2001)[1:-1]
-    vals = grad(s)
+def _sign_regions(zp: ZonalProfile, omega: float):
+    """Where the total vorticity gradient g = vort' + 2 omega changes sign on
+    (-1, 1): its crossings and the sign of g on each of the len + 1 intervals
+    between them, or None where g vanishes identically (largest test value
+    below 1e-13).
+
+    g keeps its sign between consecutive real roots, so it is read at -1, 1,
+    the real parts of its roots inside (complex pairs included: the two close
+    roots of a shallow dip may come out complex) and the midpoints between
+    consecutive ones.  A value within 1e-13 of the largest reads 0, so a
+    tangency is no sign change.  Each crossing is refined by Brent's method
+    between consecutive test points of opposite sign.
+    """
+    g = zp.dvort + 2.0 * omega
+    knots = _knots(g)
+    s = np.sort(np.concatenate((knots, (knots[1:] + knots[:-1]) / 2)))
+    vals = g(s)
     scale = float(np.max(np.abs(vals)))
     if scale < 1e-13:
         return None
-    return grad, s, vals, vals > 1e-13 * scale, vals < -1e-13 * scale
+    keep = np.abs(vals) > 1e-13 * scale
+    s, signs = s[keep], np.sign(vals[keep])
+    change = np.flatnonzero(signs[1:] != signs[:-1])
+    crossings = [brentq(g, s[i], s[i + 1]) for i in change]
+    return crossings, np.concatenate((signs[:1], signs[change + 1]))
 
 
-def rayleigh_criterion(zp: ZonalProfile, omega: float) -> CriterionReport:
+@dataclasses.dataclass
+class RayleighReport:
+    met: bool
+    degenerate: bool
+    sign_change_locations: list[float]
+
+
+@dataclasses.dataclass
+class FjortoftReport:
+    met: bool
+    degenerate: bool
+    detail: str
+
+
+def rayleigh_criterion(zp: ZonalProfile, omega: float) -> RayleighReport:
     """Sign changes of the meridional gradient of total vorticity.
 
     A sign change on the open interval is necessary for linear instability.
     """
-    sampled = _sampled_gradient(zp, omega)
-    if sampled is None:
-        return CriterionReport(met=False, degenerate=True, sign_change_locations=[],
-                               detail="total vorticity gradient vanishes identically")
-    grad, s, _, pos, neg = sampled
-    met = bool(pos.any() and neg.any())
-    roots = []
-    sign = np.where(pos, 1, np.where(neg, -1, 0))
-    last_sign, last_s = 0, None
-    for si, vi in zip(s, sign):
-        if vi == 0:
-            roots.append(float(si))
-            last_sign, last_s = 0, si
-            continue
-        if last_sign != 0 and vi != last_sign:
-            roots.append(brentq(grad, last_s, si))
-        last_sign, last_s = vi, si
-    # deduplicate near-identical locations from exact-zero samples
-    deduped: list[float] = []
-    for r in roots:
-        if not deduped or abs(r - deduped[-1]) > 1e-9:
-            deduped.append(r)
-    return CriterionReport(met=met, degenerate=False, sign_change_locations=deduped)
+    regions = _sign_regions(zp, omega)
+    if regions is None:
+        return RayleighReport(met=False, degenerate=True, sign_change_locations=[])
+    crossings, _ = regions
+    return RayleighReport(met=bool(crossings), degenerate=False, sign_change_locations=crossings)
 
 
-def fjortoft_criterion(zp: ZonalProfile, omega: float,
-                       gamma_samples: Sequence[float]) -> CriterionReport:
+def fjortoft_criterion(zp: ZonalProfile, omega: float) -> FjortoftReport:
     """Shear-weighted refinement of the sign-change criterion.
 
     Met when for every real gamma there is a latitude where the total
-    vorticity gradient and (wind/cos - gamma) have the same sign.  Sampled
-    gammas are checked directly; the full quantifier is resolved by the
-    reduction: with S+/S- the regions of positive/negative gradient, the
-    criterion holds iff both are nonempty and sup over S+ of the angular
-    wind exceeds inf over S- of it.
+    vorticity gradient and (wind/cos - gamma) have the same sign.  With S+/S-
+    the regions of positive/negative gradient that holds iff both are
+    nonempty and the sup of the angular wind over the closure of S+ exceeds
+    its inf over the closure of S-.  Both are taken at the crossings and at
+    -1, 1 and the wind's critical points that lie in the region.
     """
-    if len(gamma_samples) == 0:
-        raise ValueError("gamma_samples must be non-empty")
-    sampled = _sampled_gradient(zp, omega)
-    if sampled is None:
-        return CriterionReport(met=False, degenerate=True, sign_change_locations=[],
-                               detail="degenerate: gradient identically zero")
-    _, s, g, pos, neg = sampled
-    angular_wind = -zp.dpsi(s)  # U0/cos(lat) expressed in s
-    sampled_ok = all(bool(np.any(g * (angular_wind - gam) > 0.0)) for gam in gamma_samples)
-    if not (pos.any() and neg.any()):
-        return CriterionReport(met=False, degenerate=False, sign_change_locations=[],
-                               detail="gradient does not change sign")
-    analytic_ok = float(np.max(angular_wind[pos])) > float(np.min(angular_wind[neg]))
-    return CriterionReport(
-        met=bool(sampled_ok and analytic_ok), degenerate=False,
-        sign_change_locations=[],
-        detail=f"sampled={sampled_ok}, critical-gamma reduction={analytic_ok}",
+    regions = _sign_regions(zp, omega)
+    if regions is None:
+        return FjortoftReport(met=False, degenerate=True,
+                              detail="degenerate: gradient identically zero")
+    crossings, signs = regions
+    if not crossings:
+        return FjortoftReport(met=False, degenerate=False, detail="gradient does not change sign")
+    wind = -zp.dpsi  # U0/cos(lat) expressed in s
+    points = _knots(wind.deriv())
+    side = signs[np.searchsorted(crossings, points)]
+    at_points, at_crossings = wind(points), wind(np.asarray(crossings))
+    sup = float(np.max(np.concatenate((at_crossings, at_points[side > 0]))))
+    inf = float(np.min(np.concatenate((at_crossings, at_points[side < 0]))))
+    met = sup > inf
+    return FjortoftReport(
+        met=met, degenerate=False,
+        detail=f"sup of the wind over S+ {sup!r} {'>' if met else '<='} its inf over S- {inf!r}",
     )
 
 
@@ -281,8 +267,7 @@ def zonal_operator_spectrum(zp: ZonalProfile, omega: float, k: int,
     """
     mat = zonal_operator_matrix(zp, omega, k, n_basis)
     eigs = np.linalg.eigvals(mat)
-    s = np.linspace(-1.0, 1.0, 4001)
-    dpsi_range = zp.dpsi(s)
+    dpsi_range = zp.dpsi(_knots(zp.dpsi.deriv()))
     essential = (float(np.min(dpsi_range)), float(np.max(dpsi_range)))
     radius = float(np.max(np.abs(eigs)))
     imag_tol = 1e-6 * max(radius, 1e-30)

@@ -275,13 +275,14 @@ class TestStabilityCommands:
     @pytest.mark.parametrize("analysis, change", [
         ("zonal", {"zonal_coefficients": {"a": 1}}),
         ("zonal", {"wavenumbers": [0]}),
+        ("zonal", {"gamma_samples": [-1.0, 0.0, 1.0]}),
         ("rh2", {"dt": -1}),
         ("rh2", {"t_end": 0.2, "dt": 0.07}),
         ("rh2", {"y_unit": {"3": [1.0, 0.0]}}),
         ("rh2", {"snapshot_stride": 2}),
         ("rh2", {"perturbation": [[2, 0, 0.001, 0.001]]}),
         ("rh2", {"perturbation": [[3, 1, 0.001, 0.0], [3, -1, -0.001, 0.0]]}),
-    ], ids=["non-integer-degree", "zero-wavenumber", "negative-dt", "t-end-not-multiple",
+    ], ids=["non-integer-degree", "zero-wavenumber", "key-zonal-does-not-read", "negative-dt", "t-end-not-multiple",
             "order-beyond-degree", "key-rh2-does-not-read", "complex-zonal-mode",
             "repeated-mode"])
     def test_malformed_config_is_config_error(self, tmp_path, capsys, analysis, change):
@@ -355,8 +356,8 @@ class TestMakeSolution:
         })
         assert report["advection_linf"] < 1e-8
 
-    def test_build_travelling(self, tmp_path):
-        report = self._report(tmp_path, "travelling", {
+    def test_build_rossby_haurwitz(self, tmp_path):
+        report = self._report(tmp_path, "rossby_haurwitz", {
             "degree": 2, "alpha": 0.5, "omega": 1.0, "ycoeffs": {"1": [0.3, 0.1]}})
         assert report["degree"] == 2
         assert report["speed"] == solutions.rossby_haurwitz_speed(2, 0.5, 1.0)
@@ -561,10 +562,13 @@ class TestImportPath:
     ["stability", "rh2", "--config", "RH2", "--name", "uranus"],
     ["sht-selftest", "--lmax", "4", "--record-wallclock"],
     ["make-solution", "--family", "log", "--params-file", "PARAMS"],
+    ["make-solution", "--family", "travelling", "--params",
+     '{"degree": 2, "alpha": 0.5, "omega": 1.0, "ycoeffs": {"1": [0.3, 0.1]}}'],
     ["stability", "zonal"],
     ["stability", "rh2"],
 ], ids=["make-solution-svg", "stability-svg", "lift3d-svg", "planet-config", "zonal-name",
         "rh2-name", "selftest-wallclock-without-outdir", "make-solution-params-file",
+        "make-solution-travelling",
         "zonal-without-config", "rh2-without-config"])
 def test_flag_the_command_would_ignore_exits_2(tmp_path, argv):
     configs = {"ZONAL": write_json(tmp_path / "zonal.json", TestStabilityCommands.ZONAL_CONFIG),
@@ -712,7 +716,7 @@ FUZZ_CASES = [
     (["bifurcate"], dict(FUZZ_BIFURCATE, family={"kind": "saturating", "beta": 1.0, "mu": 1.0,
                                                  "degree": 3})),
     (["make-solution", "--family", "log"], {"epsilon": 0.3, "phi0": 0.1, "lmax": 8}),
-    (["make-solution", "--family", "travelling"], dict(FUZZ_WAVE, lmax=8)),
+    (["make-solution", "--family", "rossby_haurwitz"], dict(FUZZ_WAVE, lmax=8)),
     (["make-solution", "--family", "rotated"], {
         "base": {"kind": "exp_family", "parameters": {"epsilon": 0.2, "lmax": 8}},
         "rotation": [0.1, 0.5, 0.0]}),

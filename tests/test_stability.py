@@ -1,38 +1,52 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial import Legendre, Polynomial, legendre
+from scipy import optimize
 
 from rotosphere import dynamics, sht, solutions, stability
 from conftest import real_part
 
 
+def _power_psi(gradient):
+    """Integer power-basis psi whose vort' is a positive multiple of the
+    polynomial `gradient` (coefficients lowest first), and that multiple:
+    (1 - s^2) psi' = u with u'' = gradient and u(+-1) = 0, solved exactly."""
+    u = [Fraction(0), Fraction(0)] + [Fraction(c) / ((k + 1) * (k + 2))
+                                      for k, c in enumerate(gradient)]
+    even, odd = sum(u[0::2]), sum(u[1::2])  # u(1) = even + odd, u(-1) = even - odd
+    u[0] -= even
+    u[1] -= odd
+    dpsi = [Fraction(0)] * len(u)  # u_k = dpsi_k - dpsi_{k-2}
+    for k in range(len(u) - 1, 1, -1):
+        dpsi[k - 2] = dpsi[k] - u[k]
+    assert dpsi[:2] == u[:2]  # no remainder
+    psi = [Fraction(0)] + [c / (k + 1) for k, c in enumerate(dpsi)]
+    scale = math.lcm(*(c.denominator for c in psi))
+    return Polynomial([float(c * scale) for c in psi]), scale
+
+
 class TestZonalProfile:
-    def test_consistency_check_accepts_matching_pair(self):
-        zp = stability.ZonalProfile(
-            psi=lambda s: 0.5 * s**2,
-            dpsi=lambda s: np.asarray(s, dtype=float),
-            vort=lambda s: (1 - np.asarray(s) ** 2) - 2 * np.asarray(s) ** 2,
-            dvort=lambda s: -6.0 * np.asarray(s, dtype=float),
-        )
-        assert zp.consistency_defect() < 1e-8
-
-    def test_consistency_check_rejects_mismatch(self):
-        with pytest.raises(ValueError):
-            stability.ZonalProfile(
-                psi=lambda s: 0.5 * s**2,
-                dpsi=lambda s: np.asarray(s, dtype=float),
-                vort=lambda s: np.ones_like(np.asarray(s, dtype=float)),
-                dvort=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-            )
-
     def test_from_zonal_coefficients(self):
         zp = stability.ZonalProfile.from_zonal_coefficients({1: 2.0})
         s = np.linspace(-0.9, 0.9, 7)
         expected = 2.0 * math.sqrt(3 / (4 * math.pi)) * s
         assert np.max(np.abs(zp.psi(s) - expected)) < 1e-14
         assert np.max(np.abs(zp.vort(s) + 2 * expected)) < 1e-13
+
+    def test_power_and_legendre_bases_agree(self):
+        # -l(l+1) c_l on the Legendre series against ((1 - s^2) psi')' on
+        # the same stream function in the power basis
+        rng = np.random.default_rng(3)
+        legendre = stability.ZonalProfile(Legendre(rng.normal(size=9)))
+        power = stability.ZonalProfile(legendre.psi.convert(kind=Polynomial))
+        s = np.linspace(-1.0, 1.0, 101)
+        for name in ("psi", "dpsi", "vort", "dvort"):
+            a, b = getattr(legendre, name)(s), getattr(power, name)(s)
+            assert np.max(np.abs(a - b)) < 1e-11 * np.max(np.abs(a)), name
 
 
 class TestNecessaryCriteria:
@@ -41,22 +55,17 @@ class TestNecessaryCriteria:
         omega = 1.5
         ray = stability.rayleigh_criterion(zp, omega)
         assert not ray.met and not ray.degenerate
-        fjo = stability.fjortoft_criterion(zp, omega, gamma_samples=[-1.0, 0.0, 1.0])
+        fjo = stability.fjortoft_criterion(zp, omega)
         assert not fjo.met
 
     def test_quadratic_profile_meets_both(self):
         # stream (omega/3) s^2: total vorticity gradient 2 omega (1 - 2s)
         omega = 1.2
-        zp = stability.ZonalProfile(
-            psi=lambda s: omega / 3 * np.asarray(s) ** 2,
-            dpsi=lambda s: 2 * omega / 3 * np.asarray(s, dtype=float),
-            vort=lambda s: 2 * omega / 3 * (1 - 3 * np.asarray(s) ** 2),
-            dvort=lambda s: -4 * omega * np.asarray(s, dtype=float),
-        )
+        zp = stability.ZonalProfile(Polynomial([0.0, 0.0, omega / 3]))
         ray = stability.rayleigh_criterion(zp, omega)
         assert ray.met
         assert abs(ray.sign_change_locations[0] - 0.5) < 1e-10
-        fjo = stability.fjortoft_criterion(zp, omega, gamma_samples=[-0.5, 0.0, 0.5])
+        fjo = stability.fjortoft_criterion(zp, omega)
         assert fjo.met
 
     def test_degenerate_gradient(self):
@@ -64,7 +73,7 @@ class TestNecessaryCriteria:
         zp = stability.ZonalProfile.solid_rotation(1.0)
         ray = stability.rayleigh_criterion(zp, omega=1.0)
         assert ray.degenerate
-        fjo = stability.fjortoft_criterion(zp, omega=1.0, gamma_samples=[0.0])
+        fjo = stability.fjortoft_criterion(zp, omega=1.0)
         assert fjo.degenerate
 
     def test_fjortoft_implies_rayleigh(self):
@@ -73,14 +82,130 @@ class TestNecessaryCriteria:
             coeffs = {l: rng.normal() for l in range(1, 5)}
             zp = stability.ZonalProfile.from_zonal_coefficients(coeffs)
             omega = rng.uniform(-2, 2)
-            fjo = stability.fjortoft_criterion(zp, omega, gamma_samples=[-1, 0, 1])
+            fjo = stability.fjortoft_criterion(zp, omega)
             if fjo.met:
                 assert stability.rayleigh_criterion(zp, omega).met
 
-    def test_empty_gamma_samples_rejected(self):
-        zp = stability.ZonalProfile.solid_rotation(1.0)
-        with pytest.raises(ValueError):
-            stability.fjortoft_criterion(zp, 0.5, gamma_samples=[])
+
+class TestExactSignRegions:
+    """The criteria read the gradient polynomial's roots, not samples."""
+
+    @staticmethod
+    def _dip_profile(depth, relative=False):
+        # {2: 0.0123, 3: -1.0}: the gradient is a s^2 + b s + c + 2 omega, from
+        # vort = -l(l+1) psi_l, P2' = 3s and P3' = (15 s^2 - 3)/2; omega puts
+        # its minimum, near s = 0.00104, `depth` below zero, or `depth` times
+        # its largest |value| (at s = 1 or -1)
+        c2, c3 = 0.0123 * math.sqrt(5 / (4 * math.pi)), -math.sqrt(7 / (4 * math.pi))
+        a, b, c = -90.0 * c3, -18.0 * c2, 18.0 * c3
+        vertex = -b / (2 * a)
+        bottom = a * vertex**2 + b * vertex + c
+        if relative:
+            depth *= max(a + b, a - b) + c - bottom
+        zp = stability.ZonalProfile.from_zonal_coefficients({2: 0.0123, 3: -1.0})
+        return zp, -(bottom + depth) / 2
+
+    def test_shallow_dip_meets_both(self):
+        # negative on (0.0010273, 0.0010517): between two of any 1e-3-spaced samples
+        zp, omega = self._dip_profile(1e-8)
+        ray = stability.rayleigh_criterion(zp, omega)
+        assert ray.met and not ray.degenerate
+        assert len(ray.sign_change_locations) == 2
+        assert all(0.00102 < x < 0.00106 for x in ray.sign_change_locations)
+        assert stability.fjortoft_criterion(zp, omega).met
+
+    def test_dip_of_1e_10_of_the_scale_is_met(self):
+        zp, omega = self._dip_profile(1e-10, relative=True)
+        assert len(stability.rayleigh_criterion(zp, omega).sign_change_locations) == 2
+        assert stability.fjortoft_criterion(zp, omega).met
+
+    @pytest.mark.parametrize("gradient", [[1, -4, 4], [0, 0, 1], [-81, 1080, -5400, 12000, -10000]],
+                             ids=["(s-1/2)^2", "s^2", "-(s-0.3)^4"])
+    def test_power_basis_tangency_is_not_met(self, gradient):
+        psi, scale = _power_psi(gradient)
+        zp = stability.ZonalProfile(psi)
+        assert np.array_equal(zp.dvort.coef, scale * np.array(gradient, dtype=float))  # stored exactly
+        ray = stability.rayleigh_criterion(zp, 0.0)
+        assert not ray.met and ray.sign_change_locations == []
+        assert not stability.fjortoft_criterion(zp, 0.0).met
+
+    def test_legendre_basis_tangency_is_not_met(self):
+        # vort' = 105 - 180 P1 + 120 P2 = 180 (s - 1/2)^2, stored exactly
+        zp = stability.ZonalProfile(Legendre([0.0, -40.5, 10.0, -2.0]))
+        assert np.array_equal(zp.dvort.coef, [105.0, -180.0, 120.0])
+        assert not stability.rayleigh_criterion(zp, 0.0).met
+        assert not stability.fjortoft_criterion(zp, 0.0).met
+
+    def test_crossings_match_a_dense_scan_at_degree_48(self):
+        # the gradient from the test's own Legendre coefficients, scanned at
+        # spacing 1e-6; 1e-3-spaced samples in [-0.999, 0.999] miss one crossing
+        rng = np.random.default_rng(75)
+        coeffs = {l: rng.normal() for l in range(1, 49)}
+        omega = float(rng.uniform(-2.0, 2.0))
+        l = np.arange(49)
+        c = np.array([0.0] + [coeffs[k] for k in range(1, 49)]) * np.sqrt((2 * l + 1) / (4 * math.pi))
+        gradient = legendre.legder(-l * (l + 1.0) * c)
+        gradient[0] += 2.0 * omega
+        s = np.linspace(-1.0, 1.0, 2_000_001)
+        sign = np.sign(legendre.legval(s, gradient))
+        changes = np.flatnonzero(sign[1:] * sign[:-1] < 0)
+        assert np.min(np.diff(changes)) > 10  # the scan resolves every pair
+        found = stability.rayleigh_criterion(
+            stability.ZonalProfile.from_zonal_coefficients(coeffs), omega).sign_change_locations
+        assert len(found) == changes.size
+        assert np.max(np.abs(np.array(found) - s[changes])) <= s[1] - s[0]
+
+    def test_essential_interval_is_the_range_of_dpsi_at_degree_40(self):
+        rng = np.random.default_rng(40)
+        coeffs = {l: rng.normal() for l in range(1, 41)}
+        l = np.arange(41)
+        c = np.array([0.0] + [coeffs[k] for k in range(1, 41)]) * np.sqrt((2 * l + 1) / (4 * math.pi))
+        dpsi = legendre.legder(c)
+        curvature = legendre.legder(dpsi)
+        s = np.linspace(-1.0, 1.0, 200_001)
+        flips = np.flatnonzero(np.diff(np.sign(legendre.legval(s, curvature))))
+        critical = [optimize.brentq(legendre.legval, s[i], s[i + 1], args=(curvature,), xtol=1e-15)
+                    for i in flips]
+        values = legendre.legval(np.array([-1.0, 1.0, *critical]), dpsi)
+        zp = stability.ZonalProfile.from_zonal_coefficients(coeffs)
+        lo, hi = stability.zonal_operator_spectrum(zp, 1.0, 1, 8).essential_interval
+        assert lo == pytest.approx(values.min(), rel=1e-12, abs=0)
+        assert hi == pytest.approx(values.max(), rel=1e-12, abs=0)
+
+    def test_fjortoft_reduction_matches_a_gamma_scan(self):
+        # met iff every gamma has a point with g (wind - gamma) > 0: scan the
+        # gammas between the wind's extremes on a dense grid
+        rng = np.random.default_rng(5)
+        s = np.linspace(-1.0, 1.0, 20001)
+        verdicts = set()
+        for _ in range(20):
+            zp = stability.ZonalProfile.from_zonal_coefficients(
+                {l: rng.normal() for l in range(1, 4)})
+            omega = float(rng.uniform(-8.0, 8.0))
+            g, wind = zp.dvort(s) + 2.0 * omega, -zp.dpsi(s)
+            gammas = np.linspace(wind.min(), wind.max(), 2001)
+            scanned = all(np.any(g * (wind - gamma) > 0.0) for gamma in gammas)
+            verdict = stability.fjortoft_criterion(zp, omega).met
+            assert verdict == scanned
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+
+    @pytest.mark.parametrize("seed", [256, 600])
+    def test_fjortoft_extremes_match_a_dense_scan(self, seed):
+        # the reported sup of the wind over S+ and inf over S-; in these
+        # profiles the wind's own max or min lies on the other side
+        rng = np.random.default_rng(seed)
+        zp = stability.ZonalProfile.from_zonal_coefficients(
+            {l: rng.normal() for l in range(1, int(rng.integers(2, 9)))})
+        omega = float(rng.uniform(-3.0, 3.0) * rng.choice([1, 10]))
+        s = np.linspace(-1.0, 1.0, 2_000_001)
+        g, wind = zp.dvort(s) + 2.0 * omega, -zp.dpsi(s)
+        report = stability.fjortoft_criterion(zp, omega)
+        sup, inf = (float(x) for x in re.findall(r"over S[+-] (\S+)", report.detail))
+        assert sup == pytest.approx(wind[g > 0].max(), rel=1e-5)
+        assert inf == pytest.approx(wind[g < 0].min(), rel=1e-5)
+        assert sup < wind.max() - 1e-3 or inf > wind.min() + 1e-3
 
 
 class TestOperatorSpectrum:

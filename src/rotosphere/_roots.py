@@ -2,11 +2,12 @@
 
 import math
 
-_MAXITER = 100  # SciPy's default
+_XTOL, _RTOL, _MAXITER = 2e-12, 4 * 2.0**-52, 100  # SciPy's defaults
 
 
-def brentq(f, a, b, xtol=2e-12, rtol=4 * 2.0**-52):
-    """SciPy's root of f in [a, b] (bit for bit without FMA), or an endpoint where f is 0.
+def brentq(f, a, b):
+    """SciPy's root of f in [a, b] at its default tolerances (bit for bit without FMA),
+    or an endpoint where f is 0.
     ValueError on a same-sign bracket or a NaN of f, RuntimeError after _MAXITER steps."""
     def value(x):  # as in SciPy, a NaN of f stops the search at once
         if math.isnan(fx := float(f(x))):
@@ -26,7 +27,7 @@ def brentq(f, a, b, xtol=2e-12, rtol=4 * 2.0**-52):
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur

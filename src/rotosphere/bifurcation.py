@@ -19,7 +19,6 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import sht
-from ._roots import brentq
 from .sht import RotationSpec, SpectralField
 
 # ---------------------------------------------------------------------------
@@ -306,27 +305,23 @@ class CubicShiftFamily:
     def stream_shift(self, lam: float, z: np.ndarray) -> float:
         return 0.0
 
-    def linear_multiplier(self, lam):
-        return self.dp(lam)
+    @property
+    def multiplier_coefficients(self) -> tuple[float, float]:
+        """(a, b) with P'(lambda) = a + b lambda^2."""
+        return -(self.mu + self.degree * (self.degree + 1)), 3.0 * self.mu1
 
     def apriori_bounds(self) -> tuple[float, float, float]:
-        """(a_minus, a_plus, A): window with P increasing outside and |P| <= A inside."""
-        ll1 = self.degree * (self.degree + 1)
-        turn = math.sqrt((self.mu + ll1) / (3.0 * self.mu1))
-        depth = abs(self.p(turn))
-        root = math.sqrt((self.mu + ll1) / self.mu1)
+        """(a_minus, a_plus, A): window with P increasing outside and |P| <= A inside.
 
-        hi = root + 1.0
-        while self.p(hi) < depth:
-            hi *= 2.0
-        a_plus = brentq(lambda t: self.p(t) - depth, root, hi, xtol=1e-12)
+        P turns at +/- tau, tau = sqrt((mu + l(l+1)) / (3 mu1)), so A = |P(tau)|.
+        -tau is a double root of P(t) - A, whose roots sum to 0: the third,
+        where P climbs back to A, is a_plus = 2 tau."""
+        a_plus = 2.0 * math.sqrt((self.mu + self.degree * (self.degree + 1)) / (3.0 * self.mu1))
         return (-a_plus, a_plus, float(self.p(a_plus)))
-
-    _window = functools.cached_property(apriori_bounds)  # found once per family
 
     def within_bounds(self, lam: float, sup_psi: float, sup_vort: float) -> bool:
         """|lambda| + sup|psi| <= 2 (a_plus - a_minus) and sup|Delta psi| <= 2 A."""
-        a_minus, a_plus, amp = self._window
+        a_minus, a_plus, amp = self.apriori_bounds()
         return (abs(lam) + sup_psi <= 2.0 * (a_plus - a_minus) + 1e-9
                 and sup_vort <= 2.0 * amp + 1e-9)
 
@@ -395,20 +390,15 @@ class SaturatingLinearFamily:
     def stream_shift(self, lam: float, z: np.ndarray) -> np.ndarray:
         return (-self.mu / (1.0 + lam * lam)) * z
 
-    def linear_multiplier(self, lam):
-        return (1.0 + lam * lam) * self.slope
+    @property
+    def multiplier_coefficients(self) -> tuple[float, float]:
+        """(a, b) with (1 + lambda^2) P'(0) = a + b lambda^2."""
+        return self.slope, self.slope
 
     def within_bounds(self, lam: float, sup_psi: float, sup_vort: float) -> bool:
         """True: no a-priori bound is enforced in the rotating frame.  A rule that
         ends the branch outside the linear window |argument| <= 2 mu goes here."""
         return True
-
-    def bifurcation_lambda(self) -> float:
-        ll1 = self.degree * (self.degree + 1)
-        val = self.mu * ll1 / (2.0 * self.nu) - 1.0
-        if val <= 0:
-            raise ArithmeticError("no real bifurcation parameter for these constants")
-        return math.sqrt(val)
 
 
 # ---------------------------------------------------------------------------
@@ -594,44 +584,36 @@ class BifurcationPoint:
 def detect_bifurcation_points(problem: ContinuationProblem,
                               lambda_range: tuple[float, float],
                               degrees: Sequence[int] | None = None) -> list[BifurcationPoint]:
-    """Roots of (linearized multiplier) + l(l+1) over the simple degrees.
+    """The lambdas in the closed window where the linearized multiplier crosses
+    -l(l+1), over the simple degrees.
 
-    Follows the crossing condition of the trivial-branch linearization: the
-    fixed-point derivative is singular where the multiplier equals
-    -l(l+1).  A crossing counts only where the lambda-derivative of the
-    multiplier does not vanish (|slope| > 1e-8); tangential roots are
-    excluded, and degenerate (identically zero) scans are reported as
-    errors.
+    There the trivial branch's fixed-point derivative is singular.  The
+    multiplier is the family's even quadratic a + b lambda^2, so each crossing
+    is +/- sqrt(-(a + l(l+1)) / b).  A zero radicand is a tangential double
+    root at 0 and is excluded; a constant multiplier equal to -l(l+1) has no
+    isolated crossing and is reported as an error.
     """
     lo, hi = lambda_range
     if not lo < hi:
         raise ValueError("empty lambda range")
     if degrees is None:
         degrees = problem.subspace.simple_degrees()
+    a, b = problem.family.multiplier_coefficients
     points: list[BifurcationPoint] = []
-    lam_grid = np.linspace(lo, hi, 400)
     for ell in degrees:
-        target = ell * (ell + 1)
-
-        def crossing(lam):
-            return problem.family.linear_multiplier(lam) + target
-
-        # a constant multiplier comes back as a scalar
-        vals = np.broadcast_to(crossing(lam_grid), lam_grid.shape)
-        if np.max(np.abs(vals)) < 1e-12:
-            raise ArithmeticError(
-                f"degree {ell}: multiplier identically equals -l(l+1) on the range; "
-                "no isolated bifurcation point"
-            )
-        sign = np.sign(vals)
-        for i in np.nonzero(np.diff(sign) != 0)[0]:
-            if sign[i] == 0:
-                continue
-            lam_star = brentq(crossing, lam_grid[i], lam_grid[i + 1], xtol=1e-14, rtol=8.9e-16)
-            h = 1e-6 * max(1.0, abs(lam_star))
-            slope = (crossing(lam_star + h) - crossing(lam_star - h)) / (2.0 * h)
-            if abs(slope) > 1e-8:
-                points.append(BifurcationPoint(lam=lam_star, degree=ell))
+        offset = a + ell * (ell + 1)
+        if b == 0.0:
+            if offset == 0.0:
+                raise ArithmeticError(
+                    f"degree {ell}: multiplier identically equals -l(l+1); "
+                    "no isolated bifurcation point"
+                )
+            continue
+        radicand = -offset / b
+        if radicand > 0.0:
+            root = math.sqrt(radicand)
+            points += [BifurcationPoint(lam=lam, degree=ell) for lam in (-root, root)
+                       if lo <= lam <= hi]
     points.sort(key=lambda p: p.lam)
     return points
 

@@ -538,11 +538,10 @@ def cmd_bifurcate(args):
             mu=_get(fam_cfg, "mu", float), mu1=_get(fam_cfg, "mu1", float), degree=degree)
         window = tuple(_get(config, "lambda_range", (float, float), [-3.0, 3.0]))
         degrees, which = subspace.simple_degrees(), _get(config, "branch_from", int, -1)
-    else:  # the one crossing of the degree's multiplier, at lambda* >= 0
+    else:  # the positive crossing of the degree's multiplier
         family = bifurcation.SaturatingLinearFamily(
             beta=_get(fam_cfg, "beta", float), mu=_get(fam_cfg, "mu", float), degree=degree)
-        lam_star = family.bifurcation_lambda()
-        window, degrees, which = (max(0.0, lam_star - 1.0), lam_star + 1.0), [degree], 0
+        window, degrees, which = (0.0, math.inf), [degree], 0
     problem = bifurcation.ContinuationProblem(family=family, subspace=subspace)
     points = bifurcation.detect_bifurcation_points(problem, window, degrees)
     if not points:

@@ -34,11 +34,10 @@ class VelocityField:
         return float(np.sqrt(np.max(self.speed_squared())))
 
 
-def velocity_from_stream(psi: SpectralField, transform: Transform | None = None) -> VelocityField:
-    """u = -d(psi)/dtheta, v = d(psi)/dphi / cos(lat), sampled on the grid."""
-    tr = transform if transform is not None else sht.default_transform(psi.lmax)
-    dtheta, dphi_over_cos = tr.gradient_values(psi.halves)
-    return VelocityField(u=-dtheta, v=dphi_over_cos, grid=tr.grid)
+def velocity_from_stream(psi: SpectralField, transform: Transform) -> VelocityField:
+    """u = -d(psi)/dtheta, v = d(psi)/dphi / cos(lat), sampled on the transform's grid."""
+    dtheta, dphi_over_cos = transform.gradient_values(psi.halves)
+    return VelocityField(u=-dtheta, v=dphi_over_cos, grid=transform.grid)
 
 
 def advection(psi: SpectralField, q: SpectralField) -> SpectralField:

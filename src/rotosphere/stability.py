@@ -258,8 +258,7 @@ def zonal_operator_matrix(zp: ZonalProfile, omega: float, k: int, n_basis: int) 
     return a_mat + b_mat * inv_lap[None, :]
 
 
-def zonal_operator_spectrum(zp: ZonalProfile, omega: float, k: int,
-                            n_basis: int = 64) -> EigenReport:
+def zonal_operator_spectrum(zp: ZonalProfile, omega: float, k: int, n_basis: int) -> EigenReport:
     """Eigenvalues of the Galerkin operator and an instability verdict.
 
     The essential interval is the range of psi'; a discrete eigenvalue with

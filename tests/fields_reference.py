@@ -5,12 +5,12 @@ of the gradient Parseval sum of `fields.energy`; `casimir_moment` reads one
 order of `fields.casimir_moments`.
 """
 
-from rotosphere import fields
+from rotosphere import fields, sht
 
 
-def grid_energy(psi, transform=None):
-    """Kinetic energy by direct quadrature of |U|^2 on the grid."""
-    vel = fields.velocity_from_stream(psi, transform)
+def grid_energy(psi):
+    """Kinetic energy by direct quadrature of |U|^2 on the grid for psi's degree."""
+    vel = fields.velocity_from_stream(psi, sht.default_transform(psi.lmax))
     return float(0.5 * vel.grid.integrate(vel.speed_squared()).real)
 
 

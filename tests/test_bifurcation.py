@@ -288,9 +288,6 @@ class TestResidual:
             def derivative(self, lam, f, z):
                 return -12.0 * np.ones_like(f)
 
-            def linear_multiplier(self, lam):
-                return -12.0
-
         problem = bif.ContinuationProblem(family=LinearFamily(), subspace=tetra_subspace)
         x = np.zeros(tetra_subspace.dim)
         x[tetra_subspace.generator_index(3)] = 0.73
@@ -537,47 +534,47 @@ class TestDetection:
             points = bif.detect_bifurcation_points(problem, (0.0, 2.0), degrees=[3])
             assert abs(points[0].lam - 1.0 / math.sqrt(3.0)) < 1e-12
 
-    def test_multiplier_scan_matches_scalar_calls(self, cubic_problem, rotating_problem):
-        # the scan evaluates the multiplier on the whole grid in one call
-        lam_grid = np.linspace(-2.0, 2.0, 400)
-        for problem in (cubic_problem, rotating_problem):
-            loop = [problem.family.linear_multiplier(float(lam)) for lam in lam_grid]
-            assert np.array_equal(problem.family.linear_multiplier(lam_grid), loop)
+    def test_close_pair_around_zero(self):
+        # both crossings +/- sqrt(mu / (3 mu1)) lie within 0.006 of 0; rounding
+        # mu + 12 costs up to 1e-11 of the root
+        problem = bif.ContinuationProblem(bif.CubicShiftFamily(mu=1e-4, mu1=1.0, degree=3),
+                                          bif.build_subspace("tetrahedral", 8))
+        points = bif.detect_bifurcation_points(problem, (-3.0, 3.0))
+        assert [p.degree for p in points] == [3, 3]
+        assert points[0].lam == -points[1].lam
+        assert abs(points[1].lam - math.sqrt(1e-4 / 3.0)) < 1e-11 * math.sqrt(1e-4 / 3.0)
+
+    def test_root_on_the_window_edge_is_kept(self, cubic_problem):
+        root = bif.detect_bifurcation_points(cubic_problem, (0.0, 1.0), degrees=[3])[0].lam
+        for window, expected in [((-root, root), [-root, root]), ((root, 1.0), [root]),
+                                 ((-1.0, -root), [-root])]:
+            points = bif.detect_bifurcation_points(cubic_problem, window, degrees=[3])
+            assert [p.lam for p in points] == expected
 
     def test_degenerate_linear_multiplier_reported(self, tetra_subspace):
-        class DegenerateFamily:
+        class DegenerateFamily:  # multiplier -12 = -l(l+1) for every lambda
             degree = 3
             depends_on_z = False
-
-            def value(self, lam, f, z):
-                return -12.0 * f
-
-            def derivative(self, lam, f, z):
-                return -12.0 * np.ones_like(f)
-
-            def linear_multiplier(self, lam):
-                return -12.0
+            multiplier_coefficients = (-12.0, 0.0)
 
         problem = bif.ContinuationProblem(family=DegenerateFamily(), subspace=tetra_subspace)
         with pytest.raises(ArithmeticError):
             bif.detect_bifurcation_points(problem, (-1.0, 1.0), degrees=[3])
 
     def test_tangential_crossing_excluded(self, tetra_subspace):
-        # multiplier + l(l+1) = lambda^3 changes sign at 0 with zero slope
+        # multiplier + l(l+1) = lambda^2 touches 0 at lambda = 0 without crossing
         class TangentialFamily:
             degree = 3
             depends_on_z = False
-
-            def linear_multiplier(self, lam):
-                return lam**3 - 12.0
+            multiplier_coefficients = (-12.0, 1.0)
 
         problem = bif.ContinuationProblem(family=TangentialFamily(), subspace=tetra_subspace)
         assert bif.detect_bifurcation_points(problem, (-1.0, 1.0)) == []
 
-    def test_saturating_family_constants(self):
-        fam = bif.SaturatingLinearFamily(beta=1.0, mu=1.0, degree=3)
-        assert abs(fam.nu - 1.2) < 1e-15
-        assert abs(fam.bifurcation_lambda() - 2.0) < 1e-15
+    def test_saturating_family_constants(self, rotating_problem):
+        assert abs(rotating_problem.family.nu - 1.2) < 1e-15
+        (point,) = bif.detect_bifurcation_points(rotating_problem, (0.0, math.inf), degrees=[3])
+        assert abs(point.lam - 2.0) < 1e-15
 
     def test_saturating_family_constraint(self):
         with pytest.raises(ValueError):
@@ -672,13 +669,11 @@ class TestContinuation:
 
 
 def _rotating_branch(problem, steps, ds):
-    """The saturating branch as `bifurcate` follows it, from the one crossing
-    in (max(0, lambda* - 1), lambda* + 1), and each point's saturation margin
+    """The saturating branch as `bifurcate` follows it, from the positive
+    crossing of its degree, and each point's saturation margin
     sup |(1 + lambda^2) f - mu z| at the orbit representatives."""
     fam, grid = problem.family, problem.transform.grid
-    lam_star = fam.bifurcation_lambda()
-    points = bif.detect_bifurcation_points(
-        problem, (max(0.0, lam_star - 1.0), lam_star + 1.0), degrees=[fam.degree])
+    points = bif.detect_bifurcation_points(problem, (0.0, math.inf), degrees=[fam.degree])
     assert len(points) == 1
     branch = bif.continue_branch(problem, points[0], steps=steps, ds=ds)
     z = grid.nodes[problem.grid_points // grid.nlon]
@@ -691,7 +686,7 @@ class TestRotatingFrameBranch:
     def test_linear_regime_pins_lambda(self, rotating_problem):
         fam = rotating_problem.family
         branch, margins = _rotating_branch(rotating_problem, steps=15, ds=0.05)
-        lam_star = fam.bifurcation_lambda()
+        lam_star = branch.origin.lam
         linear_pts = [p for p, m in zip(branch.points[1:], margins[1:]) if m <= 2.0 * fam.mu]
         assert len(linear_pts) >= 3
         gen = rotating_problem.subspace.generator_index(3)

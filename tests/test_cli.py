@@ -426,6 +426,20 @@ class TestBifurcate:
         report = json.loads((out / "branch_report.json").read_text())
         assert abs(report["origin_lambda"] - 2.0) < 1e-9
 
+    def test_close_pair_in_the_default_window(self, tmp_path):
+        # both crossings +/- sqrt(mu / (3 mu1)) lie within 0.006 of 0
+        cfg = write_json(tmp_path / "prob.json", {
+            "group": "tetrahedral", "lmax": 8, "steps": 2, "ds": 0.01,
+            "family": {"kind": "cubic", "mu": 1e-4, "mu1": 1.0, "degree": 3},
+        })
+        out = tmp_path / "b"
+        assert run_cli(["bifurcate", cfg, "--outdir", str(out)]) == 0
+        report = json.loads((out / "branch_report.json").read_text())
+        target = math.sqrt(1e-4 / 3.0)
+        assert [d for _, d in report["detected_points"]] == [3, 3]
+        for (lam, _), sign in zip(report["detected_points"], (-1.0, 1.0)):
+            assert abs(lam - sign * target) < 1e-11 * target
+
     def test_parser_built_once_per_process(self, tmp_path):
         cfg = write_json(tmp_path / "prob.json", {
             "group": "tetrahedral", "lmax": 8, "steps": 4, "ds": 0.08, "lambda_range": [0.0, 2.0],

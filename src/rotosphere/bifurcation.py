@@ -305,10 +305,12 @@ class CubicShiftFamily:
     def stream_shift(self, lam: float, z: np.ndarray) -> float:
         return 0.0
 
-    @property
-    def multiplier_coefficients(self) -> tuple[float, float]:
-        """(a, b) with P'(lambda) = a + b lambda^2."""
-        return -(self.mu + self.degree * (self.degree + 1)), 3.0 * self.mu1
+    def crossing_coefficients(self, ell: int) -> tuple[float, float]:
+        """(c, b) with P'(lambda) + l(l+1) = c + b lambda^2 at degree `ell`.
+
+        With d the family's degree, c = -(mu + (d(d+1) - l(l+1))): the integer
+        difference is exact, so a small mu is not lost in rounding mu + d(d+1)."""
+        return -(self.mu + (self.degree * (self.degree + 1) - ell * (ell + 1))), 3.0 * self.mu1
 
     def apriori_bounds(self) -> tuple[float, float, float]:
         """(a_minus, a_plus, A): window with P increasing outside and |P| <= A inside.
@@ -390,10 +392,9 @@ class SaturatingLinearFamily:
     def stream_shift(self, lam: float, z: np.ndarray) -> np.ndarray:
         return (-self.mu / (1.0 + lam * lam)) * z
 
-    @property
-    def multiplier_coefficients(self) -> tuple[float, float]:
-        """(a, b) with (1 + lambda^2) P'(0) = a + b lambda^2."""
-        return self.slope, self.slope
+    def crossing_coefficients(self, ell: int) -> tuple[float, float]:
+        """(c, b) with (1 + lambda^2) P'(0) + l(l+1) = c + b lambda^2 at degree `ell`."""
+        return self.slope + ell * (ell + 1), self.slope
 
     def within_bounds(self, lam: float, sup_psi: float, sup_vort: float) -> bool:
         """True: no a-priori bound is enforced in the rotating frame.  A rule that
@@ -588,20 +589,20 @@ def detect_bifurcation_points(problem: ContinuationProblem,
     -l(l+1), over the simple degrees.
 
     There the trivial branch's fixed-point derivative is singular.  The
-    multiplier is the family's even quadratic a + b lambda^2, so each crossing
-    is +/- sqrt(-(a + l(l+1)) / b).  A zero radicand is a tangential double
-    root at 0 and is excluded; a constant multiplier equal to -l(l+1) has no
-    isolated crossing and is reported as an error.
+    multiplier plus l(l+1) is the family's even quadratic c + b lambda^2
+    (`crossing_coefficients`), so each crossing is +/- sqrt(-c / b).  A zero
+    radicand is a tangential double root at 0 and is excluded; a constant
+    multiplier equal to -l(l+1) has no isolated crossing and is reported as
+    an error.
     """
     lo, hi = lambda_range
     if not lo < hi:
         raise ValueError("empty lambda range")
     if degrees is None:
         degrees = problem.subspace.simple_degrees()
-    a, b = problem.family.multiplier_coefficients
     points: list[BifurcationPoint] = []
     for ell in degrees:
-        offset = a + ell * (ell + 1)
+        offset, b = problem.family.crossing_coefficients(ell)
         if b == 0.0:
             if offset == 0.0:
                 raise ArithmeticError(

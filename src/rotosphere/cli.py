@@ -261,14 +261,16 @@ def _rossby_haurwitz(spec: dict, lmax: int | None) -> solutions.RossbyHaurwitzWa
         _get(spec, "ycoeffs", {int: complex}), _get(spec, "omega", float, 0.0), lmax=lmax)
 
 
-def _initial_field(spec: dict, lmax: int, seed: int) -> sht.SpectralField:
+def _initial_field(spec: dict, lmax: int, seed: int, omega: float) -> sht.SpectralField:
     kind = _get(spec, "kind", str, "modes")
     if kind == "snapshot":
         field, _ = snapshot.read_snapshot(_get(spec, "path", str))
         return field.truncated(lmax)
     if kind == "modes":
         return _modes_field(_get(spec, "coefficients", list, []), lmax)
-    if kind == "rossby_haurwitz":
+    if kind == "rossby_haurwitz":  # the wave's omega sets only its speed, which the run ignores
+        if _get(spec, "omega", float, omega) != omega:
+            raise ConfigError(f"initial omega {spec['omega']!r} differs from the run's omega {omega!r}")
         return sht.laplacian(_rossby_haurwitz(spec, lmax).psi)
     if kind == "random":
         return _random_field(lmax, np.random.default_rng(seed), _get(spec, "decay", float, 0.5))
@@ -298,7 +300,8 @@ def cmd_simulate(args):
     if stride < 1:
         raise ConfigError(f"snapshot_stride must be >= 1, got {stride}")
     seed = _get(config, "seed", int, 0)
-    initial = _initial_field(_get(config, "initial", dict), sim_config.lmax, seed)
+    initial = _initial_field(_get(config, "initial", dict), sim_config.lmax, seed,
+                             sim_config.omega)
     sim_config.check_initial(initial)
 
     def work(ctx):
@@ -456,6 +459,8 @@ def cmd_stability_zonal(args):
     n_basis = _get(config, "basis_size", int, 48)
     if 0 in ks or n_basis < 1:
         raise ConfigError("need nonzero wavenumbers and basis_size >= 1")
+    if len({abs(k) for k in ks}) < len(ks):
+        raise ConfigError(f"wavenumbers {ks} repeat a |k|: k and -k have one spectrum")
 
     def work(ctx):
         reports = {}
@@ -468,13 +473,20 @@ def cmd_stability_zonal(args):
                 "pairing_defect": rep.pairing_defect,
                 "discrete_eigenvalues": [[z.real, z.imag] for z in rep.discrete_eigenvalues],
             }
-        ray = stability.rayleigh_criterion(zp, omega)
-        fjo = stability.fjortoft_criterion(zp, omega)
+        shear = stability.shear_criteria(zp, omega)
+        if shear.degenerate:
+            detail = "degenerate: gradient identically zero"
+        elif not shear.sign_changes:
+            detail = "gradient does not change sign"
+        else:
+            detail = (f"sup of the wind over S+ {shear.wind_sup!r} "
+                      f"{'>' if shear.fjortoft_met else '<='} its inf over S- {shear.wind_inf!r}")
         payload = {
             "per_wavenumber": reports,
-            "rayleigh": {"met": ray.met, "degenerate": ray.degenerate,
-                         "sign_changes": ray.sign_change_locations},
-            "fjortoft": {"met": fjo.met, "degenerate": fjo.degenerate, "detail": fjo.detail},
+            "rayleigh": {"met": shear.rayleigh_met, "degenerate": shear.degenerate,
+                         "sign_changes": shear.sign_changes},
+            "fjortoft": {"met": shear.fjortoft_met, "degenerate": shear.degenerate,
+                         "detail": detail},
         }
         ctx.write_json("stability_report.json", payload)
         _print_report(json.dumps(payload, sort_keys=True, indent=1))

@@ -768,13 +768,11 @@ def rotation_block(l: int, rot: RotationSpec, closed_form: bool = False) -> np.n
     return (left[:, None] * delta * middle) @ (delta.T * right)
 
 
-def rotate(c: SpectralField, r: RotationSpec, parity: bool = False) -> SpectralField:
+def rotate(c: SpectralField, r: RotationSpec) -> SpectralField:
     """Rotate a field: the result represents x -> f(R^{-1} x).
 
     Each degree applies the factors of `rotation_block` as real
     matrix-vector products, O(lmax^3) in all and without forming a block.
-    Improper elements of the full orthogonal group are handled by the
-    parity flag (the antipodal map multiplies degree l by (-1)^l).
     """
     L, table = c.lmax, c.coeffs
     out = np.zeros(table.shape, dtype=complex)
@@ -783,8 +781,6 @@ def rotate(c: SpectralField, r: RotationSpec, parity: bool = False) -> SpectralF
         orders = slice(L - l, L + l + 1)
         v = middle[orders] * _real_matvec(delta.T, right[orders] * table[l, orders])
         out[l, orders] = left[orders] * _real_matvec(delta, v)
-    if parity:
-        out[1::2] *= -1.0
     # the average of the computed row and its mirror
     return SpectralField(_mirror_average(out))
 

@@ -32,6 +32,7 @@ class ZonalProfile:
     Its s-derivative `dpsi`, the vorticity `vort` = (1 - s^2) psi'' - 2 s psi'
     = ((1 - s^2) psi')' and the vorticity's s-derivative `dvort` are series
     derived from it; on a Legendre series the vorticity is -l(l+1) c_l.
+    `dpsi_knots` are -1, 1 and the critical points of psi' inside.
     """
 
     def __init__(self, psi):
@@ -44,6 +45,7 @@ class ZonalProfile:
             s = psi.identity()
             self.vort = ((1 - s * s) * self.dpsi).deriv()
         self.dvort = self.vort.deriv()
+        self.dpsi_knots = _knots(self.dpsi.deriv())  # where psi' takes its extremes
 
     @classmethod
     def from_zonal_coefficients(cls, coeffs: dict[int, float]) -> "ZonalProfile":
@@ -132,18 +134,47 @@ def _knots(p) -> np.ndarray:
     return np.concatenate(([-1.0], x[(-1.0 < x) & (x < 1.0)], [1.0]))
 
 
-def _sign_regions(zp: ZonalProfile, omega: float):
-    """Where the total vorticity gradient g = vort' + 2 omega changes sign on
-    (-1, 1): its crossings and the sign of g on each of the len + 1 intervals
-    between them, or None where g vanishes identically (largest test value
-    below 1e-13).
+@dataclasses.dataclass
+class ShearCriteria:
+    """The classical necessary criteria for linear instability of a zonal flow.
+
+    `sign_changes` are the crossings of the total vorticity gradient
+    g = vort' + 2 omega on (-1, 1), none where g vanishes identically
+    (`degenerate`).  `wind_sup` is the sup of the angular wind -psi' over the
+    closure of S+ = {g > 0} and `wind_inf` its inf over the closure of
+    S- = {g < 0}, both None without a crossing.
+    """
+
+    degenerate: bool
+    sign_changes: list[float]
+    wind_sup: float | None = None
+    wind_inf: float | None = None
+
+    @property
+    def rayleigh_met(self) -> bool:
+        """Rayleigh-Kuo: g changes sign on the open interval."""
+        return bool(self.sign_changes)
+
+    @property
+    def fjortoft_met(self) -> bool:
+        """Fjortoft: for every real gamma there is a latitude where g and
+        (wind - gamma) have the same sign, i.e. S+ and S- are nonempty and
+        the wind's sup over cl S+ exceeds its inf over cl S-."""
+        return self.wind_sup is not None and self.wind_sup > self.wind_inf
+
+
+def shear_criteria(zp: ZonalProfile, omega: float) -> ShearCriteria:
+    """Both criteria from one pass over the sign regions of g.
 
     g keeps its sign between consecutive real roots, so it is read at -1, 1,
     the real parts of its roots inside (complex pairs included: the two close
     roots of a shallow dip may come out complex) and the midpoints between
     consecutive ones.  A value within 1e-13 of the largest reads 0, so a
-    tangency is no sign change.  Each crossing is refined by Brent's method
-    between consecutive test points of opposite sign.
+    tangency is no sign change, and g is degenerate where the largest is
+    below 1e-13.  Each crossing is refined by Brent's method between
+    consecutive test points of opposite sign.  The wind's extremes over a
+    region are taken at the crossings and at the profile's `dpsi_knots` that
+    lie in it.
     """
     g = zp.dvort + 2.0 * omega
     knots = _knots(g)
@@ -151,67 +182,21 @@ def _sign_regions(zp: ZonalProfile, omega: float):
     vals = g(s)
     scale = float(np.max(np.abs(vals)))
     if scale < 1e-13:
-        return None
+        return ShearCriteria(degenerate=True, sign_changes=[])
     keep = np.abs(vals) > 1e-13 * scale
     s, signs = s[keep], np.sign(vals[keep])
     change = np.flatnonzero(signs[1:] != signs[:-1])
     crossings = [brentq(g, s[i], s[i + 1]) for i in change]
-    return crossings, np.concatenate((signs[:1], signs[change + 1]))
-
-
-@dataclasses.dataclass
-class RayleighReport:
-    met: bool
-    degenerate: bool
-    sign_change_locations: list[float]
-
-
-@dataclasses.dataclass
-class FjortoftReport:
-    met: bool
-    degenerate: bool
-    detail: str
-
-
-def rayleigh_criterion(zp: ZonalProfile, omega: float) -> RayleighReport:
-    """Sign changes of the meridional gradient of total vorticity.
-
-    A sign change on the open interval is necessary for linear instability.
-    """
-    regions = _sign_regions(zp, omega)
-    if regions is None:
-        return RayleighReport(met=False, degenerate=True, sign_change_locations=[])
-    crossings, _ = regions
-    return RayleighReport(met=bool(crossings), degenerate=False, sign_change_locations=crossings)
-
-
-def fjortoft_criterion(zp: ZonalProfile, omega: float) -> FjortoftReport:
-    """Shear-weighted refinement of the sign-change criterion.
-
-    Met when for every real gamma there is a latitude where the total
-    vorticity gradient and (wind/cos - gamma) have the same sign.  With S+/S-
-    the regions of positive/negative gradient that holds iff both are
-    nonempty and the sup of the angular wind over the closure of S+ exceeds
-    its inf over the closure of S-.  Both are taken at the crossings and at
-    -1, 1 and the wind's critical points that lie in the region.
-    """
-    regions = _sign_regions(zp, omega)
-    if regions is None:
-        return FjortoftReport(met=False, degenerate=True,
-                              detail="degenerate: gradient identically zero")
-    crossings, signs = regions
     if not crossings:
-        return FjortoftReport(met=False, degenerate=False, detail="gradient does not change sign")
-    wind = -zp.dpsi  # U0/cos(lat) expressed in s
-    points = _knots(wind.deriv())
-    side = signs[np.searchsorted(crossings, points)]
-    at_points, at_crossings = wind(points), wind(np.asarray(crossings))
-    sup = float(np.max(np.concatenate((at_crossings, at_points[side > 0]))))
-    inf = float(np.min(np.concatenate((at_crossings, at_points[side < 0]))))
-    met = sup > inf
-    return FjortoftReport(
-        met=met, degenerate=False,
-        detail=f"sup of the wind over S+ {sup!r} {'>' if met else '<='} its inf over S- {inf!r}",
+        return ShearCriteria(degenerate=False, sign_changes=[])
+    # the sign of g on each of the len + 1 intervals between the crossings
+    region_signs = np.concatenate((signs[:1], signs[change + 1]))
+    side = region_signs[np.searchsorted(crossings, zp.dpsi_knots)]
+    at_points, at_crossings = -zp.dpsi(zp.dpsi_knots), -zp.dpsi(np.asarray(crossings))
+    return ShearCriteria(
+        degenerate=False, sign_changes=crossings,
+        wind_sup=float(np.max(np.concatenate((at_crossings, at_points[side > 0])))),
+        wind_inf=float(np.min(np.concatenate((at_crossings, at_points[side < 0])))),
     )
 
 
@@ -266,7 +251,7 @@ def zonal_operator_spectrum(zp: ZonalProfile, omega: float, k: int, n_basis: int
     """
     mat = zonal_operator_matrix(zp, omega, k, n_basis)
     eigs = np.linalg.eigvals(mat)
-    dpsi_range = zp.dpsi(_knots(zp.dpsi.deriv()))
+    dpsi_range = zp.dpsi(zp.dpsi_knots)
     essential = (float(np.min(dpsi_range)), float(np.max(dpsi_range)))
     radius = float(np.max(np.abs(eigs)))
     imag_tol = 1e-6 * max(radius, 1e-30)
@@ -531,15 +516,13 @@ def instability_separation_bound(j: int, beta: float, ycoeffs: dict[int, complex
     non-zonal wave content (n-independent) plus the perturbation norm
     (4 pi / (3 n^2), the exact squared norm of the tilt).
     """
-    nonzonal = {m: c for m, c in ycoeffs.items() if m != 0 and abs(c) > 0}
+    if any(abs(m) > j for m in ycoeffs):
+        raise ValueError(f"orders {sorted(ycoeffs)} reach beyond degree {j}")
+    nonzonal = [c for m, c in ycoeffs.items() if m != 0 and abs(c) > 0]
     if not nonzonal:
         raise ValueError("separation bound degenerates for zonal patterns")
-    grid = sht.build_grid(j + 2, 1)
-    x, w = grid.nodes, grid.weights
-    wave_term = 0.0
-    for m, c in nonzonal.items():
-        lat_sq = float(w @ sht.legendre_order(j, abs(m), x)[:, j] ** 2)  # = 1/(2 pi) for the normalized basis
-        wave_term += abs(c) ** 2 * lat_sq
-    wave_term *= FOUR_PI * beta * beta
+    # 4 pi beta^2 sum |c_m|^2 times the integral of the squared normalized
+    # Legendre function over s, which is 1/(2 pi)
+    wave_term = 2.0 * beta * beta * sum(abs(c) ** 2 for c in nonzonal)
     perturbation_term = FOUR_PI / (3.0 * n * n)
     return SeparationBound(perturbation_term=perturbation_term, wave_term=wave_term)

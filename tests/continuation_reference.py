@@ -25,6 +25,7 @@ import numpy as np
 from scipy import optimize
 
 from rotosphere import bifurcation as bif, sht
+from sht_reference import antipodal
 
 ZONAL_DEGREE_ONE_COEFF = 2.0 * math.sqrt(math.pi / 3.0)  # sin(lat) = this * Y_1^0
 
@@ -98,7 +99,9 @@ def invariance_defect(subspace):
     worst = 0.0
     for elem in subspace.group.elements():
         for b in (subspace.assemble(row) for row in np.eye(subspace.dim)):
-            rotated = sht.rotate(b, elem.rotation, parity=elem.parity)
+            rotated = sht.rotate(b, elem.rotation)
+            if elem.parity:
+                rotated = antipodal(rotated)
             worst = max(worst, float(np.max(np.abs(rotated.halves - b.halves))))
     return worst
 

@@ -20,7 +20,8 @@ the two agree bit for bit.
 
 `evaluate` sums a field's harmonics at arbitrary points, and
 `rotate_field_values`, the grid oracle for `sht.rotate`, samples the rotated
-field with it at the rotated grid points.
+field with it at the rotated grid points.  `antipodal` applies the antipodal map that
+turns a rotation into an improper element.
 """
 
 import math
@@ -94,6 +95,14 @@ class ReferenceTransform:
         coeffs[:, L:] = cpos
         coeffs[:, :L] = cneg[:, ::-1]
         return coeffs
+
+
+def antipodal(field):
+    """The field composed with x -> -x, which multiplies degree l by (-1)^l:
+    with a rotation, an improper element of O(3)."""
+    halves = field.halves.copy()
+    halves[1::2] *= -1.0
+    return sht.SpectralField(halves)
 
 
 def rotate_field_values(field, rot, grid, parity=False):

@@ -535,14 +535,13 @@ class TestDetection:
             assert abs(points[0].lam - 1.0 / math.sqrt(3.0)) < 1e-12
 
     def test_close_pair_around_zero(self):
-        # both crossings +/- sqrt(mu / (3 mu1)) lie within 0.006 of 0; rounding
-        # mu + 12 costs up to 1e-11 of the root
+        # both crossings +/- sqrt(mu / (3 mu1)) lie within 0.006 of 0, exact to
+        # the last bit: mu + 12 - 12 is never rounded
         problem = bif.ContinuationProblem(bif.CubicShiftFamily(mu=1e-4, mu1=1.0, degree=3),
                                           bif.build_subspace("tetrahedral", 8))
         points = bif.detect_bifurcation_points(problem, (-3.0, 3.0))
-        assert [p.degree for p in points] == [3, 3]
-        assert points[0].lam == -points[1].lam
-        assert abs(points[1].lam - math.sqrt(1e-4 / 3.0)) < 1e-11 * math.sqrt(1e-4 / 3.0)
+        root = math.sqrt(1e-4 / 3)
+        assert [(p.lam, p.degree) for p in points] == [(-root, 3), (root, 3)]
 
     def test_root_on_the_window_edge_is_kept(self, cubic_problem):
         root = bif.detect_bifurcation_points(cubic_problem, (0.0, 1.0), degrees=[3])[0].lam
@@ -555,7 +554,9 @@ class TestDetection:
         class DegenerateFamily:  # multiplier -12 = -l(l+1) for every lambda
             degree = 3
             depends_on_z = False
-            multiplier_coefficients = (-12.0, 0.0)
+
+            def crossing_coefficients(self, ell):
+                return -12.0 + ell * (ell + 1), 0.0
 
         problem = bif.ContinuationProblem(family=DegenerateFamily(), subspace=tetra_subspace)
         with pytest.raises(ArithmeticError):
@@ -566,7 +567,9 @@ class TestDetection:
         class TangentialFamily:
             degree = 3
             depends_on_z = False
-            multiplier_coefficients = (-12.0, 1.0)
+
+            def crossing_coefficients(self, ell):
+                return -12.0 + ell * (ell + 1), 1.0
 
         problem = bif.ContinuationProblem(family=TangentialFamily(), subspace=tetra_subspace)
         assert bif.detect_bifurcation_points(problem, (-1.0, 1.0)) == []

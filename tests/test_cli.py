@@ -110,10 +110,12 @@ class TestSimulate:
         {"initial": {"kind": "modes", "coefficients": [[1, 0, 0.5, 0.1]]}},
         {"initial": {"kind": "modes", "coefficients": [[2, 1, 0.3, 0.1], [2, -1, -0.3, 0.1]]}},
         {"snapshot_stride": 0},
+        {"initial": {"kind": "rossby_haurwitz", "degree": 2, "alpha": 0.3, "omega": 2.0,
+                     "ycoeffs": {"1": [0.6, 0.2]}}},
     ], ids=["string-stride", "mode-outside-table", "grid-keys", "fractional-lmax",
             "string-dt", "short-mode-entry", "t-end-not-multiple", "snapshot-without-lmax",
             "misspelled-key", "key-of-another-kind", "complex-zonal-mode", "repeated-mode",
-            "zero-stride"])
+            "zero-stride", "wave-omega-not-the-runs"])
     def test_malformed_config_is_config_error(self, tmp_path, capsys, monkeypatch, change):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "bare.json").write_text('{"format": "RSPHCOF1"}')
@@ -248,6 +250,30 @@ class TestStabilityCommands:
         assert payload["per_wavenumber"]["1"]["unstable"] is False
         assert payload["rayleigh"]["met"] is True
 
+    @pytest.mark.parametrize("omega, coefficients, rayleigh, fjortoft", [
+        (math.sqrt(3 / (4 * math.pi)), {"1": 1.0},
+         "4741f28da970a3d248d9b503f815fdcad1cd6d2de087a90cde74f5dcfd1927a9",
+         "34c65427bbc6d5986b35e72681e8ddae5aa440df3d51436fb392b74a53c30039"),
+        (18.0, {"1": 1.0, "2": 1.0},
+         "e386c9757d2241947ab6cb0bb8d9413ca5a470bc8458bb658015b3c7bd98662a",
+         "930fc1cc438fd34dadc55170833429d4593a5fb70c30542c59a2d2f43565b206"),
+        (2.0, {"1": 1.0, "2": 1.0},
+         "d22e2a39f127288ab5f1b7fcb6cfb401d8bacbb39ca03f2529719570b36d1251",
+         "750c24f6673d569e71a62a047b69b05a1a21491a7a107320828b69736506e504"),
+    ], ids=["degenerate", "no-sign-change", "met-with-crossings"])
+    def test_shear_criteria_report_is_pinned(self, tmp_path, omega, coefficients, rayleigh, fjortoft):
+        # sha256 of each object's json.dumps(sort_keys=True) text, one per
+        # branch of the Fjortoft detail: the solid rotation at the frame rate,
+        # a monotone gradient, and a gradient that crosses zero once
+        cfg = write_json(tmp_path / "zonal.json", {
+            "omega": omega, "zonal_coefficients": coefficients, "wavenumbers": [1], "basis_size": 8})
+        out = tmp_path / "z"
+        assert run_cli(["stability", "zonal", "--config", cfg, "--outdir", str(out)]) == 0
+        payload = json.loads((out / "stability_report.json").read_text())
+        digests = [hashlib.sha256(json.dumps(payload[key], sort_keys=True).encode()).hexdigest()
+                   for key in ("rayleigh", "fjortoft")]
+        assert digests == [rayleigh, fjortoft]
+
     RH2_CONFIG = {
         "omega": 0.0, "alpha": 0.4, "beta0": 1.0, "lmax": 8,
         "dt": 0.02, "t_end": 0.2, "diag_stride": 5,
@@ -275,6 +301,8 @@ class TestStabilityCommands:
     @pytest.mark.parametrize("analysis, change", [
         ("zonal", {"zonal_coefficients": {"a": 1}}),
         ("zonal", {"wavenumbers": [0]}),
+        ("zonal", {"wavenumbers": [1, 1]}),
+        ("zonal", {"wavenumbers": [1, -1]}),
         ("zonal", {"gamma_samples": [-1.0, 0.0, 1.0]}),
         ("rh2", {"dt": -1}),
         ("rh2", {"t_end": 0.2, "dt": 0.07}),
@@ -282,7 +310,8 @@ class TestStabilityCommands:
         ("rh2", {"snapshot_stride": 2}),
         ("rh2", {"perturbation": [[2, 0, 0.001, 0.001]]}),
         ("rh2", {"perturbation": [[3, 1, 0.001, 0.0], [3, -1, -0.001, 0.0]]}),
-    ], ids=["non-integer-degree", "zero-wavenumber", "key-zonal-does-not-read", "negative-dt", "t-end-not-multiple",
+    ], ids=["non-integer-degree", "zero-wavenumber", "repeated-wavenumber", "wavenumber-and-its-negative",
+            "key-zonal-does-not-read", "negative-dt", "t-end-not-multiple",
             "order-beyond-degree", "key-rh2-does-not-read", "complex-zonal-mode",
             "repeated-mode"])
     def test_malformed_config_is_config_error(self, tmp_path, capsys, analysis, change):

@@ -4,7 +4,7 @@ and the closed-form crossings that need no root finder against SciPy's solves.
 `rotosphere._roots.brentq` transcribes SciPy's C routine on Python floats at
 SciPy's default tolerances, so the two must agree to the last bit wherever
 neither build contracts a multiply-add into an FMA.  Its one call site, the
-sign changes of the Rayleigh criterion, is replayed through both finders.
+crossings of the zonal shear criteria, is replayed through both finders.
 """
 
 import math
@@ -89,7 +89,7 @@ def test_rayleigh_sign_changes(calls):
     rng = np.random.default_rng(7)
     for _ in range(60):
         zp = stability.ZonalProfile.from_zonal_coefficients({l: rng.normal() for l in range(1, 7)})
-        stability.rayleigh_criterion(zp, omega=rng.uniform(-2.0, 2.0))
+        stability.shear_criteria(zp, omega=rng.uniform(-2.0, 2.0))
     assert len(calls) >= 60
     for ours, theirs in calls:
         assert ours.hex() == float(theirs).hex()

@@ -1,5 +1,4 @@
 import math
-import re
 from fractions import Fraction
 
 import numpy as np
@@ -53,38 +52,39 @@ class TestNecessaryCriteria:
     def test_solid_rotation_fails_both(self):
         zp = stability.ZonalProfile.solid_rotation(0.7)
         omega = 1.5
-        ray = stability.rayleigh_criterion(zp, omega)
-        assert not ray.met and not ray.degenerate
-        fjo = stability.fjortoft_criterion(zp, omega)
-        assert not fjo.met
+        shear = stability.shear_criteria(zp, omega)
+        assert not shear.rayleigh_met and not shear.degenerate
+        assert not shear.fjortoft_met
 
     def test_quadratic_profile_meets_both(self):
         # stream (omega/3) s^2: total vorticity gradient 2 omega (1 - 2s)
         omega = 1.2
         zp = stability.ZonalProfile(Polynomial([0.0, 0.0, omega / 3]))
-        ray = stability.rayleigh_criterion(zp, omega)
-        assert ray.met
-        assert abs(ray.sign_change_locations[0] - 0.5) < 1e-10
-        fjo = stability.fjortoft_criterion(zp, omega)
-        assert fjo.met
+        shear = stability.shear_criteria(zp, omega)
+        assert shear.rayleigh_met
+        assert abs(shear.sign_changes[0] - 0.5) < 1e-10
+        assert shear.fjortoft_met
 
     def test_degenerate_gradient(self):
         # solid rotation at exactly the frame rate: gradient identically zero
         zp = stability.ZonalProfile.solid_rotation(1.0)
-        ray = stability.rayleigh_criterion(zp, omega=1.0)
-        assert ray.degenerate
-        fjo = stability.fjortoft_criterion(zp, omega=1.0)
-        assert fjo.degenerate
+        shear = stability.shear_criteria(zp, omega=1.0)
+        assert shear.degenerate
+        assert not shear.rayleigh_met and not shear.fjortoft_met
 
     def test_fjortoft_implies_rayleigh(self):
+        # and conversely, for a profile regular at the poles: if g (w - gamma) <= 0
+        # everywhere, h = (1 - s^2)(w - gamma) vanishes at +-1 and
+        # g = 2 (gamma + omega) - h'', so convexity keeps g to one sign
         rng = np.random.default_rng(0)
-        for trial in range(12):
-            coeffs = {l: rng.normal() for l in range(1, 5)}
+        verdicts = set()
+        for trial in range(240):
+            coeffs = {l: rng.normal() for l in range(1, int(rng.integers(2, 9)))}
             zp = stability.ZonalProfile.from_zonal_coefficients(coeffs)
-            omega = rng.uniform(-2, 2)
-            fjo = stability.fjortoft_criterion(zp, omega)
-            if fjo.met:
-                assert stability.rayleigh_criterion(zp, omega).met
+            shear = stability.shear_criteria(zp, float(rng.uniform(-2, 2) * rng.choice([1, 10])))
+            assert shear.fjortoft_met == shear.rayleigh_met
+            verdicts.add(shear.rayleigh_met)
+        assert verdicts == {True, False}
 
 
 class TestExactSignRegions:
@@ -108,16 +108,17 @@ class TestExactSignRegions:
     def test_shallow_dip_meets_both(self):
         # negative on (0.0010273, 0.0010517): between two of any 1e-3-spaced samples
         zp, omega = self._dip_profile(1e-8)
-        ray = stability.rayleigh_criterion(zp, omega)
-        assert ray.met and not ray.degenerate
-        assert len(ray.sign_change_locations) == 2
-        assert all(0.00102 < x < 0.00106 for x in ray.sign_change_locations)
-        assert stability.fjortoft_criterion(zp, omega).met
+        shear = stability.shear_criteria(zp, omega)
+        assert shear.rayleigh_met and not shear.degenerate
+        assert len(shear.sign_changes) == 2
+        assert all(0.00102 < x < 0.00106 for x in shear.sign_changes)
+        assert shear.fjortoft_met
 
     def test_dip_of_1e_10_of_the_scale_is_met(self):
         zp, omega = self._dip_profile(1e-10, relative=True)
-        assert len(stability.rayleigh_criterion(zp, omega).sign_change_locations) == 2
-        assert stability.fjortoft_criterion(zp, omega).met
+        shear = stability.shear_criteria(zp, omega)
+        assert len(shear.sign_changes) == 2
+        assert shear.fjortoft_met
 
     @pytest.mark.parametrize("gradient", [[1, -4, 4], [0, 0, 1], [-81, 1080, -5400, 12000, -10000]],
                              ids=["(s-1/2)^2", "s^2", "-(s-0.3)^4"])
@@ -125,16 +126,16 @@ class TestExactSignRegions:
         psi, scale = _power_psi(gradient)
         zp = stability.ZonalProfile(psi)
         assert np.array_equal(zp.dvort.coef, scale * np.array(gradient, dtype=float))  # stored exactly
-        ray = stability.rayleigh_criterion(zp, 0.0)
-        assert not ray.met and ray.sign_change_locations == []
-        assert not stability.fjortoft_criterion(zp, 0.0).met
+        shear = stability.shear_criteria(zp, 0.0)
+        assert not shear.rayleigh_met and shear.sign_changes == []
+        assert not shear.fjortoft_met
 
     def test_legendre_basis_tangency_is_not_met(self):
         # vort' = 105 - 180 P1 + 120 P2 = 180 (s - 1/2)^2, stored exactly
         zp = stability.ZonalProfile(Legendre([0.0, -40.5, 10.0, -2.0]))
         assert np.array_equal(zp.dvort.coef, [105.0, -180.0, 120.0])
-        assert not stability.rayleigh_criterion(zp, 0.0).met
-        assert not stability.fjortoft_criterion(zp, 0.0).met
+        shear = stability.shear_criteria(zp, 0.0)
+        assert not shear.rayleigh_met and not shear.fjortoft_met
 
     def test_crossings_match_a_dense_scan_at_degree_48(self):
         # the gradient from the test's own Legendre coefficients, scanned at
@@ -150,8 +151,8 @@ class TestExactSignRegions:
         sign = np.sign(legendre.legval(s, gradient))
         changes = np.flatnonzero(sign[1:] * sign[:-1] < 0)
         assert np.min(np.diff(changes)) > 10  # the scan resolves every pair
-        found = stability.rayleigh_criterion(
-            stability.ZonalProfile.from_zonal_coefficients(coeffs), omega).sign_change_locations
+        found = stability.shear_criteria(
+            stability.ZonalProfile.from_zonal_coefficients(coeffs), omega).sign_changes
         assert len(found) == changes.size
         assert np.max(np.abs(np.array(found) - s[changes])) <= s[1] - s[0]
 
@@ -185,7 +186,7 @@ class TestExactSignRegions:
             g, wind = zp.dvort(s) + 2.0 * omega, -zp.dpsi(s)
             gammas = np.linspace(wind.min(), wind.max(), 2001)
             scanned = all(np.any(g * (wind - gamma) > 0.0) for gamma in gammas)
-            verdict = stability.fjortoft_criterion(zp, omega).met
+            verdict = stability.shear_criteria(zp, omega).fjortoft_met
             assert verdict == scanned
             verdicts.add(verdict)
         assert verdicts == {True, False}
@@ -201,8 +202,8 @@ class TestExactSignRegions:
         omega = float(rng.uniform(-3.0, 3.0) * rng.choice([1, 10]))
         s = np.linspace(-1.0, 1.0, 2_000_001)
         g, wind = zp.dvort(s) + 2.0 * omega, -zp.dpsi(s)
-        report = stability.fjortoft_criterion(zp, omega)
-        sup, inf = (float(x) for x in re.findall(r"over S[+-] (\S+)", report.detail))
+        shear = stability.shear_criteria(zp, omega)
+        sup, inf = shear.wind_sup, shear.wind_inf
         assert sup == pytest.approx(wind[g > 0].max(), rel=1e-5)
         assert inf == pytest.approx(wind[g < 0].min(), rel=1e-5)
         assert sup < wind.max() - 1e-3 or inf > wind.min() + 1e-3
@@ -417,6 +418,10 @@ class TestSeparationBound:
     def test_zonal_pattern_rejected(self):
         with pytest.raises(ValueError):
             stability.instability_separation_bound(2, 1.0, {0: 1.0}, 10)
+
+    def test_order_beyond_degree_rejected(self):
+        with pytest.raises(ValueError, match="beyond degree 2"):
+            stability.instability_separation_bound(2, 1.0, {1: 0.5, 3: 1.0}, 10)
 
     def test_simulated_separation_exceeds_bound(self):
         # the detuned and base patterns are exact travelling waves whose
